@@ -12,12 +12,9 @@ from .decomposition import (Decomposition, DecompositionReport, analyze,
                             validate_stratification)
 from .errors import CapExceeded, InputError, StratikitError, StructureError
 from .homology import SimplicialComplex, betti, order_complex
-from .order import (MonotoneMap, Poset, Preorder, is_monotone, is_partial_order,
-                    order_isomorphism, preorder_from_pairs, product,
-                    quotient_poset)
-from .topology import (FiniteTopology, PosetStratifiedSpace,
-                       alexandroff_from_preorder, product_topology,
-                       specialization_preorder, validate_topology)
+from .order import (MonotoneMap, Poset, Preorder, is_monotone, order_isomorphism,
+                    product, quotient_poset)
+from .topology import FiniteTopology, PosetStratifiedSpace, product_topology
 
 __version__ = "0.1.0"
 
@@ -31,9 +28,8 @@ __all__ = [
     "quotient_topology", "validate_stratification",
     "CapExceeded", "InputError", "StratikitError", "StructureError",
     "SimplicialComplex", "betti", "order_complex",
-    "MonotoneMap", "Poset", "Preorder", "is_monotone", "is_partial_order",
-    "order_isomorphism", "preorder_from_pairs", "product", "quotient_poset",
-    "FiniteTopology", "PosetStratifiedSpace", "alexandroff_from_preorder",
-    "product_topology", "specialization_preorder", "validate_topology",
+    "MonotoneMap", "Poset", "Preorder", "is_monotone", "order_isomorphism",
+    "product", "quotient_poset",
+    "FiniteTopology", "PosetStratifiedSpace", "product_topology",
     "__version__",
 ]

@@ -6,11 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapExceeded, InputError
 from .feasibility import LinearSystem, feasible, solve
-from .order import Poset
+from .order import Poset, bitmask
 
 MAX_FORMS = 12
 
@@ -135,12 +133,11 @@ def face_poset(arr, faces=None):
     """Realizable sign vectors under the componentwise order."""
     if faces is None:
         faces = enumerate_faces(arr)
-    n = len(faces)
-    rel = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            rel[i, j] = _sign_leq(faces[i].signs, faces[j].signs)
-    return Poset([f.label for f in faces], rel)
+    up = [
+        bitmask(j for j, g in enumerate(faces) if _sign_leq(f.signs, g.signs))
+        for f in faces
+    ]
+    return Poset([f.label for f in faces], up)
 
 
 def closure_inclusion(arr, f, g):

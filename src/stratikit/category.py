@@ -7,11 +7,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CapExceeded, InputError, StructureError
 from .order import Preorder, is_monotone, quotient_poset
-from .topology import PosetStratifiedSpace, alexandroff_from_preorder
+from .topology import FiniteTopology, PosetStratifiedSpace
 
 MAX_MORPHISMS = 64
 
@@ -140,8 +138,7 @@ def hom_preorder_details(cat, x, y, side):
     morphs = cat.hom(x, y)
     end_x = cat.hom(x, x)
     end_y = cat.hom(y, y)
-    n = len(morphs)
-    rel = np.zeros((n, n), dtype=bool)
+    up = [0] * len(morphs)
     witnesses = {}
     for i, g in enumerate(morphs):
         for j, f in enumerate(morphs):
@@ -159,9 +156,9 @@ def hom_preorder_details(cat, x, y, side):
                      if cat.compose(t, cat.compose(g, s)) == f),
                     None)
             if found is not None:
-                rel[i, j] = True
+                up[i] |= 1 << j
                 witnesses[(g, f)] = found
-    pre = Preorder(morphs, rel)  # reflexivity/transitivity asserted here
+    pre = Preorder(morphs, up)  # reflexivity/transitivity asserted here
     return pre, witnesses
 
 
@@ -193,7 +190,7 @@ def hom_stratified(cat, x, y, side):
     pre, witnesses = hom_preorder_details(cat, x, y, side)
     if not pre.carrier:
         raise InputError(f"hom({x!r}, {y!r}) is empty; nothing to stratify")
-    space = alexandroff_from_preorder(pre)
+    space = FiniteTopology.from_preorder(pre)
     strata, projection = quotient_poset(pre)
     pss = PosetStratifiedSpace(space, strata, projection.assignment)
 

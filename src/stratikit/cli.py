@@ -22,9 +22,8 @@ from .dot import preorder_dot
 from .errors import InputError, StratikitError, StructureError
 from .homology import (betti, boundary_squares_to_zero,
                        euler_characteristic_consistent, order_complex)
-from .order import Poset
 from .randomcases import random_decomposition
-from .topology import alexandroff_from_preorder
+from .topology import FiniteTopology
 
 
 def _read_input(args):
@@ -90,7 +89,7 @@ def cmd_topology(args):
                              jsonio.dump_topology(space), checks))
     if args.action == "from-preorder":
         pre = _maybe_dual(args, jsonio.load_preorder(doc))
-        space = alexandroff_from_preorder(pre)
+        space = FiniteTopology.from_preorder(pre)
         back = space.specialization_preorder()
         checks.append({"name": "specialization preorder round-trips",
                        "pass": back == pre, "detail": ""})
@@ -100,7 +99,7 @@ def cmd_topology(args):
     if args.action == "to-preorder":
         space = jsonio.load_topology(doc)
         pre = _maybe_dual(args, space.specialization_preorder())
-        again = alexandroff_from_preorder(space.specialization_preorder())
+        again = FiniteTopology.from_preorder(space.specialization_preorder())
         checks.append({"name": "alexandroff topology round-trips",
                        "pass": again == space, "detail": ""})
         _write_dot(args, pre)
@@ -200,7 +199,7 @@ def cmd_arrangement(args):
         return _emit(_report("arrangement faces", _digest(text), results, checks))
     poset = face_poset(arr, faces)
     if args.dual:
-        poset = Poset(poset.carrier, poset.rel.T)
+        poset = poset.dual()
     if args.action == "poset":
         checks = [{"name": "componentwise order is a partial order",
                    "pass": poset.is_partial_order(), "detail": ""}]
@@ -320,7 +319,7 @@ def cmd_homset(args):
 def cmd_homology(args):
     doc, text = _read_input(args)
     pre = jsonio.load_preorder(doc)
-    poset = Poset(pre.carrier, pre.rel)
+    poset = pre.to_poset()
     complex_ = order_complex(poset)
     if args.action == "order-complex":
         checks = [{"name": "complex is downward closed", "pass": True, "detail": ""}]

@@ -16,8 +16,8 @@ from .category import (hom_preorder, hom_stratified,
                        yoneda_natural_transformations)
 from .decomposition import Decomposition, analyze, validate_stratification
 from .homology import betti, order_complex
-from .order import Poset, order_isomorphism, product, quotient_poset
-from .topology import alexandroff_from_preorder
+from .order import order_isomorphism, product, quotient_poset
+from .topology import FiniteTopology
 
 CASE_NAMES = (
     "ex1",
@@ -47,14 +47,14 @@ def _check(checks, name, ok, detail=""):
 
 def _poset_from_golden(doc):
     pre = jsonio.load_preorder(doc)
-    return Poset(pre.carrier, pre.rel)
+    return pre.to_poset()
 
 
 def run_ex1():
     g = golden("ex1")
     checks = []
     poset = _poset_from_golden(g["poset"])
-    space = alexandroff_from_preorder(poset)
+    space = FiniteTopology.from_preorder(poset)
     _check(checks, "open family matches",
            space.opens_as_labels() == g["opens"], space.opens_as_labels())
     back = space.specialization_preorder()
@@ -67,7 +67,7 @@ def run_ex2_replica():
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
     faces = enumerate_faces(arr)
-    space = alexandroff_from_preorder(face_poset(arr, faces))
+    space = FiniteTopology.from_preorder(face_poset(arr, faces))
     blocks = [g["blocks"][k] for k in ("N", "O", "P")]
     dec = Decomposition(space, blocks, ["N", "O", "P"])
     rep = analyze(dec)
@@ -109,7 +109,7 @@ def run_pseudo():
     g = golden("pseudo")
     checks = []
     poset = _poset_from_golden(g["poset"])
-    space = alexandroff_from_preorder(poset)
+    space = FiniteTopology.from_preorder(poset)
     _check(checks, "open family matches",
            space.opens_as_labels() == g["opens"], space.opens_as_labels())
     _check(checks, "specialization inverts the construction",
@@ -126,7 +126,7 @@ def run_pseudo():
 def run_pseudo_prime_replica():
     g = golden("pseudo-prime-replica")
     checks = []
-    space = alexandroff_from_preorder(jsonio.load_preorder(
+    space = FiniteTopology.from_preorder(jsonio.load_preorder(
         {"carrier": g["space_preorder"]["carrier"],
          "pairs": g["space_preorder"]["pairs"]}))
     labels = list(g["blocks"])
@@ -143,7 +143,7 @@ def run_ex6():
     g = golden("ex6")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    space = alexandroff_from_preorder(face_poset(arr))
+    space = FiniteTopology.from_preorder(face_poset(arr))
     labels = list(g["blocks"])
     dec = Decomposition(space, [g["blocks"][k] for k in labels], labels)
     rep = analyze(dec)
@@ -167,7 +167,7 @@ def run_ex7():
     faces = enumerate_faces(arr)
     _check(checks, "face count", len(faces) == g["face_count"], len(faces))
     poset = face_poset(arr, faces)
-    space = alexandroff_from_preorder(poset)
+    space = FiniteTopology.from_preorder(poset)
     base = sorted(
         sorted(space.labels(space.minimal_open_mask(i)))
         for i in range(len(space.carrier)))

@@ -6,11 +6,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CapExceeded, InputError, StructureError
-from .order import Preorder, product_label
-from .topology import FiniteTopology, alexandroff_from_preorder, product_topology
+from .order import Preorder, bit_indices, bitmask, product_label
+from .topology import FiniteTopology, product_mask, product_topology
 
 
 class Decomposition:
@@ -85,6 +83,14 @@ MOORE_LOWER = "lower-semicontinuous"
 MOORE_CONTINUOUS = "continuous"
 MOORE_NEITHER = "neither"
 
+# (projection open, projection closed) -> Moore's semicontinuity class
+MOORE_CLASS = {
+    (True, True): MOORE_CONTINUOUS,
+    (True, False): MOORE_LOWER,
+    (False, True): MOORE_UPPER,
+    (False, False): MOORE_NEITHER,
+}
+
 
 @dataclass
 class DecompositionReport:
@@ -100,12 +106,7 @@ class DecompositionReport:
     quotient_is_poset: bool
 
     def __post_init__(self):
-        expected = {
-            (True, True): MOORE_CONTINUOUS,
-            (True, False): MOORE_LOWER,
-            (False, True): MOORE_UPPER,
-            (False, False): MOORE_NEITHER,
-        }[(self.pi_open, self.pi_closed)]
+        expected = MOORE_CLASS[(self.pi_open, self.pi_closed)]
         if self.moore_class != expected:
             raise StructureError(
                 f"moore_class {self.moore_class!r} inconsistent with "
@@ -143,12 +144,9 @@ def star_preorder(d):
     """
     k = len(d.blocks)
     closures = [d.space.closure_mask(b) for b in d.blocks]
-    rel = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        for b in range(k):
-            rel[a, b] = (d.blocks[a] & ~closures[b]) == 0
+    up = [bitmask(b for b in range(k) if block & ~closures[b] == 0) for block in d.blocks]
     try:
-        return Preorder(d.labels, rel)
+        return Preorder(d.labels, up)
     except StructureError as exc:
         raise StructureError(f"closure preorder on blocks is malformed: {exc}") from exc
 
@@ -159,12 +157,6 @@ def analyze(d):
     pi_open = all(quotient.is_open(d.image_mask(g)) for g in d.space.opens)
     pi_closed = all(
         quotient.is_closed(d.image_mask(d.space.full_mask & ~g)) for g in d.space.opens)
-    moore = {
-        (True, True): MOORE_CONTINUOUS,
-        (True, False): MOORE_LOWER,
-        (False, True): MOORE_UPPER,
-        (False, False): MOORE_NEITHER,
-    }[(pi_open, pi_closed)]
     star = star_preorder(d)
     tau_pi = quotient.specialization_preorder()
     closures = [d.space.closure_mask(b) for b in d.blocks]
@@ -178,7 +170,7 @@ def analyze(d):
         quotient=quotient,
         pi_open=pi_open,
         pi_closed=pi_closed,
-        moore_class=moore,
+        moore_class=MOORE_CLASS[(pi_open, pi_closed)],
         star_preorder=star,
         tau_pi_preorder=tau_pi,
         tamaki_agrees=(star == tau_pi),
@@ -239,7 +231,7 @@ def validate_stratification(d):
         is_stratification=is_strat,
     )
     if is_strat:
-        star_space = alexandroff_from_preorder(rep.star_preorder)
+        star_space = FiniteTopology.from_preorder(rep.star_preorder)
         continuous = all(
             d.space.is_open(d.preimage_mask(u)) for u in star_space.opens)
         out.pi_continuous_to_star = continuous
@@ -273,28 +265,19 @@ def product_decomposition(ds):
             + ", ".join(f"#{i}" for i in bad))
     space = product_topology([d.space for d in ds])
     sizes = [len(d.space.carrier) for d in ds]
-    strides = [1] * len(ds)
-    for i in range(len(ds) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
 
     blocks = []
     labels = []
     for combo in itertools.product(*(range(len(d.blocks)) for d in ds)):
-        mask = 0
-        factor_bits = [
-            [i for i in range(sizes[axis]) if ds[axis].blocks[k] & (1 << i)]
-            for axis, k in enumerate(combo)
-        ]
-        for idx in itertools.product(*factor_bits):
-            mask |= 1 << sum(i * s for i, s in zip(idx, strides))
-        blocks.append(mask)
+        blocks.append(product_mask(
+            sizes, [bit_indices(ds[axis].blocks[k]) for axis, k in enumerate(combo)]))
         labels.append(product_label(ds[axis].labels[k] for axis, k in enumerate(combo)))
     out = Decomposition(space, blocks, labels)
 
     from .order import product as order_product
 
     rep = analyze(out)
-    expected = alexandroff_from_preorder(
+    expected = FiniteTopology.from_preorder(
         order_product([r.tau_pi_preorder for r in factor_reports]))
     verification = ProductVerification(
         factor_reports=factor_reports,

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CapExceeded, InputError, StructureError
+from .order import bit_indices
 
 MAX_SIMPLICES = 5000
 
@@ -73,23 +74,24 @@ def order_complex(poset):
     """All chains (totally ordered subsets) of a poset, as a complex."""
     if not poset.is_partial_order():
         raise StructureError("order complex requires a poset (antisymmetry failed)")
-    n = len(poset.carrier)
-    rel = poset.rel
+    comparable = [u | d for u, d in zip(poset.up, poset.down())]
     chains = []
 
-    def grow(chain):
+    def grow(chain, common):
+        """Extend by every later element comparable with all of ``chain``,
+        whose comparability masks intersect to ``common``."""
         if len(chains) > MAX_SIMPLICES:
             raise CapExceeded(f"chain count exceeds cap {MAX_SIMPLICES}")
         last = chain[-1]
-        for j in range(last + 1, n):
-            if all(rel[i, j] or rel[j, i] for i in chain):
-                longer = chain + (j,)
-                chains.append(longer)
-                grow(longer)
+        later = common >> (last + 1) << (last + 1)  # drop the bits up to last
+        for j in bit_indices(later):
+            longer = chain + (j,)
+            chains.append(longer)
+            grow(longer, common & comparable[j])
 
-    for i in range(n):
+    for i, mask in enumerate(comparable):
         chains.append((i,))
-        grow((i,))
+        grow((i,), mask)
     return SimplicialComplex(
         poset.carrier, [[poset.carrier[i] for i in c] for c in chains])
 

@@ -14,7 +14,7 @@ from .category import FiniteCategory, SetFunctor
 from .decomposition import Decomposition
 from .errors import InputError
 from .order import Preorder
-from .topology import FiniteTopology, alexandroff_from_preorder
+from .topology import FiniteTopology
 
 
 def parse_rational(value, path=""):
@@ -72,7 +72,7 @@ def load_topology(doc, path=""):
     if "preorder_pairs" in doc:
         pairs = _expect(doc, "preorder_pairs", list, path)
         pre = Preorder.from_pairs(carrier, [(str(a), str(b)) for a, b in pairs])
-        return alexandroff_from_preorder(pre)
+        return FiniteTopology.from_preorder(pre)
     raise InputError("topology needs either 'opens' or 'preorder_pairs'",
                      path=path or "opens")
 

@@ -1,58 +1,102 @@
-"""Finite preorders and posets: construction, products, quotients, monotone maps."""
+"""Finite preorders and posets: construction, products, quotients, monotone maps.
+
+A relation is a tuple of int bitset rows, one per carrier element, the same
+bitmask form the topology layer uses for subsets.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
-
-import numpy as np
+import operator
 
 from .errors import CapExceeded, InputError, StructureError
 
 MAX_CARRIER = 4096
 
 
-def _closure(rel):
-    """Reflexive-transitive closure by iterated boolean matrix squaring."""
-    n = rel.shape[0]
-    out = rel | np.eye(n, dtype=bool)
-    while True:
-        nxt = out | (out @ out)
-        if (nxt == out).all():
-            return nxt
-        out = nxt
+def bit_indices(mask):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    text = bin(mask)[:1:-1]  # character i is bit i
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
+def bitmask(indices):
+    """The int with exactly the given bits set."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def lowest_bit(mask):
+    """Index of the lowest set bit of a nonzero int."""
+    return (mask & -mask).bit_length() - 1
+
+
+def union_of_rows(rows, mask):
+    """OR of ``rows[j]`` over the set bits j of ``mask``."""
+    return functools.reduce(operator.or_, map(rows.__getitem__, bit_indices(mask)), 0)
+
+
+def transpose(rows):
+    """Bitset rows of the transposed relation: bit i of row j iff bit j of row i."""
+    n = len(rows)
+    texts = [format(row, f"0{n}b")[::-1] for row in rows]  # character j is bit j
+    return [int("".join(column)[::-1], 2) for column in zip(*texts)]
+
+
+def _closure(rows):
+    """Reflexive-transitive closure of bitset rows by Warshall's algorithm: for
+    each k in turn, every row that reaches k also reaches all that k reaches."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    for k in range(len(rows)):
+        bit, via = 1 << k, rows[k]
+        rows = [row | via if row & bit else row for row in rows]
+    return rows
 
 
 class Preorder:
-    """A finite preorder: an ordered carrier of labels plus a boolean relation
-    matrix, ``rel[i, j]`` meaning ``carrier[i] <= carrier[j]``.
+    """A finite preorder: an ordered carrier of labels plus one int bitset row
+    per element, bit j of ``up[i]`` set iff ``carrier[i] <= carrier[j]``.
 
-    The matrix is validated to be reflexive and transitive at construction and
-    is kept read-only, so values are safe to share.
+    Row i is the up-set of ``carrier[i]``, in the same bitmask form the topology
+    layer uses for subsets.  The rows are checked reflexive and transitive at
+    construction and kept as a tuple, so values are safe to share.
     """
 
-    def __init__(self, carrier, relation):
+    def __init__(self, carrier, up):
         carrier = tuple(carrier)
         if len(set(carrier)) != len(carrier):
             raise InputError("duplicate labels in carrier")
         if len(carrier) > MAX_CARRIER:
             raise CapExceeded(
                 f"carrier has {len(carrier)} elements, cap is {MAX_CARRIER}")
-        rel = np.asarray(relation, dtype=bool)
+        up = tuple(up)
         n = len(carrier)
-        if rel.shape != (n, n):
-            raise InputError(f"relation shape {rel.shape} does not match carrier size {n}")
-        rel = rel.copy()
-        rel.flags.writeable = False
-        if not rel[np.diag_indices(n)].all():
-            i = int(np.flatnonzero(~rel[np.diag_indices(n)])[0])
-            raise StructureError(f"relation not reflexive at {carrier[i]!r}")
-        if ((rel @ rel) & ~rel).any():
-            i, j = (int(k[0]) for k in np.nonzero((rel @ rel) & ~rel))
-            raise StructureError(
-                f"relation not transitive: {carrier[i]!r} reaches {carrier[j]!r} "
-                "in two steps but not directly")
+        if len(up) != n:
+            raise InputError(f"relation has {len(up)} rows, carrier has {n} elements")
+        full = (1 << n) - 1
+        for i, row in enumerate(up):
+            if not isinstance(row, int) or row & ~full:
+                raise InputError(f"relation row {i} is not a bitset over {n} elements")
+        for i, row in enumerate(up):
+            if not row >> i & 1:
+                raise StructureError(f"relation not reflexive at {carrier[i]!r}")
+        for i, row in enumerate(up):
+            missing = union_of_rows(up, row) & ~row
+            if missing:
+                j = lowest_bit(missing)
+                raise StructureError(
+                    f"relation not transitive: {carrier[i]!r} reaches {carrier[j]!r} "
+                    "in two steps but not directly")
         self.carrier = carrier
-        self.rel = rel
+        self.up = up
         self._index = {x: i for i, x in enumerate(carrier)}
 
     @classmethod
@@ -62,18 +106,18 @@ class Preorder:
         if len(set(labels)) != len(labels):
             raise InputError("duplicate labels")
         if len(labels) > MAX_CARRIER:
-            # refuse before the cubic closure, not after
+            # refuse before the closure, not after
             raise CapExceeded(
                 f"carrier has {len(labels)} elements, cap is {MAX_CARRIER}")
         index = {x: i for i, x in enumerate(labels)}
-        mat = np.zeros((len(labels), len(labels)), dtype=bool)
+        rows = [0] * len(labels)
         for a, b in pairs:
             if a not in index:
                 raise InputError(f"unknown label in pairs: {a!r}")
             if b not in index:
                 raise InputError(f"unknown label in pairs: {b!r}")
-            mat[index[a], index[b]] = True
-        return cls(labels, _closure(mat))
+            rows[index[a]] |= 1 << index[b]
+        return cls(labels, _closure(rows))
 
     def __len__(self):
         return len(self.carrier)
@@ -81,13 +125,14 @@ class Preorder:
     def __eq__(self, other):
         if not isinstance(other, Preorder):
             return NotImplemented
-        return self.carrier == other.carrier and bool((self.rel == other.rel).all())
+        return self.carrier == other.carrier and self.up == other.up
 
     __hash__ = None
 
     def __repr__(self):
         kind = type(self).__name__
-        return f"{kind}({list(self.carrier)!r}, {int(self.rel.sum())} related pairs)"
+        related = sum(row.bit_count() for row in self.up)
+        return f"{kind}({list(self.carrier)!r}, {related} related pairs)"
 
     def index(self, label):
         try:
@@ -96,57 +141,53 @@ class Preorder:
             raise InputError(f"label {label!r} not in carrier") from None
 
     def leq(self, a, b):
-        return bool(self.rel[self.index(a), self.index(b)])
+        return bool(self.up[self.index(a)] >> self.index(b) & 1)
+
+    def down(self):
+        """Bitset rows of the down-sets: bit j of row i iff carrier[j] <= carrier[i]."""
+        return transpose(self.up)
 
     def pairs(self):
         """All non-reflexive related pairs, in carrier order."""
-        n = len(self.carrier)
         return [
             (self.carrier[i], self.carrier[j])
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.rel[i, j]
+            for i, row in enumerate(self.up)
+            for j in bit_indices(row & ~(1 << i))
         ]
 
     def is_partial_order(self):
-        sym = self.rel & self.rel.T
-        return int(sym.sum()) == len(self.carrier)
+        return all(u & d == 1 << i for i, (u, d) in enumerate(zip(self.up, self.down())))
 
     def dual(self):
         """The opposite preorder (relation transposed)."""
-        return type(self)(self.carrier, self.rel.T)
-
-    def up_indices(self, i):
-        """Indices of all elements above carrier[i], including itself."""
-        return np.flatnonzero(self.rel[i]).tolist()
+        return type(self)(self.carrier, self.down())
 
     def covering_pairs(self):
         """Transitive reduction (a, b) with b covering a; only meaningful on posets."""
         if not self.is_partial_order():
             raise StructureError("transitive reduction is only defined for posets")
-        strict = self.rel & ~np.eye(len(self.carrier), dtype=bool)
-        covers = strict & ~(strict @ strict)
-        return [
-            (self.carrier[i], self.carrier[j])
-            for i, j in zip(*np.nonzero(covers))
-        ]
+        strict = [row & ~(1 << i) for i, row in enumerate(self.up)]
+        pairs = []
+        for i, row in enumerate(strict):
+            covers = row & ~union_of_rows(strict, row)
+            pairs += [(self.carrier[i], self.carrier[j]) for j in bit_indices(covers)]
+        return pairs
 
     def to_poset(self):
-        return Poset(self.carrier, self.rel)
+        return Poset(self.carrier, self.up)
 
 
 class Poset(Preorder):
     """A preorder that is additionally antisymmetric."""
 
-    def __init__(self, carrier, relation):
-        super().__init__(carrier, relation)
-        sym = self.rel & self.rel.T
-        if int(sym.sum()) != len(self.carrier):
-            i, j = next(
-                (i, j) for i, j in zip(*np.nonzero(sym)) if i != j)
-            raise StructureError(
-                f"relation not antisymmetric: {self.carrier[i]!r} and "
-                f"{self.carrier[j]!r} are equivalent but distinct")
+    def __init__(self, carrier, up):
+        super().__init__(carrier, up)
+        for i, (u, d) in enumerate(zip(self.up, self.down())):
+            if u & d != 1 << i:
+                j = lowest_bit(u & d & ~(1 << i))
+                raise StructureError(
+                    f"relation not antisymmetric: {self.carrier[i]!r} and "
+                    f"{self.carrier[j]!r} are equivalent but distinct")
 
 
 class MonotoneMap:
@@ -177,28 +218,18 @@ class MonotoneMap:
         return f"MonotoneMap({self.assignment!r})"
 
 
-def preorder_from_pairs(labels, pairs):
-    return Preorder.from_pairs(labels, pairs)
-
-
-def is_partial_order(p):
-    return p.is_partial_order()
-
-
 def is_monotone(assignment, source, target):
     """True iff x <= y in source implies assignment[x] <= assignment[y] in target."""
-    n = len(source.carrier)
     images = []
     for x in source.carrier:
         y = assignment[x]
         if y not in target._index:
             raise InputError(f"assignment value {y!r} outside target carrier")
         images.append(target.index(y))
-    for i in range(n):
-        for j in range(n):
-            if source.rel[i, j] and not target.rel[images[i], images[j]]:
-                return False
-    return True
+    # the image of each up-set must lie in the up-set of the image
+    return all(
+        bitmask(images[j] for j in bit_indices(row)) & ~target.up[images[i]] == 0
+        for i, row in enumerate(source.up))
 
 
 def product_label(parts):
@@ -212,13 +243,16 @@ def product(factors):
     if not factors:
         raise InputError("empty factor list")
     labels = [product_label(t) for t in itertools.product(*(f.carrier for f in factors))]
-    rel = factors[0].rel
-    for f in factors[1:]:
-        rel = np.kron(rel, f.rel)
-    rel = rel.astype(bool)
+    up = [1]  # the one-point preorder, unit of the product
+    for f in factors:
+        m = len(f.carrier)
+        # row (i, j) repeats row j of f in the m-bit block k for every k above
+        # i; the blocks are disjoint, so the sum is their union
+        up = [sum(f.up[j] << k * m for k in bit_indices(row))
+              for row in up for j in range(m)]
     if all(isinstance(f, Poset) for f in factors):
-        return Poset(labels, rel)
-    return Preorder(labels, rel)
+        return Poset(labels, up)
+    return Preorder(labels, up)
 
 
 def quotient_poset(p):
@@ -228,22 +262,18 @@ def quotient_poset(p):
     are ordered by first occurrence in the source carrier.
     """
     n = len(p.carrier)
-    sym = p.rel & p.rel.T
+    down = p.down()
     class_of = [-1] * n
     members = []
     for i in range(n):
         if class_of[i] == -1:
-            cls = [j for j in range(n) if sym[i, j]]
+            cls = bit_indices(p.up[i] & down[i])
             for j in cls:
                 class_of[j] = len(members)
             members.append(cls)
     labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in members]
-    m = len(members)
-    qrel = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            qrel[a, b] = p.rel[members[a][0], members[b][0]]
-    poset = Poset(labels, qrel)
+    qup = [bitmask(class_of[j] for j in bit_indices(p.up[cls[0]])) for cls in members]
+    poset = Poset(labels, qup)
     projection = MonotoneMap(
         p, poset, {p.carrier[i]: labels[class_of[i]] for i in range(n)})
     return poset, projection
@@ -251,14 +281,12 @@ def quotient_poset(p):
 
 def _signatures(p):
     """Per-element isomorphism-invariant signatures, one refinement round."""
-    n = len(p.carrier)
-    down = [int(p.rel[:, i].sum()) for i in range(n)]
-    up = [int(p.rel[i, :].sum()) for i in range(n)]
-    base = [(down[i], up[i]) for i in range(n)]
+    down = p.down()
+    base = [(d.bit_count(), u.bit_count()) for u, d in zip(p.up, down)]
     refined = []
-    for i in range(n):
-        below = sorted(base[j] for j in range(n) if p.rel[j, i] and j != i)
-        above = sorted(base[j] for j in range(n) if p.rel[i, j] and j != i)
+    for i, (u, d) in enumerate(zip(p.up, down)):
+        below = sorted(base[j] for j in bit_indices(d & ~(1 << i)))
+        above = sorted(base[j] for j in bit_indices(u & ~(1 << i)))
         refined.append((base[i], tuple(below), tuple(above)))
     return refined
 
@@ -280,7 +308,8 @@ def order_isomorphism(p, q):
         for k in range(upto):
             ik = order[k]
             jk = assign[ik]
-            if p.rel[i, ik] != q.rel[j, jk] or p.rel[ik, i] != q.rel[jk, j]:
+            if (p.up[i] >> ik & 1 != q.up[j] >> jk & 1
+                    or p.up[ik] >> i & 1 != q.up[jk] >> j & 1):
                 return False
         return True
 

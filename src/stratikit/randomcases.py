@@ -13,7 +13,7 @@ import random
 
 from .decomposition import Decomposition
 from .order import Preorder
-from .topology import FiniteTopology, alexandroff_from_preorder
+from .topology import FiniteTopology
 
 EDGE_PROBABILITY = 0.3
 
@@ -41,7 +41,7 @@ def random_partition(rng, n):
 
 def random_decomposition(rng, max_size=6):
     pre = random_preorder(rng, max_size=max_size)
-    space = alexandroff_from_preorder(pre)
+    space = FiniteTopology.from_preorder(pre)
     blocks = random_partition(rng, len(space.carrier))
     label_blocks = [[space.carrier[i] for i in b] for b in blocks]
     return Decomposition(space, label_blocks)

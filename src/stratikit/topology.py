@@ -9,27 +9,14 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .errors import CapExceeded, InputError, StructureError
-from .order import Poset, Preorder, product_label
+from .order import Poset, Preorder, bit_indices, lowest_bit, product_label, transpose
 
 MAX_POINTS = 20
 
 
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _sort_key(mask):
-    idx = _bits(mask)
+    idx = bit_indices(mask)
     return (len(idx), tuple(idx))
 
 
@@ -92,14 +79,8 @@ class FiniteTopology:
         if n > MAX_POINTS:
             raise CapExceeded(
                 f"refusing to enumerate up to 2^{n} open sets; carrier cap is {MAX_POINTS}")
-        basis = []
-        for i in range(n):
-            mask = 0
-            for j in p.up_indices(i):
-                mask |= 1 << j
-            basis.append(mask)
         opens = {0}
-        for b in basis:
+        for b in p.up:
             opens |= {o | b for o in opens}
         return cls(p.carrier, opens, _validate=False)
 
@@ -114,7 +95,7 @@ class FiniteTopology:
         return m
 
     def labels(self, mask):
-        return tuple(self.carrier[i] for i in _bits(mask))
+        return tuple(self.carrier[i] for i in bit_indices(mask))
 
     @property
     def full_mask(self):
@@ -173,20 +154,15 @@ class FiniteTopology:
     def specialization_preorder(self):
         """x <= y iff x lies in the closure of {y}; cross-checked against the
         minimal-open characterization (every open containing x contains y)."""
-        n = len(self.carrier)
-        rel = np.zeros((n, n), dtype=bool)
-        minimal = [self.minimal_open_mask(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rel[i, j] = bool(minimal[i] & (1 << j))
-        for j in range(n):
+        minimal = [self.minimal_open_mask(i) for i in range(len(self.carrier))]
+        for j, below in enumerate(transpose(minimal)):
             around = self.closure_mask(1 << j)
-            for i in range(n):
-                if bool(around & (1 << i)) != bool(rel[i, j]):
-                    raise StructureError(
-                        "specialization characterizations disagree at "
-                        f"({self.carrier[i]!r}, {self.carrier[j]!r})")
-        return Preorder(self.carrier, rel)
+            if around != below:
+                i = lowest_bit(around ^ below)
+                raise StructureError(
+                    "specialization characterizations disagree at "
+                    f"({self.carrier[i]!r}, {self.carrier[j]!r})")
+        return Preorder(self.carrier, minimal)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopology):
@@ -202,16 +178,16 @@ class FiniteTopology:
         return [list(self.labels(o)) for o in self.opens]
 
 
-def validate_topology(carrier, families):
-    return FiniteTopology.from_open_sets(carrier, families)
-
-
-def alexandroff_from_preorder(p):
-    return FiniteTopology.from_preorder(p)
-
-
-def specialization_preorder(t):
-    return t.specialization_preorder()
+def product_mask(sizes, index_lists):
+    """Mask over the row-major product of carriers of the given sizes, with a
+    bit at every index tuple drawn from the per-factor index lists."""
+    strides = [1] * len(sizes)
+    for d in range(len(sizes) - 2, -1, -1):
+        strides[d] = strides[d + 1] * sizes[d + 1]
+    mask = 0
+    for idx in itertools.product(*index_lists):
+        mask |= 1 << sum(i * s for i, s in zip(idx, strides))
+    return mask
 
 
 def product_topology(factors):
@@ -228,20 +204,9 @@ def product_topology(factors):
         raise CapExceeded(f"product carrier would have {total} points, cap is {MAX_POINTS}")
     carrier = [product_label(t) for t in itertools.product(*(f.carrier for f in factors))]
 
-    strides = [1] * len(factors)
-    for d in range(len(factors) - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-
-    def box(open_combo):
-        mask = 0
-        for idx in itertools.product(*(_bits(o) for o in open_combo)):
-            flat = sum(i * s for i, s in zip(idx, strides))
-            mask |= 1 << flat
-        return mask
-
     opens = {0}
     for combo in itertools.product(*(f.opens for f in factors)):
-        b = box(combo)
+        b = product_mask(sizes, [bit_indices(o) for o in combo])
         opens |= {o | b for o in opens}
     out = FiniteTopology(carrier, opens, _validate=False)
 

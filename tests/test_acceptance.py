@@ -17,7 +17,7 @@ from stratikit.homology import betti, order_complex
 from stratikit.order import (Preorder, is_order_isomorphism,
                              order_isomorphism, product, product_label)
 from stratikit.randomcases import random_decomposition, random_preorder, random_topology
-from stratikit.topology import alexandroff_from_preorder
+from stratikit.topology import FiniteTopology
 
 
 def timed(fn, repeats=3):
@@ -50,7 +50,7 @@ def test_criterion_01_three_point_line_reproduction():
     expected = [[], ["N"], ["P"], ["N", "P"], ["N", "O", "P"]]
 
     def core():
-        space = alexandroff_from_preorder(poset)
+        space = FiniteTopology.from_preorder(poset)
         assert space.opens_as_labels() == expected
         assert space.specialization_preorder() == poset
 
@@ -68,7 +68,7 @@ def test_criterion_02_four_point_circle_reproduction():
                       ["a", "c", "d"], ["b", "c", "d"], ["a", "b", "c", "d"]]
 
     def core():
-        space = alexandroff_from_preorder(poset)
+        space = FiniteTopology.from_preorder(poset)
         assert space.opens_as_labels() == expected_opens
         assert space.specialization_preorder() == poset
         assert betti(order_complex(poset), 1) == [1, 1]
@@ -171,10 +171,10 @@ def test_criterion_07_functor_round_trips():
     rng = random.Random(SUITE_SEED + 1)
     for _ in range(100):
         p = random_preorder(rng, max_size=7)
-        assert alexandroff_from_preorder(p).specialization_preorder() == p
+        assert FiniteTopology.from_preorder(p).specialization_preorder() == p
     for _ in range(100):
         t = random_topology(rng, max_size=5)
-        assert alexandroff_from_preorder(t.specialization_preorder()) == t
+        assert FiniteTopology.from_preorder(t.specialization_preorder()) == t
     elapsed = time.perf_counter() - start
     report(7, elapsed < 2.0,
            "both functor round-trips exact on 100 + 100 random structures",

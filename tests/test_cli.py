@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import stratikit
 from stratikit.cli import main
 
 
@@ -326,3 +330,19 @@ class TestDeterminism:
         _, out1 = run_cli(capsys, ["topology", "from-preorder", "--input", path])
         _, out2 = run_cli(capsys, ["topology", "from-preorder", "--input", path])
         assert out1 == out2
+
+
+def test_cli_import_loads_only_stdlib_modules():
+    """Importing the CLI pulls in nothing beyond the standard library."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import stratikit.cli\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'stratikit'}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(stratikit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -10,19 +10,18 @@ from stratikit.decomposition import (Decomposition, DecompositionReport,
 from stratikit.errors import InputError, StructureError
 from stratikit.order import product
 from stratikit.randomcases import random_decomposition
-from stratikit.topology import (alexandroff_from_preorder, product_topology,
-                                validate_topology)
+from stratikit.topology import FiniteTopology, product_topology
 
 ORACLE_SEED = 20240601
 ORACLE_CASES = 200
 
 
 def pseudo_space(pseudo_poset):
-    return alexandroff_from_preorder(pseudo_poset)
+    return FiniteTopology.from_preorder(pseudo_poset)
 
 
 def chain_space(chain3):
-    return alexandroff_from_preorder(chain3)
+    return FiniteTopology.from_preorder(chain3)
 
 
 class TestDecompositionType:
@@ -120,7 +119,7 @@ class TestStratification:
         assert rep.closed_union_condition.startswith("automatic")
 
     def test_indiscrete_singletons_fail_local_closedness(self):
-        t = validate_topology(["p", "q"], [[], ["p", "q"]])
+        t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
         d = Decomposition(t, [["p"], ["q"]], ["p", "q"])
         rep = validate_stratification(d)
         assert not rep.is_stratification
@@ -136,7 +135,7 @@ class TestStratification:
 
 class TestProductDecomposition:
     def line_decomposition(self, ex1_poset):
-        space = alexandroff_from_preorder(ex1_poset)
+        space = FiniteTopology.from_preorder(ex1_poset)
         return Decomposition(space, [["N"], ["O"], ["P"]], ["N", "O", "P"])
 
     def test_square_of_line_gives_the_grid(self, ex1_poset):

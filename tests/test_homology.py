@@ -5,7 +5,7 @@ from stratikit.homology import (SimplicialComplex, betti,
                                 boundary_matrix, boundary_squares_to_zero,
                                 euler_characteristic_consistent, matrix_rank,
                                 order_complex)
-from stratikit.order import preorder_from_pairs, product
+from stratikit.order import Preorder, product
 
 
 def components_oracle(complex_):
@@ -37,7 +37,7 @@ class TestOrderComplex:
             frozenset({"b", "c"}), frozenset({"b", "d"})}
 
     def test_single_point(self):
-        k = order_complex(preorder_from_pairs(["x"], []).to_poset())
+        k = order_complex(Preorder.from_pairs(["x"], []).to_poset())
         assert k.f_vector() == [1]
 
     def test_chain_gives_the_full_simplex(self, chain3):
@@ -45,7 +45,7 @@ class TestOrderComplex:
         assert k.f_vector() == [3, 3, 1]
 
     def test_preorder_rejected(self):
-        p = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        p = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         with pytest.raises(StructureError):
             order_complex(p)
 
@@ -76,7 +76,7 @@ class TestBetti:
         assert 4 - 4 + c == 1
 
     def test_single_vertex(self):
-        k = order_complex(preorder_from_pairs(["x"], []).to_poset())
+        k = order_complex(Preorder.from_pairs(["x"], []).to_poset())
         assert betti(k, 1) == [1, 0]
 
     def test_grid_is_homologically_trivial(self, ex1_poset):
@@ -86,7 +86,7 @@ class TestBetti:
 
     def test_cone_over_anything(self):
         # global minimum makes every chain extendable downwards
-        fence = preorder_from_pairs(
+        fence = Preorder.from_pairs(
             ["m", "a", "b", "c", "d"],
             [("m", "a"), ("m", "b"), ("m", "c"), ("m", "d"),
              ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]).to_poset()
@@ -95,7 +95,7 @@ class TestBetti:
         assert all(b == 0 for b in betti(k, 2)[1:])
 
     def test_two_components(self):
-        p = preorder_from_pairs(["a", "b"], []).to_poset()
+        p = Preorder.from_pairs(["a", "b"], []).to_poset()
         assert betti(order_complex(p), 1) == [2, 0]
 
 

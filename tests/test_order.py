@@ -1,15 +1,14 @@
 import random
+from collections import deque
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratikit.errors import InputError, StructureError
 from stratikit.order import (MonotoneMap, Poset, Preorder, is_monotone,
-                             is_order_isomorphism, order_isomorphism,
-                             preorder_from_pairs, product, product_label,
-                             quotient_poset)
+                             is_order_isomorphism, order_isomorphism, product,
+                             product_label, quotient_poset)
 from stratikit.randomcases import random_preorder
 
 # Generators of the 9-element grid order on pairs over {N, O, P}; the list
@@ -34,19 +33,37 @@ def grid_poset():
 def brute_product_relation(p, q):
     """Direct definition: (x1,x2) <= (y1,y2) iff both coordinates compare."""
     labels = [product_label((a, b)) for a in p.carrier for b in q.carrier]
-    n = len(labels)
-    rel = np.zeros((n, n), dtype=bool)
-    idx = 0
-    flat = [(i, j) for i in range(len(p.carrier)) for j in range(len(q.carrier))]
-    for a, (i1, j1) in enumerate(flat):
-        for b, (i2, j2) in enumerate(flat):
-            rel[a, b] = bool(p.rel[i1, i2] and q.rel[j1, j2])
-    return labels, rel
+    flat = [(x, y) for x in p.carrier for y in q.carrier]
+    up = [0] * len(labels)
+    for a, (x1, y1) in enumerate(flat):
+        for b, (x2, y2) in enumerate(flat):
+            if p.leq(x1, x2) and q.leq(y1, y2):
+                up[a] |= 1 << b
+    return labels, up
+
+
+def reference_closure(n, edges):
+    """Reachability matrix of the reflexive-transitive closure as boolean lists,
+    by a breadth-first search from every node."""
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    reach = [[False] * n for _ in range(n)]
+    for s in range(n):
+        reach[s][s] = True
+        queue = deque([s])
+        while queue:
+            a = queue.popleft()
+            for b in succ[a]:
+                if not reach[s][b]:
+                    reach[s][b] = True
+                    queue.append(b)
+    return reach
 
 
 class TestFromPairs:
     def test_empty_pairs_gives_identity_preorder(self):
-        p = preorder_from_pairs(["a", "b", "c"], [])
+        p = Preorder.from_pairs(["a", "b", "c"], [])
         assert p.pairs() == []
         assert p.is_partial_order()
 
@@ -55,27 +72,52 @@ class TestFromPairs:
         assert ex1_poset.leq("O", "N") and not ex1_poset.leq("N", "O")
 
     def test_two_point_complete_preorder(self):
-        p = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        p = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         assert p.leq("p", "q") and p.leq("q", "p")
         assert not p.is_partial_order()
 
     def test_closure_is_transitive(self):
-        p = preorder_from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        p = Preorder.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert p.leq("a", "c")
 
     def test_unknown_label_rejected(self):
         with pytest.raises(InputError):
-            preorder_from_pairs(["a"], [("a", "z")])
+            Preorder.from_pairs(["a"], [("a", "z")])
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InputError):
-            preorder_from_pairs(["a", "a"], [])
+            Preorder.from_pairs(["a", "a"], [])
 
     def test_raw_constructor_rejects_non_transitive(self):
-        rel = np.eye(3, dtype=bool)
-        rel[0, 1] = rel[1, 2] = True
+        up = [0b011, 0b110, 0b100]  # a <= b <= c without a <= c
         with pytest.raises(StructureError):
-            Preorder(["a", "b", "c"], rel)
+            Preorder(["a", "b", "c"], up)
+
+    def test_raw_constructor_rejects_non_reflexive(self):
+        with pytest.raises(StructureError, match="not reflexive at 'b'"):
+            Preorder(["a", "b", "c"], [0b011, 0b000, 0b100])
+
+    def test_raw_constructor_rejects_malformed_rows(self):
+        with pytest.raises(InputError):
+            Preorder(["a", "b"], [0b01])
+        with pytest.raises(InputError):
+            Preorder(["a", "b"], [0b01, 0b110])
+        with pytest.raises(InputError):
+            Preorder(["a", "b"], [0b01, -1])
+
+    def test_closure_matches_reference_on_random_cyclic_relations(self):
+        rng = random.Random(20240611)
+        cases = [rng.randint(1, 10) for _ in range(200)] + [200]
+        for n in cases:
+            p_edge = 0.3 if n <= 10 else 2.0 / n
+            edges = [(a, b) for a in range(n) for b in range(n)
+                     if rng.random() < p_edge]
+            edges.append((n - 1, 0))  # close a cycle through the whole range
+            edges.append((0, n - 1))
+            labels = [f"v{i}" for i in range(n)]
+            p = Preorder.from_pairs(labels, [(labels[a], labels[b]) for a, b in edges])
+            reach = reference_closure(n, edges)
+            assert [[p.leq(x, y) for y in labels] for x in labels] == reach
 
 
 class TestPartialOrder:
@@ -83,16 +125,19 @@ class TestPartialOrder:
         assert ex1_poset.is_partial_order()
 
     def test_complete_preorder_is_not(self):
-        p = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        p = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         assert not p.is_partial_order()
 
     def test_discrete_is_partial_order(self):
-        assert preorder_from_pairs(["a", "b", "c"], []).is_partial_order()
+        assert Preorder.from_pairs(["a", "b", "c"], []).is_partial_order()
 
     def test_poset_constructor_rejects_equivalences(self):
-        p = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        p = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         with pytest.raises(StructureError):
-            Poset(p.carrier, p.rel)
+            Poset(p.carrier, p.up)
+        # a <= b <= a inside a three-point poset candidate, as raw rows
+        with pytest.raises(StructureError, match="'a' and 'b' are equivalent"):
+            Poset(["a", "b", "c"], [0b111, 0b111, 0b100])
 
 
 class TestProduct:
@@ -100,17 +145,17 @@ class TestProduct:
         assert product([ex1_poset, ex1_poset]) == grid_poset()
 
     def test_unit_law(self, ex1_poset):
-        one = preorder_from_pairs(["*"], [])
+        one = Preorder.from_pairs(["*"], [])
         prod = product([ex1_poset, one])
         bijection = {x: product_label((x, "*")) for x in ex1_poset.carrier}
         assert is_order_isomorphism(bijection, ex1_poset, prod)
 
     def test_chain_square_is_diamond_against_bruteforce(self):
-        two = preorder_from_pairs(["0", "1"], [("0", "1")])
+        two = Preorder.from_pairs(["0", "1"], [("0", "1")])
         prod = product([two, two])
         labels, rel = brute_product_relation(two, two)
         assert list(prod.carrier) == labels
-        assert (prod.rel == rel).all()
+        assert list(prod.up) == rel
         mids = [product_label(("0", "1")), product_label(("1", "0"))]
         assert not prod.leq(mids[0], mids[1]) and not prod.leq(mids[1], mids[0])
         assert all(prod.leq(product_label(("0", "0")), m) for m in mids)
@@ -132,13 +177,13 @@ class TestQuotient:
         assert set(pi.assignment.values()) == set(q.carrier)
 
     def test_complete_preorder_collapses_to_a_point(self):
-        p = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        p = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         q, pi = quotient_poset(p)
         assert list(q.carrier) == ["[p]"]
         assert pi("p") == pi("q") == "[p]"
 
     def test_partial_collapse_against_bruteforce_classes(self):
-        p = preorder_from_pairs(["a", "b", "c"], [("a", "b"), ("b", "a")])
+        p = Preorder.from_pairs(["a", "b", "c"], [("a", "b"), ("b", "a")])
         expected = []
         seen = set()
         for x in p.carrier:
@@ -169,7 +214,7 @@ class TestMonotone:
         assert is_monotone({x: x for x in ex1_poset.carrier}, ex1_poset, ex1_poset)
 
     def test_quotient_projection_is_monotone(self):
-        p = preorder_from_pairs(["p", "q", "r"],
+        p = Preorder.from_pairs(["p", "q", "r"],
                                 [("p", "q"), ("q", "p"), ("q", "r")])
         q, pi = quotient_poset(p)
         assert is_monotone(pi.assignment, p, q)
@@ -198,12 +243,12 @@ def test_generated_preorders_are_reflexive_transitive(seed):
     p = random_preorder(random.Random(seed), max_size=6)
     n = len(p.carrier)
     for i in range(n):
-        assert p.rel[i, i]
+        assert (p.up[i] >> i) & 1
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if p.rel[i, j] and p.rel[j, k]:
-                    assert p.rel[i, k]
+                if (p.up[i] >> j) & 1 and (p.up[j] >> k) & 1:
+                    assert (p.up[i] >> k) & 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,18 +275,18 @@ class TestIsomorphism:
         assert order_isomorphism(ex1_poset, chain3) is None
 
     def test_size_mismatch(self, ex1_poset):
-        assert order_isomorphism(ex1_poset, preorder_from_pairs(["x"], [])) is None
+        assert order_isomorphism(ex1_poset, Preorder.from_pairs(["x"], [])) is None
 
 
 class TestEdgeCases:
     def test_empty_carrier_is_permitted(self):
-        p = preorder_from_pairs([], [])
+        p = Preorder.from_pairs([], [])
         assert len(p) == 0 and p.is_partial_order() and p.pairs() == []
         q, pi = quotient_poset(p)
         assert len(q) == 0
 
     def test_single_element(self):
-        p = preorder_from_pairs(["x"], [("x", "x")])
+        p = Preorder.from_pairs(["x"], [("x", "x")])
         assert p.pairs() == []
         assert product([p, p]).carrier == (product_label(("x", "x")),)
 
@@ -249,7 +294,7 @@ class TestEdgeCases:
         from stratikit.errors import CapExceeded
         labels = [f"v{i}" for i in range(4097)]
         with pytest.raises(CapExceeded):
-            preorder_from_pairs(labels, [])
+            Preorder.from_pairs(labels, [])
 
 
 class TestDot:
@@ -257,7 +302,7 @@ class TestDot:
         assert sorted(chain3.covering_pairs()) == [("0", "1"), ("1", "2")]
 
     def test_reduction_refused_on_preorders(self):
-        p = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        p = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         with pytest.raises(StructureError):
             p.covering_pairs()
 

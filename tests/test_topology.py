@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratikit.errors import CapExceeded, InputError, StructureError
-from stratikit.order import preorder_from_pairs, product
+from stratikit.order import Preorder, product
 from stratikit.randomcases import (random_assignment, random_preorder,
                                    random_topology)
-from stratikit.topology import (FiniteTopology, PosetStratifiedSpace,
-                                alexandroff_from_preorder, product_topology,
-                                validate_topology)
+from stratikit.topology import FiniteTopology, PosetStratifiedSpace, product_topology
 
 
 def brute_upset_masks(p):
@@ -22,7 +20,7 @@ def brute_upset_masks(p):
         for i in range(n):
             if (bits >> i) & 1:
                 for j in range(n):
-                    if p.rel[i, j] and not (bits >> j) & 1:
+                    if (p.up[i] >> j) & 1 and not (bits >> j) & 1:
                         ok = False
         if ok:
             out.append(bits)
@@ -47,34 +45,34 @@ def brute_locally_closed(t, mask):
 
 class TestValidate:
     def test_indiscrete_two_points(self):
-        t = validate_topology(["p", "q"], [[], ["p", "q"]])
+        t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
         assert t.opens_as_labels() == [[], ["p", "q"]]
 
     def test_three_point_line_family(self):
-        t = validate_topology(
+        t = FiniteTopology.from_open_sets(
             ["N", "O", "P"], [[], ["N"], ["P"], ["N", "P"], ["N", "O", "P"]])
         assert len(t.opens) == 5
 
     def test_missing_carrier_rejected(self):
         with pytest.raises(StructureError, match="carrier"):
-            validate_topology(["a", "b"], [[], ["a"], ["b"]])
+            FiniteTopology.from_open_sets(["a", "b"], [[], ["a"], ["b"]])
 
     def test_missing_empty_set_rejected(self):
         with pytest.raises(StructureError, match="empty"):
-            validate_topology(["a"], [["a"]])
+            FiniteTopology.from_open_sets(["a"], [["a"]])
 
     def test_union_escape_reports_pair(self):
         with pytest.raises(StructureError, match="union escape"):
-            validate_topology(["a", "b", "c"],
-                              [[], ["a"], ["b"], ["a", "b", "c"]])
+            FiniteTopology.from_open_sets(["a", "b", "c"],
+                                          [[], ["a"], ["b"], ["a", "b", "c"]])
 
     def test_duplicate_open_rejected(self):
         with pytest.raises(StructureError, match="duplicate"):
-            validate_topology(["a"], [[], ["a"], ["a"]])
+            FiniteTopology.from_open_sets(["a"], [[], ["a"], ["a"]])
 
     def test_unknown_member_rejected(self):
         with pytest.raises(InputError):
-            validate_topology(["a"], [[], ["z"], ["a"]])
+            FiniteTopology.from_open_sets(["a"], [[], ["z"], ["a"]])
 
     def test_carrier_cap(self):
         labels = [f"p{i}" for i in range(21)]
@@ -84,49 +82,49 @@ class TestValidate:
 
 class TestAlexandroff:
     def test_three_point_line(self, ex1_poset):
-        t = alexandroff_from_preorder(ex1_poset)
+        t = FiniteTopology.from_preorder(ex1_poset)
         assert t.opens_as_labels() == [
             [], ["N"], ["P"], ["N", "P"], ["N", "O", "P"]]
 
     def test_four_point_circle(self, pseudo_poset):
-        t = alexandroff_from_preorder(pseudo_poset)
+        t = FiniteTopology.from_preorder(pseudo_poset)
         assert t.opens_as_labels() == [
             [], ["c"], ["d"], ["c", "d"],
             ["a", "c", "d"], ["b", "c", "d"], ["a", "b", "c", "d"]]
 
     def test_discrete_topology_from_identity_preorder(self):
-        p = preorder_from_pairs(["a", "b", "c", "d"], [])
-        t = alexandroff_from_preorder(p)
+        p = Preorder.from_pairs(["a", "b", "c", "d"], [])
+        t = FiniteTopology.from_preorder(p)
         assert len(t.opens) == 2 ** 4
 
     def test_matches_bruteforce_upsets(self):
         rng = random.Random(5)
         for _ in range(25):
             p = random_preorder(rng, max_size=6)
-            t = alexandroff_from_preorder(p)
+            t = FiniteTopology.from_preorder(p)
             assert sorted(t.opens) == brute_upset_masks(p)
 
     def test_cap_on_large_carriers(self):
-        p = preorder_from_pairs([f"x{i}" for i in range(21)], [])
+        p = Preorder.from_pairs([f"x{i}" for i in range(21)], [])
         with pytest.raises(CapExceeded):
-            alexandroff_from_preorder(p)
+            FiniteTopology.from_preorder(p)
 
 
 class TestSpecialization:
     def test_four_point_circle(self, pseudo_poset):
-        t = alexandroff_from_preorder(pseudo_poset)
+        t = FiniteTopology.from_preorder(pseudo_poset)
         back = t.specialization_preorder()
         assert sorted(back.pairs()) == [
             ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
 
     def test_indiscrete_gives_complete_preorder(self):
-        t = validate_topology(["p", "q"], [[], ["p", "q"]])
+        t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
         p = t.specialization_preorder()
         assert p.leq("p", "q") and p.leq("q", "p")
 
     def test_discrete_gives_identity(self):
-        p0 = preorder_from_pairs(["a", "b"], [])
-        t = alexandroff_from_preorder(p0)
+        p0 = Preorder.from_pairs(["a", "b"], [])
+        t = FiniteTopology.from_preorder(p0)
         assert t.specialization_preorder().pairs() == []
 
 
@@ -135,38 +133,38 @@ class TestRoundTrips:
         rng = random.Random(101)
         for _ in range(100):
             p = random_preorder(rng, max_size=7)
-            t = alexandroff_from_preorder(p)
+            t = FiniteTopology.from_preorder(p)
             assert t.specialization_preorder() == p
 
     def test_topology_roundtrip(self):
         rng = random.Random(202)
         for _ in range(100):
             t = random_topology(rng, max_size=5)
-            again = alexandroff_from_preorder(t.specialization_preorder())
+            again = FiniteTopology.from_preorder(t.specialization_preorder())
             assert again == t
 
 
 class TestClosure:
     def test_singleton_in_circle_model(self, pseudo_poset):
-        t = alexandroff_from_preorder(pseudo_poset)
+        t = FiniteTopology.from_preorder(pseudo_poset)
         assert set(t.closure(["c"])) == {"a", "b", "c"}
         assert t.closure_mask(t.mask(["c"])) == brute_closure(t, t.mask(["c"]))
 
     def test_empty_set(self, pseudo_poset):
-        t = alexandroff_from_preorder(pseudo_poset)
+        t = FiniteTopology.from_preorder(pseudo_poset)
         assert t.closure([]) == ()
 
     def test_chain_closure_is_down_set(self, chain3):
-        t = alexandroff_from_preorder(chain3)
+        t = FiniteTopology.from_preorder(chain3)
         assert set(t.closure(["1"])) == {"0", "1"}
 
     def test_outside_carrier_rejected(self, chain3):
-        t = alexandroff_from_preorder(chain3)
+        t = FiniteTopology.from_preorder(chain3)
         with pytest.raises(InputError):
             t.closure(["z"])
 
     def test_interior_is_largest_open_inside(self, pseudo_poset):
-        t = alexandroff_from_preorder(pseudo_poset)
+        t = FiniteTopology.from_preorder(pseudo_poset)
         already_open = t.mask(["a", "c", "d"])
         assert t.interior_mask(already_open) == already_open
         assert t.interior_mask(t.mask(["a", "b"])) == 0
@@ -192,17 +190,17 @@ def test_kuratowski_axioms(seed):
 class TestLocallyClosed:
     def test_singletons_in_poset_topologies(self, ex1_poset, pseudo_poset, chain3):
         for poset in (ex1_poset, pseudo_poset, chain3):
-            t = alexandroff_from_preorder(poset)
+            t = FiniteTopology.from_preorder(poset)
             for x in poset.carrier:
                 assert t.is_locally_closed([x])
 
     def test_indiscrete_point_is_not(self):
-        t = validate_topology(["p", "q"], [[], ["p", "q"]])
+        t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
         assert not brute_locally_closed(t, t.mask(["p"]))
         assert not t.is_locally_closed(["p"])
 
     def test_whole_carrier(self, pseudo_poset):
-        t = alexandroff_from_preorder(pseudo_poset)
+        t = FiniteTopology.from_preorder(pseudo_poset)
         assert t.is_locally_closed(list(t.carrier))
 
     def test_matches_bruteforce(self):
@@ -220,7 +218,7 @@ class TestFunctoriality:
             p = random_preorder(rng, max_size=5)
             q = random_preorder(rng, max_size=5)
             f = random_assignment(rng, p.carrier, list(q.carrier))
-            tp, tq = alexandroff_from_preorder(p), alexandroff_from_preorder(q)
+            tp, tq = FiniteTopology.from_preorder(p), FiniteTopology.from_preorder(q)
             continuous = all(
                 tp.is_open(tp.mask([x for x in p.carrier
                                     if f[x] in tq.labels(u)]))
@@ -231,9 +229,9 @@ class TestFunctoriality:
 
 class TestProductTopology:
     def test_matches_alexandroff_product(self, ex1_poset):
-        t1 = alexandroff_from_preorder(ex1_poset)
+        t1 = FiniteTopology.from_preorder(ex1_poset)
         prod = product_topology([t1, t1])
-        via = alexandroff_from_preorder(product([ex1_poset, ex1_poset]))
+        via = FiniteTopology.from_preorder(product([ex1_poset, ex1_poset]))
         assert prod == via
 
     def test_random_factors(self):
@@ -241,31 +239,31 @@ class TestProductTopology:
         for _ in range(20):
             p1 = random_preorder(rng, size=rng.randint(1, 3), max_size=3)
             p2 = random_preorder(rng, size=rng.randint(1, 4), max_size=4)
-            prod = product_topology([alexandroff_from_preorder(p1),
-                                     alexandroff_from_preorder(p2)])
-            assert prod == alexandroff_from_preorder(product([p1, p2]))
+            prod = product_topology([FiniteTopology.from_preorder(p1),
+                                     FiniteTopology.from_preorder(p2)])
+            assert prod == FiniteTopology.from_preorder(product([p1, p2]))
 
     def test_cap(self):
-        p = preorder_from_pairs([str(i) for i in range(5)], [])
-        t = alexandroff_from_preorder(p)
+        p = Preorder.from_pairs([str(i) for i in range(5)], [])
+        t = FiniteTopology.from_preorder(p)
         with pytest.raises(CapExceeded):
             product_topology([t, t])
 
 
 class TestStratifiedSpace:
     def test_continuous_map_accepted(self, ex1_poset):
-        t = alexandroff_from_preorder(ex1_poset)
+        t = FiniteTopology.from_preorder(ex1_poset)
         pss = PosetStratifiedSpace(t, ex1_poset, {x: x for x in t.carrier})
         assert pss.fiber_mask("N") == t.mask(["N"])
 
     def test_discontinuous_map_rejected(self, ex1_poset):
-        t = validate_topology(["p", "q"], [[], ["p", "q"]])
-        two = preorder_from_pairs(["0", "1"], [("0", "1")]).to_poset()
+        t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
+        two = Preorder.from_pairs(["0", "1"], [("0", "1")]).to_poset()
         with pytest.raises(StructureError, match="continuous"):
             PosetStratifiedSpace(t, two, {"p": "0", "q": "1"})
 
     def test_preorder_strata_rejected(self):
-        t = validate_topology(["p"], [[], ["p"]])
-        pre = preorder_from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
+        t = FiniteTopology.from_open_sets(["p"], [[], ["p"]])
+        pre = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         with pytest.raises(InputError):
             PosetStratifiedSpace(t, pre, {"p": "p"})
