@@ -13,15 +13,10 @@ from .order import Poset, bitmask
 MAX_FORMS = 12
 
 SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}
-SIGN_LETTERS = {-1: "N", 0: "O", 1: "P"}
 
 
 def sign_label(signs):
     return "".join(SIGN_CHARS[s] for s in signs)
-
-
-def sign_letters(signs):
-    return "".join(SIGN_LETTERS[s] for s in signs)
 
 
 class Arrangement:

@@ -321,8 +321,10 @@ def cmd_homology(args):
     pre = jsonio.load_preorder(doc)
     poset = pre.to_poset()
     complex_ = order_complex(poset)
+    euler = {"name": "euler characteristic consistent",
+             "pass": euler_characteristic_consistent(poset, complex_), "detail": ""}
     if args.action == "order-complex":
-        checks = [{"name": "complex is downward closed", "pass": True, "detail": ""}]
+        checks = [euler]
         results = {
             "f_vector": complex_.f_vector(),
             "simplices": complex_.simplex_labels(),
@@ -333,8 +335,7 @@ def cmd_homology(args):
         checks = [
             {"name": "boundary of boundary vanishes",
              "pass": boundary_squares_to_zero(complex_), "detail": ""},
-            {"name": "euler characteristic consistent",
-             "pass": euler_characteristic_consistent(complex_), "detail": ""},
+            euler,
         ]
         results = {"f_vector": complex_.f_vector(), "betti": numbers}
         return _emit(_report("homology betti", _digest(text), results, checks))

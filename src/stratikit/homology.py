@@ -1,4 +1,8 @@
-"""Order complexes of finite posets and rational Betti numbers."""
+"""Order complexes of finite posets and rational Betti numbers.
+
+A finite poset has the homology of its order complex (McCord 1966).  Ranks
+come from exact column reduction of sparse boundary columns over Q.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ class SimplicialComplex:
     """Vertices plus a downward-closed family of nonempty simplices.
 
     Simplices are tuples of vertex indices in increasing carrier order; that
-    order also fixes the orientation used by the boundary matrices.
+    order also fixes the orientation used by the boundary columns.
     """
 
     def __init__(self, vertices, simplices):
@@ -96,81 +100,69 @@ def order_complex(poset):
         poset.carrier, [[poset.carrier[i] for i in c] for c in chains])
 
 
-def boundary_matrix(complex_, dim):
-    """Boundary from dim-simplices to (dim-1)-simplices over the rationals."""
+def boundary_columns(complex_, dim):
+    """Boundary from dim-simplices to (dim-1)-simplices: one sparse column
+    ``{face row: +-1}`` per dim-simplex, rows indexing the (dim-1)-simplices."""
     dims = complex_.by_dimension()
-    rows = dims.get(dim - 1, [])
-    cols = dims.get(dim, [])
-    row_index = {s: i for i, s in enumerate(rows)}
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            if face:
-                mat[row_index[face]][j] = Fraction(-1) ** drop
-    return mat
+    faces = {s: i for i, s in enumerate(dims.get(dim - 1, ()))}
+    return [{faces[s[:k] + s[k + 1:]]: (-1) ** k for k in range(len(s) if dim else 0)}
+            for s in dims.get(dim, ())]
 
 
-def matrix_rank(mat):
-    """Exact rank by fraction-free-ish Gaussian elimination over the rationals."""
-    if not mat or not mat[0]:
-        return 0
-    rows = [list(r) for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def column_rank(columns):
+    """Exact rank over Q: reduce each column by the earlier one owning its
+    lowest row until it owns a new lowest row or vanishes."""
+    owner = {}  # lowest row -> reduced column whose lowest row it is
+    for column in columns:
+        column = dict(column)
+        while column:
+            low = max(column)
+            pivot = owner.get(low)
+            if pivot is None:
+                owner[low] = column
+                break
+            factor = Fraction(column[low], pivot[low])
+            for row, value in pivot.items():
+                value = column.get(row, 0) - factor * value
+                if value:
+                    column[row] = value
+                else:
+                    del column[row]
+    return len(owner)
 
 
 def betti(complex_, max_dim=None):
-    """Rational Betti numbers b_0..b_max_dim from boundary ranks."""
+    """Rational Betti numbers b_d = n_d - rank d_d - rank d_{d+1} for
+    d = 0..max_dim, each boundary rank taken once."""
     if max_dim is None:
         max_dim = max(complex_.dimension, 0)
     dims = complex_.by_dimension()
-    ranks = {}
-
-    def rank_of(d):
-        if d not in ranks:
-            ranks[d] = matrix_rank(boundary_matrix(complex_, d))
-        return ranks[d]
-
-    out = []
-    for d in range(max_dim + 1):
-        n_d = len(dims.get(d, ()))
-        out.append(n_d - rank_of(d) - rank_of(d + 1))
-    return out
+    ranks = {d: column_rank(boundary_columns(complex_, d))
+             for d in range(1, complex_.dimension + 1)}
+    return [len(dims.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in range(max_dim + 1)]
 
 
-def euler_characteristic_consistent(complex_):
-    """Check sum of (-1)^i b_i equals the alternating simplex count."""
-    f = complex_.f_vector()
-    b = betti(complex_, complex_.dimension if complex_.dimension >= 0 else 0)
-    from_f = sum((-1) ** i * c for i, c in enumerate(f))
-    from_b = sum((-1) ** i * c for i, c in enumerate(b))
-    return from_f == from_b
+def euler_characteristic_consistent(poset, complex_):
+    """P. Hall: chi(order complex) - 1 is mu(0, 1) of ``poset`` with a bottom
+    and a top adjoined; mu comes from the down-set rows, not from chains."""
+    down = poset.down()
+    mu = {}  # element -> mu(0, element), filled along a linear extension
+    for i in sorted(range(len(down)), key=lambda i: down[i].bit_count()):
+        mu[i] = -1 - sum(mu[j] for j in bit_indices(down[i] & ~(1 << i)))
+    chi = sum((-1) ** d * n for d, n in enumerate(complex_.f_vector()))
+    return chi - 1 == -1 - sum(mu.values())
 
 
 def boundary_squares_to_zero(complex_):
-    for d in range(1, complex_.dimension + 1):
-        outer = boundary_matrix(complex_, d)
-        inner = boundary_matrix(complex_, d + 1)
-        if not inner or not inner[0] or not outer:
-            continue
-        for j in range(len(inner[0])):
-            col = [inner[r][j] for r in range(len(inner))]
-            for i in range(len(outer)):
-                if sum(outer[i][k] * col[k] for k in range(len(col))) != 0:
-                    return False
+    """Check that d_{d-1} d_d vanishes by composing the sparse columns."""
+    for d in range(2, complex_.dimension + 1):
+        outer = boundary_columns(complex_, d - 1)
+        for column in boundary_columns(complex_, d):
+            image = {}
+            for row, a in column.items():
+                for face, b in outer[row].items():
+                    image[face] = image.get(face, 0) + a * b
+            if any(image.values()):
+                return False
     return True

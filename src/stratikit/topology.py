@@ -107,9 +107,6 @@ class FiniteTopology:
     def is_closed(self, mask):
         return (self._full & ~mask) in self._open_set
 
-    def closed_sets(self):
-        return tuple(sorted((self._full & ~o for o in self.opens), key=_sort_key))
-
     # -- closure operators ---------------------------------------------------
 
     def closure_mask(self, mask):

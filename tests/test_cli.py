@@ -277,6 +277,13 @@ class TestHomologyCommands:
         doc = json.loads(out)
         assert doc["results"]["f_vector"] == [4, 4]
 
+    def test_order_complex_reports_the_euler_check(self, tmp_path, capsys):
+        path = write_input(tmp_path, PSEUDO_PREORDER)
+        code, out = run_cli(capsys, ["homology", "order-complex", "--input", path])
+        assert code == 0
+        assert json.loads(out)["checks"] == [
+            {"name": "euler characteristic consistent", "pass": True, "detail": ""}]
+
     def test_betti(self, tmp_path, capsys):
         path = write_input(tmp_path, PSEUDO_PREORDER)
         code, out = run_cli(capsys, ["homology", "betti", "--input", path])

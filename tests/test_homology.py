@@ -1,10 +1,15 @@
+import itertools
+import json
+import random
+from fractions import Fraction
+
 import pytest
 
-from stratikit.errors import StructureError
-from stratikit.homology import (SimplicialComplex, betti,
-                                boundary_matrix, boundary_squares_to_zero,
-                                euler_characteristic_consistent, matrix_rank,
-                                order_complex)
+from stratikit.cli import main
+from stratikit.errors import CapExceeded, StructureError
+from stratikit.homology import (SimplicialComplex, betti, boundary_columns,
+                                boundary_squares_to_zero, column_rank,
+                                euler_characteristic_consistent, order_complex)
 from stratikit.order import Preorder, product
 
 
@@ -117,17 +122,135 @@ class TestChainComplexInvariants:
             "grid": product([ex1_poset, ex1_poset]),
             "chain": chain3,
         }[fixture]
-        assert euler_characteristic_consistent(order_complex(poset))
+        assert euler_characteristic_consistent(poset, order_complex(poset))
+
+    def test_euler_check_fails_on_a_foreign_complex(self, pseudo_poset):
+        # the 4-cycle has chi = 0, a 4-vertex path has chi = 1
+        path = SimplicialComplex(["a", "b", "c", "d"], [
+            ["a"], ["b"], ["c"], ["d"], ["a", "c"], ["c", "b"], ["b", "d"]])
+        assert not euler_characteristic_consistent(pseudo_poset, path)
 
     def test_rank_of_known_matrix(self):
-        from fractions import Fraction
-        mat = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert matrix_rank(mat) == 1
+        assert column_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
 
     def test_boundary_of_an_edge(self, chain3):
         k = order_complex(chain3)
-        mat = boundary_matrix(k, 1)
         # each edge column has one -1 and one +1
-        for j in range(len(mat[0])):
-            col = [mat[i][j] for i in range(len(mat))]
-            assert sorted(col) == sorted([-1, 1] + [0] * (len(col) - 2))
+        for col in boundary_columns(k, 1):
+            assert sorted(col.values()) == [-1, 1]
+
+
+def dense_rank(rows, modulus=None):
+    """Reference rank: Gaussian elimination on a dense matrix, over Q with
+    Fractions, or over GF(modulus)."""
+    if modulus is None:
+        entry, inverse = Fraction, lambda x: 1 / x
+    else:
+        entry, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))
+    rows = [[entry(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = inverse(rows[rank][c])
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                factor = rows[r][c] * inv
+                rows[r] = [entry(a - factor * b) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_betti(complex_, modulus=None):
+    """Betti numbers from dense boundary matrices built from the simplices
+    directly; with a modulus, the ranks are taken over GF(modulus)."""
+    by_dim = {}
+    for s in complex_.simplices:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+
+    def rank(d):
+        rows, cols = by_dim.get(d - 1, []), by_dim.get(d, [])
+        if d < 1 or not cols:
+            return 0
+        row_of = {s: i for i, s in enumerate(rows)}
+        mat = [[0] * len(cols) for _ in rows]
+        for j, s in enumerate(cols):
+            for k in range(len(s)):
+                mat[row_of[s[:k] + s[k + 1:]]][j] = (-1) ** k
+        return dense_rank(mat, modulus)
+
+    return [len(by_dim.get(d, [])) - rank(d) - rank(d + 1)
+            for d in range(complex_.dimension + 1)]
+
+
+def test_betti_matches_dense_reference_on_random_posets():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        labels = [f"x{i}" for i in range(n)]
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.35]  # forward pairs only: a partial order
+        poset = Preorder.from_pairs(labels, pairs).to_poset()
+        k = order_complex(poset)
+        assert betti(k) == dense_betti(k)
+        assert boundary_squares_to_zero(k)
+        assert euler_characteristic_consistent(poset, k)
+
+
+def face_poset_of(facets):
+    """Nonempty faces of a simplicial complex ordered by inclusion."""
+    faces = sorted({f for facet in facets for r in range(1, len(facet) + 1)
+                    for f in itertools.combinations(sorted(facet), r)},
+                   key=lambda f: (len(f), f))
+    labels = {f: "".join(map(str, f)) for f in faces}
+    pairs = [(labels[a], labels[b]) for a in faces for b in faces
+             if len(a) < len(b) and set(a) <= set(b)]
+    return Preorder.from_pairs([labels[f] for f in faces], pairs).to_poset()
+
+
+def proper_boolean_lattice(n):
+    """Nonempty proper subsets of an n-set under inclusion, as labels and pairs."""
+    subsets = range(1, (1 << n) - 1)
+    label = {m: format(m, f"0{n}b") for m in subsets}
+    pairs = [(label[a], label[b]) for a in subsets for b in subsets
+             if a != b and a & b == a]
+    return [label[m] for m in subsets], pairs
+
+
+class TestTopologyCases:
+    # the 6-vertex real projective plane (hemi-icosahedron)
+    RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+           (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+    def test_projective_plane_over_q(self):
+        edges = [e for t in self.RP2 for e in itertools.combinations(t, 2)]
+        assert all(edges.count(e) == 2 for e in edges)  # a closed surface
+        poset = face_poset_of(self.RP2)
+        assert len(poset.carrier) == 31
+        k = order_complex(poset)
+        assert k.f_vector() == [31, 90, 60]
+        assert betti(k) == [1, 0, 0]
+        # over GF(2) the same complex has b = [1, 1, 1]: orientation matters
+        assert dense_betti(k, modulus=2) == [1, 1, 1]
+        assert dense_betti(k) == [1, 0, 0]
+
+    def test_proper_part_of_b6_is_a_four_sphere_in_cap(self, tmp_path, capsys):
+        carrier, pairs = proper_boolean_lattice(6)
+        assert len(carrier) == 62
+        path = tmp_path / "b6.json"
+        path.write_text(json.dumps({"carrier": carrier, "pairs": pairs}))
+        code = main(["homology", "betti", "--input", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert sum(doc["results"]["f_vector"]) == 4682
+        assert doc["results"]["betti"] == [1, 0, 0, 0, 1]
+        assert len(doc["checks"]) == 2
+        assert all(c["pass"] for c in doc["checks"])
+
+    def test_proper_part_of_b7_exceeds_the_simplex_cap(self):
+        carrier, pairs = proper_boolean_lattice(7)
+        poset = Preorder.from_pairs(carrier, pairs).to_poset()
+        with pytest.raises(CapExceeded):
+            order_complex(poset)
