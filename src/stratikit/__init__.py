@@ -2,8 +2,8 @@
 and decomposition spaces, rational hyperplane arrangement face posets,
 hom-set stratifications of finite categories, and order-complex homology."""
 
-from .arrangement import (Arrangement, Face, closure_inclusion, enumerate_faces,
-                          face_poset, sign_map)
+from .arrangement import (Arrangement, Face, closure_inclusion, closure_rows,
+                          enumerate_faces, face_poset, reachable_sides, sign_map)
 from .category import (FiniteCategory, SetFunctor, hom_preorder, hom_stratified,
                        st_functor_check, yoneda_image, yoneda_image_report,
                        yoneda_natural_transformations)
@@ -19,8 +19,8 @@ from .topology import FiniteTopology, PosetStratifiedSpace, product_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arrangement", "Face", "closure_inclusion", "enumerate_faces", "face_poset",
-    "sign_map",
+    "Arrangement", "Face", "closure_inclusion", "closure_rows", "enumerate_faces",
+    "face_poset", "reachable_sides", "sign_map",
     "FiniteCategory", "SetFunctor", "hom_preorder", "hom_stratified",
     "st_functor_check", "yoneda_image", "yoneda_image_report",
     "yoneda_natural_transformations",

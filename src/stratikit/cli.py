@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import corpus, jsonio
-from .arrangement import closure_inclusion, enumerate_faces, face_poset, sign_map
+from .arrangement import closure_rows, enumerate_faces, face_poset, sign_map
 from .category import (hom_preorder_details, hom_stratified, st_functor_check,
                        yoneda_image_report, yoneda_natural_transformations)
 from .decomposition import (analyze, product_decomposition, quotient_topology,
@@ -213,13 +213,15 @@ def cmd_arrangement(args):
         return _emit(_report("arrangement poset", _digest(text),
                              jsonio.dump_preorder(poset), checks))
     if args.action == "check-ob":
+        oracle = closure_rows(arr, faces)
         disagreements = []
-        for a in faces:
-            for b in faces:
+        for i, a in enumerate(faces):
+            for j, b in enumerate(faces):
                 lhs = poset.leq(a.label, b.label)
-                rhs = closure_inclusion(arr, a, b)
                 if args.dual:
-                    rhs = closure_inclusion(arr, b, a)
+                    rhs = bool(oracle[j] >> i & 1)
+                else:
+                    rhs = bool(oracle[i] >> j & 1)
                 if lhs != rhs:
                     disagreements.append([a.label, b.label])
         checks = [{

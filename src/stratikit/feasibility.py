@@ -1,110 +1,128 @@
 """Exact feasibility of mixed strict/weak rational linear systems.
 
-Equalities are removed first by Gaussian pivoting; the remaining inequalities
-go through Fourier-Motzkin elimination where a derived row is strict iff any
-parent row is strict.  Witness points are rebuilt by back-substitution,
-taking interval midpoints (or bound +/- 1 on unbounded sides).
+Every row is stored once as a primitive integer vector: a positive rescaling
+of the given rational row, so it describes the same half-space (or
+hyperplane).  Equalities are removed first by pivoting; the remaining
+inequalities go through Fourier-Motzkin elimination, where a derived row is
+strict iff any parent row is strict.  Both steps combine two rows with
+positive integer multipliers, so elimination never leaves the integers.
+Witness points are rebuilt by exact rational back-substitution, taking
+interval midpoints (or bound +/- 1 on unbounded sides).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 
-# A row is (coeffs, const, strict) and means  const + coeffs . x  > 0  when
-# strict, >= 0 otherwise.  An equality row is (coeffs, const).
+# Most rows one elimination step may derive (len(lowers) * len(uppers)).
+# Without redundancy pruning, FM roughly squares the row count per step, so
+# this bounds the work of every solve.  Random integer arrangements of up to
+# 12 planes in R^3 or 8 hyperplanes in R^4 stay under it; 12 in R^5 do not.
+MAX_FM_ROWS = 1 << 18
+
+# A row is the integer vector (c_1, ..., c_n, const) and means
+# const + c . x > 0 when strict, >= 0 otherwise, = 0 for an equality.
+
+
+def _primitive(row):
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else row
+
+
+def _integer_row(coeffs, const, nvars, what):
+    """The primitive integer row proportional (by a positive factor) to the
+    rational row (coeffs, const)."""
+    values = (*coeffs, const)
+    if len(values) != nvars + 1:
+        raise InputError(f"{what} coefficient length mismatch")
+    try:
+        denom = lcm(*(v.denominator for v in values))
+        return _primitive(tuple(v.numerator * (denom // v.denominator)
+                                for v in values))
+    except AttributeError:
+        raise InputError(f"{what} coefficients must be rational") from None
 
 
 class LinearSystem:
     def __init__(self, nvars, equalities=(), inequalities=()):
         self.nvars = int(nvars)
-        self.equalities = [
-            (tuple(Fraction(c) for c in co), Fraction(k)) for co, k in equalities
-        ]
-        self.inequalities = [
-            (tuple(Fraction(c) for c in co), Fraction(k), bool(s))
-            for co, k, s in inequalities
-        ]
-        for co, _ in self.equalities:
-            if len(co) != self.nvars:
-                raise InputError("equality coefficient length mismatch")
-        for co, _, _ in self.inequalities:
-            if len(co) != self.nvars:
-                raise InputError("inequality coefficient length mismatch")
+        n = self.nvars
+        self._eqs = [_integer_row(co, k, n, "equality") for co, k in equalities]
+        self._ineqs = [(_integer_row(co, k, n, "inequality"), bool(s))
+                       for co, k, s in inequalities]
+
+    @property
+    def equalities(self):
+        """Rows as (coeffs, const) integer tuples."""
+        return [(row[:-1], row[-1]) for row in self._eqs]
+
+    @property
+    def inequalities(self):
+        """Rows as (coeffs, const, strict), coefficients integer tuples."""
+        return [(row[:-1], row[-1], s) for row, s in self._ineqs]
 
     def extended(self, equalities=(), inequalities=()):
-        return LinearSystem(
-            self.nvars,
-            self.equalities + list(equalities),
-            self.inequalities + list(inequalities),
-        )
-
-
-def _normalize(coeffs, const):
-    """Scale a row by a positive rational to a primitive integer vector."""
-    denom = 1
-    for c in (*coeffs, const):
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in (*coeffs, const)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+        """This system plus more rows; only the new rows are converted."""
+        out = LinearSystem(self.nvars, equalities, inequalities)
+        out._eqs = self._eqs + out._eqs
+        out._ineqs = self._ineqs + out._ineqs
+        return out
 
 
 def _tidy(rows):
-    """Canonicalize rows, drop satisfied constant rows, merge duplicates
-    (strict wins).  Returns None on a contradictory constant row."""
+    """Reduce rows by their gcd, drop satisfied constant rows, merge
+    duplicates (strict wins).  Returns None on a contradictory constant row."""
     seen = {}
-    for coeffs, const, strict in rows:
-        if all(c == 0 for c in coeffs):
+    for row, strict in rows:
+        if not any(row[:-1]):
+            const = row[-1]
             if const < 0 or (strict and const == 0):
                 return None
             continue
-        coeffs, const = _normalize(coeffs, const)
-        key = (coeffs, const)
-        seen[key] = seen.get(key, False) or strict
-    return [(co, k, s) for (co, k), s in seen.items()]
+        row = _primitive(row)
+        seen[row] = seen.get(row, False) or strict
+    return list(seen.items())
 
 
 def solve(system):
-    """A rational witness satisfying every constraint, or None if infeasible."""
+    """A rational witness satisfying every constraint, or None if infeasible.
+
+    Raises CapExceeded when one elimination step would derive more than
+    MAX_FM_ROWS rows."""
     n = system.nvars
 
-    # Stage 1: pivot away the equalities.
-    ineqs = list(system.inequalities)
-    pending = list(system.equalities)
-    pivots = []  # (var, coeffs, const): var = const + coeffs . x
+    # Stage 1: pivot away the equalities.  Eliminating x_var with the pivot
+    # row eq (coefficient c) maps a row with coefficient w to
+    # |c| * row - sign(c) * w * eq.
+    ineqs = list(system._ineqs)
+    pending = list(system._eqs)
+    pivots = []  # (var, eq): x_var = -(eq without x_var) / eq[var]
     pivoted = set()
     while pending:
-        coeffs, const = pending.pop(0)
-        var = next((j for j, c in enumerate(coeffs) if c != 0), None)
+        eq = pending.pop(0)
+        var = next((j for j in range(n) if eq[j]), None)
         if var is None:
-            if const != 0:
+            if eq[n]:
                 return None
             continue
-        c = coeffs[var]
-        expr = tuple(
-            -coeffs[j] / c if j != var else Fraction(0) for j in range(n))
-        expr_const = -const / c
-        pivots.append((var, expr, expr_const))
+        pivots.append((var, eq))
         pivoted.add(var)
+        c = eq[var]
+        scale, sign = abs(c), (1 if c > 0 else -1)
 
-        def subst(row_coeffs, row_const):
-            w = row_coeffs[var]
-            if w == 0:
-                return row_coeffs, row_const
-            new = tuple(
-                row_coeffs[j] + w * expr[j] if j != var else Fraction(0)
-                for j in range(n))
-            return new, row_const + w * expr_const
+        def subst(row):
+            w = row[var]
+            if not w:
+                return row
+            sw = sign * w
+            return _primitive(tuple(scale * a - sw * b for a, b in zip(row, eq)))
 
-        pending = [subst(co, k) for co, k in pending]
-        ineqs = [(*subst(co, k), s) for co, k, s in ineqs]
+        pending = [subst(row) for row in pending]
+        ineqs = [(subst(row), s) for row, s in ineqs]
 
     # Stage 2: Fourier-Motzkin on the free variables, highest index first.
     free = [v for v in range(n) if v not in pivoted]
@@ -116,14 +134,18 @@ def solve(system):
         levels.append((var, rows))
         lowers = [r for r in rows if r[0][var] > 0]
         uppers = [r for r in rows if r[0][var] < 0]
-        others = [r for r in rows if r[0][var] == 0]
-        derived = []
-        for lco, lk, ls in lowers:
-            for uco, uk, us in uppers:
-                a, b = -uco[var], lco[var]
-                co = tuple(a * lco[j] + b * uco[j] for j in range(n))
-                derived.append((co, a * lk + b * uk, ls or us))
-        rows = _tidy(others + derived)
+        if len(lowers) * len(uppers) > MAX_FM_ROWS:
+            raise CapExceeded(
+                f"eliminating x{var + 1} would derive "
+                f"{len(lowers) * len(uppers)} rows, cap is {MAX_FM_ROWS}")
+        derived = [r for r in rows if r[0][var] == 0]
+        for lrow, ls in lowers:
+            b = lrow[var]
+            for urow, us in uppers:
+                a = -urow[var]
+                derived.append(
+                    (tuple(a * p + b * q for p, q in zip(lrow, urow)), ls or us))
+        rows = _tidy(derived)
         if rows is None:
             return None
 
@@ -131,13 +153,13 @@ def solve(system):
     x = [Fraction(0)] * n
     for var, rows_here in reversed(levels):
         lo = hi = None  # (value, strict)
-        for coeffs, const, strict in rows_here:
-            c = coeffs[var]
+        for row, strict in rows_here:
+            c = row[var]
             if c == 0:
                 continue
-            rest = const + sum(
-                coeffs[j] * x[j] for j in range(n) if j != var and coeffs[j] != 0)
-            bound = -rest / c
+            rest = row[n] + sum(
+                row[j] * x[j] for j in range(n) if j != var and row[j] != 0)
+            bound = Fraction(-rest) / c
             if c > 0:
                 if lo is None or bound > lo[0] or (bound == lo[0] and strict):
                     lo = (bound, strict)
@@ -156,9 +178,10 @@ def solve(system):
             # Elimination guarantees lo == hi with both bounds weak.
             assert lo[0] == hi[0] and not lo[1] and not hi[1]
             x[var] = lo[0]
-    for var, expr, expr_const in reversed(pivots):
-        x[var] = expr_const + sum(
-            expr[j] * x[j] for j in range(n) if expr[j] != 0)
+    for var, eq in reversed(pivots):
+        rest = eq[n] + sum(
+            eq[j] * x[j] for j in range(n) if j != var and eq[j] != 0)
+        x[var] = Fraction(-rest) / eq[var]
     return tuple(x)
 
 

@@ -1,11 +1,15 @@
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from stratikit.arrangement import (Arrangement, closure_inclusion,
+from stratikit import cli
+from stratikit.arrangement import (Arrangement, closure_inclusion, closure_rows,
                                    enumerate_faces, face_poset, sign_map)
 from stratikit.errors import CapExceeded, InputError
+from stratikit.feasibility import LinearSystem, feasible
 from stratikit.order import (is_order_isomorphism, order_isomorphism, product,
                              product_label)
 
@@ -225,3 +229,73 @@ class TestClosureInclusion:
         for a in faces:
             for b in faces:
                 assert poset.leq(a.label, b.label) == closure_inclusion(arr, a, b)
+
+
+def early_exit_closure_oracle(arr, f, g):
+    """Pairwise reference: f lies in the closure of g iff no point of f
+    violates a weak constraint of g.  Builds its systems from the forms and
+    stops at the first feasible violation."""
+    eqs, ineqs = [], []
+    for form, s in zip(arr.forms, f.signs):
+        coeffs, const = form[1:], form[0]
+        if s == 0:
+            eqs.append((coeffs, const))
+        else:
+            ineqs.append((tuple(s * c for c in coeffs), s * const, True))
+    for form, s in zip(arr.forms, g.signs):
+        coeffs, const = form[1:], form[0]
+        for side in (-1, 1):
+            if side == s:  # the closure of g keeps the side g lies on
+                continue
+            violation = (tuple(side * c for c in coeffs), side * const, True)
+            if feasible(LinearSystem(arr.dim, eqs, ineqs + [violation])):
+                return False
+    return True
+
+
+def random_arrangement(rng, dim, k):
+    forms = []
+    for _ in range(k):
+        form = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+                for _ in range(dim + 1)]
+        if not any(form[1:]):
+            form[1 + rng.randrange(dim)] = Fraction(rng.choice([-1, 1]))
+        forms.append(form)
+    return Arrangement(dim, forms)
+
+
+RANDOM_SHAPES = [(2, k) for k in range(2, 7)] + [(3, k) for k in range(2, 5)]
+
+
+class TestClosureTableDifferential:
+    @pytest.mark.parametrize("dim,k", RANDOM_SHAPES)
+    def test_mask_test_matches_early_exit_oracle(self, dim, k):
+        rng = random.Random(1000 * dim + k)
+        arr = random_arrangement(rng, dim, k)
+        assert any(c.denominator > 1 for form in arr.forms for c in form)
+        faces = enumerate_faces(arr)
+        poset = face_poset(arr, faces)
+        pairs = [(a, b) for a in faces for b in faces]
+        below = [(a, b) for a, b in pairs if poset.leq(a.label, b.label)]
+        sample = rng.sample(pairs, min(40, len(pairs)))
+        sample += rng.sample(below, min(20, len(below)))
+        rows = closure_rows(arr, faces)
+        index = {f.signs: i for i, f in enumerate(faces)}
+        for a, b in sample:
+            expected = early_exit_closure_oracle(arr, a, b)
+            assert closure_inclusion(arr, a, b) == expected
+            assert bool(rows[index[a.signs]] >> index[b.signs] & 1) == expected
+            assert poset.leq(a.label, b.label) == expected
+
+    @pytest.mark.parametrize("dim,k", [(2, 6), (3, 4)])
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_cli_check_ob_has_no_disagreements(self, dim, k, dual, tmp_path, capsys):
+        arr = random_arrangement(random.Random(1000 * dim + k), dim, k)
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({
+            "dim": dim, "forms": [[str(c) for c in form] for form in arr.forms]}))
+        argv = ["arrangement", "check-ob", "--input", str(path)]
+        assert cli.main(argv + ["--dual"] if dual else argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["disagreements"] == []
+        assert results["pairs_checked"] == len(enumerate_faces(arr)) ** 2

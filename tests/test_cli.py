@@ -201,6 +201,29 @@ class TestArrangementCommands:
         assert doc["results"]["disagreements"] == []
         assert doc["results"]["pairs_checked"] == 13 ** 2
 
+    def test_check_ob_dual(self, tmp_path, capsys):
+        path = write_input(
+            tmp_path, {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [0, 1, -1]]})
+        code, out = run_cli(capsys, ["arrangement", "check-ob", "--dual",
+                                     "--input", path])
+        assert code == 0
+        assert json.loads(out)["results"]["disagreements"] == []
+
+    def test_faces_in_r5_past_the_fm_row_cap_exits_2(self, tmp_path, capsys):
+        """Without the cap, elimination on these regions does not finish."""
+        import random
+        import time
+        rng = random.Random(5)
+        forms = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(12)]
+        for form in forms:
+            form[1] = form[1] or 1
+        path = write_input(tmp_path, {"dim": 5, "forms": forms})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
+        assert code == 2
+        assert "cap" in json.loads(out)["error"]["message"]
+        assert time.perf_counter() - start < 10
+
     def test_rational_coefficients(self, tmp_path, capsys):
         path = write_input(tmp_path, {"dim": 1, "forms": [["-1/2", "1/3"]]})
         code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
@@ -298,6 +321,22 @@ class TestHomologyCommands:
         code, out = run_cli(capsys, ["homology", "betti", "--input", path])
         assert code == 2
         assert "antisymmetric" in json.loads(out)["error"]["message"]
+
+    def test_betti_max_dim_in_cap_pads_with_zeros(self, tmp_path, capsys):
+        path = write_input(tmp_path, PSEUDO_PREORDER)
+        code, out = run_cli(capsys, ["homology", "betti", "--input", path,
+                                     "--max-dim", "3"])
+        assert code == 0
+        assert json.loads(out)["results"]["betti"] == [1, 1, 0, 0]
+
+    def test_betti_max_dim_above_the_simplex_cap_exits_2(self, tmp_path, capsys):
+        from stratikit.homology import MAX_SIMPLICES
+        path = write_input(tmp_path, {"carrier": ["p"], "pairs": []})
+        code, out = run_cli(capsys, ["homology", "betti", "--input", path,
+                                     "--max-dim", str(MAX_SIMPLICES + 1)])
+        assert code == 2
+        assert len(out) < 200
+        assert "cap" in json.loads(out)["error"]["message"]
 
 
 class TestCorpusCommands:

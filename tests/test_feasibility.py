@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from stratikit import feasibility
+from stratikit.errors import CapExceeded
 from stratikit.feasibility import LinearSystem, feasible, solve
 
 
@@ -12,13 +15,17 @@ def F(x):
 
 def satisfies(system, point):
     """Direct constraint evaluation, the ground truth for any witness."""
-    for coeffs, const, strict in system.inequalities:
+    return satisfies_rows(system.equalities, system.inequalities, point)
+
+
+def satisfies_rows(equalities, inequalities, point):
+    for coeffs, const, strict in inequalities:
         value = const + sum(c * x for c, x in zip(coeffs, point))
         if strict and not value > 0:
             return False
         if not strict and not value >= 0:
             return False
-    for coeffs, const in system.equalities:
+    for coeffs, const in equalities:
         if const + sum(c * x for c, x in zip(coeffs, point)) != 0:
             return False
     return True
@@ -93,8 +100,13 @@ class TestKnownSystems:
         with pytest.raises(InputError):
             LinearSystem(2, inequalities=[((1,), 0, True)])
 
+    def test_float_coefficients_rejected(self):
+        from stratikit.errors import InputError
+        with pytest.raises(InputError, match="rational"):
+            LinearSystem(1, inequalities=[((0.5,), 0, True)])
 
-def random_system(rng, nvars, rows):
+
+def random_rows(rng, nvars, rows):
     eqs, ineqs = [], []
     for _ in range(rows):
         coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(nvars))
@@ -104,7 +116,11 @@ def random_system(rng, nvars, rows):
             eqs.append((coeffs, const))
         else:
             ineqs.append((coeffs, const, bool(kind == 2)))
-    return LinearSystem(nvars, eqs, ineqs)
+    return eqs, ineqs
+
+
+def random_system(rng, nvars, rows):
+    return LinearSystem(nvars, *random_rows(rng, nvars, rows))
 
 
 def test_witnesses_always_satisfy_their_system():
@@ -119,25 +135,83 @@ def test_witnesses_always_satisfy_their_system():
     assert found > 100  # the sampler must not degenerate into all-infeasible
 
 
-def test_infeasibility_matches_onedim_sweep():
+def onedim_sweep_feasible(equalities, inequalities):
     """In one variable the candidate points (roots, midpoints, outer points)
     decide feasibility completely, giving an independent oracle."""
+    roots = set()
+    for coeffs, const in equalities:
+        if coeffs[0]:
+            roots.add(F(-const) / coeffs[0])
+    for coeffs, const, _ in inequalities:
+        if coeffs[0]:
+            roots.add(F(-const) / coeffs[0])
+    candidates = set(roots) | {F(0)}
+    ordered = sorted(roots)
+    for a, b in zip(ordered, ordered[1:]):
+        candidates.add((a + b) / 2)
+    if ordered:
+        candidates.add(ordered[0] - 1)
+        candidates.add(ordered[-1] + 1)
+    return any(satisfies_rows(equalities, inequalities, (x,)) for x in candidates)
+
+
+def test_infeasibility_matches_onedim_sweep():
     rng = random.Random(271828)
     for _ in range(300):
         sys_ = random_system(rng, 1, rng.randint(1, 5))
-        roots = set()
-        for coeffs, const in sys_.equalities:
-            if coeffs[0]:
-                roots.add(-const / coeffs[0])
-        for coeffs, const, _ in sys_.inequalities:
-            if coeffs[0]:
-                roots.add(-const / coeffs[0])
-        candidates = set(roots) | {F(0)}
-        ordered = sorted(roots)
-        for a, b in zip(ordered, ordered[1:]):
-            candidates.add((a + b) / 2)
-        if ordered:
-            candidates.add(ordered[0] - 1)
-            candidates.add(ordered[-1] + 1)
-        oracle = any(satisfies(sys_, (x,)) for x in candidates)
+        oracle = onedim_sweep_feasible(sys_.equalities, sys_.inequalities)
         assert feasible(sys_) == oracle
+
+
+def test_rows_are_primitive_integer_tuples():
+    sys_ = LinearSystem(
+        2, equalities=[((Fraction(2, 3), Fraction(-4, 3)), 2)],
+        inequalities=[((Fraction(-1, 2), 0), Fraction(3, 4), True),
+                      ((6, 4), -2, False)])
+    assert sys_.equalities == [((1, -2), 3)]
+    assert sys_.inequalities == [((-2, 0), 3, True), ((3, 2), -1, False)]
+    for coeffs, const, *_ in sys_.equalities + sys_.inequalities:
+        assert all(type(v) is int for v in (*coeffs, const))
+        assert math.gcd(*coeffs, const) == 1
+    longer = sys_.extended(inequalities=[((Fraction(1, 3), Fraction(1, 3)), 0, True)])
+    assert longer.inequalities[-1] == ((1, 1), 0, True)
+    assert longer.inequalities[:2] == sys_.inequalities
+
+
+SCALES = [Fraction(1, 3), Fraction(7, 2), Fraction(5), Fraction(2, 9), Fraction(1)]
+
+
+def test_positive_row_scaling_keeps_the_exact_witness():
+    rng = random.Random(8128)
+    found = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        eqs, ineqs = random_rows(rng, nvars, rng.randint(1, 6))
+        scaled_eqs = []
+        for coeffs, const in eqs:
+            t = rng.choice(SCALES) * rng.choice([-1, 1])  # equalities: any sign
+            scaled_eqs.append((tuple(t * c for c in coeffs), t * const))
+        scaled_ineqs = []
+        for coeffs, const, strict in ineqs:
+            t = rng.choice(SCALES)
+            scaled_ineqs.append((tuple(t * c for c in coeffs), t * const, strict))
+        expected = solve(LinearSystem(nvars, eqs, ineqs))
+        got = solve(LinearSystem(nvars, scaled_eqs, scaled_ineqs))
+        assert got == expected
+        if got is not None:
+            found += 1
+            assert all(type(v) is Fraction for v in got)
+        if nvars == 1:
+            assert (got is not None) == onedim_sweep_feasible(scaled_eqs, scaled_ineqs)
+    assert found > 100
+
+
+def test_fm_row_cap(monkeypatch):
+    # two lower and two upper bounds on x derive 2 * 2 rows
+    sys_ = LinearSystem(1, inequalities=[
+        ((1,), 0, True), ((1,), -1, True), ((-1,), 2, True), ((-1,), 3, True)])
+    monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 3)
+    with pytest.raises(CapExceeded, match="4 rows"):
+        solve(sys_)
+    monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 4)
+    assert solve(sys_) == (Fraction(3, 2),)
