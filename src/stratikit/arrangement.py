@@ -3,7 +3,7 @@ face poset with an independent closure-inclusion oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceeded, InputError
@@ -57,10 +57,10 @@ class Arrangement:
         return f"Arrangement(dim={self.dim}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class Face:
-    signs: tuple
-    witness: tuple
+class Face(namedtuple("Face", "signs witness")):
+    """One face: its sign vector and an exact rational point realizing it."""
+
+    __slots__ = ()
 
     @property
     def label(self):

@@ -9,21 +9,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 
-from . import corpus, jsonio
-from .arrangement import closure_rows, enumerate_faces, face_poset, sign_map
-from .category import (hom_preorder_details, hom_stratified, st_functor_check,
-                       yoneda_image_report, yoneda_natural_transformations)
-from .decomposition import (analyze, product_decomposition, quotient_topology,
-                            validate_stratification)
-from .dot import preorder_dot
+from . import (arrangement, category, corpus, decomposition, dot, homology, jsonio,
+               randomcases, topology)
 from .errors import InputError, StratikitError, StructureError
-from .homology import (betti, boundary_squares_to_zero,
-                       euler_characteristic_consistent, order_complex)
-from .randomcases import random_decomposition
-from .topology import FiniteTopology
 
 
 def _read_input(args):
@@ -64,7 +54,7 @@ def _emit(report, stream=None):
 def _write_dot(args, preorder):
     if getattr(args, "dot", None):
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(preorder_dot(preorder, full_relation=args.full_relation))
+            fh.write(dot.preorder_dot(preorder, full_relation=args.full_relation))
 
 
 def _maybe_dual(args, preorder):
@@ -89,7 +79,7 @@ def cmd_topology(args):
                              jsonio.dump_topology(space), checks))
     if args.action == "from-preorder":
         pre = _maybe_dual(args, jsonio.load_preorder(doc))
-        space = FiniteTopology.from_preorder(pre)
+        space = topology.FiniteTopology.from_preorder(pre)
         back = space.specialization_preorder()
         checks.append({"name": "specialization preorder round-trips",
                        "pass": back == pre, "detail": ""})
@@ -99,7 +89,7 @@ def cmd_topology(args):
     if args.action == "to-preorder":
         space = jsonio.load_topology(doc)
         pre = _maybe_dual(args, space.specialization_preorder())
-        again = FiniteTopology.from_preorder(space.specialization_preorder())
+        again = topology.FiniteTopology.from_preorder(space.specialization_preorder())
         checks.append({"name": "alexandroff topology round-trips",
                        "pass": again == space, "detail": ""})
         _write_dot(args, pre)
@@ -127,7 +117,7 @@ def cmd_decomp(args):
     doc, text = _read_input(args)
     if args.action == "quotient":
         dec = jsonio.load_decomposition(doc)
-        q = quotient_topology(dec)
+        q = decomposition.quotient_topology(dec)
         checks = [{"name": "projection continuous for the quotient topology",
                    "pass": all(dec.space.is_open(dec.preimage_mask(u)) for u in q.opens),
                    "detail": ""}]
@@ -135,7 +125,7 @@ def cmd_decomp(args):
                              jsonio.dump_topology(q), checks))
     if args.action == "analyze":
         dec = jsonio.load_decomposition(doc)
-        rep = analyze(dec)
+        rep = decomposition.analyze(dec)
         checks = [
             {"name": "semicontinuity class consistent with map openness/closedness",
              "pass": True, "detail": rep.moore_class},
@@ -147,7 +137,7 @@ def cmd_decomp(args):
                              rep.to_json_dict(), checks))
     if args.action == "validate":
         dec = jsonio.load_decomposition(doc)
-        strat = validate_stratification(dec)
+        strat = decomposition.validate_stratification(dec)
         checks = [{"name": "condition report complete", "pass": True, "detail": ""}]
         if strat.is_stratification:
             checks.append({
@@ -165,7 +155,7 @@ def cmd_decomp(args):
         decs = [jsonio.load_decomposition(f, path=f"factors[{i}]")
                 for i, f in enumerate(factors)]
         try:
-            prod, ver = product_decomposition(decs)
+            prod, ver = decomposition.product_decomposition(decs)
         except StratikitError as exc:
             report = _report("decomp product", _digest(text), {},
                              [{"name": "factors lower semicontinuous",
@@ -183,11 +173,11 @@ def cmd_decomp(args):
 def cmd_arrangement(args):
     doc, text = _read_input(args)
     arr = jsonio.load_arrangement(doc)
-    faces = enumerate_faces(arr)
+    faces = arrangement.enumerate_faces(arr)
     if args.action == "faces":
         checks = [{
             "name": "witness signs recompute exactly",
-            "pass": all(sign_map(arr, f.witness) == f.signs for f in faces),
+            "pass": all(arrangement.sign_map(arr, f.witness) == f.signs for f in faces),
             "detail": ""}]
         results = {
             "count": len(faces),
@@ -197,7 +187,7 @@ def cmd_arrangement(args):
             } for f in faces],
         }
         return _emit(_report("arrangement faces", _digest(text), results, checks))
-    poset = face_poset(arr, faces)
+    poset = arrangement.face_poset(arr, faces)
     if args.dual:
         poset = poset.dual()
     if args.action == "poset":
@@ -213,7 +203,7 @@ def cmd_arrangement(args):
         return _emit(_report("arrangement poset", _digest(text),
                              jsonio.dump_preorder(poset), checks))
     if args.action == "check-ob":
-        oracle = closure_rows(arr, faces)
+        oracle = arrangement.closure_rows(arr, faces)
         disagreements = []
         for i, a in enumerate(faces):
             for j, b in enumerate(faces):
@@ -242,7 +232,7 @@ def cmd_homset(args):
     if args.action == "preorder":
         x, y = str(doc.get("source")), str(doc.get("target"))
         side = str(doc.get("side", "R"))
-        pre, witnesses = hom_preorder_details(cat, x, y, side)
+        pre, witnesses = category.hom_preorder_details(cat, x, y, side)
         pre = _maybe_dual(args, pre)
         _write_dot(args, pre)
         results = {
@@ -255,7 +245,7 @@ def cmd_homset(args):
     if args.action == "stratify":
         x, y = str(doc.get("source")), str(doc.get("target"))
         side = str(doc.get("side", "R"))
-        pss, rep = hom_stratified(cat, x, y, side)
+        pss, rep = category.hom_stratified(cat, x, y, side)
         checks = [
             {"name": "projection open", "pass": rep.projection_open, "detail": ""},
             {"name": "fibers locally closed",
@@ -276,7 +266,7 @@ def cmd_homset(args):
         anchor = str(doc.get("anchor"))
         side = str(doc.get("side", "R-covariant"))
         side = {"R": "R-covariant", "L": "L-contravariant"}.get(side, side)
-        rep = st_functor_check(cat, anchor, side)
+        rep = category.st_functor_check(cat, anchor, side)
         checks = [
             {"name": "identity law", "pass": rep.identity_law, "detail": ""},
             {"name": "composition law", "pass": rep.composition_law, "detail": ""},
@@ -290,8 +280,8 @@ def cmd_homset(args):
     if args.action == "yoneda":
         anchor = str(doc.get("anchor"))
         fun = jsonio.load_functor(cat, doc.get("functor", {}), path="functor")
-        transformations, yrep = yoneda_natural_transformations(cat, fun, anchor)
-        imrep = yoneda_image_report(cat, fun, anchor)
+        transformations, yrep = category.yoneda_natural_transformations(cat, fun, anchor)
+        imrep = category.yoneda_image_report(cat, fun, anchor)
         checks = [
             {"name": "evaluation at the identity is a bijection",
              "pass": yrep.ok(),
@@ -322,9 +312,10 @@ def cmd_homology(args):
     doc, text = _read_input(args)
     pre = jsonio.load_preorder(doc)
     poset = pre.to_poset()
-    complex_ = order_complex(poset)
+    complex_ = homology.order_complex(poset)
     euler = {"name": "euler characteristic consistent",
-             "pass": euler_characteristic_consistent(poset, complex_), "detail": ""}
+             "pass": homology.euler_characteristic_consistent(poset, complex_),
+             "detail": ""}
     if args.action == "order-complex":
         checks = [euler]
         results = {
@@ -333,10 +324,10 @@ def cmd_homology(args):
         }
         return _emit(_report("homology order-complex", _digest(text), results, checks))
     if args.action == "betti":
-        numbers = betti(complex_, args.max_dim)
+        numbers = homology.betti(complex_, args.max_dim)
         checks = [
             {"name": "boundary of boundary vanishes",
-             "pass": boundary_squares_to_zero(complex_), "detail": ""},
+             "pass": homology.boundary_squares_to_zero(complex_), "detail": ""},
             euler,
         ]
         results = {"f_vector": complex_.f_vector(), "betti": numbers}
@@ -349,10 +340,13 @@ def cmd_homology(args):
 
 def cmd_corpus(args):
     if args.action == "list":
+        unmatched = corpus.unmatched_cases()
+        detail = ("not in all of CASE_NAMES, RUNNERS and corpus_data: "
+                  + ", ".join(unmatched)) if unmatched else ""
         report = _report("corpus list", {"sha256": "", "bytes": 0},
                          {"cases": list(corpus.CASE_NAMES)},
-                         [{"name": "corpus complete",
-                           "pass": len(corpus.CASE_NAMES) == 11, "detail": ""}])
+                         [{"name": "corpus complete", "pass": not unmatched,
+                           "detail": detail}])
         return _emit(report)
     if args.action == "run":
         names = list(corpus.CASE_NAMES) if args.case == "all" else [args.case]
@@ -374,13 +368,14 @@ def cmd_corpus(args):
         return _emit(_report("corpus run", {"sha256": "", "bytes": 0},
                              results, all_checks))
     if args.action == "oracle":
+        import random
         rng = random.Random(args.seed)
         cases = args.cases
         tamaki_bad = []
         openlocal_bad = []
         for i in range(cases):
-            dec = random_decomposition(rng, max_size=6)
-            rep = analyze(dec)
+            dec = randomcases.random_decomposition(rng, max_size=6)
+            rep = decomposition.analyze(dec)
             if rep.pi_open != rep.tamaki_agrees:
                 tamaki_bad.append(i)
             if rep.pi_open:

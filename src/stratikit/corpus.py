@@ -10,14 +10,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from . import jsonio
-from .arrangement import closure_rows, enumerate_faces, face_poset
-from .category import (hom_preorder, hom_stratified,
-                       yoneda_natural_transformations)
-from .decomposition import Decomposition, analyze, validate_stratification
-from .homology import betti, order_complex
-from .order import order_isomorphism, product, quotient_poset
-from .topology import FiniteTopology
+from . import arrangement, category, decomposition, homology, jsonio, order, topology
 
 CASE_NAMES = (
     "ex1",
@@ -54,7 +47,7 @@ def run_ex1():
     g = golden("ex1")
     checks = []
     poset = _poset_from_golden(g["poset"])
-    space = FiniteTopology.from_preorder(poset)
+    space = topology.FiniteTopology.from_preorder(poset)
     _check(checks, "open family matches",
            space.opens_as_labels() == g["opens"], space.opens_as_labels())
     back = space.specialization_preorder()
@@ -66,11 +59,11 @@ def run_ex2_replica():
     g = golden("ex2-replica")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = enumerate_faces(arr)
-    space = FiniteTopology.from_preorder(face_poset(arr, faces))
+    faces = arrangement.enumerate_faces(arr)
+    space = topology.FiniteTopology.from_preorder(arrangement.face_poset(arr, faces))
     blocks = [g["blocks"][k] for k in ("N", "O", "P")]
-    dec = Decomposition(space, blocks, ["N", "O", "P"])
-    rep = analyze(dec)
+    dec = decomposition.Decomposition(space, blocks, ["N", "O", "P"])
+    rep = decomposition.analyze(dec)
     _check(checks, "quotient opens match",
            rep.quotient.opens_as_labels() == g["expected_opens"],
            rep.quotient.opens_as_labels())
@@ -80,7 +73,8 @@ def run_ex2_replica():
     _check(checks, "quotient is a poset",
            rep.quotient_is_poset == g["quotient_is_poset"])
     _check(checks, "not a stratification",
-           validate_stratification(dec).is_stratification == g["is_stratification"])
+           decomposition.validate_stratification(dec).is_stratification
+           == g["is_stratification"])
     return rep.to_json_dict(), checks, g
 
 
@@ -88,9 +82,9 @@ def run_rational():
     g = golden("rational")
     checks = []
     space = jsonio.load_topology(g["space"])
-    dec = Decomposition(space, g["blocks"], g["labels"])
-    rep = analyze(dec)
-    strat = validate_stratification(dec)
+    dec = decomposition.Decomposition(space, g["blocks"], g["labels"])
+    rep = decomposition.analyze(dec)
+    strat = decomposition.validate_stratification(dec)
     _check(checks, "quotient is indiscrete",
            rep.quotient.opens_as_labels() == g["expected_opens"])
     _check(checks, "quotient preorder is complete",
@@ -109,15 +103,16 @@ def run_pseudo():
     g = golden("pseudo")
     checks = []
     poset = _poset_from_golden(g["poset"])
-    space = FiniteTopology.from_preorder(poset)
+    space = topology.FiniteTopology.from_preorder(poset)
     _check(checks, "open family matches",
            space.opens_as_labels() == g["opens"], space.opens_as_labels())
     _check(checks, "specialization inverts the construction",
            space.specialization_preorder() == poset)
-    b = betti(order_complex(poset), 1)
+    b = homology.betti(homology.order_complex(poset), 1)
     _check(checks, "order complex has circle homology", b == g["betti"], b)
-    dec = Decomposition(space, [[x] for x in poset.carrier], list(poset.carrier))
-    rep = analyze(dec)
+    dec = decomposition.Decomposition(space, [[x] for x in poset.carrier],
+                                      list(poset.carrier))
+    rep = decomposition.analyze(dec)
     _check(checks, "singleton decomposition projection open",
            rep.pi_open == g["pi_open"])
     return {"opens": space.opens_as_labels(), "betti": b}, checks, g
@@ -126,12 +121,12 @@ def run_pseudo():
 def run_pseudo_prime_replica():
     g = golden("pseudo-prime-replica")
     checks = []
-    space = FiniteTopology.from_preorder(jsonio.load_preorder(
+    space = topology.FiniteTopology.from_preorder(jsonio.load_preorder(
         {"carrier": g["space_preorder"]["carrier"],
          "pairs": g["space_preorder"]["pairs"]}))
     labels = list(g["blocks"])
-    dec = Decomposition(space, [g["blocks"][k] for k in labels], labels)
-    rep = analyze(dec)
+    dec = decomposition.Decomposition(space, [g["blocks"][k] for k in labels], labels)
+    rep = decomposition.analyze(dec)
     _check(checks, "quotient opens match the four-point circle model",
            rep.quotient.opens_as_labels() == g["expected_opens"],
            rep.quotient.opens_as_labels())
@@ -143,10 +138,10 @@ def run_ex6():
     g = golden("ex6")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    space = FiniteTopology.from_preorder(face_poset(arr))
+    space = topology.FiniteTopology.from_preorder(arrangement.face_poset(arr))
     labels = list(g["blocks"])
-    dec = Decomposition(space, [g["blocks"][k] for k in labels], labels)
-    rep = analyze(dec)
+    dec = decomposition.Decomposition(space, [g["blocks"][k] for k in labels], labels)
+    rep = decomposition.analyze(dec)
     _check(checks, "quotient opens match",
            rep.quotient.opens_as_labels() == g["expected_opens"],
            rep.quotient.opens_as_labels())
@@ -164,10 +159,10 @@ def run_ex7():
     g = golden("ex7")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = enumerate_faces(arr)
+    faces = arrangement.enumerate_faces(arr)
     _check(checks, "face count", len(faces) == g["face_count"], len(faces))
-    poset = face_poset(arr, faces)
-    space = FiniteTopology.from_preorder(poset)
+    poset = arrangement.face_poset(arr, faces)
+    space = topology.FiniteTopology.from_preorder(poset)
     base = sorted(
         sorted(space.labels(space.minimal_open_mask(i)))
         for i in range(len(space.carrier)))
@@ -176,9 +171,9 @@ def run_ex7():
     _check(checks, "open family size",
            len(space.opens) == g["opens_count"], len(space.opens))
     ex1_poset = _poset_from_golden(golden("ex1")["poset"])
-    grid = product([ex1_poset, ex1_poset])
+    grid = order.product([ex1_poset, ex1_poset])
     _check(checks, "face poset isomorphic to the product square",
-           order_isomorphism(poset, grid) is not None)
+           order.order_isomorphism(poset, grid) is not None)
     return {"face_count": len(faces), "opens_count": len(space.opens)}, checks, g
 
 
@@ -186,18 +181,17 @@ def run_coordinate_n3():
     g = golden("coordinate-n3")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = enumerate_faces(arr)
+    faces = arrangement.enumerate_faces(arr)
     _check(checks, "face count is 3^3", len(faces) == g["face_count"], len(faces))
-    poset = face_poset(arr, faces)
+    poset = arrangement.face_poset(arr, faces)
     ex1_poset = _poset_from_golden(golden("ex1")["poset"])
-    cube = product([ex1_poset] * 3)
+    cube = order.product([ex1_poset] * 3)
     letter = {"-": "N", "0": "O", "+": "P"}
     natural = {
         f.label: "(" + ",".join(letter[ch] for ch in f.label) + ")" for f in faces
     }
-    from .order import is_order_isomorphism
     _check(checks, "natural sign bijection is an order isomorphism",
-           is_order_isomorphism(natural, poset, cube))
+           order.is_order_isomorphism(natural, poset, cube))
     return {"face_count": len(faces)}, checks, g
 
 
@@ -205,14 +199,14 @@ def run_arrangement_3lines():
     g = golden("arrangement-3lines")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = enumerate_faces(arr)
+    faces = arrangement.enumerate_faces(arr)
     _check(checks, "face count", len(faces) == g["face_count"], len(faces))
     by_zeros = {}
     for f in faces:
         by_zeros[str(f.signs.count(0))] = by_zeros.get(str(f.signs.count(0)), 0) + 1
     _check(checks, "face counts by rank",
            by_zeros == g["faces_by_zero_count"], by_zeros)
-    poset = face_poset(arr, faces)
+    poset = arrangement.face_poset(arr, faces)
     covers = poset.covering_pairs()
     sectors = [f.label for f in faces if f.signs.count(0) == 0]
     rays = [f.label for f in faces if f.signs.count(0) == 1]
@@ -223,7 +217,7 @@ def run_arrangement_3lines():
         sum(1 for a, b in covers if b == r) == g["ray_covers"] for r in rays)
     _check(checks, "each sector covers exactly two rays", sector_ok)
     _check(checks, "each ray covers exactly the center", ray_ok)
-    oracle = closure_rows(arr, faces)
+    oracle = arrangement.closure_rows(arr, faces)
     agree = all(
         poset.leq(a.label, b.label) == bool(oracle[i] >> j & 1)
         for i, a in enumerate(faces) for j, b in enumerate(faces))
@@ -235,17 +229,17 @@ def run_monoid_idempotent():
     g = golden("monoid-idempotent")
     checks = []
     cat = jsonio.load_category(g["category"])
-    pre = hom_preorder(cat, "*", "*", "R")
+    pre = category.hom_preorder(cat, "*", "*", "R")
     _check(checks, "translation preorder",
            sorted(pre.pairs()) == sorted(tuple(p) for p in g["expected_r_pairs"]),
            pre.pairs())
-    strata, _ = quotient_poset(pre)
+    strata, _ = order.quotient_poset(pre)
     _check(checks, "quotient classes",
            list(strata.carrier) == g["expected_classes"], strata.carrier)
-    _, rep = hom_stratified(cat, "*", "*", "R")
+    _, rep = category.hom_stratified(cat, "*", "*", "R")
     _check(checks, "stratified structure holds", rep.all_hold())
     fun = jsonio.load_functor(cat, g["functor"])
-    _, yrep = yoneda_natural_transformations(cat, fun, "*")
+    _, yrep = category.yoneda_natural_transformations(cat, fun, "*")
     _check(checks, "natural transformation count",
            yrep.transformation_count == g["natural_transformation_count"]
            and yrep.ok(), yrep.transformation_count)
@@ -256,13 +250,13 @@ def run_group_c2():
     g = golden("group-c2")
     checks = []
     cat = jsonio.load_category(g["category"])
-    pre = hom_preorder(cat, "*", "*", "R")
+    pre = category.hom_preorder(cat, "*", "*", "R")
     _check(checks, "all morphisms equivalent",
            all(pre.leq(a, b) for a in pre.carrier for b in pre.carrier))
-    strata, _ = quotient_poset(pre)
+    strata, _ = order.quotient_poset(pre)
     _check(checks, "one-point quotient",
            list(strata.carrier) == g["expected_classes"], strata.carrier)
-    _, rep = hom_stratified(cat, "*", "*", "R")
+    _, rep = category.hom_stratified(cat, "*", "*", "R")
     _check(checks, "stratified structure holds", rep.all_hold())
     hom_functor = {
         "variance": "contravariant",
@@ -273,7 +267,7 @@ def run_group_c2():
         },
     }
     fun = jsonio.load_functor(cat, hom_functor)
-    _, yrep = yoneda_natural_transformations(cat, fun, "*")
+    _, yrep = category.yoneda_natural_transformations(cat, fun, "*")
     _check(checks, "self hom-functor bijection",
            yrep.transformation_count == g["self_functor_transformation_count"]
            and yrep.ok(), yrep.transformation_count)
@@ -293,6 +287,16 @@ RUNNERS = {
     "monoid-idempotent": run_monoid_idempotent,
     "group-c2": run_group_c2,
 }
+
+
+def unmatched_cases():
+    """Case names missing from one of CASE_NAMES, RUNNERS and the golden
+    files in ``corpus_data``, sorted; empty when the three name the same set."""
+    files = {entry.name[:-len(".json")]
+             for entry in resources.files("stratikit.corpus_data").iterdir()
+             if entry.name.endswith(".json")}
+    sets = [set(CASE_NAMES), set(RUNNERS), files]
+    return sorted(set.union(*sets) - set.intersection(*sets))
 
 
 def run_case(name):

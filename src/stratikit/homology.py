@@ -135,6 +135,8 @@ def betti(complex_, max_dim=None):
     """Rational Betti numbers b_d = n_d - rank d_d - rank d_{d+1} for
     d = 0..max_dim, each boundary rank taken once.  A complex under the
     simplex cap has dimension below it, so a larger max_dim is refused."""
+    if max_dim is not None and max_dim < 0:
+        raise InputError(f"max_dim {max_dim} is negative")
     if max_dim is not None and max_dim > MAX_SIMPLICES:
         raise CapExceeded(f"max_dim {max_dim} exceeds the cap {MAX_SIMPLICES}")
     if max_dim is None:

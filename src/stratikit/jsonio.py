@@ -1,23 +1,21 @@
 """JSON ingestion and emission for every value type, with schema-path errors.
 
 Rationals travel as integers or "p/q" strings; they are emitted as the
-lowest-terms string form with the sign on the numerator.
+lowest-terms string form with the sign on the numerator.  ``fractions`` (and
+``decimal`` under it) is imported only where a rational is handled, so a
+document without rationals never loads it.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .arrangement import Arrangement
-from .category import FiniteCategory, SetFunctor
-from .decomposition import Decomposition
+from . import arrangement, category, decomposition, order, topology
 from .errors import InputError
-from .order import Preorder
-from .topology import FiniteTopology
 
 
 def parse_rational(value, path=""):
+    from fractions import Fraction
     if isinstance(value, bool):
         raise InputError(f"expected rational, got boolean", path=path)
     if isinstance(value, int):
@@ -32,31 +30,49 @@ def parse_rational(value, path=""):
 
 
 def format_rational(q):
+    from fractions import Fraction
     return str(Fraction(q))
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
 def _expect(doc, key, kind, path):
     if not isinstance(doc, dict):
         raise InputError(f"expected object, got {type(doc).__name__}", path=path)
     if key not in doc:
-        raise InputError(f"missing key {key!r}", path=f"{path}.{key}" if path else key)
+        raise InputError(f"missing key {key!r}", path=_join(path, key))
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
         raise InputError(
             f"key {key!r} should be {kind.__name__}, got {type(value).__name__}",
-            path=f"{path}.{key}" if path else key)
+            path=_join(path, key))
     return value
 
 
-def load_preorder(doc, path=""):
-    carrier = _expect(doc, "carrier", list, path)
-    pairs = _expect(doc, "pairs", list, path)
-    for i, p in enumerate(pairs):
+def _label_pairs(doc, key, carrier, path):
+    """The [a, b] label pairs under ``key``; a malformed pair or a label
+    outside ``carrier`` is refused with the path of the offending entry."""
+    known = set(carrier)
+    pairs = []
+    for i, p in enumerate(_expect(doc, key, list, path)):
+        at = _join(path, f"{key}[{i}]")
         if not isinstance(p, list) or len(p) != 2:
-            raise InputError("each pair must be a [a, b] list",
-                             path=f"{path}.pairs[{i}]" if path else f"pairs[{i}]")
-    return Preorder.from_pairs([str(x) for x in carrier],
-                               [(str(a), str(b)) for a, b in pairs])
+            raise InputError("each pair must be a [a, b] list", path=at)
+        pair = (str(p[0]), str(p[1]))
+        for j, label in enumerate(pair):
+            if label not in known:
+                raise InputError(f"unknown label in pairs: {label!r}",
+                                 path=f"{at}[{j}]")
+        pairs.append(pair)
+    return pairs
+
+
+def load_preorder(doc, path=""):
+    carrier = [str(x) for x in _expect(doc, "carrier", list, path)]
+    return order.Preorder.from_pairs(carrier,
+                                     _label_pairs(doc, "pairs", carrier, path))
 
 
 def dump_preorder(p):
@@ -67,12 +83,12 @@ def load_topology(doc, path=""):
     carrier = [str(x) for x in _expect(doc, "carrier", list, path)]
     if "opens" in doc:
         opens = _expect(doc, "opens", list, path)
-        return FiniteTopology.from_open_sets(
+        return topology.FiniteTopology.from_open_sets(
             carrier, [[str(x) for x in fam] for fam in opens])
     if "preorder_pairs" in doc:
-        pairs = _expect(doc, "preorder_pairs", list, path)
-        pre = Preorder.from_pairs(carrier, [(str(a), str(b)) for a, b in pairs])
-        return FiniteTopology.from_preorder(pre)
+        pairs = _label_pairs(doc, "preorder_pairs", carrier, path)
+        return topology.FiniteTopology.from_preorder(
+            order.Preorder.from_pairs(carrier, pairs))
     raise InputError("topology needs either 'opens' or 'preorder_pairs'",
                      path=path or "opens")
 
@@ -83,10 +99,10 @@ def dump_topology(t):
 
 def load_decomposition(doc, path=""):
     space = load_topology(_expect(doc, "space", dict, path),
-                          path=f"{path}.space" if path else "space")
+                          path=_join(path, "space"))
     blocks = _expect(doc, "blocks", list, path)
     labels = doc.get("labels")
-    return Decomposition(
+    return decomposition.Decomposition(
         space,
         [[str(x) for x in b] for b in blocks],
         [str(x) for x in labels] if labels is not None else None)
@@ -111,7 +127,7 @@ def load_arrangement(doc, path=""):
         parsed.append([
             parse_rational(c, path=f"forms[{i}][{j}]") for j, c in enumerate(form)
         ])
-    return Arrangement(dim, parsed)
+    return arrangement.Arrangement(dim, parsed)
 
 
 def dump_arrangement(a):
@@ -149,7 +165,7 @@ def load_category(doc, path=""):
             raise InputError("each composition entry must be [g, f, gf]",
                              path=f"compose[{i}]")
         compose.append(tuple(str(x) for x in row))
-    return FiniteCategory(objects, homs, identities, compose)
+    return category.FiniteCategory(objects, homs, identities, compose)
 
 
 def dump_category(cat):
@@ -174,7 +190,7 @@ def load_functor(cat, doc, path=""):
         str(k): {str(a): str(b) for a, b in fn.items()}
         for k, fn in _expect(doc, "on_morphisms", dict, path).items()
     }
-    return SetFunctor(cat, variance, on_objects, on_morphisms)
+    return category.SetFunctor(cat, variance, on_objects, on_morphisms)
 
 
 def dump_functor(fun):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stratikit import cli
-from stratikit.arrangement import (Arrangement, closure_inclusion, closure_rows,
+from stratikit.arrangement import (Arrangement, Face, closure_inclusion, closure_rows,
                                    enumerate_faces, face_poset, sign_map)
 from stratikit.errors import CapExceeded, InputError
 from stratikit.feasibility import LinearSystem, feasible
@@ -56,6 +56,30 @@ class TestArrangementType:
         with pytest.raises(InputError) as err:
             Arrangement(2, [(0, 1)])
         assert err.value.path == "forms[0]"
+
+
+class TestFace:
+    def test_value_semantics(self):
+        a = Face((1, 0), (Fraction(2), Fraction(0)))
+        b = Face((1, 0), (Fraction(2), Fraction(0)))
+        assert a == b and hash(a) == hash(b)
+        assert a != Face((1, 0), (Fraction(3), Fraction(0)))
+        assert len({a, b}) == 1
+        assert a.label == "+0"
+
+    def test_repr_names_the_fields(self):
+        assert repr(Face((-1,), (Fraction(-1, 2),))) == (
+            "Face(signs=(-1,), witness=(Fraction(-1, 2),))")
+
+    def test_immutable(self):
+        face = Face((0,), (Fraction(0),))
+        with pytest.raises(AttributeError):
+            face.signs = (1,)
+        with pytest.raises(AttributeError):
+            face.extra = 1
+
+    def test_enumerated_faces_are_faces(self):
+        assert all(type(f) is Face for f in enumerate_faces(line_origin()))
 
 
 class TestSignMap:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import stratikit
 from stratikit.cli import main
 
@@ -109,6 +111,27 @@ class TestErrorHandling:
         code, out = run_cli(capsys, ["topology", "from-preorder", "--input", path])
         assert code == 2
         assert "carrier" in json.loads(out)["error"]["path"]
+
+    @pytest.mark.parametrize("argv, doc, path", [
+        (["topology", "from-preorder"],
+         {"carrier": ["a", "b"], "pairs": [["a", "zz"]]}, "pairs[0][1]"),
+        (["homology", "betti"],
+         {"carrier": ["a", "b"], "pairs": [["a", "b"], ["zz", "a"]]}, "pairs[1][0]"),
+        (["topology", "to-preorder"],
+         {"carrier": ["a", "b"], "preorder_pairs": [["a", "zz"]]},
+         "preorder_pairs[0][1]"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "preorder_pairs": [["zz", "b"]]},
+          "blocks": [["a"], ["b"]]}, "space.preorder_pairs[0][0]"),
+        (["topology", "to-preorder"],
+         {"carrier": ["a", "b"], "preorder_pairs": [["a", "b", "a"]]},
+         "preorder_pairs[0]"),
+    ], ids=["pairs", "pairs-first-label", "preorder-pairs", "nested", "malformed"])
+    def test_unknown_label_error_names_the_pair_entry(self, tmp_path, capsys,
+                                                      argv, doc, path):
+        code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
+        assert code == 2
+        assert json.loads(out)["error"]["path"] == path
 
 
 class TestDecompCommands:
@@ -329,6 +352,13 @@ class TestHomologyCommands:
         assert code == 0
         assert json.loads(out)["results"]["betti"] == [1, 1, 0, 0]
 
+    def test_betti_negative_max_dim_exits_2(self, tmp_path, capsys):
+        path = write_input(tmp_path, PSEUDO_PREORDER)
+        code, out = run_cli(capsys, ["homology", "betti", "--input", path,
+                                     "--max-dim", "-3"])
+        assert code == 2
+        assert "max_dim" in json.loads(out)["error"]["message"]
+
     def test_betti_max_dim_above_the_simplex_cap_exits_2(self, tmp_path, capsys):
         from stratikit.homology import MAX_SIMPLICES
         path = write_input(tmp_path, {"carrier": ["p"], "pairs": []})
@@ -344,6 +374,16 @@ class TestCorpusCommands:
         code, out = run_cli(capsys, ["corpus", "list"])
         assert code == 0
         assert len(json.loads(out)["results"]["cases"]) == 11
+
+    def test_list_fails_when_a_case_has_no_runner_or_golden_file(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(stratikit.corpus, "CASE_NAMES",
+                            (*stratikit.corpus.CASE_NAMES, "ex99"))
+        code, out = run_cli(capsys, ["corpus", "list"])
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert not check["pass"]
+        assert "ex99" in check["detail"]
 
     def test_run_all(self, capsys):
         code, out = run_cli(capsys, ["corpus", "run", "all"])
@@ -392,3 +432,52 @@ def test_cli_import_loads_only_stdlib_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+EXECUTED_MODULES = (
+    "import importlib.util, json, sys\n"
+    "from stratikit import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "ours = {n: m for n, m in sys.modules.items() if n.startswith('stratikit')}\n"
+    "ran = sorted(n for n, m in ours.items()\n"
+    "             if type(m) is not importlib.util._LazyModule)\n"
+    "print(json.dumps([code, ran, sorted(ours), 'dataclasses' in sys.modules]),\n"
+    "      file=sys.stderr)\n"
+)
+
+SUBMODULES = ["arrangement", "catalog", "category", "cli", "corpus", "decomposition",
+              "dot", "errors", "feasibility", "homology", "jsonio", "order",
+              "randomcases", "topology"]
+
+
+def executed_modules(argv):
+    """Exit code, the stratikit modules whose code ran, every stratikit module
+    in ``sys.modules``, and whether ``dataclasses`` was imported, for one CLI
+    run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(stratikit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    err = subprocess.run([sys.executable, "-c", EXECUTED_MODULES, *argv], env=env,
+                         check=True, capture_output=True, text=True).stderr
+    return json.loads(err.strip().splitlines()[-1])
+
+
+def test_topology_check_executes_only_the_modules_it_uses(tmp_path):
+    path = write_input(tmp_path, {"carrier": ["a", "b"],
+                                  "opens": [[], ["a"], ["a", "b"]]})
+    code, ran, registered, _ = executed_modules(["topology", "check", "--input", path])
+    assert code == 0
+    assert ran == ["stratikit", "stratikit.cli", "stratikit.errors",
+                   "stratikit.jsonio", "stratikit.order", "stratikit.topology"]
+    # the rest stay registered, unexecuted, for tools that patch them by name
+    assert registered == ["stratikit", *(f"stratikit.{m}" for m in SUBMODULES)]
+
+
+def test_arrangement_faces_skips_unrelated_modules_and_dataclasses(tmp_path):
+    path = write_input(tmp_path, {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1]]})
+    code, ran, _, dataclasses_loaded = executed_modules(
+        ["arrangement", "faces", "--input", path])
+    assert code == 0
+    assert "stratikit.arrangement" in ran
+    for name in ("category", "decomposition", "homology", "corpus"):
+        assert f"stratikit.{name}" not in ran
+    assert not dataclasses_loaded

@@ -26,3 +26,7 @@ def test_unknown_case_rejected():
 
 def test_corpus_is_complete():
     assert len(corpus.CASE_NAMES) == 11
+
+
+def test_case_names_runners_and_golden_files_agree():
+    assert corpus.unmatched_cases() == []
