@@ -5,8 +5,9 @@ functors into stratified spaces, and Yoneda machinery."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
+from .decomposition import Decomposition, analyze
 from .errors import CapExceeded, InputError, StructureError
 from .order import Preorder, is_monotone, quotient_poset
 from .topology import FiniteTopology, PosetStratifiedSpace
@@ -166,16 +167,11 @@ def hom_preorder(cat, x, y, side):
     return hom_preorder_details(cat, x, y, side)[0]
 
 
-@dataclass
-class HomStructureReport:
-    side: str
-    source: str
-    target: str
-    preorder: Preorder
-    witnesses: dict
-    projection_open: bool
-    fibers_locally_closed: dict
-    order_matches_closure: bool
+class HomStructureReport(namedtuple(
+        "HomStructureReport",
+        "side source target preorder witnesses projection_open "
+        "fibers_locally_closed order_matches_closure")):
+    __slots__ = ()
 
     def all_hold(self):
         return (self.projection_open
@@ -186,62 +182,40 @@ class HomStructureReport:
 def hom_stratified(cat, x, y, side):
     """The poset-stratified structure on hom(x, y) with its structure report:
     the projection is open, fibers are locally closed, and the quotient order
-    coincides with closure inclusion of fibers."""
+    coincides with closure inclusion of fibers.
+
+    The fibers are the blocks of a decomposition of hom(x, y), so ``analyze``
+    decides all three: the projection to the strata is open iff it is open to
+    the quotient and the quotient order is the strata order.
+    """
     pre, witnesses = hom_preorder_details(cat, x, y, side)
     if not pre.carrier:
         raise InputError(f"hom({x!r}, {y!r}) is empty; nothing to stratify")
     space = FiniteTopology.from_preorder(pre)
     strata, projection = quotient_poset(pre)
     pss = PosetStratifiedSpace(space, strata, projection.assignment)
-
-    strata_space = pss.strata_space
-    projection_open = True
-    for u in space.opens:
-        image = 0
-        for i, m in enumerate(space.carrier):
-            if u & (1 << i):
-                image |= 1 << strata_space._index[projection(m)]
-        if not strata_space.is_open(image):
-            projection_open = False
-
-    fibers = {c: pss.fiber_mask(c) for c in strata.carrier}
-    fibers_locally_closed = {
-        c: space.is_locally_closed_mask(m) for c, m in fibers.items()
-    }
-    order_matches_closure = True
-    for a in strata.carrier:
-        for b in strata.carrier:
-            closure_holds = (fibers[a] & ~space.closure_mask(fibers[b])) == 0
-            if strata.leq(a, b) != closure_holds:
-                order_matches_closure = False
+    rep = analyze(Decomposition(
+        space, [pss.fiber_mask(c) for c in strata.carrier], strata.carrier))
     report = HomStructureReport(
         side=side, source=x, target=y, preorder=pre, witnesses=witnesses,
-        projection_open=projection_open,
-        fibers_locally_closed=fibers_locally_closed,
-        order_matches_closure=order_matches_closure)
+        projection_open=rep.pi_open and rep.tau_pi_preorder == strata,
+        fibers_locally_closed=rep.blocks_locally_closed,
+        order_matches_closure=rep.star_preorder == strata)
     return pss, report
 
 
-@dataclass
-class SquareCheck:
-    morphism: str
-    monotone: bool
-    descends: bool
-    quotient_monotone: bool
-    square_commutes: bool
+class SquareCheck(namedtuple(
+        "SquareCheck", "morphism monotone descends quotient_monotone square_commutes")):
+    __slots__ = ()
 
     def ok(self):
         return (self.monotone and self.descends and self.quotient_monotone
                 and self.square_commutes)
 
 
-@dataclass
-class FunctorCheckReport:
-    anchor: str
-    side: str
-    squares: list = field(default_factory=list)
-    identity_law: bool = True
-    composition_law: bool = True
+class FunctorCheckReport(namedtuple(
+        "FunctorCheckReport", "anchor side squares identity_law composition_law")):
+    __slots__ = ()
 
     def ok(self):
         return (self.identity_law and self.composition_law
@@ -279,7 +253,7 @@ def st_functor_check(cat, anchor, side):
         strata, projection = quotient_poset(pre)
         data[obj] = (pre, strata, projection)
 
-    report = FunctorCheckReport(anchor=anchor, side=side)
+    squares = []
     for f in cat.morphisms:
         if pre_side == "R":
             src_obj, tgt_obj = cat.dom[f], cat.cod[f]
@@ -303,14 +277,16 @@ def st_functor_check(cat, anchor, side):
                           is_monotone({c: induced[c] for c in strata_s.carrier},
                                       strata_s, strata_t)))
         square = all(proj_t(phi[g]) == induced[proj_s(g)] for g in pre_s.carrier)
-        report.squares.append(SquareCheck(
+        squares.append(SquareCheck(
             morphism=f, monotone=monotone, descends=descends,
             quotient_monotone=quotient_monotone, square_commutes=square))
 
+    identity_law = True
     for x in cat.objects:
         ident = _translation(cat, anchor, side, cat.identity[x])
         if any(ident[g] != g for g in ident):
-            report.identity_law = False
+            identity_law = False
+    composition_law = True
     for g, f in cat.composable_pairs():
         gf = cat.compose(g, f)
         whole = _translation(cat, anchor, side, gf)
@@ -322,8 +298,10 @@ def st_functor_check(cat, anchor, side):
                 cat, anchor, side, f)
         for m in whole:
             if second[first[m]] != whole[m]:
-                report.composition_law = False
-    return report
+                composition_law = False
+    return FunctorCheckReport(anchor=anchor, side=side, squares=squares,
+                              identity_law=identity_law,
+                              composition_law=composition_law)
 
 
 class SetFunctor:
@@ -387,13 +365,10 @@ class SetFunctor:
         return f"SetFunctor({self.variance}, sizes={sizes})"
 
 
-@dataclass
-class YonedaReport:
-    object_count: int
-    transformation_count: int
-    target_size: int
-    bijection_holds: bool
-    inverse_holds: bool
+class YonedaReport(namedtuple(
+        "YonedaReport",
+        "object_count transformation_count target_size bijection_holds inverse_holds")):
+    __slots__ = ()
 
     def ok(self):
         return (self.transformation_count == self.target_size
@@ -509,12 +484,10 @@ def yoneda_image(cat, functor, anchor, x):
     }
 
 
-@dataclass
-class ImageReport:
-    images: dict
-    naturality_holds: bool
-    monotone_inclusion_holds: bool
-    note: str = IMAGE_ORDER_NOTE
+class ImageReport(namedtuple(
+        "ImageReport", "images naturality_holds monotone_inclusion_holds note",
+        defaults=(IMAGE_ORDER_NOTE,))):
+    __slots__ = ()
 
     def ok(self):
         return self.naturality_holds and self.monotone_inclusion_holds

@@ -1,13 +1,19 @@
 """Decompositions of finite spaces: quotient topology, semicontinuity
-classification, the closure preorder on blocks, and stratification checks."""
+classification, the closure preorder on blocks, and stratification checks.
+
+A finite space is Alexandroff (Stong 1966; Barmak, LNM 2032, ch. 1): its opens
+are the up-sets of its specialization preorder and the closure of a subset is
+the down-set it generates, so the analysis runs on the specialization rows.
+"""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .errors import CapExceeded, InputError, StructureError
-from .order import Preorder, bit_indices, bitmask, product_label
+from .errors import InputError, StructureError
+from .order import (Preorder, _closure, bit_indices, bitmask, product, product_label,
+                    transpose, union_of_rows)
 from .topology import FiniteTopology, product_mask, product_topology
 
 
@@ -69,13 +75,35 @@ class Decomposition:
         return f"Decomposition({len(self.blocks)} blocks of {len(self.space.carrier)} points)"
 
 
+def _quotient_preorder(d, above):
+    """Specialization preorder of the quotient, from the up-set of each block:
+    a set of blocks is open iff its preimage is an up-set, so the minimal open
+    around block a closes {a} under a -> every block meeting the up-set of a."""
+    return Preorder(d.labels, _closure([d.image_mask(u) for u in above]))
+
+
+def _star_preorder(d, below):
+    """lambda <= mu iff the lambda block lies inside the mu block's down-set."""
+    k = len(d.blocks)
+    return Preorder(d.labels, [
+        bitmask(m for m in range(k) if block & ~below[m] == 0) for block in d.blocks])
+
+
 def quotient_topology(d):
     """Finest topology on the block labels making the projection continuous."""
-    k = len(d.blocks)
-    if k > 20:
-        raise CapExceeded(f"quotient enumeration over 2^{k} label subsets refused")
-    opens = [u for u in range(1 << k) if d.space.is_open(d.preimage_mask(u))]
-    return FiniteTopology(d.labels, opens, _validate=False)
+    up = d.space.specialization_preorder().up
+    above = [union_of_rows(up, b) for b in d.blocks]
+    return FiniteTopology.from_preorder(_quotient_preorder(d, above))
+
+
+def star_preorder(d):
+    """lambda <= mu iff the lambda block lies inside the closure of the mu block.
+
+    Transitivity holds on any finite space (closure is monotone and
+    idempotent); the ``Preorder`` constructor asserts it rather than assuming.
+    """
+    down = d.space.specialization_preorder().down()
+    return _star_preorder(d, [union_of_rows(down, b) for b in d.blocks])
 
 
 MOORE_UPPER = "upper-semicontinuous"
@@ -92,25 +120,26 @@ MOORE_CLASS = {
 }
 
 
-@dataclass
-class DecompositionReport:
-    quotient: FiniteTopology
-    pi_open: bool
-    pi_closed: bool
-    moore_class: str
-    star_preorder: Preorder
-    tau_pi_preorder: Preorder
-    tamaki_agrees: bool
-    blocks_locally_closed: dict
-    frontier_condition: bool
-    quotient_is_poset: bool
+class DecompositionReport(namedtuple(
+        "DecompositionReport",
+        "quotient pi_open pi_closed moore_class star_preorder tau_pi_preorder "
+        "tamaki_agrees blocks_locally_closed frontier_condition quotient_is_poset")):
+    """What ``analyze`` finds; ``moore_class`` must match the two flags."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         expected = MOORE_CLASS[(self.pi_open, self.pi_closed)]
         if self.moore_class != expected:
             raise StructureError(
                 f"moore_class {self.moore_class!r} inconsistent with "
                 f"(open={self.pi_open}, closed={self.pi_closed})")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace runs the check too
 
     def to_json_dict(self):
         return {
@@ -136,38 +165,25 @@ class DecompositionReport:
         }
 
 
-def star_preorder(d):
-    """lambda <= mu iff the lambda block lies inside the closure of the mu block.
-
-    Transitivity holds on any finite space (closure is monotone and
-    idempotent); it is asserted rather than assumed.
-    """
-    k = len(d.blocks)
-    closures = [d.space.closure_mask(b) for b in d.blocks]
-    up = [bitmask(b for b in range(k) if block & ~closures[b] == 0) for block in d.blocks]
-    try:
-        return Preorder(d.labels, up)
-    except StructureError as exc:
-        raise StructureError(f"closure preorder on blocks is malformed: {exc}") from exc
-
-
 def analyze(d):
-    """Full openness/semicontinuity/stratification-adjacent report for a decomposition."""
-    quotient = quotient_topology(d)
-    pi_open = all(quotient.is_open(d.image_mask(g)) for g in d.space.opens)
-    pi_closed = all(
-        quotient.is_closed(d.image_mask(d.space.full_mask & ~g)) for g in d.space.opens)
-    star = star_preorder(d)
-    tau_pi = quotient.specialization_preorder()
-    closures = [d.space.closure_mask(b) for b in d.blocks]
-    frontier = True
-    for a in range(len(d.blocks)):
-        for b in range(len(d.blocks)):
-            meets = d.blocks[a] & closures[b]
-            if meets and (d.blocks[a] & ~closures[b]):
-                frontier = False
+    """Full openness/semicontinuity/stratification-adjacent report for a decomposition.
+
+    Opens are unions of point up-sets, closed sets unions of point down-sets,
+    and images commute with unions: the projection is open (closed) iff the
+    image of every point up-set (down-set) is a quotient up-set (down-set).
+    A block is locally closed iff it is the meet of its up-set and down-set.
+    """
+    up = d.space.specialization_preorder().up
+    down = transpose(up)
+    above = [union_of_rows(up, b) for b in d.blocks]
+    below = [union_of_rows(down, b) for b in d.blocks]
+    tau_pi = _quotient_preorder(d, above)
+    tau_down = tau_pi.down()
+    pi_open = all(union_of_rows(tau_pi.up, s) == s for s in map(d.image_mask, up))
+    pi_closed = all(union_of_rows(tau_down, s) == s for s in map(d.image_mask, down))
+    star = _star_preorder(d, below)
     return DecompositionReport(
-        quotient=quotient,
+        quotient=FiniteTopology.from_preorder(tau_pi),
         pi_open=pi_open,
         pi_closed=pi_closed,
         moore_class=MOORE_CLASS[(pi_open, pi_closed)],
@@ -175,10 +191,11 @@ def analyze(d):
         tau_pi_preorder=tau_pi,
         tamaki_agrees=(star == tau_pi),
         blocks_locally_closed={
-            lab: d.space.is_locally_closed_mask(b)
-            for lab, b in zip(d.labels, d.blocks)
+            lab: a & c == b
+            for lab, b, a, c in zip(d.labels, d.blocks, above, below)
         },
-        frontier_condition=frontier,
+        # a block meeting the closure of another lies inside it
+        frontier_condition=all(b & c in (0, b) for b in d.blocks for c in below),
         quotient_is_poset=tau_pi.is_partial_order(),
     )
 
@@ -192,14 +209,22 @@ def direct_image_closeds(d):
     return sorted({d.image_mask(d.space.full_mask & ~g) for g in d.space.opens})
 
 
-@dataclass
-class StratificationReport:
-    blocks_locally_closed: dict
-    frontier_condition: bool
-    closed_union_condition: str
-    is_stratification: bool
-    pi_continuous_to_star: bool | None = None
-    star_topology_equals_quotient: bool | None = None
+def open_closed_by_opens(d):
+    """(projection open, projection closed) by the definitions over the explicit
+    opens: an image is open (closed) in the quotient iff its preimage is.  The
+    reference ``decomp analyze`` and ``corpus oracle`` check ``analyze`` with."""
+    space = d.space
+    return (all(space.is_open(d.preimage_mask(u)) for u in direct_image_opens(d)),
+            all(space.is_closed(d.preimage_mask(u)) for u in direct_image_closeds(d)))
+
+
+class StratificationReport(namedtuple(
+        "StratificationReport",
+        "blocks_locally_closed frontier_condition closed_union_condition "
+        "is_stratification pi_continuous_to_star star_topology_equals_quotient")):
+    """The last two fields are None unless the partition is a stratification."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -224,27 +249,27 @@ def validate_stratification(d):
     rep = analyze(d)
     locally_closed = rep.blocks_locally_closed
     is_strat = all(locally_closed.values()) and rep.frontier_condition
-    out = StratificationReport(
+    continuous = same_topology = None
+    if is_strat:
+        star, tau_pi = rep.star_preorder, rep.tau_pi_preorder
+        # a star up-set has an open preimage iff it is a quotient up-set, so
+        # every one does iff each quotient row lies inside the star row
+        continuous = all(t & ~s == 0 for t, s in zip(tau_pi.up, star.up))
+        # up-set topologies on one carrier are equal iff their preorders are
+        same_topology = star == tau_pi
+    return StratificationReport(
         blocks_locally_closed=locally_closed,
         frontier_condition=rep.frontier_condition,
         closed_union_condition="automatic (finite index set)",
         is_stratification=is_strat,
+        pi_continuous_to_star=continuous,
+        star_topology_equals_quotient=same_topology,
     )
-    if is_strat:
-        star_space = FiniteTopology.from_preorder(rep.star_preorder)
-        continuous = all(
-            d.space.is_open(d.preimage_mask(u)) for u in star_space.opens)
-        out.pi_continuous_to_star = continuous
-        out.star_topology_equals_quotient = (star_space == rep.quotient)
-    return out
 
 
-@dataclass
-class ProductVerification:
-    factor_reports: list
-    product_pi_open: bool
-    quotient_matches_preorder_product: bool
-    checks: list = field(default_factory=list)
+ProductVerification = namedtuple(
+    "ProductVerification",
+    "factor_reports product_pi_open quotient_matches_preorder_product checks")
 
 
 def product_decomposition(ds):
@@ -274,19 +299,14 @@ def product_decomposition(ds):
         labels.append(product_label(ds[axis].labels[k] for axis, k in enumerate(combo)))
     out = Decomposition(space, blocks, labels)
 
-    from .order import product as order_product
-
     rep = analyze(out)
-    expected = FiniteTopology.from_preorder(
-        order_product([r.tau_pi_preorder for r in factor_reports]))
-    verification = ProductVerification(
+    # both carriers list the block labels in row-major order, and up-set
+    # topologies on one carrier are equal iff their preorders are
+    matches = rep.tau_pi_preorder == product([r.tau_pi_preorder for r in factor_reports])
+    return out, ProductVerification(
         factor_reports=factor_reports,
         product_pi_open=rep.pi_open,
-        quotient_matches_preorder_product=(rep.quotient == expected),
+        quotient_matches_preorder_product=matches,
+        checks=[("product projection open", rep.pi_open),
+                ("quotient equals product of factor quotient preorders", matches)],
     )
-    verification.checks = [
-        ("product projection open", verification.product_pi_open),
-        ("quotient equals product of factor quotient preorders",
-         verification.quotient_matches_preorder_product),
-    ]
-    return out, verification

@@ -51,6 +51,16 @@ def _expect(doc, key, kind, path):
     return value
 
 
+def _members(entry, known, what, at):
+    """The labels of one list entry at path ``at``; a label outside ``known``
+    is refused with the path of its position in the entry."""
+    labels = [str(x) for x in entry]
+    for j, label in enumerate(labels):
+        if label not in known:
+            raise InputError(f"unknown label in {what}: {label!r}", path=f"{at}[{j}]")
+    return labels
+
+
 def _label_pairs(doc, key, carrier, path):
     """The [a, b] label pairs under ``key``; a malformed pair or a label
     outside ``carrier`` is refused with the path of the offending entry."""
@@ -60,13 +70,21 @@ def _label_pairs(doc, key, carrier, path):
         at = _join(path, f"{key}[{i}]")
         if not isinstance(p, list) or len(p) != 2:
             raise InputError("each pair must be a [a, b] list", path=at)
-        pair = (str(p[0]), str(p[1]))
-        for j, label in enumerate(pair):
-            if label not in known:
-                raise InputError(f"unknown label in pairs: {label!r}",
-                                 path=f"{at}[{j}]")
-        pairs.append(pair)
+        pairs.append(tuple(_members(p, known, "pairs", at)))
     return pairs
+
+
+def _label_lists(doc, key, carrier, path):
+    """The label lists under ``key`` (open sets, blocks); an entry that is not
+    a list or a label outside ``carrier`` is refused with its path."""
+    known = set(carrier)
+    lists = []
+    for i, entry in enumerate(_expect(doc, key, list, path)):
+        at = _join(path, f"{key}[{i}]")
+        if not isinstance(entry, list):
+            raise InputError(f"each entry of {key!r} must be a list of labels", path=at)
+        lists.append(_members(entry, known, key, at))
+    return lists
 
 
 def load_preorder(doc, path=""):
@@ -82,9 +100,8 @@ def dump_preorder(p):
 def load_topology(doc, path=""):
     carrier = [str(x) for x in _expect(doc, "carrier", list, path)]
     if "opens" in doc:
-        opens = _expect(doc, "opens", list, path)
         return topology.FiniteTopology.from_open_sets(
-            carrier, [[str(x) for x in fam] for fam in opens])
+            carrier, _label_lists(doc, "opens", carrier, path))
     if "preorder_pairs" in doc:
         pairs = _label_pairs(doc, "preorder_pairs", carrier, path)
         return topology.FiniteTopology.from_preorder(
@@ -100,12 +117,11 @@ def dump_topology(t):
 def load_decomposition(doc, path=""):
     space = load_topology(_expect(doc, "space", dict, path),
                           path=_join(path, "space"))
-    blocks = _expect(doc, "blocks", list, path)
-    labels = doc.get("labels")
-    return decomposition.Decomposition(
-        space,
-        [[str(x) for x in b] for b in blocks],
-        [str(x) for x in labels] if labels is not None else None)
+    blocks = _label_lists(doc, "blocks", space.carrier, path)
+    labels = None
+    if doc.get("labels") is not None:
+        labels = [str(x) for x in _expect(doc, "labels", list, path)]
+    return decomposition.Decomposition(space, blocks, labels)
 
 
 def dump_decomposition(d):

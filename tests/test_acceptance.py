@@ -12,7 +12,7 @@ from stratikit.arrangement import (Arrangement, closure_inclusion,
 from stratikit.catalog import all_categories, yoneda_instances
 from stratikit.category import (hom_stratified, yoneda_image_report,
                                 hom_preorder, yoneda_natural_transformations)
-from stratikit.decomposition import analyze
+from stratikit.decomposition import analyze, open_closed_by_opens
 from stratikit.homology import betti, order_complex
 from stratikit.order import (Preorder, is_order_isomorphism,
                              order_isomorphism, product, product_label)
@@ -115,6 +115,9 @@ def test_criterion_04_openness_criterion_suite():
     disagreements = sum(
         1 for d in cases for rep in [analyze(d)] if rep.pi_open != rep.tamaki_agrees)
     elapsed = time.perf_counter() - start
+    # the row analysis against the definition over the explicit opens
+    assert [analyze(d).pi_open for d in cases] == [
+        open_closed_by_opens(d)[0] for d in cases]
     report(4, disagreements == 0 and elapsed < 5.0,
            f"openness equals order agreement on {len(cases)} seeded cases "
            f"(seed {SUITE_SEED}), {disagreements} disagreements",

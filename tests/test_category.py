@@ -13,6 +13,7 @@ from stratikit.category import (FiniteCategory, IMAGE_ORDER_NOTE, SetFunctor,
                                 yoneda_natural_transformations)
 from stratikit.errors import CapExceeded, InputError, StructureError
 from stratikit.order import quotient_poset
+from stratikit.topology import FiniteTopology, PosetStratifiedSpace
 
 
 def nonempty_hom_pairs(cat):
@@ -168,6 +169,49 @@ class TestHomStratified:
                         for b in pre.carrier:
                             same = pi(a) == pi(b)
                             assert same == (pre.leq(a, b) and pre.leq(b, a))
+
+
+def loop_structure_checks(cat, x, y, side):
+    """Open projection, locally closed fibers and closure order, by loops over
+    the explicit opens, fibers and strata pairs of hom(x, y)."""
+    space = FiniteTopology.from_preorder(hom_preorder(cat, x, y, side))
+    strata, projection = quotient_poset(hom_preorder(cat, x, y, side))
+    pss = PosetStratifiedSpace(space, strata, projection.assignment)
+    strata_space = pss.strata_space
+    projection_open = True
+    for u in space.opens:
+        image = 0
+        for i, m in enumerate(space.carrier):
+            if u & (1 << i):
+                image |= 1 << strata_space._index[projection(m)]
+        if not strata_space.is_open(image):
+            projection_open = False
+    fibers = {c: pss.fiber_mask(c) for c in strata.carrier}
+    fibers_locally_closed = {
+        c: space.is_locally_closed_mask(m) for c, m in fibers.items()
+    }
+    order_matches_closure = True
+    for a in strata.carrier:
+        for b in strata.carrier:
+            closure_holds = (fibers[a] & ~space.closure_mask(fibers[b])) == 0
+            if strata.leq(a, b) != closure_holds:
+                order_matches_closure = False
+    return projection_open, fibers_locally_closed, order_matches_closure
+
+
+def test_hom_stratified_matches_the_loops_on_every_shipped_hom_set():
+    cases = 0
+    for name, cat in all_categories().items():
+        for x, y in nonempty_hom_pairs(cat):
+            for side in ("R", "L", "LR"):
+                _, rep = hom_stratified(cat, x, y, side)
+                opened, fibers, order = loop_structure_checks(cat, x, y, side)
+                assert rep.projection_open == opened, (name, x, y, side)
+                # the CLI prints this dict, so its key order matters too
+                assert str(rep.fibers_locally_closed) == str(fibers), (name, x, y, side)
+                assert rep.order_matches_closure == order, (name, x, y, side)
+                cases += 1
+    assert cases == 48
 
 
 class TestStFunctor:

@@ -133,6 +133,33 @@ class TestErrorHandling:
         assert code == 2
         assert json.loads(out)["error"]["path"] == path
 
+    @pytest.mark.parametrize("argv, doc, path", [
+        (["topology", "check"],
+         {"carrier": ["a"], "opens": [[], ["zz"], ["a"]]}, "opens[1][0]"),
+        (["topology", "check"],
+         {"carrier": ["a"], "opens": [[], "a"]}, "opens[1]"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "opens": [[], ["a"], ["a", "zz"]]},
+          "blocks": [["a"], ["b"]]}, "space.opens[2][1]"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "preorder_pairs": []},
+          "blocks": [["a"], ["b", "zz"]]}, "blocks[1][1]"),
+        (["decomp", "product"],
+         {"factors": [{"space": {"carrier": ["a"], "preorder_pairs": []},
+                       "blocks": [["a"]]},
+                      {"space": {"carrier": ["a"], "preorder_pairs": []},
+                       "blocks": [["zz"]]}]}, "factors[1].blocks[0][0]"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a"], "preorder_pairs": []}, "blocks": [["a"]],
+          "labels": 5}, "labels"),
+    ], ids=["opens", "opens-entry-not-a-list", "nested-opens", "blocks",
+            "factor-blocks", "labels-not-a-list"])
+    def test_unknown_member_error_names_the_opens_or_blocks_entry(
+            self, tmp_path, capsys, argv, doc, path):
+        code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
+        assert code == 2
+        assert json.loads(out)["error"]["path"] == path
+
 
 class TestDecompCommands:
     def test_analyze_not_open_still_exits_0(self, tmp_path, capsys):
@@ -143,6 +170,23 @@ class TestDecompCommands:
         assert doc["results"]["pi_open"] is False
         assert doc["results"]["tamaki_agrees"] is False
         assert doc["checks"]
+
+    def test_analyze_fails_when_the_class_disagrees_with_the_opens(
+            self, tmp_path, capsys, monkeypatch):
+        from stratikit import decomposition
+        analyze = decomposition.analyze
+
+        def flipped(dec):
+            rep = analyze(dec)
+            closed = not rep.pi_closed
+            return rep._replace(pi_closed=closed, moore_class=decomposition.MOORE_CLASS[
+                (rep.pi_open, closed)])
+
+        monkeypatch.setattr(decomposition, "analyze", flipped)
+        path = write_input(tmp_path, CHAIN_BAD_DECOMP)
+        code, out = run_cli(capsys, ["decomp", "analyze", "--input", path])
+        assert code == 1
+        assert json.loads(out)["checks"][0]["pass"] is False
 
     def test_quotient(self, tmp_path, capsys):
         path = write_input(tmp_path, CHAIN_BAD_DECOMP)
@@ -480,4 +524,22 @@ def test_arrangement_faces_skips_unrelated_modules_and_dataclasses(tmp_path):
     assert "stratikit.arrangement" in ran
     for name in ("category", "decomposition", "homology", "corpus"):
         assert f"stratikit.{name}" not in ran
+    assert not dataclasses_loaded
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["decomp", "analyze"], CHAIN_BAD_DECOMP),
+    (["homset", "stratify"],
+     {"category": {"objects": ["*"], "homs": {"*->*": ["1", "e"]},
+                   "identities": {"*": "1"},
+                   "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"],
+                               ["e", "e", "e"]]},
+      "source": "*", "target": "*", "side": "R"}),
+    (["corpus", "run"], None),
+], ids=["decomp-analyze", "homset-stratify", "corpus-run"])
+def test_report_types_do_not_load_dataclasses(tmp_path, argv, doc):
+    inputs = ["--input", write_input(tmp_path, doc)] if doc is not None else []
+    code, ran, _, dataclasses_loaded = executed_modules([*argv, *inputs])
+    assert code == 0
+    assert "stratikit.decomposition" in ran
     assert not dataclasses_loaded

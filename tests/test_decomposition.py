@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from stratikit.decomposition import (Decomposition, DecompositionReport,
-                                     MOORE_CONTINUOUS, analyze,
+from stratikit.decomposition import (MOORE_CLASS, Decomposition,
+                                     DecompositionReport, MOORE_CONTINUOUS, analyze,
                                      direct_image_closeds, direct_image_opens,
-                                     product_decomposition, quotient_topology,
-                                     star_preorder, validate_stratification)
+                                     open_closed_by_opens, product_decomposition,
+                                     quotient_topology, star_preorder,
+                                     validate_stratification)
 from stratikit.errors import InputError, StructureError
-from stratikit.order import product
-from stratikit.randomcases import random_decomposition
+from stratikit.order import Preorder, bitmask, product
+from stratikit.randomcases import (random_decomposition, random_partition,
+                                   random_topology)
 from stratikit.topology import FiniteTopology, product_topology
 
 ORACLE_SEED = 20240601
@@ -246,3 +248,103 @@ class TestOracleSuites:
                 assert rep.pi_continuous_to_star
                 assert rep.star_topology_equals_quotient
         assert hits > 0
+
+
+def reference_analysis(d):
+    """Every field of ``analyze`` and ``validate_stratification`` by scanning
+    explicit open sets: the quotient from the preimages of all 2^k label
+    subsets, openness and closedness from the images of every open and every
+    closed set, closures and local closedness from the opens of the space."""
+    space = d.space
+    k = len(d.blocks)
+    quotient = FiniteTopology(
+        d.labels, [u for u in range(1 << k) if space.is_open(d.preimage_mask(u))])
+    pi_open = all(quotient.is_open(d.image_mask(g)) for g in space.opens)
+    pi_closed = all(quotient.is_closed(d.image_mask(space.full_mask & ~g))
+                    for g in space.opens)
+    closures = [space.closure_mask(b) for b in d.blocks]
+    star = Preorder(d.labels, [bitmask(m for m in range(k) if b & ~closures[m] == 0)
+                               for b in d.blocks])
+    tau_pi = quotient.specialization_preorder()
+    locally_closed = {lab: space.is_locally_closed_mask(b)
+                      for lab, b in zip(d.labels, d.blocks)}
+    frontier = not any(a & c and a & ~c for a in d.blocks for c in closures)
+    fields = {
+        "quotient": quotient, "pi_open": pi_open, "pi_closed": pi_closed,
+        "moore_class": MOORE_CLASS[(pi_open, pi_closed)], "star_preorder": star,
+        "tau_pi_preorder": tau_pi, "tamaki_agrees": star == tau_pi,
+        "blocks_locally_closed": locally_closed, "frontier_condition": frontier,
+        "quotient_is_poset": tau_pi.is_partial_order(),
+    }
+    is_strat = all(locally_closed.values()) and frontier
+    continuous = same = None
+    if is_strat:
+        star_space = FiniteTopology.from_preorder(star)
+        continuous = all(space.is_open(d.preimage_mask(u)) for u in star_space.opens)
+        same = star_space == quotient
+    strat = {"blocks_locally_closed": locally_closed, "frontier_condition": frontier,
+             "closed_union_condition": "automatic (finite index set)",
+             "is_stratification": is_strat, "pi_continuous_to_star": continuous,
+             "star_topology_equals_quotient": same}
+    return fields, strat
+
+
+def differential_cases(count=1000, seed=20240602):
+    """Seeded decompositions of at most 7 points: mostly up-set spaces of
+    random preorders, every fourth one a random topology given by its opens."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 3:
+            space = random_topology(rng, max_size=7)
+            blocks = random_partition(rng, len(space.carrier))
+            yield Decomposition(space, [[space.carrier[j] for j in b] for b in blocks])
+        else:
+            yield random_decomposition(rng, max_size=7)
+
+
+def sixteen_points_fourteen_blocks():
+    """A sparse 16-point poset (6120 opens) cut into 14 blocks; the partition
+    is a stratification with an open projection."""
+    rng = random.Random(28)
+    labels = [f"x{i}" for i in range(16)]
+    pairs = [(labels[i], labels[j])
+             for i in range(16) for j in range(i + 1, 16) if rng.random() < 0.12]
+    space = FiniteTopology.from_preorder(Preorder.from_pairs(labels, pairs))
+    order = list(space.carrier)
+    rng.shuffle(order)
+    blocks = [order[0:2], order[2:4]] + [[x] for x in order[4:]]
+    return Decomposition(space, blocks)
+
+
+class TestRowsAgainstExplicitOpens:
+    def assert_agrees(self, d):
+        fields, strat = reference_analysis(d)
+        rep = analyze(d)
+        assert rep._asdict() == fields
+        assert rep.quotient.opens_as_labels() == fields["quotient"].opens_as_labels()
+        assert quotient_topology(d) == fields["quotient"]
+        assert star_preorder(d) == fields["star_preorder"]
+        assert open_closed_by_opens(d) == (fields["pi_open"], fields["pi_closed"])
+        assert validate_stratification(d)._asdict() == strat
+        return rep
+
+    def test_seeded_small_decompositions(self):
+        outcomes = set()
+        for d in differential_cases():
+            rep = self.assert_agrees(d)
+            outcomes.add((rep.moore_class, rep.tamaki_agrees, rep.quotient_is_poset))
+        # every class and both answers of each criterion occur
+        assert {c for c, _, _ in outcomes} == set(MOORE_CLASS.values())
+        assert {(t, p) for _, t, p in outcomes} >= {(True, True), (False, False)}
+
+    def test_sixteen_points_fourteen_blocks(self):
+        d = sixteen_points_fourteen_blocks()
+        assert (len(d.space.carrier), len(d.blocks), len(d.space.opens)) == (16, 14, 6120)
+        rep = self.assert_agrees(d)
+        assert rep.pi_open and validate_stratification(d).is_stratification
+
+    def test_replace_keeps_the_moore_check(self, pseudo_poset):
+        rep = analyze(Decomposition(pseudo_space(pseudo_poset),
+                                    [["a", "b"], ["c"], ["d"]]))
+        with pytest.raises(StructureError, match="moore"):
+            rep._replace(pi_closed=not rep.pi_closed)
