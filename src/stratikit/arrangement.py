@@ -3,12 +3,14 @@ face poset with an independent closure-inclusion oracle."""
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceeded, InputError
-from .feasibility import LinearSystem, feasible, solve
-from .order import Poset, bitmask
+from .feasibility import LinearSystem, feasible, integer_row, solve
+from .order import Poset, bit_indices, bitmask
 
 MAX_FORMS = 12
 
@@ -21,7 +23,11 @@ def sign_label(signs):
 
 class Arrangement:
     """A list of rational affine forms a0 + a1*x1 + ... + an*xn, each cutting
-    out a genuine hyperplane."""
+    out a genuine hyperplane.
+
+    Each form is also stored once in ``rows`` as the primitive integer row
+    (a1, ..., an, a0) of the feasibility layer.  The row is a positive multiple
+    of the form, so it has the same sign at every point."""
 
     def __init__(self, dim, forms):
         dim = int(dim)
@@ -41,6 +47,7 @@ class Arrangement:
                     path=f"forms[{i}]")
         self.dim = dim
         self.forms = tuple(forms)
+        self.rows = tuple(integer_row(f[1:], f[0], dim, "form") for f in forms)
 
     @property
     def k(self):
@@ -48,10 +55,6 @@ class Arrangement:
 
     def is_central(self):
         return all(f[0] == 0 for f in self.forms)
-
-    def evaluate(self, i, point):
-        f = self.forms[i]
-        return f[0] + sum(f[j + 1] * point[j] for j in range(self.dim))
 
     def __repr__(self):
         return f"Arrangement(dim={self.dim}, k={self.k})"
@@ -67,71 +70,111 @@ class Face(namedtuple("Face", "signs witness")):
         return sign_label(self.signs)
 
 
+def _scaled(point):
+    """A rational point as (integer numerators, common denominator d > 0)."""
+    d = lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (d // c.denominator) for c in point), d
+
+
+def _sign_at(row, scaled):
+    """Sign of an integer row at a scaled point: d * (const + c . x), in
+    integers.  map stops at the shorter sequence, so the const is left out."""
+    nums, d = scaled
+    v = row[-1] * d + sum(map(operator.mul, row, nums))
+    return (v > 0) - (v < 0)
+
+
 def sign_map(arr, point):
     """Sign of every form at an exact rational point."""
     point = tuple(Fraction(c) for c in point)
     if len(point) != arr.dim:
         raise InputError(
             f"point has {len(point)} coordinates, arrangement lives in dimension {arr.dim}")
-    out = []
-    for i in range(arr.k):
-        v = arr.evaluate(i, point)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
+    scaled = _scaled(point)
+    return tuple(_sign_at(row, scaled) for row in arr.rows)
+
+
+def _constraint(row, s):
+    """(equalities, inequalities) selecting the points where the row has sign s."""
+    coeffs, const = row[:-1], row[-1]
+    if s == 0:
+        return [(coeffs, const)], ()
+    if s > 0:
+        return (), [(coeffs, const, True)]
+    return (), [(tuple(-c for c in coeffs), -const, True)]
 
 
 def _system(arr, signs):
     """Constraint system selecting the points with the given (partial) signs."""
     eqs, ineqs = [], []
-    for i, s in enumerate(signs):
-        f = arr.forms[i]
-        coeffs, const = f[1:], f[0]
-        if s == 0:
-            eqs.append((coeffs, const))
-        elif s > 0:
-            ineqs.append((coeffs, const, True))
-        else:
-            ineqs.append((tuple(-c for c in coeffs), -const, True))
+    for row, s in zip(arr.rows, signs):
+        e, q = _constraint(row, s)
+        eqs += e
+        ineqs += q
     return LinearSystem(arr.dim, eqs, ineqs)
 
 
 def enumerate_faces(arr, cap=MAX_FORMS):
     """All realizable sign vectors with rational witnesses, in lexicographic
-    order under - < 0 < +.  Infeasible prefixes prune the sign tree."""
+    order under - < 0 < +.  Infeasible prefixes prune the sign tree.
+
+    Each child of a prefix extends the parent's system by one row, in form
+    order, so it equals ``_system`` of the child.  An interior child whose
+    sign is the sign of its form at the point realizing the parent is
+    feasible, realized by that same point, and is not solved.  Leaves are
+    always solved, so each witness is the solution of the face's full
+    system."""
     if arr.k > cap:
         raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {cap}")
+    table = [{s: _constraint(row, s) for s in (-1, 0, 1)} for row in arr.rows]
+    last = arr.k - 1
     faces = []
 
-    def extend(prefix, witness):
-        if len(prefix) == arr.k:
-            face = Face(prefix, witness)
-            if sign_map(arr, witness) != prefix:
-                raise AssertionError(f"witness does not reproduce signs {prefix}")
-            faces.append(face)
-            return
+    def extend(prefix, system, point):
+        i = len(prefix)
+        at_point = None if point is None else _sign_at(arr.rows[i], point)
         for s in (-1, 0, 1):
             candidate = prefix + (s,)
-            w = solve(_system(arr, candidate))
-            if w is not None:
-                extend(candidate, w)
+            child = system.extended(*table[i][s])
+            if i < last and s == at_point:
+                extend(candidate, child, point)
+                continue
+            w = solve(child)
+            if w is None:
+                continue
+            if i < last:
+                extend(candidate, child, _scaled(w))
+                continue
+            if sign_map(arr, w) != candidate:
+                raise AssertionError(f"witness does not reproduce signs {candidate}")
+            faces.append(Face(candidate, w))
 
-    extend((), None)
+    extend((), LinearSystem(arr.dim), None)
     return faces
 
 
-def _sign_leq(a, b):
-    """Componentwise face order: 0 sits below both - and +."""
-    return all(x == 0 or x == y for x, y in zip(a, b))
-
-
 def face_poset(arr, faces=None):
-    """Realizable sign vectors under the componentwise order."""
+    """Realizable sign vectors under the componentwise order, where 0 sits
+    below both - and +.
+
+    Bit j of ``classes[i][s + 1]`` is set iff face j has sign s at form i, so
+    the up-set of f is the AND of those sign classes over the forms with
+    f_i != 0."""
     if faces is None:
         faces = enumerate_faces(arr)
-    up = [
-        bitmask(j for j, g in enumerate(faces) if _sign_leq(f.signs, g.signs))
-        for f in faces
-    ]
+    classes = [[0, 0, 0] for _ in range(arr.k)]
+    for j, f in enumerate(faces):
+        bit = 1 << j
+        for cls, s in zip(classes, f.signs):
+            cls[s + 1] |= bit
+    everything = (1 << len(faces)) - 1
+    up = []
+    for f in faces:
+        row = everything
+        for cls, s in zip(classes, f.signs):
+            if s:
+                row &= cls[s + 1]
+        up.append(row)
     return Poset([f.label for f in faces], up)
 
 
@@ -143,12 +186,10 @@ def reachable_sides(arr, face):
     This is 2k exact feasibility solves and never reads the sign order."""
     base = _system(arr, face.signs)
     below = above = 0
-    for i, form in enumerate(arr.forms):
-        coeffs, const = form[1:], form[0]
-        if feasible(base.extended(
-                inequalities=[(tuple(-c for c in coeffs), -const, True)])):
+    for i, row in enumerate(arr.rows):
+        if feasible(base.extended(*_constraint(row, -1))):
             below |= 1 << i
-        if feasible(base.extended(inequalities=[(coeffs, const, True)])):
+        if feasible(base.extended(*_constraint(row, 1))):
             above |= 1 << i
     return below, above
 
@@ -161,12 +202,6 @@ def _sides_outside_closure(signs):
             bitmask(i for i, s in enumerate(signs) if s <= 0))
 
 
-def _within_closure(sides, outside):
-    """A face reaching `sides` lies in a closure missing `outside` iff it
-    reaches none of the missing sides."""
-    return not (sides[0] & outside[0] or sides[1] & outside[1])
-
-
 def closure_inclusion(arr, f, g):
     """Oracle: is the face f contained in the closure of the face g?
 
@@ -174,16 +209,35 @@ def closure_inclusion(arr, f, g):
     the closure of g misses.  Costs 2k solves; closure_rows decides all pairs
     of a face list with 2k solves per face.
     """
-    return _within_closure(reachable_sides(arr, f), _sides_outside_closure(g.signs))
+    below, above = reachable_sides(arr, f)
+    outside_below, outside_above = _sides_outside_closure(g.signs)
+    return not (below & outside_below or above & outside_above)
 
 
 def closure_rows(arr, faces):
     """The oracle on every pair: bit j of row i is set iff faces[i] lies in
-    the closure of faces[j]."""
-    outside = [_sides_outside_closure(g.signs) for g in faces]
+    the closure of faces[j].
+
+    That is, faces[j] has sign - at every form whose - side faces[i]
+    reaches, and sign + at every form whose + side it reaches, so row i is
+    the AND of those faces over the reached sides.  The sign masks are built
+    here, not shared with face_poset, so the oracle reads only the solver's
+    sides and the faces' signs."""
+    negative, positive = [0] * arr.k, [0] * arr.k
+    for j, g in enumerate(faces):
+        for i, s in enumerate(g.signs):
+            if s < 0:
+                negative[i] |= 1 << j
+            elif s > 0:
+                positive[i] |= 1 << j
+    everything = (1 << len(faces)) - 1
     rows = []
     for f in faces:
-        sides = reachable_sides(arr, f)
-        rows.append(bitmask(j for j, out in enumerate(outside)
-                            if _within_closure(sides, out)))
+        below, above = reachable_sides(arr, f)
+        row = everything
+        for i in bit_indices(below):
+            row &= negative[i]
+        for i in bit_indices(above):
+            row &= positive[i]
+        rows.append(row)
     return rows

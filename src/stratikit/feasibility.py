@@ -6,14 +6,17 @@ hyperplane).  Equalities are removed first by pivoting; the remaining
 inequalities go through Fourier-Motzkin elimination, where a derived row is
 strict iff any parent row is strict.  Both steps combine two rows with
 positive integer multipliers, so elimination never leaves the integers.
-Witness points are rebuilt by exact rational back-substitution, taking
-interval midpoints (or bound +/- 1 on unbounded sides).
+Witness points are rebuilt by exact back-substitution, taking interval
+midpoints (or bound +/- 1 on unbounded sides).  Bounds are computed and
+compared in integers over the common denominator of the point so far, and
+only the value chosen for each variable becomes a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import CapExceeded, InputError
 
@@ -33,7 +36,7 @@ def _primitive(row):
     return tuple(v // g for v in row) if g > 1 else row
 
 
-def _integer_row(coeffs, const, nvars, what):
+def integer_row(coeffs, const, nvars, what):
     """The primitive integer row proportional (by a positive factor) to the
     rational row (coeffs, const)."""
     values = (*coeffs, const)
@@ -51,8 +54,8 @@ class LinearSystem:
     def __init__(self, nvars, equalities=(), inequalities=()):
         self.nvars = int(nvars)
         n = self.nvars
-        self._eqs = [_integer_row(co, k, n, "equality") for co, k in equalities]
-        self._ineqs = [(_integer_row(co, k, n, "inequality"), bool(s))
+        self._eqs = [integer_row(co, k, n, "equality") for co, k in equalities]
+        self._ineqs = [(integer_row(co, k, n, "inequality"), bool(s))
                        for co, k, s in inequalities]
 
     @property
@@ -149,39 +152,56 @@ def solve(system):
         if rows is None:
             return None
 
-    # Stage 3: back-substitute, innermost variable first.
+    # Stage 3: back-substitute, innermost variable first.  The point so far
+    # is also kept as integer numerators nums over one denominator d > 0, so
+    # each bound is t / (c * d) with integers t and c > 0, and bounds compare
+    # by cross-multiplying; only the value chosen for a variable is a Fraction.
+    # Unassigned entries of nums are 0, so a full dot product with a row
+    # leaves out the variable being solved for.
     x = [Fraction(0)] * n
+    nums, d = [0] * n, 1
+
+    def place(var, value):
+        nonlocal nums, d
+        x[var] = value
+        q = value.denominator
+        if d % q:
+            m = q // gcd(d, q)
+            nums = [v * m for v in nums]
+            d *= m
+        nums[var] = value.numerator * (d // q)
+
     for var, rows_here in reversed(levels):
-        lo = hi = None  # (value, strict)
+        lo = hi = None  # (t, c, strict)
         for row, strict in rows_here:
             c = row[var]
             if c == 0:
                 continue
-            rest = row[n] + sum(
-                row[j] * x[j] for j in range(n) if j != var and row[j] != 0)
-            bound = Fraction(-rest) / c
+            t = -(row[n] * d + sum(map(mul, row, nums)))
             if c > 0:
-                if lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                    lo = (bound, strict)
+                if (lo is None or t * lo[1] > lo[0] * c
+                        or (strict and t * lo[1] == lo[0] * c)):
+                    lo = (t, c, strict)
             else:
-                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                    hi = (bound, strict)
+                t, c = -t, -c
+                if (hi is None or t * hi[1] < hi[0] * c
+                        or (strict and t * hi[1] == hi[0] * c)):
+                    hi = (t, c, strict)
         if lo is None and hi is None:
-            x[var] = Fraction(0)
+            value = Fraction(0)
         elif lo is None:
-            x[var] = hi[0] - 1
+            value = Fraction(hi[0] - hi[1] * d, hi[1] * d)
         elif hi is None:
-            x[var] = lo[0] + 1
-        elif lo[0] < hi[0]:
-            x[var] = (lo[0] + hi[0]) / 2
+            value = Fraction(lo[0] + lo[1] * d, lo[1] * d)
+        elif lo[0] * hi[1] < hi[0] * lo[1]:
+            value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * d)
         else:
             # Elimination guarantees lo == hi with both bounds weak.
-            assert lo[0] == hi[0] and not lo[1] and not hi[1]
-            x[var] = lo[0]
+            assert lo[0] * hi[1] == hi[0] * lo[1] and not lo[2] and not hi[2]
+            value = Fraction(lo[0], lo[1] * d)
+        place(var, value)
     for var, eq in reversed(pivots):
-        rest = eq[n] + sum(
-            eq[j] * x[j] for j in range(n) if j != var and eq[j] != 0)
-        x[var] = Fraction(-rest) / eq[var]
+        place(var, Fraction(-(eq[n] * d + sum(map(mul, eq, nums))), eq[var] * d))
     return tuple(x)
 
 

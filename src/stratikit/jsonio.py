@@ -198,13 +198,15 @@ def dump_category(cat):
 
 def load_functor(cat, doc, path=""):
     variance = _expect(doc, "variance", str, path)
-    on_objects = {
-        str(k): [str(v) for v in vs]
-        for k, vs in _expect(doc, "on_objects", dict, path).items()
-    }
+    objects = _expect(doc, "on_objects", dict, path)
+    at = _join(path, "on_objects")
+    on_objects = {str(k): [str(v) for v in _expect(objects, k, list, at)]
+                  for k in objects}
+    morphisms = _expect(doc, "on_morphisms", dict, path)
+    at = _join(path, "on_morphisms")
     on_morphisms = {
-        str(k): {str(a): str(b) for a, b in fn.items()}
-        for k, fn in _expect(doc, "on_morphisms", dict, path).items()
+        str(k): {str(a): str(b) for a, b in _expect(morphisms, k, dict, at).items()}
+        for k in morphisms
     }
     return category.SetFunctor(cat, variance, on_objects, on_morphisms)
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from stratikit import cli
-from stratikit.arrangement import (Arrangement, Face, closure_inclusion, closure_rows,
-                                   enumerate_faces, face_poset, sign_map)
+from stratikit import arrangement, cli
+from stratikit.arrangement import (Arrangement, Face, _system, closure_inclusion,
+                                   closure_rows, enumerate_faces, face_poset, sign_map)
 from stratikit.errors import CapExceeded, InputError
-from stratikit.feasibility import LinearSystem, feasible
+from stratikit.feasibility import LinearSystem, feasible, solve
 from stratikit.order import (is_order_isomorphism, order_isomorphism, product,
                              product_label)
 
@@ -323,3 +323,198 @@ class TestClosureTableDifferential:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["disagreements"] == []
         assert results["pairs_checked"] == len(enumerate_faces(arr)) ** 2
+
+
+def reference_faces(arr):
+    """Face enumeration that rebuilds every prefix with _system and solves it,
+    with no carried systems and no skipped solves."""
+    faces = []
+
+    def walk(prefix):
+        for s in (-1, 0, 1):
+            candidate = prefix + (s,)
+            w = solve(_system(arr, candidate))
+            if w is None:
+                continue
+            if len(candidate) == arr.k:
+                faces.append(Face(candidate, w))
+            else:
+                walk(candidate)
+
+    walk(())
+    return faces
+
+
+def parallel_arrangement(rng, dim, k):
+    """Random forms, then a rescaled parallel copy of the first one."""
+    arr = random_arrangement(rng, dim, k - 1)
+    first = arr.forms[0]
+    shift = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+    copy = [first[0] * Fraction(-2, 3) + shift] + [c * Fraction(-2, 3) for c in first[1:]]
+    return Arrangement(dim, list(arr.forms) + [copy])
+
+
+def concurrent_arrangement(rng, dim, k):
+    """k random forms through one common rational point."""
+    point = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(dim)]
+    forms = []
+    for form in random_arrangement(rng, dim, k).forms:
+        coeffs = list(form[1:])
+        forms.append([-sum(c * x for c, x in zip(coeffs, point))] + coeffs)
+    return Arrangement(dim, forms)
+
+
+DIFFERENTIAL_SHAPES = [(1, 5), (2, 5), (2, 7), (3, 4), (3, 5), (4, 4), (4, 5)]
+BUILDERS = {"random": random_arrangement, "parallel": parallel_arrangement,
+            "concurrent": concurrent_arrangement}
+
+
+class TestIncrementalEnumeration:
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("dim,k", DIFFERENTIAL_SHAPES)
+    def test_matches_rebuild_every_prefix_reference(self, dim, k, kind):
+        rng = random.Random(f"{kind}/{dim}/{k}")
+        arr = BUILDERS[kind](rng, dim, k)
+        # a positive rescaling keeps the hyperplane and makes coefficients
+        # non-integer (every nonzero one is at most 4 in absolute value)
+        arr = Arrangement(dim, [[c / 7 for c in arr.forms[0]], *arr.forms[1:]])
+        got = enumerate_faces(arr)
+        expected = reference_faces(arr)
+        assert got == expected
+        assert all(type(c) is Fraction for face in got for c in face.witness)
+
+    def test_concurrent_forms_meet_in_one_vertex(self):
+        arr = concurrent_arrangement(random.Random(7), 3, 5)
+        vertices = [f for f in enumerate_faces(arr) if not any(f.signs)]
+        assert len(vertices) == 1
+
+    def test_parallel_forms_never_vanish_together(self):
+        arr = parallel_arrangement(random.Random(8), 2, 4)
+        assert all(f.signs[0] or f.signs[-1] for f in enumerate_faces(arr))
+
+    def test_rows_are_positive_multiples_of_the_forms(self):
+        arr = random_arrangement(random.Random(9), 3, 6)
+        for form, row in zip(arr.forms, arr.rows):
+            assert all(type(v) is int for v in row)
+            nonzero = [(r, c) for r, c in zip(row, (*form[1:], form[0])) if c]
+            ratio = nonzero[0][0] / nonzero[0][1]
+            assert ratio > 0
+            assert all(r == ratio * c for r, c in zip(row, (*form[1:], form[0])))
+
+
+def solved_prefixes(monkeypatch, arr):
+    """Enumerate the faces of arr and return each solved prefix in call order
+    with the solver's answer.  Prefixes are recovered from their systems."""
+    prefixes = {}
+    for depth in range(1, arr.k + 1):
+        for signs in itertools.product((-1, 0, 1), repeat=depth):
+            system = _system(arr, signs)
+            prefixes[(tuple(system.equalities), tuple(system.inequalities))] = signs
+    assert len(prefixes) == sum(3 ** d for d in range(1, arr.k + 1))
+    calls = []
+
+    def counting_solve(system):
+        w = solve(system)
+        calls.append((prefixes[(tuple(system.equalities), tuple(system.inequalities))], w))
+        return w
+
+    monkeypatch.setattr(arrangement, "solve", counting_solve)
+    faces = enumerate_faces(arr)
+    return faces, calls
+
+
+class TestSolveSkip:
+    ARR = Arrangement(2, [(0, 1, 0), (-1, 1, 1), (Fraction(1, 2), -1, 2),
+                          (2, 0, 1), (Fraction(-1, 3), 1, -1)])
+
+    def test_no_interior_prefix_realized_by_its_parent_point_is_solved(
+            self, monkeypatch):
+        arr = self.ARR
+        faces, calls = solved_prefixes(monkeypatch, arr)
+        solved = dict(calls)
+        assert len(solved) == len(calls)  # no prefix is solved twice
+        assert faces == reference_faces(arr)
+        # The realizing point of every feasible prefix: its own witness when
+        # solved, otherwise the point of its parent.
+        point = {(): None}
+        feasible_prefixes = sorted({f.signs[:d] for f in faces
+                                    for d in range(1, arr.k + 1)}, key=len)
+        for prefix in feasible_prefixes:
+            point[prefix] = solved.get(prefix) or point[prefix[:-1]]
+            assert sign_map(arr, point[prefix])[:len(prefix)] == prefix
+        skipped = 0
+        for prefix in feasible_prefixes:
+            parent, i = prefix[:-1], len(prefix) - 1
+            if len(prefix) == arr.k:
+                assert prefix in solved  # leaves are always solved
+                continue
+            answered = (point[parent] is not None
+                        and sign_map(arr, point[parent])[i] == prefix[-1])
+            assert (prefix in solved) != answered, prefix
+            skipped += answered
+        assert skipped > 0
+        # Every solve either finds a witness or prunes the sign tree.
+        assert all(w is not None or p not in point for p, w in calls)
+
+    def test_skips_cut_the_solve_count(self, monkeypatch):
+        arr = self.ARR
+        faces, calls = solved_prefixes(monkeypatch, arr)
+        # the reference solves the three children of the root and of every
+        # feasible interior prefix
+        interior = {f.signs[:d] for f in faces for d in range(1, arr.k)}
+        assert len(calls) < 3 * (1 + len(interior))
+
+
+def pairwise_sign_order(faces):
+    """Reference rows: bit j of row i iff faces[i] <= faces[j] componentwise,
+    with 0 below both - and +."""
+    return [sum(1 << j for j, g in enumerate(faces)
+                if all(x == 0 or x == y for x, y in zip(f.signs, g.signs)))
+            for f in faces]
+
+
+class TestBitsetFacePoset:
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("dim,k", [(1, 4), (2, 6), (3, 5), (4, 4)])
+    def test_rows_match_pairwise_reference(self, dim, k, kind):
+        arr = BUILDERS[kind](random.Random(f"poset/{kind}/{dim}/{k}"), dim, k)
+        faces = enumerate_faces(arr)
+        poset = face_poset(arr, faces)
+        assert list(poset.up) == pairwise_sign_order(faces)
+        assert list(poset.carrier) == [f.label for f in faces]
+
+
+class TestCheckObDisagreements:
+    FLIPS = [(4, 0), (0, 7), (4, 2), (9, 9), (12, 3)]  # (row i, bit j) of the oracle
+
+    def run_check_ob(self, monkeypatch, tmp_path, capsys, dual):
+        original = arrangement.closure_rows
+
+        def flipped(arr, faces):
+            rows = original(arr, faces)
+            for i, j in self.FLIPS:
+                rows[i] ^= 1 << j
+            return rows
+
+        monkeypatch.setattr(arrangement, "closure_rows", flipped)
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"dim": 2, "forms": [list(f) for f in
+                                                        [(0, 1, 0), (0, 0, 1), (0, 1, -1)]]}))
+        argv = ["arrangement", "check-ob", "--input", str(path)]
+        code = cli.main(argv + ["--dual"] if dual else argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_primal_lists_the_flipped_pairs_row_major(self, monkeypatch, tmp_path, capsys):
+        code, doc = self.run_check_ob(monkeypatch, tmp_path, capsys, dual=False)
+        labels = [f.label for f in enumerate_faces(three_lines())]
+        assert code == 1
+        assert doc["results"]["disagreements"] == [
+            [labels[i], labels[j]] for i, j in sorted(self.FLIPS)]
+        assert doc["results"]["pairs_checked"] == 13 ** 2
+
+    def test_dual_lists_the_transposed_flips_row_major(self, monkeypatch, tmp_path, capsys):
+        code, doc = self.run_check_ob(monkeypatch, tmp_path, capsys, dual=True)
+        labels = [f.label for f in enumerate_faces(three_lines())]
+        assert code == 1
+        assert doc["results"]["disagreements"] == [
+            [labels[j], labels[i]] for j, i in sorted((j, i) for i, j in self.FLIPS)]

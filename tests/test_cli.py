@@ -358,6 +358,36 @@ class TestHomsetCommands:
         assert doc["results"]["target_size"] == 2
         assert "discrepancy" in doc["results"]["order_direction_note"]
 
+    def yoneda_error(self, tmp_path, capsys, on_objects, on_morphisms):
+        path = write_input(tmp_path, {
+            "category": self.IDEM,
+            "anchor": "*",
+            "functor": {"variance": "contravariant", "on_objects": on_objects,
+                        "on_morphisms": on_morphisms}})
+        code, out = run_cli(capsys, ["homset", "yoneda", "--input", path])
+        assert code == 2
+        return json.loads(out)["error"]
+
+    def test_yoneda_morphism_value_not_an_object_exits_2_with_path(
+            self, tmp_path, capsys):
+        error = self.yoneda_error(tmp_path, capsys, {"*": ["0", "1"]},
+                                  {"1": 5, "e": {"0": "0", "1": "0"}})
+        assert error["path"] == "functor.on_morphisms.1"
+        assert "dict" in error["message"]
+
+    def test_yoneda_object_value_not_a_list_exits_2_with_path(self, tmp_path, capsys):
+        error = self.yoneda_error(tmp_path, capsys, {"*": "01"},
+                                  {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
+        assert error["path"] == "functor.on_objects.*"
+        assert "list" in error["message"]
+
+    def test_preorder_reports_no_check_that_cannot_fail(self, tmp_path, capsys):
+        path = write_input(tmp_path, {
+            "category": self.IDEM, "source": "*", "target": "*", "side": "L"})
+        code, out = run_cli(capsys, ["homset", "preorder", "--input", path])
+        assert code == 0
+        assert json.loads(out)["checks"] == []
+
 
 class TestHomologyCommands:
     def test_order_complex(self, tmp_path, capsys):

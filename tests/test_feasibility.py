@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -215,3 +216,40 @@ def test_fm_row_cap(monkeypatch):
         solve(sys_)
     monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 4)
     assert solve(sys_) == (Fraction(3, 2),)
+
+
+def canonical_witnesses(seed, count):
+    """Witnesses (or None) of seeded systems with rational coefficients,
+    mixed strictness, equalities and opposite weak pairs that pin a bound."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nvars = rng.randint(1, 4)
+        eqs, ineqs = [], []
+        for _ in range(rng.randint(0, 6)):
+            coeffs = tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+                           for _ in range(nvars))
+            const = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 7]))
+            if rng.random() < 0.15:
+                eqs.append((coeffs, const))
+                continue
+            ineqs.append((coeffs, const, rng.random() < 0.6))
+            if rng.random() < 0.15:
+                ineqs.append((tuple(-c for c in coeffs), -const, False))
+        out.append(solve(LinearSystem(nvars, eqs, ineqs)))
+    return out
+
+
+WITNESS_DIGEST = "5515a65ee17c8540137e667b029c216561597a57ad9089c55bcbcefa168e96df"
+
+
+def test_witnesses_are_canonical():
+    """A witness is fixed by the rule, not by the arithmetic that computes it:
+    each free variable takes the midpoint of its interval, a bound +/- 1 on
+    an unbounded side, or 0 on a free line.  The digest pins 3000 witnesses
+    computed with Fraction arithmetic throughout back-substitution."""
+    witnesses = canonical_witnesses(27182, 3000)
+    assert sum(w is not None for w in witnesses) > 1500
+    assert all(type(c) is Fraction for w in witnesses if w for c in w)
+    text = repr([None if w is None else [str(c) for c in w] for w in witnesses])
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST
