@@ -14,10 +14,38 @@ from .order import Poset, Preorder, bit_indices, lowest_bit, product_label, tran
 
 MAX_POINTS = 20
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-def _sort_key(mask):
-    idx = bit_indices(mask)
-    return (len(idx), tuple(idx))
+
+def _canonical_key(n):
+    """Sort key of the canonical order on subsets of an n-point carrier.
+
+    Smaller sets come first.  Between two sets of one size, the one holding the
+    lowest differing bit comes first, which is the order of their ascending
+    index tuples.  Reversing the mask's bits, byte by byte over whole bytes,
+    makes that bit the highest differing one, so the set holding it has the
+    larger reversed mask and the key subtracts it.
+    """
+    nbytes = (n + 7) // 8
+    width = 8 * nbytes
+
+    def key(mask):
+        flipped = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
+        return (mask.bit_count() << width) - int.from_bytes(flipped, "big")
+
+    return key
+
+
+def _unions(masks, limit):
+    """All unions of the masks, the empty one included, or None as soon as
+    there are more than ``limit`` of them."""
+    unions = {0}
+    for b in masks:
+        if b not in unions:
+            unions |= {o | b for o in unions}
+            if len(unions) > limit:
+                return None
+    return unions
 
 
 class FiniteTopology:
@@ -31,27 +59,51 @@ class FiniteTopology:
             raise CapExceeded(
                 f"explicit topologies are capped at {MAX_POINTS} points; "
                 "stay with the preorder representation for larger carriers")
-        opens = sorted(set(int(m) for m in opens), key=_sort_key)
+        n = len(carrier)
+        full = (1 << n) - 1
+        opens = list(map(int, opens))
+        if opens and (min(opens) < 0 or max(opens) > full):
+            i = next(i for i, m in enumerate(opens) if not 0 <= m <= full)
+            raise InputError(f"open set {i} is not a bitset over {n} elements")
+        opens = sorted(set(opens), key=_canonical_key(n))
         self.carrier = carrier
         self.opens = tuple(opens)
         self._index = {x: i for i, x in enumerate(carrier)}
-        self._full = (1 << len(carrier)) - 1
+        self._full = full
         self._open_set = frozenset(opens)
+        self._labels_by_byte = None
         if _validate:
             self._check_axioms()
 
     def _check_axioms(self):
+        """Decide the axioms in O(n * m) for n points and m opens.
+
+        A family holding the empty set and the carrier is a topology iff it
+        holds the minimal open U_x (the AND of the opens containing x) of every
+        point x and has as many members as there are unions of the U_x: each
+        member is then the union of the U_x of its points, so the family is
+        exactly those unions.  Only a refused family is scanned pairwise, to
+        name its first escaping pair.
+        """
         if 0 not in self._open_set:
             raise StructureError("empty set missing from the open family")
         if self._full not in self._open_set:
             raise StructureError("carrier missing from the open family")
+        minimal = {self.minimal_open_mask(i) for i in range(len(self.carrier))}
+        if minimal <= self._open_set:
+            unions = _unions(minimal, len(self.opens))
+            if unions is not None and len(unions) == len(self.opens):
+                return
+        raise StructureError(self._first_escape())
+
+    def _first_escape(self):
+        """Text naming the first pair of opens, in canonical order, whose union
+        or intersection is not open; a refused family always has one."""
         for a, b in itertools.combinations(self.opens, 2):
             if (a | b) not in self._open_set:
-                raise StructureError(
-                    f"union escape: {self.labels(a)} | {self.labels(b)} not open")
+                return f"union escape: {self.labels(a)} | {self.labels(b)} not open"
             if (a & b) not in self._open_set:
-                raise StructureError(
-                    f"intersection escape: {self.labels(a)} & {self.labels(b)} not open")
+                return f"intersection escape: {self.labels(a)} & {self.labels(b)} not open"
 
     @classmethod
     def from_open_sets(cls, carrier, families):
@@ -79,10 +131,7 @@ class FiniteTopology:
         if n > MAX_POINTS:
             raise CapExceeded(
                 f"refusing to enumerate up to 2^{n} open sets; carrier cap is {MAX_POINTS}")
-        opens = {0}
-        for b in p.up:
-            opens |= {o | b for o in opens}
-        return cls(p.carrier, opens, _validate=False)
+        return cls(p.carrier, _unions(p.up, 1 << n), _validate=False)
 
     # -- subset plumbing -----------------------------------------------------
 
@@ -95,7 +144,20 @@ class FiniteTopology:
         return m
 
     def labels(self, mask):
-        return tuple(self.carrier[i] for i in bit_indices(mask))
+        return tuple(self._label_chain(mask))
+
+    def _label_chain(self, mask):
+        """Iterator over the labels of the mask's set bits, in carrier order,
+        read byte by byte from a table built on first use."""
+        tables = self._labels_by_byte
+        if tables is None:
+            n = len(self.carrier)
+            tables = self._labels_by_byte = [
+                [tuple(self.carrier[base + j] for j in bit_indices(b))
+                 for b in range(1 << min(8, n - base))]
+                for base in range(0, n, 8)]
+        return itertools.chain.from_iterable(
+            map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
 
     @property
     def full_mask(self):
@@ -172,7 +234,7 @@ class FiniteTopology:
         return f"FiniteTopology({list(self.carrier)!r}, {len(self.opens)} opens)"
 
     def opens_as_labels(self):
-        return [list(self.labels(o)) for o in self.opens]
+        return [list(self._label_chain(o)) for o in self.opens]
 
 
 def product_mask(sizes, index_lists):

@@ -63,6 +63,22 @@ class TestTopologyCommands:
         doc = json.loads(out)
         assert doc["checks"][0]["pass"] is False
 
+    @pytest.mark.parametrize("action", ["check", "to-preorder"])
+    def test_explicit_discrete_family_on_fourteen_points(self, tmp_path, capsys, action):
+        # 16,384 opens, about 1.3e8 pairs: in the cap only if the axioms are
+        # not checked pair by pair
+        carrier = [f"p{i}" for i in range(14)]
+        opens = [[x for i, x in enumerate(carrier) if m >> i & 1] for m in range(1 << 14)]
+        path = write_input(tmp_path, {"carrier": carrier, "opens": opens})
+        code, out = run_cli(capsys, ["topology", action, "--input", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["pass"] for c in doc["checks"]] == [True]
+        if action == "check":
+            assert len(doc["results"]["opens"]) == 1 << 14
+        else:
+            assert doc["results"]["pairs"] == []
+
     def test_closure(self, tmp_path, capsys):
         path = write_input(tmp_path, {
             "space": {"carrier": ["a", "b", "c", "d"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stratikit.errors import InputError, StructureError
 from stratikit.order import (MonotoneMap, Poset, Preorder, is_monotone,
                              is_order_isomorphism, order_isomorphism, product,
-                             product_label, quotient_poset)
+                             product_label, quotient_poset, transpose)
 from stratikit.randomcases import random_preorder
 
 # Generators of the 9-element grid order on pairs over {N, O, P}; the list
@@ -90,8 +90,16 @@ class TestFromPairs:
 
     def test_raw_constructor_rejects_non_transitive(self):
         up = [0b011, 0b110, 0b100]  # a <= b <= c without a <= c
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="^relation not transitive: 'a' reaches "
+                                                 "'c' in two steps but not directly$"):
             Preorder(["a", "b", "c"], up)
+
+    def test_raw_constructor_names_the_first_two_step_escape(self):
+        # a <= b <= c <= d with no other pairs: the escapes are (a, c) and
+        # (b, d), and the first row's comes first
+        up = [0b0011, 0b0110, 0b1100, 0b1000]
+        with pytest.raises(StructureError, match="'a' reaches 'c' in two steps"):
+            Preorder(["a", "b", "c", "d"], up)
 
     def test_raw_constructor_rejects_non_reflexive(self):
         with pytest.raises(StructureError, match="not reflexive at 'b'"):
@@ -118,6 +126,48 @@ class TestFromPairs:
             p = Preorder.from_pairs(labels, [(labels[a], labels[b]) for a, b in edges])
             reach = reference_closure(n, edges)
             assert [[p.leq(x, y) for y in labels] for x in labels] == reach
+
+    def test_closure_matches_reference_on_dense_random_relations(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            p_edge = rng.choice([0.05, 0.2, 0.5, 0.9])
+            edges = [(a, b) for a in range(n) for b in range(n) if rng.random() < p_edge]
+            labels = [f"v{i}" for i in range(n)]
+            p = Preorder.from_pairs(labels, [(labels[a], labels[b]) for a, b in edges])
+            reach = reference_closure(n, edges)
+            assert [[p.leq(x, y) for y in labels] for x in labels] == reach
+            # closing a preorder again changes nothing, in any label order
+            perm = rng.sample(range(n), n)
+            again = Preorder.from_pairs([labels[i] for i in perm], p.pairs())
+            assert [[again.leq(x, y) for y in labels] for x in labels] == reach
+
+    def test_long_chain_in_reverse_label_order(self):
+        # the search runs 4096 deep; a recursive one would exceed the
+        # interpreter's recursion limit
+        n = 4096
+        names = [f"x{i}" for i in range(n)]
+        p = Preorder.from_pairs(names[::-1], zip(names, names[1:]))
+        # carrier index k holds x_{n-1-k}, which lies below exactly x_{n-1-k..n-1}
+        assert list(p.up) == [(1 << k + 1) - 1 for k in range(n)]
+        assert p.leq("x0", f"x{n - 1}") and not p.leq(f"x{n - 1}", "x0")
+
+    def test_one_long_cycle_is_one_class(self):
+        n = 4096
+        names = [f"x{i}" for i in range(n)]
+        p = Preorder.from_pairs(names, zip(names, names[1:] + names[:1]))
+        assert p.up == ((1 << n) - 1,) * n
+
+
+class TestDown:
+    def test_down_is_the_cached_transpose_as_a_tuple(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            p = random_preorder(rng, max_size=9)
+            down = p.down()
+            assert isinstance(down, tuple)
+            assert down == tuple(transpose(p.up))
+            assert p.down() is down
 
 
 class TestPartialOrder:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratikit.errors import CapExceeded, InputError, StructureError
-from stratikit.order import Preorder, product
+from stratikit.order import Preorder, bit_indices, product
 from stratikit.randomcases import (random_assignment, random_preorder,
                                    random_topology)
 from stratikit.topology import FiniteTopology, PosetStratifiedSpace, product_topology
@@ -25,6 +26,50 @@ def brute_upset_masks(p):
         if ok:
             out.append(bits)
     return sorted(out)
+
+
+def index_tuple_key(mask):
+    """The canonical order by its definition: cardinality, then the ascending
+    index tuple."""
+    idx = bit_indices(mask)
+    return (len(idx), tuple(idx))
+
+
+def pairwise_verdict(carrier, masks):
+    """The topology axioms by their definition: the text of the first failure,
+    testing every pair of opens in canonical order, or None."""
+    family = set(masks)
+    if 0 not in family:
+        return "empty set missing from the open family"
+    if (1 << len(carrier)) - 1 not in family:
+        return "carrier missing from the open family"
+
+    def names(mask):
+        return tuple(carrier[i] for i in bit_indices(mask))
+
+    for a, b in itertools.combinations(sorted(family, key=index_tuple_key), 2):
+        if a | b not in family:
+            return f"union escape: {names(a)} | {names(b)} not open"
+        if a & b not in family:
+            return f"intersection escape: {names(a)} & {names(b)} not open"
+    return None
+
+
+def random_family(rng, n):
+    """A random topology on n points, or one spoilt by dropping or adding a set."""
+    masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(rng.randint(0, 3))}
+    while True:
+        grown = masks | {a | b for a in masks for b in masks} | {a & b for a in masks
+                                                                  for b in masks}
+        if grown == masks:
+            break
+        masks = grown
+    spoil = rng.random()
+    if spoil < 0.3:
+        masks.discard(rng.choice(sorted(masks)))
+    elif spoil < 0.6:
+        masks.add(rng.getrandbits(n))
+    return sorted(masks)
 
 
 def brute_closure(t, mask):
@@ -78,6 +123,61 @@ class TestValidate:
         labels = [f"p{i}" for i in range(21)]
         with pytest.raises(CapExceeded):
             FiniteTopology(labels, [0, (1 << 21) - 1])
+
+    def test_mask_with_bits_outside_the_carrier_rejected(self):
+        with pytest.raises(InputError, match="^open set 2 is not a bitset over 2 elements$"):
+            FiniteTopology(["a", "b"], [0, 3, 4])
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(InputError, match="^open set 3 is not a bitset over 2 elements$"):
+            FiniteTopology(["a", "b"], [0, 1, 3, -1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9])
+    def test_axioms_agree_with_the_pairwise_definition(self, n):
+        rng = random.Random(1000 + n)
+        carrier = [f"p{i}" for i in range(n)]
+        verdicts = set()
+        for _ in range(150):
+            masks = random_family(rng, n)
+            expected = pairwise_verdict(carrier, masks)
+            verdicts.add(expected is None)
+            if expected is None:
+                t = FiniteTopology(carrier, masks)
+                assert t.opens == tuple(sorted(masks, key=index_tuple_key))
+            else:
+                with pytest.raises(StructureError) as info:
+                    FiniteTopology(carrier, masks)
+                assert str(info.value) == expected
+        assert verdicts == {True, False}
+
+    def test_escape_named_when_every_minimal_open_is_present(self):
+        # {a}, {b} and {c} are all there but {a, b} is not: only the count of
+        # unions refuses this family
+        carrier = ["a", "b", "c"]
+        masks = [0, 0b001, 0b010, 0b100, 0b110, 0b101, 0b111]
+        with pytest.raises(StructureError, match=r"^union escape: \('a',\) \| \('b',\) not open$"):
+            FiniteTopology(carrier, masks)
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20])
+    def test_order_is_by_size_then_index_tuple(self, n):
+        rng = random.Random(n)
+        masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
+        for size in range(n + 1):  # many ties in size
+            masks |= {sum(1 << i for i in rng.sample(range(n), size)) for _ in range(20)}
+        t = FiniteTopology([f"p{i}" for i in range(n)], masks, _validate=False)
+        assert t.opens == tuple(sorted(masks, key=index_tuple_key))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20])
+    def test_labels_match_the_set_bits(self, n):
+        rng = random.Random(100 + n)
+        carrier = [f"p{i}" for i in range(n)]
+        masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
+        t = FiniteTopology(carrier, masks, _validate=False)
+        for m in masks:
+            assert t.labels(m) == tuple(carrier[i] for i in bit_indices(m))
+        assert t.opens_as_labels() == [[carrier[i] for i in bit_indices(m)] for m in t.opens]
 
 
 class TestAlexandroff:
