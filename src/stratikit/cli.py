@@ -26,6 +26,8 @@ def _read_input(args):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not JSON: {exc}", path="$") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"expected object, got {type(doc).__name__}", path="")
     return doc, text
 
 
@@ -97,7 +99,7 @@ def cmd_topology(args):
                              jsonio.dump_preorder(pre), checks))
     if args.action == "closure":
         space = jsonio.load_topology(doc.get("space", {}))
-        subset = [str(x) for x in doc.get("subset", [])]
+        subset = jsonio.load_subset(doc, space.carrier)
         closed = space.closure(subset)
         mask = space.mask(closed)
         checks.append({

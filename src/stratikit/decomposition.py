@@ -13,8 +13,8 @@ from collections import namedtuple
 
 from .errors import InputError, StructureError
 from .order import (Preorder, _closure, bit_indices, bitmask, product, product_label,
-                    transpose, union_of_rows)
-from .topology import FiniteTopology, product_mask, product_topology
+                    union_of_rows)
+from .topology import FiniteTopology, product_topology
 
 
 class Decomposition:
@@ -122,9 +122,10 @@ MOORE_CLASS = {
 
 class DecompositionReport(namedtuple(
         "DecompositionReport",
-        "quotient pi_open pi_closed moore_class star_preorder tau_pi_preorder "
+        "pi_open pi_closed moore_class star_preorder tau_pi_preorder "
         "tamaki_agrees blocks_locally_closed frontier_condition quotient_is_poset")):
-    """What ``analyze`` finds; ``moore_class`` must match the two flags."""
+    """What ``analyze`` finds; ``moore_class`` must match the two flags.  The
+    quotient topology is enumerated from ``tau_pi_preorder`` on each read."""
 
     __slots__ = ()
 
@@ -141,11 +142,16 @@ class DecompositionReport(namedtuple(
     def _make(cls, iterable):
         return cls(*iterable)  # so that _replace runs the check too
 
+    @property
+    def quotient(self):
+        return FiniteTopology.from_preorder(self.tau_pi_preorder)
+
     def to_json_dict(self):
+        quotient = self.quotient
         return {
             "quotient": {
-                "carrier": list(self.quotient.carrier),
-                "opens": self.quotient.opens_as_labels(),
+                "carrier": list(quotient.carrier),
+                "opens": quotient.opens_as_labels(),
             },
             "pi_open": self.pi_open,
             "pi_closed": self.pi_closed,
@@ -173,8 +179,8 @@ def analyze(d):
     image of every point up-set (down-set) is a quotient up-set (down-set).
     A block is locally closed iff it is the meet of its up-set and down-set.
     """
-    up = d.space.specialization_preorder().up
-    down = transpose(up)
+    spec = d.space.specialization_preorder()
+    up, down = spec.up, spec.down()
     above = [union_of_rows(up, b) for b in d.blocks]
     below = [union_of_rows(down, b) for b in d.blocks]
     tau_pi = _quotient_preorder(d, above)
@@ -183,7 +189,6 @@ def analyze(d):
     pi_closed = all(union_of_rows(tau_down, s) == s for s in map(d.image_mask, down))
     star = _star_preorder(d, below)
     return DecompositionReport(
-        quotient=FiniteTopology.from_preorder(tau_pi),
         pi_open=pi_open,
         pi_closed=pi_closed,
         moore_class=MOORE_CLASS[(pi_open, pi_closed)],
@@ -265,6 +270,18 @@ def validate_stratification(d):
         pi_continuous_to_star=continuous,
         star_topology_equals_quotient=same_topology,
     )
+
+
+def product_mask(sizes, index_lists):
+    """Mask over the row-major product of carriers of the given sizes, with a
+    bit at every index tuple drawn from the per-factor index lists."""
+    strides = [1] * len(sizes)
+    for d in range(len(sizes) - 2, -1, -1):
+        strides[d] = strides[d + 1] * sizes[d + 1]
+    mask = 0
+    for idx in itertools.product(*index_lists):
+        mask |= 1 << sum(i * s for i, s in zip(idx, strides))
+    return mask
 
 
 ProductVerification = namedtuple(

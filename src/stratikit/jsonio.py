@@ -87,6 +87,15 @@ def _label_lists(doc, key, carrier, path):
     return lists
 
 
+def load_subset(doc, carrier, path=""):
+    """The labels under ``subset`` (none if the key is absent); a non-list or
+    a label outside ``carrier`` is refused with its path."""
+    if "subset" not in doc:
+        return []
+    at = _join(path, "subset")
+    return _members(_expect(doc, "subset", list, path), set(carrier), "subset", at)
+
+
 def load_preorder(doc, path=""):
     carrier = [str(x) for x in _expect(doc, "carrier", list, path)]
     return order.Preorder.from_pairs(carrier,

@@ -9,7 +9,6 @@ seed pins the whole suite.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .decomposition import Decomposition
 from .order import Preorder

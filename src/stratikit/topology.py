@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapExceeded, InputError, StructureError
-from .order import Poset, Preorder, bit_indices, lowest_bit, product_label, transpose
+from .order import Poset, Preorder, bit_indices, bitmask, product
 
 MAX_POINTS = 20
 
@@ -72,6 +72,8 @@ class FiniteTopology:
         self._full = full
         self._open_set = frozenset(opens)
         self._labels_by_byte = None
+        self._minimal = None
+        self._specialization = None
         if _validate:
             self._check_axioms()
 
@@ -82,17 +84,19 @@ class FiniteTopology:
         holds the minimal open U_x (the AND of the opens containing x) of every
         point x and has as many members as there are unions of the U_x: each
         member is then the union of the U_x of its points, so the family is
-        exactly those unions.  Only a refused family is scanned pairwise, to
+        exactly those unions.  The U_x of an accepted family are kept as its
+        specialization rows.  Only a refused family is scanned pairwise, to
         name its first escaping pair.
         """
         if 0 not in self._open_set:
             raise StructureError("empty set missing from the open family")
         if self._full not in self._open_set:
             raise StructureError("carrier missing from the open family")
-        minimal = {self.minimal_open_mask(i) for i in range(len(self.carrier))}
-        if minimal <= self._open_set:
+        minimal = [self.minimal_open_mask(i) for i in range(len(self.carrier))]
+        if self._open_set.issuperset(minimal):
             unions = _unions(minimal, len(self.opens))
             if unions is not None and len(unions) == len(self.opens):
+                self._minimal = minimal
                 return
         raise StructureError(self._first_escape())
 
@@ -211,17 +215,14 @@ class FiniteTopology:
         return m
 
     def specialization_preorder(self):
-        """x <= y iff x lies in the closure of {y}; cross-checked against the
-        minimal-open characterization (every open containing x contains y)."""
-        minimal = [self.minimal_open_mask(i) for i in range(len(self.carrier))]
-        for j, below in enumerate(transpose(minimal)):
-            around = self.closure_mask(1 << j)
-            if around != below:
-                i = lowest_bit(around ^ below)
-                raise StructureError(
-                    "specialization characterizations disagree at "
-                    f"({self.carrier[i]!r}, {self.carrier[j]!r})")
-        return Preorder(self.carrier, minimal)
+        """x <= y iff every open containing x contains y: row x is the minimal
+        open U_x.  The rows are read off the opens once, by the axiom check or
+        on the first call, and the one ``Preorder`` is kept."""
+        if self._specialization is None:
+            if self._minimal is None:
+                self._minimal = [self.minimal_open_mask(i) for i in range(len(self.carrier))]
+            self._specialization = Preorder(self.carrier, self._minimal)
+        return self._specialization
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTopology):
@@ -237,73 +238,48 @@ class FiniteTopology:
         return [list(self._label_chain(o)) for o in self.opens]
 
 
-def product_mask(sizes, index_lists):
-    """Mask over the row-major product of carriers of the given sizes, with a
-    bit at every index tuple drawn from the per-factor index lists."""
-    strides = [1] * len(sizes)
-    for d in range(len(sizes) - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-    mask = 0
-    for idx in itertools.product(*index_lists):
-        mask |= 1 << sum(i * s for i, s in zip(idx, strides))
-    return mask
-
-
 def product_topology(factors):
-    """Product space: all unions of open boxes; checked against the Alexandroff
-    topology of the product of specialization preorders."""
+    """Product space: the up-set topology of the product of the factors'
+    specialization preorders, whose opens are the unions of open boxes."""
     factors = list(factors)
     if not factors:
         raise InputError("empty factor list")
-    sizes = [len(t.carrier) for t in factors]
     total = 1
-    for s in sizes:
-        total *= s
+    for t in factors:
+        total *= len(t.carrier)
     if total > MAX_POINTS:
         raise CapExceeded(f"product carrier would have {total} points, cap is {MAX_POINTS}")
-    carrier = [product_label(t) for t in itertools.product(*(f.carrier for f in factors))]
-
-    opens = {0}
-    for combo in itertools.product(*(f.opens for f in factors)):
-        b = product_mask(sizes, [bit_indices(o) for o in combo])
-        opens |= {o | b for o in opens}
-    out = FiniteTopology(carrier, opens, _validate=False)
-
-    from .order import product as order_product  # local import avoids a cycle at module load
-
-    via_preorder = FiniteTopology.from_preorder(
-        order_product([f.specialization_preorder() for f in factors]))
-    if out != via_preorder:
-        raise StructureError("box-generated product disagrees with the Alexandroff product")
-    return out
+    return FiniteTopology.from_preorder(product([f.specialization_preorder() for f in factors]))
 
 
 class PosetStratifiedSpace:
     """A space together with a continuous map to a poset carrying its
-    Alexandroff topology."""
+    Alexandroff topology.
+
+    A map of finite spaces is continuous iff it is monotone for the
+    specialization preorders, so the map is checked on the rows: the image of
+    each U_x must lie in the up-set of the stratum of x.
+    """
 
     def __init__(self, space, strata_poset, strat_map):
         if not isinstance(strata_poset, Poset):
             raise InputError("strata must form a poset")
         strat_map = dict(strat_map)
+        stratum = []
         for x in space.carrier:
             if x not in strat_map:
                 raise InputError(f"stratification map misses point {x!r}")
-            strata_poset.index(strat_map[x])
-        strata_space = FiniteTopology.from_preorder(strata_poset)
-        for u in strata_space.opens:
-            pre = 0
-            for i, x in enumerate(space.carrier):
-                if u & (1 << strata_space._index[strat_map[x]]):
-                    pre |= 1 << i
-            if not space.is_open(pre):
+            stratum.append(strata_poset.index(strat_map[x]))
+        for i, row in enumerate(space.specialization_preorder().up):
+            above = strata_poset.up[stratum[i]]
+            if bitmask(stratum[j] for j in bit_indices(row)) & ~above:
+                labels = tuple(strata_poset.carrier[k] for k in bit_indices(above))
                 raise StructureError(
                     f"stratification map not continuous: preimage of "
-                    f"{strata_space.labels(u)} is not open")
+                    f"{labels} is not open")
         self.space = space
         self.strata_poset = strata_poset
         self.strat_map = strat_map
-        self.strata_space = strata_space
 
     def fiber_mask(self, stratum):
         self.strata_poset.index(stratum)

@@ -177,7 +177,7 @@ def loop_structure_checks(cat, x, y, side):
     space = FiniteTopology.from_preorder(hom_preorder(cat, x, y, side))
     strata, projection = quotient_poset(hom_preorder(cat, x, y, side))
     pss = PosetStratifiedSpace(space, strata, projection.assignment)
-    strata_space = pss.strata_space
+    strata_space = FiniteTopology.from_preorder(strata)
     projection_open = True
     for u in space.opens:
         image = 0

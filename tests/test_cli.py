@@ -7,6 +7,7 @@ import pytest
 
 import stratikit
 from stratikit.cli import main
+from stratikit.topology import FiniteTopology
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -78,6 +79,27 @@ class TestTopologyCommands:
             assert len(doc["results"]["opens"]) == 1 << 14
         else:
             assert doc["results"]["pairs"] == []
+
+    def test_round_trip_check_reads_the_opens(self, tmp_path, capsys, monkeypatch):
+        # the space the real from_preorder built, with one minimal open taken
+        # out of its family: the round trip fails only if the specialization
+        # rows are read from the opens rather than from the preorder
+        build = FiniteTopology.from_preorder.__func__
+
+        def drop_a_minimal_open(cls, p):
+            t = build(cls, p)
+            lost = next(row for row in p.up if row != t.full_mask)
+            t.opens = tuple(o for o in t.opens if o != lost)
+            t._open_set = frozenset(t.opens)
+            return t
+
+        monkeypatch.setattr(FiniteTopology, "from_preorder",
+                            classmethod(drop_a_minimal_open))
+        code, out = run_cli(capsys, ["topology", "from-preorder", "--input",
+                                     write_input(tmp_path, EX1_PREORDER)])
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "specialization preorder round-trips", "pass": False, "detail": ""}]
 
     def test_closure(self, tmp_path, capsys):
         path = write_input(tmp_path, {
@@ -175,6 +197,35 @@ class TestErrorHandling:
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
         assert code == 2
         assert json.loads(out)["error"]["path"] == path
+
+    @pytest.mark.parametrize("argv", [
+        ["topology", "check"],
+        ["topology", "closure"],
+        ["decomp", "product"],
+        ["homset", "preorder"],
+        ["homset", "stratify"],
+        ["homset", "functor-check"],
+        ["homset", "yoneda"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_document_that_is_not_an_object_exits_2(self, tmp_path, capsys, argv):
+        code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, [1, 2])])
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": "expected object, got list",
+                                            "path": ""}
+
+    @pytest.mark.parametrize("subset, message, path", [
+        ("ab", "key 'subset' should be list, got str", "subset"),
+        (5, "key 'subset' should be list, got int", "subset"),
+        (["c", "zz"], "unknown label in subset: 'zz'", "subset[1]"),
+    ], ids=["string", "number", "unknown-member"])
+    def test_closure_subset_is_checked(self, tmp_path, capsys, subset, message, path):
+        doc = {"space": {"carrier": ["a", "b", "c", "d"],
+                         "preorder_pairs": PSEUDO_PREORDER["pairs"]},
+               "subset": subset}
+        code, out = run_cli(capsys, ["topology", "closure", "--input",
+                                     write_input(tmp_path, doc)])
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": message, "path": path}
 
 
 class TestDecompCommands:

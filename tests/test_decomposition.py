@@ -97,7 +97,7 @@ class TestAnalyze:
         rep = analyze(d)
         with pytest.raises(StructureError, match="moore"):
             DecompositionReport(
-                quotient=rep.quotient, pi_open=True, pi_closed=True,
+                pi_open=True, pi_closed=True,
                 moore_class="neither", star_preorder=rep.star_preorder,
                 tau_pi_preorder=rep.tau_pi_preorder, tamaki_agrees=True,
                 blocks_locally_closed=rep.blocks_locally_closed,
@@ -320,7 +320,7 @@ class TestRowsAgainstExplicitOpens:
     def assert_agrees(self, d):
         fields, strat = reference_analysis(d)
         rep = analyze(d)
-        assert rep._asdict() == fields
+        assert rep._asdict() == {k: v for k, v in fields.items() if k != "quotient"}
         assert rep.quotient.opens_as_labels() == fields["quotient"].opens_as_labels()
         assert quotient_topology(d) == fields["quotient"]
         assert star_preorder(d) == fields["star_preorder"]

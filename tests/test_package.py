@@ -1,5 +1,7 @@
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +38,32 @@ def test_unknown_attribute_raises_attribute_error():
 def test_submodules_are_the_registered_module_objects():
     for name in ("order", "arrangement", "jsonio", "corpus"):
         assert getattr(stratikit, name) is sys.modules[f"stratikit.{name}"]
+
+
+def imported_but_unused(source):
+    """Names bound by the imports of a module, at any depth, that no other
+    name in it reads; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_every_imported_name_is_used():
+    package = Path(stratikit.__file__).parent
+    unused = {path.name: imported_but_unused(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_check_flags_an_unused_name():
+    assert imported_but_unused(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom .order import bitmask, transpose\n"
+        "j.dumps(os.sep)\ndef f():\n    import random\n    return bitmask\n"
+    ) == ["random", "transpose"]

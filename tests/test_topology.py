@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratikit.errors import CapExceeded, InputError, StructureError
-from stratikit.order import Preorder, bit_indices, product
+from stratikit.order import Preorder, bit_indices, product_label, quotient_poset
 from stratikit.randomcases import (random_assignment, random_preorder,
                                    random_topology)
 from stratikit.topology import FiniteTopology, PosetStratifiedSpace, product_topology
@@ -227,6 +228,18 @@ class TestSpecialization:
         t = FiniteTopology.from_preorder(p0)
         assert t.specialization_preorder().pairs() == []
 
+    @pytest.mark.parametrize("build", ["from_preorder", "checked_opens", "unchecked_opens"])
+    def test_rows_are_derived_once(self, pseudo_poset, build):
+        if build == "from_preorder":
+            t = FiniteTopology.from_preorder(pseudo_poset)
+        else:
+            opens = FiniteTopology.from_preorder(pseudo_poset).opens
+            t = FiniteTopology(pseudo_poset.carrier, opens,
+                               _validate=build == "checked_opens")
+        p = t.specialization_preorder()
+        assert p == pseudo_poset
+        assert t.specialization_preorder() is p
+
 
 class TestRoundTrips:
     def test_preorder_roundtrip(self):
@@ -327,21 +340,43 @@ class TestFunctoriality:
             assert continuous == is_monotone(f, p, q)
 
 
+def box_product(factors):
+    """The product topology by its definition: every union of open boxes
+    U_1 x ... x U_k, over the row-major product carrier."""
+    sizes = [len(t.carrier) for t in factors]
+    opens = {0}
+    for combo in itertools.product(*(t.opens for t in factors)):
+        box = 0
+        for idx in itertools.product(*map(bit_indices, combo)):
+            flat = 0
+            for i, size in zip(idx, sizes):
+                flat = flat * size + i
+            box |= 1 << flat
+        opens |= {o | box for o in opens}
+    carrier = [product_label(t) for t in itertools.product(*(t.carrier for t in factors))]
+    return FiniteTopology(carrier, opens)
+
+
 class TestProductTopology:
     def test_matches_alexandroff_product(self, ex1_poset):
         t1 = FiniteTopology.from_preorder(ex1_poset)
-        prod = product_topology([t1, t1])
-        via = FiniteTopology.from_preorder(product([ex1_poset, ex1_poset]))
-        assert prod == via
+        assert product_topology([t1, t1]) == box_product([t1, t1])
 
     def test_random_factors(self):
         rng = random.Random(9)
         for _ in range(20):
             p1 = random_preorder(rng, size=rng.randint(1, 3), max_size=3)
             p2 = random_preorder(rng, size=rng.randint(1, 4), max_size=4)
-            prod = product_topology([FiniteTopology.from_preorder(p1),
-                                     FiniteTopology.from_preorder(p2)])
-            assert prod == FiniteTopology.from_preorder(product([p1, p2]))
+            factors = [FiniteTopology.from_preorder(p1), FiniteTopology.from_preorder(p2)]
+            assert product_topology(factors) == box_product(factors)
+
+    def test_random_explicit_factors(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            factors = [random_topology(rng, max_size=3) for _ in range(rng.randint(1, 3))]
+            if math.prod(len(t.carrier) for t in factors) > 20:
+                factors.pop()
+            assert product_topology(factors) == box_product(factors)
 
     def test_cap(self):
         p = Preorder.from_pairs([str(i) for i in range(5)], [])
@@ -367,3 +402,50 @@ class TestStratifiedSpace:
         pre = Preorder.from_pairs(["p", "q"], [("p", "q"), ("q", "p")])
         with pytest.raises(InputError):
             PosetStratifiedSpace(t, pre, {"p": "p"})
+
+
+def continuous_by_strata_opens(space, strata, strat_map):
+    """Continuity by its definition: the preimage of every open of the strata
+    poset's up-set topology is open."""
+    strata_space = FiniteTopology.from_preorder(strata)
+    for u in strata_space.opens:
+        pre = 0
+        for i, x in enumerate(space.carrier):
+            if u >> strata.index(strat_map[x]) & 1:
+                pre |= 1 << i
+        if not space.is_open(pre):
+            return False
+    return True
+
+
+def test_stratified_space_accepts_exactly_the_continuous_maps():
+    rng = random.Random(31)
+    verdicts = []
+    for i in range(400):
+        if i % 3 == 2:
+            space = random_topology(rng, max_size=6)
+        else:
+            space = FiniteTopology.from_preorder(random_preorder(rng, max_size=6))
+        strata, _ = quotient_poset(random_preorder(rng, max_size=5))
+        strat_map = random_assignment(rng, space.carrier, list(strata.carrier))
+        expected = continuous_by_strata_opens(space, strata, strat_map)
+        try:
+            PosetStratifiedSpace(space, strata, strat_map)
+        except StructureError as exc:
+            assert not expected
+            message = str(exc)
+            prefix, suffix = ("stratification map not continuous: preimage of ",
+                              " is not open")
+            assert message.startswith(prefix) and message.endswith(suffix)
+            # the named set is the up-set of some stratum, and its preimage
+            # is not open
+            upsets = {repr(tuple(strata.carrier[j] for j in bit_indices(row))): row
+                      for row in strata.up}
+            up = upsets[message[len(prefix):-len(suffix)]]
+            pre = space.mask([x for x in space.carrier
+                              if up >> strata.index(strat_map[x]) & 1])
+            assert not space.is_open(pre)
+        else:
+            assert expected
+        verdicts.append(expected)
+    assert 50 < sum(verdicts) < 350
