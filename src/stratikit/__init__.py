@@ -4,8 +4,10 @@ hom-set stratifications of finite categories, and order-complex homology.
 
 Submodules load on first use: each is registered in ``sys.modules`` through
 ``importlib.util.LazyLoader`` and runs when one of its attributes is first
-read, so a command compiles only the modules it touches.  Public names
-resolve through the module ``__getattr__`` (PEP 562).
+read, so a command compiles only the modules whose attributes are read, by
+the command itself or by a sibling's module-level ``from .x import`` (a
+sibling needed by only some functions is imported inside them).  Public
+names resolve through the module ``__getattr__`` (PEP 562).
 """
 
 import importlib.util

@@ -1,5 +1,8 @@
 """Rational hyperplane arrangements: sign vectors, face enumeration, and the
-face poset with an independent closure-inclusion oracle."""
+face poset with an independent closure-inclusion oracle.
+
+``order`` is imported only where the face poset or the oracle is built, so
+face enumeration alone never loads it."""
 
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ from math import lcm
 
 from .errors import CapExceeded, InputError
 from .feasibility import LinearSystem, feasible, integer_row, solve
-from .order import Poset, bit_indices, bitmask
 
 MAX_FORMS = 12
 
@@ -160,6 +162,8 @@ def face_poset(arr, faces=None):
     Bit j of ``classes[i][s + 1]`` is set iff face j has sign s at form i, so
     the up-set of f is the AND of those sign classes over the forms with
     f_i != 0."""
+    from .order import Poset
+
     if faces is None:
         faces = enumerate_faces(arr)
     classes = [[0, 0, 0] for _ in range(arr.k)]
@@ -198,6 +202,8 @@ def _sides_outside_closure(signs):
     """(below, above) masks of the strict sides that miss the closure of the
     face with these signs.  That closure is the weak relaxation of the signs,
     so l_i < 0 misses it when s_i >= 0, and l_i > 0 when s_i <= 0."""
+    from .order import bitmask
+
     return (bitmask(i for i, s in enumerate(signs) if s >= 0),
             bitmask(i for i, s in enumerate(signs) if s <= 0))
 
@@ -223,6 +229,8 @@ def closure_rows(arr, faces):
     the AND of those faces over the reached sides.  The sign masks are built
     here, not shared with face_poset, so the oracle reads only the solver's
     sides and the faces' signs."""
+    from .order import bit_indices
+
     negative, positive = [0] * arr.k, [0] * arr.k
     for j, g in enumerate(faces):
         for i, s in enumerate(g.signs):

@@ -1,16 +1,17 @@
 """Finite categories with explicit composition tables: hom-set preorders by
 pre/post-composition witnesses, their stratified structures, the induced
-functors into stratified spaces, and Yoneda machinery."""
+functors into stratified spaces, and Yoneda machinery.
+
+Only ``hom_stratified`` needs ``decomposition`` and ``topology``; it imports
+them when called, so the other hom-set commands never load them."""
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
 
-from .decomposition import Decomposition, analyze
 from .errors import CapExceeded, InputError, StructureError
 from .order import Preorder, is_monotone, quotient_poset
-from .topology import FiniteTopology, PosetStratifiedSpace
 
 MAX_MORPHISMS = 64
 
@@ -188,6 +189,9 @@ def hom_stratified(cat, x, y, side):
     decides all three: the projection to the strata is open iff it is open to
     the quotient and the quotient order is the strata order.
     """
+    from .decomposition import Decomposition, analyze
+    from .topology import FiniteTopology, PosetStratifiedSpace
+
     pre, witnesses = hom_preorder_details(cat, x, y, side)
     if not pre.carrier:
         raise InputError(f"hom({x!r}, {y!r}) is empty; nothing to stratify")

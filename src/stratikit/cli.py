@@ -1,13 +1,11 @@
 """Command-line entry point: JSON in, a deterministic run report out.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input (the error
-object names the offending schema path).
+object names the offending schema path) or a usage error (reported on stderr).
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import sys
 
@@ -31,11 +29,20 @@ def _read_input(args):
     return doc, text
 
 
+def _sha256(data):
+    """Hex SHA-256 from the interpreter's builtin module (``_sha2`` from
+    Python 3.12, ``_sha256`` before), so that a job does not load OpenSSL
+    through ``hashlib``; ``hashlib`` only where the builtin was not built."""
+    try:
+        module = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    except ImportError:
+        import hashlib as module
+    return module.sha256(data).hexdigest()
+
+
 def _digest(text):
-    return {
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "bytes": len(text.encode("utf-8")),
-    }
+    data = text.encode("utf-8")
+    return {"sha256": _sha256(data), "bytes": len(data)}
 
 
 def _report(command, inputs, results, checks):
@@ -98,7 +105,7 @@ def cmd_topology(args):
         return _emit(_report("topology to-preorder", _digest(text),
                              jsonio.dump_preorder(pre), checks))
     if args.action == "closure":
-        space = jsonio.load_topology(doc.get("space", {}))
+        space = jsonio.load_topology(jsonio.expect(doc, "space", dict, ""), path="space")
         subset = jsonio.load_subset(doc, space.carrier)
         closed = space.closure(subset)
         mask = space.mask(closed)
@@ -223,11 +230,16 @@ def cmd_arrangement(args):
 # -- homset --------------------------------------------------------------------
 
 
+def _endpoints(doc):
+    return (str(jsonio.expect(doc, "source", None, "")),
+            str(jsonio.expect(doc, "target", None, "")))
+
+
 def cmd_homset(args):
     doc, text = _read_input(args)
     cat = jsonio.load_category(doc.get("category", {}), path="category")
     if args.action == "preorder":
-        x, y = str(doc.get("source")), str(doc.get("target"))
+        x, y = _endpoints(doc)
         side = str(doc.get("side", "R"))
         pre, witnesses = category.hom_preorder_details(cat, x, y, side)
         pre = _maybe_dual(args, pre)
@@ -238,7 +250,7 @@ def cmd_homset(args):
         }
         return _emit(_report("homset preorder", _digest(text), results, []))
     if args.action == "stratify":
-        x, y = str(doc.get("source")), str(doc.get("target"))
+        x, y = _endpoints(doc)
         side = str(doc.get("side", "R"))
         pss, rep = category.hom_stratified(cat, x, y, side)
         checks = [
@@ -392,64 +404,153 @@ def cmd_corpus(args):
     raise InputError(f"unknown corpus action {args.action!r}")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="stratikit",
-        description="finite order/topology toolkit: preorders, decomposition "
-                    "spaces, arrangement face posets, hom-set stratifications")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- arguments -------------------------------------------------------------------
 
-    def common(p, dual=True, dot=True):
-        p.add_argument("--input", help="JSON input file (default: stdin)")
-        if dual:
-            p.add_argument("--dual", action="store_true",
-                           help="reverse the order convention on output")
-        if dot:
-            p.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
-            p.add_argument("--full-relation", action="store_true",
-                           help="DOT: emit every related pair, not the covering relation")
+DESCRIPTION = ("finite order/topology toolkit: preorders, decomposition spaces, "
+               "arrangement face posets, hom-set stratifications")
 
-    p = sub.add_parser("topology", help="finite topologies and the two functors")
-    p.add_argument("action", choices=["check", "to-preorder", "from-preorder", "closure"])
-    common(p)
-    p.set_defaults(func=cmd_topology)
+# Option -> (attribute, metavar, value type, default, help); a flag has no
+# metavar and no type and stores True.
+_INPUT = {"--input": ("input", "FILE", str, None, "JSON input file (default: stdin)")}
+_DRAWN = {**_INPUT,
+          "--dual": ("dual", None, None, False, "reverse the order convention on output"),
+          "--dot": ("dot", "PATH", str, None, "write a DOT diagram here"),
+          "--full-relation": ("full_relation", None, None, False,
+                              "DOT: emit every related pair, not the covering relation")}
 
-    p = sub.add_parser("decomp", help="decomposition spaces")
-    p.add_argument("action", choices=["analyze", "quotient", "validate", "product"])
-    common(p)
-    p.set_defaults(func=cmd_decomp)
+# Group -> (handler, actions, options, (attribute, default) of the optional
+# positional after the action or None, help line).
+COMMANDS = {
+    "topology": (cmd_topology, ("check", "to-preorder", "from-preorder", "closure"),
+                 _DRAWN, None, "finite topologies and the two functors"),
+    "decomp": (cmd_decomp, ("analyze", "quotient", "validate", "product"),
+               _DRAWN, None, "decomposition spaces"),
+    "arrangement": (cmd_arrangement, ("faces", "poset", "check-ob"),
+                    _DRAWN, None, "hyperplane arrangement faces"),
+    "homset": (cmd_homset, ("preorder", "stratify", "functor-check", "yoneda"),
+               _DRAWN, None, "hom-set preorders and Yoneda machinery"),
+    "homology": (cmd_homology, ("order-complex", "betti"),
+                 {**_INPUT, "--max-dim": ("max_dim", "N", int, None,
+                                          "highest dimension of the Betti numbers")},
+                 None, "order complexes and Betti numbers"),
+    "corpus": (cmd_corpus, ("list", "run", "oracle"),
+               {"--seed": ("seed", "N", int, 0, "oracle: random seed"),
+                "--cases": ("cases", "N", int, 200, "oracle: number of cases")},
+               ("case", "all"), "golden examples and seeded property suites"),
+}
 
-    p = sub.add_parser("arrangement", help="hyperplane arrangement faces")
-    p.add_argument("action", choices=["faces", "poset", "check-ob"])
-    common(p)
-    p.set_defaults(func=cmd_arrangement)
 
-    p = sub.add_parser("homset", help="hom-set preorders and Yoneda machinery")
-    p.add_argument("action", choices=["preorder", "stratify", "functor-check", "yoneda"])
-    common(p)
-    p.set_defaults(func=cmd_homset)
+class Arguments:
+    """The parsed command line: the action and one attribute per option of
+    its group."""
 
-    p = sub.add_parser("homology", help="order complexes and Betti numbers")
-    p.add_argument("action", choices=["order-complex", "betti"])
-    p.add_argument("--max-dim", type=int, default=None)
-    common(p, dual=False, dot=False)
-    p.set_defaults(func=cmd_homology)
+    def __init__(self, values):
+        self.__dict__.update(values)
 
-    p = sub.add_parser("corpus", help="golden examples and seeded property suites")
-    p.add_argument("action", choices=["list", "run", "oracle"])
-    p.add_argument("case", nargs="?", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
-    p.set_defaults(func=cmd_corpus)
 
-    return parser
+def _choices(names):
+    return "{" + ",".join(names) + "}"
+
+
+def _usage(group):
+    if group is None:
+        return f"usage: stratikit [-h] {_choices(COMMANDS)} ..."
+    _, actions, options, extra, _ = COMMANDS[group]
+    words = [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
+             for name, spec in options.items()]
+    words.append(_choices(actions))
+    if extra:
+        words.append(f"[{extra[0].upper()}]")
+    return f"usage: stratikit {group} [-h] {' '.join(words)}"
+
+
+def _fail(message, group=None):
+    """A usage error: usage and message on stderr, exit status 2."""
+    sys.stderr.write(f"{_usage(group)}\nstratikit: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(group):
+    if group is None:
+        lines = [DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<12} {spec[4]}" for name, spec in COMMANDS.items()]
+        lines.append("\nrun `stratikit COMMAND --help` for the options of a command")
+    else:
+        _, actions, options, _, text = COMMANDS[group]
+        lines = [text, "", f"actions: {', '.join(actions)}", "", "options:",
+                 f"  {'-h, --help':<22} show this help and exit"]
+        for name, spec in options.items():
+            spelled = f"{name} {spec[1]}" if spec[1] else name
+            lines.append(f"  {spelled:<22} {spec[4]}")
+    sys.stdout.write(f"{_usage(group)}\n\n" + "\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _is_value(token):
+    """True unless the token looks like an option; a negative number such as
+    ``-3`` is a value."""
+    return token[:1] != "-" or token == "-" or token[1:].isdecimal()
+
+
+def parse_args(argv):
+    """(handler, Arguments) of a command line ``GROUP ACTION [options]``.
+
+    Options may come before or after the action, as ``--opt value`` or
+    ``--opt=value``; option names must be spelled out in full.  ``-h`` or
+    ``--help`` prints help and exits 0; a usage error exits 2."""
+    if not argv:
+        _fail("the following arguments are required: command")
+    group, *tokens = argv
+    if group in ("-h", "--help"):
+        _help(None)
+    if group not in COMMANDS:
+        _fail(f"argument command: invalid choice: {group!r} "
+              f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, actions, options, extra, _ = COMMANDS[group]
+    values = {spec[0]: spec[3] for spec in options.values()}
+    positionals = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if _is_value(token):
+            positionals.append(token)
+            continue
+        if token in ("-h", "--help"):
+            _help(group)
+        name, eq, value = token.partition("=")
+        if name not in options:
+            _fail(f"unrecognized arguments: {token}", group)
+        attribute, _, kind, _, _ = options[name]
+        if kind is None:
+            if eq:
+                _fail(f"argument {name}: ignored explicit argument {value!r}", group)
+            values[attribute] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                _fail(f"argument {name}: expected one argument", group)
+        try:
+            values[attribute] = kind(value)
+        except ValueError:
+            _fail(f"argument {name}: invalid {kind.__name__} value: {value!r}", group)
+    if not positionals:
+        _fail("the following arguments are required: action", group)
+    action, *rest = positionals
+    if action not in actions:
+        _fail(f"argument action: invalid choice: {action!r} "
+              f"(choose from {', '.join(map(repr, actions))})", group)
+    if extra:
+        values[extra[0]] = rest.pop(0) if rest else extra[1]
+    if rest:
+        _fail(f"unrecognized arguments: {' '.join(rest)}", group)
+    values["action"] = action
+    return handler, Arguments(values)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         error = {"error": {"message": str(exc), "path": exc.path or ""}}
         sys.stdout.write(jsonio.canonical_dumps(error) + "\n")

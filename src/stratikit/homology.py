@@ -1,12 +1,11 @@
 """Order complexes of finite posets and rational Betti numbers.
 
 A finite poset has the homology of its order complex (McCord 1966).  Ranks
-come from exact column reduction of sparse boundary columns over Q.
+come from exact column reduction of sparse boundary columns over Q;
+``fractions`` is imported only when a rank is taken.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import CapExceeded, InputError, StructureError
 from .order import bit_indices
@@ -112,6 +111,8 @@ def boundary_columns(complex_, dim):
 def column_rank(columns):
     """Exact rank over Q: reduce each column by the earlier one owning its
     lowest row until it owns a new lowest row or vanishes."""
+    from fractions import Fraction
+
     owner = {}  # lowest row -> reduced column whose lowest row it is
     for column in columns:
         column = dict(column)

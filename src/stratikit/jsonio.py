@@ -8,7 +8,7 @@ document without rationals never loads it.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring as _quote
 
 from . import arrangement, category, decomposition, order, topology
 from .errors import InputError
@@ -38,7 +38,10 @@ def _join(path, key):
     return f"{path}.{key}" if path else key
 
 
-def _expect(doc, key, kind, path):
+def expect(doc, key, kind, path):
+    """``doc[key]``, checked to be an instance of ``kind`` unless that is None;
+    a non-object ``doc``, a missing key or a wrong type is refused with the
+    key's schema path under ``path``."""
     if not isinstance(doc, dict):
         raise InputError(f"expected object, got {type(doc).__name__}", path=path)
     if key not in doc:
@@ -66,7 +69,7 @@ def _label_pairs(doc, key, carrier, path):
     outside ``carrier`` is refused with the path of the offending entry."""
     known = set(carrier)
     pairs = []
-    for i, p in enumerate(_expect(doc, key, list, path)):
+    for i, p in enumerate(expect(doc, key, list, path)):
         at = _join(path, f"{key}[{i}]")
         if not isinstance(p, list) or len(p) != 2:
             raise InputError("each pair must be a [a, b] list", path=at)
@@ -79,7 +82,7 @@ def _label_lists(doc, key, carrier, path):
     a list or a label outside ``carrier`` is refused with its path."""
     known = set(carrier)
     lists = []
-    for i, entry in enumerate(_expect(doc, key, list, path)):
+    for i, entry in enumerate(expect(doc, key, list, path)):
         at = _join(path, f"{key}[{i}]")
         if not isinstance(entry, list):
             raise InputError(f"each entry of {key!r} must be a list of labels", path=at)
@@ -93,11 +96,11 @@ def load_subset(doc, carrier, path=""):
     if "subset" not in doc:
         return []
     at = _join(path, "subset")
-    return _members(_expect(doc, "subset", list, path), set(carrier), "subset", at)
+    return _members(expect(doc, "subset", list, path), set(carrier), "subset", at)
 
 
 def load_preorder(doc, path=""):
-    carrier = [str(x) for x in _expect(doc, "carrier", list, path)]
+    carrier = [str(x) for x in expect(doc, "carrier", list, path)]
     return order.Preorder.from_pairs(carrier,
                                      _label_pairs(doc, "pairs", carrier, path))
 
@@ -107,7 +110,7 @@ def dump_preorder(p):
 
 
 def load_topology(doc, path=""):
-    carrier = [str(x) for x in _expect(doc, "carrier", list, path)]
+    carrier = [str(x) for x in expect(doc, "carrier", list, path)]
     if "opens" in doc:
         return topology.FiniteTopology.from_open_sets(
             carrier, _label_lists(doc, "opens", carrier, path))
@@ -124,12 +127,12 @@ def dump_topology(t):
 
 
 def load_decomposition(doc, path=""):
-    space = load_topology(_expect(doc, "space", dict, path),
+    space = load_topology(expect(doc, "space", dict, path),
                           path=_join(path, "space"))
     blocks = _label_lists(doc, "blocks", space.carrier, path)
     labels = None
     if doc.get("labels") is not None:
-        labels = [str(x) for x in _expect(doc, "labels", list, path)]
+        labels = [str(x) for x in expect(doc, "labels", list, path)]
     return decomposition.Decomposition(space, blocks, labels)
 
 
@@ -142,8 +145,8 @@ def dump_decomposition(d):
 
 
 def load_arrangement(doc, path=""):
-    dim = _expect(doc, "dim", int, path)
-    forms = _expect(doc, "forms", list, path)
+    dim = expect(doc, "dim", int, path)
+    forms = expect(doc, "forms", list, path)
     parsed = []
     for i, form in enumerate(forms):
         if not isinstance(form, list):
@@ -155,13 +158,6 @@ def load_arrangement(doc, path=""):
     return arrangement.Arrangement(dim, parsed)
 
 
-def dump_arrangement(a):
-    return {
-        "dim": a.dim,
-        "forms": [[format_rational(c) for c in f] for f in a.forms],
-    }
-
-
 def _parse_hom_key(key, path):
     for sep in ("→", "->"):
         if sep in key:
@@ -171,8 +167,8 @@ def _parse_hom_key(key, path):
 
 
 def load_category(doc, path=""):
-    objects = [str(x) for x in _expect(doc, "objects", list, path)]
-    homs_doc = _expect(doc, "homs", dict, path)
+    objects = [str(x) for x in expect(doc, "objects", list, path)]
+    homs_doc = expect(doc, "homs", dict, path)
     homs = {}
     for key, ms in homs_doc.items():
         pair = _parse_hom_key(str(key), path=f"homs.{key}")
@@ -181,9 +177,9 @@ def load_category(doc, path=""):
         homs[pair] = [str(m) for m in ms]
     identities = {
         str(k): str(v)
-        for k, v in _expect(doc, "identities", dict, path).items()
+        for k, v in expect(doc, "identities", dict, path).items()
     }
-    compose_doc = _expect(doc, "compose", list, path)
+    compose_doc = expect(doc, "compose", list, path)
     compose = []
     for i, row in enumerate(compose_doc):
         if not isinstance(row, list) or len(row) != 3:
@@ -193,43 +189,82 @@ def load_category(doc, path=""):
     return category.FiniteCategory(objects, homs, identities, compose)
 
 
-def dump_category(cat):
-    return {
-        "objects": list(cat.objects),
-        "homs": {
-            f"{x}→{y}": list(ms)
-            for (x, y), ms in sorted(cat.hom_table.items()) if ms
-        },
-        "identities": dict(sorted(cat.identity.items())),
-        "compose": [[g, f, h] for (g, f), h in sorted(cat._compose.items())],
-    }
-
-
 def load_functor(cat, doc, path=""):
-    variance = _expect(doc, "variance", str, path)
-    objects = _expect(doc, "on_objects", dict, path)
+    variance = expect(doc, "variance", str, path)
+    objects = expect(doc, "on_objects", dict, path)
     at = _join(path, "on_objects")
-    on_objects = {str(k): [str(v) for v in _expect(objects, k, list, at)]
+    on_objects = {str(k): [str(v) for v in expect(objects, k, list, at)]
                   for k in objects}
-    morphisms = _expect(doc, "on_morphisms", dict, path)
+    morphisms = expect(doc, "on_morphisms", dict, path)
     at = _join(path, "on_morphisms")
     on_morphisms = {
-        str(k): {str(a): str(b) for a, b in _expect(morphisms, k, dict, at).items()}
+        str(k): {str(a): str(b) for a, b in expect(morphisms, k, dict, at).items()}
         for k in morphisms
     }
     return category.SetFunctor(cat, variance, on_objects, on_morphisms)
 
 
-def dump_functor(fun):
-    return {
-        "variance": fun.variance,
-        "on_objects": {x: list(v) for x, v in sorted(fun.on_objects.items())},
-        "on_morphisms": {
-            m: dict(sorted(fn.items()))
-            for m, fn in sorted(fun.on_morphisms.items())
-        },
-    }
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _key(key):
+    """A dict key as ``json.dumps`` writes it: ``true``, ``false``, ``null``
+    and ints in their JSON spelling, quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is True or key is False or key is None:
+        return _quote(_LITERALS[key])
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+
+
+def _pieces(value, newline, out):
+    """Append the text of ``value`` to ``out``; ``newline`` is the line break
+    and indent of the value's own line."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is True or value is False or value is None:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings is one piece
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, value))}{newline}]")
+            return
+        except TypeError:
+            pass
+        lead = "[" + inner
+        for v in value:
+            out.append(lead)
+            lead = "," + inner
+            _pieces(v, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for k, v in value.items():
+            out.append(f"{lead}{_key(k)}: ")
+            lead = "," + inner
+            _pieces(v, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_dumps(doc):
-    return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False)
+    """Exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``, which runs
+    CPython's pure-Python encoder because the C one ignores ``indent``.  Here
+    the C string quoter writes every string, and a list of strings is one
+    piece.  Only dict, list, tuple, str, int, bool and None are accepted;
+    anything else, floats included, raises ``TypeError``."""
+    out = []
+    _pieces(doc, "\n", out)
+    return "".join(out)

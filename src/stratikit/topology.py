@@ -186,13 +186,6 @@ class FiniteTopology:
     def closure(self, labels):
         return self.labels(self.closure_mask(self.mask(labels)))
 
-    def interior_mask(self, mask):
-        inside = 0
-        for o in self.opens:
-            if o & ~mask == 0:
-                inside |= o
-        return inside
-
     def is_locally_closed_mask(self, mask):
         """True iff the subset is open inside its own closure."""
         c = self.closure_mask(mask)
@@ -201,9 +194,6 @@ class FiniteTopology:
             if o & c & ~mask == 0:
                 u |= o
         return (c & u) == mask
-
-    def is_locally_closed(self, labels):
-        return self.is_locally_closed_mask(self.mask(labels))
 
     # -- the specialization functor -------------------------------------------
 
@@ -214,13 +204,29 @@ class FiniteTopology:
                 m &= o
         return m
 
+    def _minimal_opens_by_scan(self):
+        """The U_x of a family known to be a topology, in one pass over the
+        opens: in canonical order a smaller open comes first, so the first
+        open holding x is U_x.  The pass stops once every point is covered."""
+        rows = [0] * len(self.carrier)
+        covered = 0
+        for o in self.opens:
+            if covered == self._full:
+                break
+            new = o & ~covered
+            if new:
+                for i in bit_indices(new):
+                    rows[i] = o
+                covered |= new
+        return rows
+
     def specialization_preorder(self):
         """x <= y iff every open containing x contains y: row x is the minimal
         open U_x.  The rows are read off the opens once, by the axiom check or
         on the first call, and the one ``Preorder`` is kept."""
         if self._specialization is None:
             if self._minimal is None:
-                self._minimal = [self.minimal_open_mask(i) for i in range(len(self.carrier))]
+                self._minimal = self._minimal_opens_by_scan()
             self._specialization = Preorder(self.carrier, self._minimal)
         return self._specialization
 

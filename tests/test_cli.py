@@ -31,6 +31,12 @@ PSEUDO_PREORDER = {
     "carrier": ["a", "b", "c", "d"],
     "pairs": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
 }
+IDEM = {
+    "objects": ["*"],
+    "homs": {"*->*": ["1", "e"]},
+    "identities": {"*": "1"},
+    "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]],
+}
 CHAIN_BAD_DECOMP = {
     "space": {"carrier": ["0", "1", "2"],
               "preorder_pairs": [["0", "1"], ["1", "2"]]},
@@ -227,6 +233,23 @@ class TestErrorHandling:
         assert code == 2
         assert json.loads(out)["error"] == {"message": message, "path": path}
 
+    @pytest.mark.parametrize("argv, doc, message, path", [
+        (["topology", "closure"], {"subset": []}, "missing key 'space'", "space"),
+        (["topology", "closure"],
+         {"space": {"carrier": ["a", "b"], "preorder_pairs": [["a", "zz"]]},
+          "subset": []}, "unknown label in pairs: 'zz'", "space.preorder_pairs[0][1]"),
+        (["homset", "preorder"], {"category": IDEM, "target": "*"},
+         "missing key 'source'", "source"),
+        (["homset", "stratify"], {"category": IDEM, "source": "*"},
+         "missing key 'target'", "target"),
+    ], ids=["closure-space", "closure-space-label", "preorder-source",
+            "stratify-target"])
+    def test_missing_or_nested_command_input_names_its_path(
+            self, tmp_path, capsys, argv, doc, message, path):
+        code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": message, "path": path}
+
 
 class TestDecompCommands:
     def test_analyze_not_open_still_exits_0(self, tmp_path, capsys):
@@ -368,17 +391,9 @@ class TestArrangementCommands:
 
 
 class TestHomsetCommands:
-    IDEM = {
-        "objects": ["*"],
-        "homs": {"*->*": ["1", "e"]},
-        "identities": {"*": "1"},
-        "compose": [["1", "1", "1"], ["1", "e", "e"],
-                    ["e", "1", "e"], ["e", "e", "e"]],
-    }
-
     def test_preorder(self, tmp_path, capsys):
         path = write_input(tmp_path, {
-            "category": self.IDEM, "source": "*", "target": "*", "side": "R"})
+            "category": IDEM, "source": "*", "target": "*", "side": "R"})
         code, out = run_cli(capsys, ["homset", "preorder", "--input", path])
         assert code == 0
         doc = json.loads(out)
@@ -387,7 +402,7 @@ class TestHomsetCommands:
 
     def test_stratify(self, tmp_path, capsys):
         path = write_input(tmp_path, {
-            "category": self.IDEM, "source": "*", "target": "*", "side": "R"})
+            "category": IDEM, "source": "*", "target": "*", "side": "R"})
         code, out = run_cli(capsys, ["homset", "stratify", "--input", path])
         assert code == 0
         doc = json.loads(out)
@@ -396,13 +411,13 @@ class TestHomsetCommands:
 
     def test_functor_check(self, tmp_path, capsys):
         path = write_input(tmp_path, {
-            "category": self.IDEM, "anchor": "*", "side": "R-covariant"})
+            "category": IDEM, "anchor": "*", "side": "R-covariant"})
         code, out = run_cli(capsys, ["homset", "functor-check", "--input", path])
         assert code == 0
 
     def test_functor_check_accepts_short_side_alias(self, tmp_path, capsys):
         path = write_input(tmp_path, {
-            "category": self.IDEM, "anchor": "*", "side": "L"})
+            "category": IDEM, "anchor": "*", "side": "L"})
         code, out = run_cli(capsys, ["homset", "functor-check", "--input", path])
         assert code == 0
         doc = json.loads(out)
@@ -410,7 +425,7 @@ class TestHomsetCommands:
 
     def test_yoneda(self, tmp_path, capsys):
         path = write_input(tmp_path, {
-            "category": self.IDEM,
+            "category": IDEM,
             "anchor": "*",
             "functor": {
                 "variance": "contravariant",
@@ -427,7 +442,7 @@ class TestHomsetCommands:
 
     def yoneda_error(self, tmp_path, capsys, on_objects, on_morphisms):
         path = write_input(tmp_path, {
-            "category": self.IDEM,
+            "category": IDEM,
             "anchor": "*",
             "functor": {"variance": "contravariant", "on_objects": on_objects,
                         "on_morphisms": on_morphisms}})
@@ -450,7 +465,7 @@ class TestHomsetCommands:
 
     def test_preorder_reports_no_check_that_cannot_fail(self, tmp_path, capsys):
         path = write_input(tmp_path, {
-            "category": self.IDEM, "source": "*", "target": "*", "side": "L"})
+            "category": IDEM, "source": "*", "target": "*", "side": "L"})
         code, out = run_cli(capsys, ["homset", "preorder", "--input", path])
         assert code == 0
         assert json.loads(out)["checks"] == []
@@ -551,6 +566,86 @@ class TestCorpusCommands:
         assert out1 == out2
 
 
+class TestArguments:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["topology", "--help"],
+                                      ["corpus", "run", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: stratikit")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope", "check"],
+        ["topology"],
+        ["topology", "nope"],
+        ["topology", "check", "--nope"],
+        ["topology", "check", "--in", "x.json"],
+        ["topology", "check", "extra"],
+        ["topology", "check", "--input"],
+        ["topology", "check", "--dual=yes"],
+        ["homology", "betti", "--dual"],
+        ["corpus", "oracle", "--seed", "x"],
+        ["corpus", "oracle", "--seed=1.5"],
+        ["corpus", "run", "ex1", "ex6"],
+    ])
+    def test_usage_errors_exit_2_on_stderr(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: stratikit")
+        assert "\nstratikit: error: " in err
+
+    def test_negative_max_dim_is_a_value_that_reaches_the_input_check(
+            self, tmp_path, capsys):
+        path = write_input(tmp_path, PSEUDO_PREORDER)
+        code, out = run_cli(capsys, ["homology", "betti", "--max-dim", "-3",
+                                     "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "max_dim -3 is negative"
+
+    @pytest.mark.parametrize("argv", [
+        ["topology", "from-preorder", "--input={path}"],
+        ["topology", "--input", "{path}", "from-preorder"],
+        ["topology", "--dual", "--input={path}", "from-preorder", "--dual"],
+    ], ids=["equals", "before-the-action", "mixed"])
+    def test_option_spellings_and_places(self, tmp_path, capsys, argv):
+        path = write_input(tmp_path, EX1_PREORDER)
+        code, out = run_cli(capsys, [a.format(path=path) for a in argv])
+        assert code == 0
+        _, plain = run_cli(capsys, ["topology", "from-preorder", "--input", path]
+                           + ["--dual"] * ("--dual" in argv))
+        assert out == plain
+
+    def test_corpus_case_and_integer_options(self):
+        from stratikit.cli import parse_args
+        handler, args = parse_args(["corpus", "--cases=40", "oracle", "--seed", "-7"])
+        assert handler is stratikit.cli.cmd_corpus
+        assert (args.action, args.case, args.seed, args.cases) == ("oracle", "all", -7, 40)
+        _, args = parse_args(["corpus", "run", "ex1"])
+        assert (args.action, args.case) == ("run", "ex1")
+
+    def test_input_digest_is_sha256(self, tmp_path, capsys):
+        import hashlib
+        text = json.dumps({"carrier": ["é"], "pairs": []})
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        _, out = run_cli(capsys, ["topology", "from-preorder", "--input", str(path)])
+        data = text.encode("utf-8")
+        assert json.loads(out)["inputs"] == {
+            "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+    def test_digest_falls_back_to_hashlib_without_the_builtin(self, monkeypatch):
+        import hashlib
+        from stratikit.cli import _sha256
+        monkeypatch.setitem(sys.modules, "_sha2", None)  # None blocks the import
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert _sha256(b"stratikit") == hashlib.sha256(b"stratikit").hexdigest()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write_input(tmp_path, PSEUDO_PREORDER)
@@ -560,19 +655,22 @@ class TestDeterminism:
 
 
 def test_cli_import_loads_only_stdlib_modules():
-    """Importing the CLI pulls in nothing beyond the standard library."""
+    """Importing the CLI pulls in nothing beyond the standard library, and
+    neither an argument parser nor OpenSSL."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "before = set(sys.modules)\n"
         "import stratikit.cli\n"
-        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-        "print(sorted(tops - set(sys.stdlib_module_names) - {'stratikit'}))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(stratikit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    loaded = set(json.loads(out))
+    tops = {m.split(".")[0] for m in loaded}
+    assert sorted(tops - set(sys.stdlib_module_names) - {"stratikit"}) == []
+    assert not loaded & {"argparse", "gettext", "locale", "hashlib", "_hashlib"}
 
 
 EXECUTED_MODULES = (
@@ -582,7 +680,7 @@ EXECUTED_MODULES = (
     "ours = {n: m for n, m in sys.modules.items() if n.startswith('stratikit')}\n"
     "ran = sorted(n for n, m in ours.items()\n"
     "             if type(m) is not importlib.util._LazyModule)\n"
-    "print(json.dumps([code, ran, sorted(ours), 'dataclasses' in sys.modules]),\n"
+    "print(json.dumps([code, ran, sorted(ours), sorted(sys.modules)]),\n"
     "      file=sys.stderr)\n"
 )
 
@@ -593,8 +691,8 @@ SUBMODULES = ["arrangement", "catalog", "category", "cli", "corpus", "decomposit
 
 def executed_modules(argv):
     """Exit code, the stratikit modules whose code ran, every stratikit module
-    in ``sys.modules``, and whether ``dataclasses`` was imported, for one CLI
-    run in a fresh interpreter."""
+    in ``sys.modules``, and every module in ``sys.modules``, for one CLI run
+    in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(stratikit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     err = subprocess.run([sys.executable, "-c", EXECUTED_MODULES, *argv], env=env,
@@ -613,15 +711,32 @@ def test_topology_check_executes_only_the_modules_it_uses(tmp_path):
     assert registered == ["stratikit", *(f"stratikit.{m}" for m in SUBMODULES)]
 
 
+def test_homset_preorder_executes_neither_decomposition_nor_topology(tmp_path):
+    path = write_input(tmp_path, {"category": IDEM, "source": "*", "target": "*"})
+    code, ran, _, _ = executed_modules(["homset", "preorder", "--input", path])
+    assert code == 0
+    assert "stratikit.category" in ran
+    assert "stratikit.decomposition" not in ran
+    assert "stratikit.topology" not in ran
+
+
 def test_arrangement_faces_skips_unrelated_modules_and_dataclasses(tmp_path):
     path = write_input(tmp_path, {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1]]})
-    code, ran, _, dataclasses_loaded = executed_modules(
+    code, ran, _, modules = executed_modules(
         ["arrangement", "faces", "--input", path])
     assert code == 0
     assert "stratikit.arrangement" in ran
     for name in ("category", "decomposition", "homology", "corpus"):
         assert f"stratikit.{name}" not in ran
-    assert not dataclasses_loaded
+    assert "dataclasses" not in modules
+
+
+def test_order_complex_never_imports_fractions(tmp_path):
+    path = write_input(tmp_path, PSEUDO_PREORDER)
+    code, ran, _, modules = executed_modules(["homology", "order-complex", "--input", path])
+    assert code == 0
+    assert "stratikit.homology" in ran
+    assert "fractions" not in modules
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -636,7 +751,7 @@ def test_arrangement_faces_skips_unrelated_modules_and_dataclasses(tmp_path):
 ], ids=["decomp-analyze", "homset-stratify", "corpus-run"])
 def test_report_types_do_not_load_dataclasses(tmp_path, argv, doc):
     inputs = ["--input", write_input(tmp_path, doc)] if doc is not None else []
-    code, ran, _, dataclasses_loaded = executed_modules([*argv, *inputs])
+    code, ran, _, modules = executed_modules([*argv, *inputs])
     assert code == 0
     assert "stratikit.decomposition" in ran
-    assert not dataclasses_loaded
+    assert "dataclasses" not in modules

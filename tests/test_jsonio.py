@@ -1,8 +1,12 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from stratikit import jsonio
+from stratikit.cli import main
+from stratikit.corpus import CASE_NAMES, golden
 from stratikit.catalog import category_chain3, representable_functor
 from stratikit.errors import InputError
 
@@ -26,6 +30,36 @@ class TestRationals:
     def test_boolean_rejected(self):
         with pytest.raises(InputError):
             jsonio.parse_rational(True)
+
+
+def dump_arrangement(a):
+    return {
+        "dim": a.dim,
+        "forms": [[jsonio.format_rational(c) for c in f] for f in a.forms],
+    }
+
+
+def dump_category(cat):
+    return {
+        "objects": list(cat.objects),
+        "homs": {
+            f"{x}→{y}": list(ms)
+            for (x, y), ms in sorted(cat.hom_table.items()) if ms
+        },
+        "identities": dict(sorted(cat.identity.items())),
+        "compose": [[g, f, h] for (g, f), h in sorted(cat._compose.items())],
+    }
+
+
+def dump_functor(fun):
+    return {
+        "variance": fun.variance,
+        "on_objects": {x: list(v) for x, v in sorted(fun.on_objects.items())},
+        "on_morphisms": {
+            m: dict(sorted(fn.items()))
+            for m, fn in sorted(fun.on_morphisms.items())
+        },
+    }
 
 
 class TestRoundTrips:
@@ -69,7 +103,7 @@ class TestRoundTrips:
     def test_arrangement(self):
         doc = {"dim": 2, "forms": [["-1/2", 1, 0], [0, 0, "2/3"]]}
         a = jsonio.load_arrangement(doc)
-        again = jsonio.load_arrangement(jsonio.dump_arrangement(a))
+        again = jsonio.load_arrangement(dump_arrangement(a))
         assert again.forms == a.forms
 
     def test_category_with_both_arrow_spellings(self):
@@ -81,7 +115,7 @@ class TestRoundTrips:
                         ["idB", "u", "u"], ["idB", "idB", "idB"]],
         }
         cat = jsonio.load_category(doc)
-        again = jsonio.load_category(jsonio.dump_category(cat))
+        again = jsonio.load_category(dump_category(cat))
         assert again.morphisms == cat.morphisms
         assert again.hom("A", "B") == ("u",)
 
@@ -94,6 +128,68 @@ class TestRoundTrips:
     def test_functor(self):
         cat = category_chain3()
         fun = representable_functor(cat, "C")
-        again = jsonio.load_functor(cat, jsonio.dump_functor(fun))
+        again = jsonio.load_functor(cat, dump_functor(fun))
         assert again.on_objects == fun.on_objects
         assert again.on_morphisms == fun.on_morphisms
+
+
+def reference_dumps(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+ODD_TEXT = ["", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+            "é→∂", "  ", "😀", "/</script>"]
+
+
+def random_document(rng, depth=0):
+    """A nested document of every accepted type, with awkward strings and
+    non-str keys."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(ODD_TEXT) + str(rng.randrange(3))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2 ** 70, -(3 ** 50)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([[], {}, ()])
+    if kind == 4:
+        return [rng.choice(ODD_TEXT) for _ in range(rng.randrange(1, 4))]
+    if kind in (5, 6):
+        items = [random_document(rng, depth + 1) for _ in range(rng.randrange(1, 4))]
+        return items if kind == 5 else tuple(items)
+    keys = [rng.choice(ODD_TEXT), rng.randrange(-5, 5), True, False, None, "k"]
+    return {rng.choice(keys): random_document(rng, depth + 1)
+            for _ in range(rng.randrange(1, 5))}
+
+
+class TestCanonicalDumps:
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    def test_every_corpus_report_and_golden_file(self, capsys, case):
+        assert main(["corpus", "run", case]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert jsonio.canonical_dumps(report) + "\n" == out
+        assert jsonio.canonical_dumps(report) == reference_dumps(report)
+        golden_doc = golden(case)
+        assert jsonio.canonical_dumps(golden_doc) == reference_dumps(golden_doc)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_documents(self, seed):
+        rng = random.Random(seed)
+        doc = {"root": [random_document(rng) for _ in range(6)],
+               1: random_document(rng), None: ("a", "b"), False: [[], [{}]]}
+        assert jsonio.canonical_dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("value", ["only text", 0, -12, True, None, [], {}, ()])
+    def test_scalars_and_empty_containers_at_the_top(self, value):
+        assert jsonio.canonical_dumps(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize("doc", [
+        1.5, [1, 2.0], {"a": [{"b": float("nan")}]}, {1.5: "x"}, {"s": {1, 2}},
+        [b"bytes"], {("t",): 1}, Fraction(1, 2),
+    ], ids=["float", "float-in-list", "nested-nan", "float-key", "set",
+            "bytes", "tuple-key", "fraction"])
+    def test_anything_else_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            jsonio.canonical_dumps(doc)

@@ -83,6 +83,15 @@ def brute_closure(t, mask):
     return out
 
 
+def interior_mask(t, mask):
+    """Union of every open inside the subset."""
+    inside = 0
+    for o in t.opens:
+        if o & ~mask == 0:
+            inside |= o
+    return inside
+
+
 def brute_locally_closed(t, mask):
     """Exhaust all open-closed candidate pairs."""
     closeds = [t.full_mask & ~o for o in t.opens]
@@ -240,6 +249,20 @@ class TestSpecialization:
         assert p == pseudo_poset
         assert t.specialization_preorder() is p
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_by_scan_match_the_minimal_opens(self, seed):
+        rng = random.Random(seed)
+        small = [random_preorder(rng, rng.randint(1, 3)) for _ in range(2)]
+        spaces = [
+            FiniteTopology.from_preorder(random_preorder(rng, rng.randint(0, 9))),
+            product_topology(FiniteTopology.from_preorder(p) for p in small),
+            random_topology(rng, max_size=6),  # opens given, axioms not checked
+        ]
+        for t in spaces:
+            assert t._minimal is None
+            rows = t.specialization_preorder().up
+            assert list(rows) == [t.minimal_open_mask(i) for i in range(len(t.carrier))]
+
 
 class TestRoundTrips:
     def test_preorder_roundtrip(self):
@@ -279,8 +302,8 @@ class TestClosure:
     def test_interior_is_largest_open_inside(self, pseudo_poset):
         t = FiniteTopology.from_preorder(pseudo_poset)
         already_open = t.mask(["a", "c", "d"])
-        assert t.interior_mask(already_open) == already_open
-        assert t.interior_mask(t.mask(["a", "b"])) == 0
+        assert interior_mask(t, already_open) == already_open
+        assert interior_mask(t, t.mask(["a", "b"])) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,16 +328,16 @@ class TestLocallyClosed:
         for poset in (ex1_poset, pseudo_poset, chain3):
             t = FiniteTopology.from_preorder(poset)
             for x in poset.carrier:
-                assert t.is_locally_closed([x])
+                assert t.is_locally_closed_mask(t.mask([x]))
 
     def test_indiscrete_point_is_not(self):
         t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
         assert not brute_locally_closed(t, t.mask(["p"]))
-        assert not t.is_locally_closed(["p"])
+        assert not t.is_locally_closed_mask(t.mask(["p"]))
 
     def test_whole_carrier(self, pseudo_poset):
         t = FiniteTopology.from_preorder(pseudo_poset)
-        assert t.is_locally_closed(list(t.carrier))
+        assert t.is_locally_closed_mask(t.full_mask)
 
     def test_matches_bruteforce(self):
         rng = random.Random(77)
