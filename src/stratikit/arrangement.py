@@ -1,8 +1,11 @@
 """Rational hyperplane arrangements: sign vectors, face enumeration, and the
-face poset with an independent closure-inclusion oracle.
+face poset with a closure-inclusion oracle read off the face witnesses.
 
-``order`` is imported only where the face poset or the oracle is built, so
-face enumeration alone never loads it."""
+Only face enumeration solves linear systems.  ``face_poset`` orders the
+faces' labels; the oracle evaluates the forms exactly at the witnesses and
+never reads a label, so the two agree only if every label is the sign vector
+of its witness and the poset is built right.  ``order`` is imported only
+where the face poset is built, so face enumeration alone never loads it."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CapExceeded, InputError
-from .feasibility import LinearSystem, feasible, integer_row, solve
+from .feasibility import LinearSystem, integer_row, solve
 
 MAX_FORMS = 12
 
@@ -106,26 +109,16 @@ def _constraint(row, s):
     return (), [(tuple(-c for c in coeffs), -const, True)]
 
 
-def _system(arr, signs):
-    """Constraint system selecting the points with the given (partial) signs."""
-    eqs, ineqs = [], []
-    for row, s in zip(arr.rows, signs):
-        e, q = _constraint(row, s)
-        eqs += e
-        ineqs += q
-    return LinearSystem(arr.dim, eqs, ineqs)
-
-
 def enumerate_faces(arr, cap=MAX_FORMS):
     """All realizable sign vectors with rational witnesses, in lexicographic
     order under - < 0 < +.  Infeasible prefixes prune the sign tree.
 
     Each child of a prefix extends the parent's system by one row, in form
-    order, so it equals ``_system`` of the child.  An interior child whose
-    sign is the sign of its form at the point realizing the parent is
-    feasible, realized by that same point, and is not solved.  Leaves are
-    always solved, so each witness is the solution of the face's full
-    system."""
+    order, so it selects exactly the points with the child's signs on those
+    forms.  An interior child whose sign is the sign of its form at the
+    point realizing the parent is feasible, realized by that same point, and
+    is not solved.  Leaves are always solved, so each witness is the
+    solution of the face's full system."""
     if arr.k > cap:
         raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {cap}")
     table = [{s: _constraint(row, s) for s in (-1, 0, 1)} for row in arr.rows]
@@ -182,70 +175,44 @@ def face_poset(arr, faces=None):
     return Poset([f.label for f in faces], up)
 
 
-def reachable_sides(arr, face):
-    """Which strict sides of each form the face reaches, as two k-bit masks
-    (below, above): bit i of below is set iff the face's system together
-    with l_i < 0 is feasible, bit i of above iff it is with l_i > 0.
-
-    This is 2k exact feasibility solves and never reads the sign order."""
-    base = _system(arr, face.signs)
-    below = above = 0
-    for i, row in enumerate(arr.rows):
-        if feasible(base.extended(*_constraint(row, -1))):
-            below |= 1 << i
-        if feasible(base.extended(*_constraint(row, 1))):
-            above |= 1 << i
-    return below, above
-
-
-def _sides_outside_closure(signs):
-    """(below, above) masks of the strict sides that miss the closure of the
-    face with these signs.  That closure is the weak relaxation of the signs,
-    so l_i < 0 misses it when s_i >= 0, and l_i > 0 when s_i <= 0."""
-    from .order import bitmask
-
-    return (bitmask(i for i, s in enumerate(signs) if s >= 0),
-            bitmask(i for i, s in enumerate(signs) if s <= 0))
-
-
 def closure_inclusion(arr, f, g):
     """Oracle: is the face f contained in the closure of the face g?
 
-    f lies in the closure of g iff f reaches no strict side of a form that
-    the closure of g misses.  Costs 2k solves; closure_rows decides all pairs
-    of a face list with 2k solves per face.
-    """
-    below, above = reachable_sides(arr, f)
-    outside_below, outside_above = _sides_outside_closure(g.signs)
-    return not (below & outside_below or above & outside_above)
+    Decided from the forms evaluated exactly at the two witnesses p in f and
+    q in g, never from the faces' labels.  The closure of g is the weak
+    relaxation of its signs, and p lies in it iff the segment (p, q] lies in g
+    (line-segment principle, Rockafellar, Convex Analysis, Thm 6.1).  So f is
+    in the closure of g iff every form is 0 at p or has the same sign at p as
+    at q."""
+    return all(s == 0 or s == t
+               for s, t in zip(sign_map(arr, f.witness), sign_map(arr, g.witness)))
 
 
 def closure_rows(arr, faces):
     """The oracle on every pair: bit j of row i is set iff faces[i] lies in
     the closure of faces[j].
 
-    That is, faces[j] has sign - at every form whose - side faces[i]
-    reaches, and sign + at every form whose + side it reaches, so row i is
-    the AND of those faces over the reached sides.  The sign masks are built
-    here, not shared with face_poset, so the oracle reads only the solver's
-    sides and the faces' signs."""
-    from .order import bit_indices
-
+    Each witness is evaluated once.  Bit j of ``negative[i]`` (``positive[i]``)
+    is set iff form i is negative (positive) at the witness of faces[j], so
+    row i is the AND of those classes over the forms that are nonzero at the
+    witness of faces[i].  The masks are built here from the witnesses, not
+    shared with face_poset, which reads the faces' labels."""
+    signs = [sign_map(arr, f.witness) for f in faces]
     negative, positive = [0] * arr.k, [0] * arr.k
-    for j, g in enumerate(faces):
-        for i, s in enumerate(g.signs):
+    for j, at_witness in enumerate(signs):
+        for i, s in enumerate(at_witness):
             if s < 0:
                 negative[i] |= 1 << j
             elif s > 0:
                 positive[i] |= 1 << j
     everything = (1 << len(faces)) - 1
     rows = []
-    for f in faces:
-        below, above = reachable_sides(arr, f)
+    for at_witness in signs:
         row = everything
-        for i in bit_indices(below):
-            row &= negative[i]
-        for i in bit_indices(above):
-            row &= positive[i]
+        for i, s in enumerate(at_witness):
+            if s < 0:
+                row &= negative[i]
+            elif s > 0:
+                row &= positive[i]
         rows.append(row)
     return rows

@@ -237,7 +237,7 @@ def _endpoints(doc):
 
 def cmd_homset(args):
     doc, text = _read_input(args)
-    cat = jsonio.load_category(doc.get("category", {}), path="category")
+    cat = jsonio.load_category(jsonio.expect(doc, "category", None, ""), path="category")
     if args.action == "preorder":
         x, y = _endpoints(doc)
         side = str(doc.get("side", "R"))
@@ -270,7 +270,7 @@ def cmd_homset(args):
         _write_dot(args, pss.strata_poset)
         return _emit(_report("homset stratify", _digest(text), results, checks))
     if args.action == "functor-check":
-        anchor = str(doc.get("anchor"))
+        anchor = str(jsonio.expect(doc, "anchor", None, ""))
         side = str(doc.get("side", "R-covariant"))
         side = {"R": "R-covariant", "L": "L-contravariant"}.get(side, side)
         rep = category.st_functor_check(cat, anchor, side)
@@ -285,8 +285,8 @@ def cmd_homset(args):
                    "squares": [sq.morphism for sq in rep.squares]}
         return _emit(_report("homset functor-check", _digest(text), results, checks))
     if args.action == "yoneda":
-        anchor = str(doc.get("anchor"))
-        fun = jsonio.load_functor(cat, doc.get("functor", {}), path="functor")
+        anchor = str(jsonio.expect(doc, "anchor", None, ""))
+        fun = jsonio.load_functor(cat, jsonio.expect(doc, "functor", None, ""), path="functor")
         transformations, yrep = category.yoneda_natural_transformations(cat, fun, anchor)
         imrep = category.yoneda_image_report(cat, fun, anchor)
         checks = [

@@ -203,7 +203,3 @@ def solve(system):
     for var, eq in reversed(pivots):
         place(var, Fraction(-(eq[n] * d + sum(map(mul, eq, nums))), eq[var] * d))
     return tuple(x)
-
-
-def feasible(system):
-    return solve(system) is not None

@@ -5,13 +5,27 @@ from fractions import Fraction
 
 import pytest
 
-from stratikit import arrangement, cli
-from stratikit.arrangement import (Arrangement, Face, _system, closure_inclusion,
+from stratikit import arrangement, cli, feasibility
+from stratikit.arrangement import (Arrangement, Face, _constraint, closure_inclusion,
                                    closure_rows, enumerate_faces, face_poset, sign_map)
 from stratikit.errors import CapExceeded, InputError
-from stratikit.feasibility import LinearSystem, feasible, solve
-from stratikit.order import (is_order_isomorphism, order_isomorphism, product,
-                             product_label)
+from stratikit.feasibility import LinearSystem, solve
+from stratikit.order import (Preorder, bit_indices, is_order_isomorphism,
+                             order_isomorphism, product, product_label)
+
+
+def feasible(system):
+    return solve(system) is not None
+
+
+def _system(arr, signs):
+    """Constraint system selecting the points with the given (partial) signs."""
+    eqs, ineqs = [], []
+    for row, s in zip(arr.rows, signs):
+        e, q = _constraint(row, s)
+        eqs += e
+        ineqs += q
+    return LinearSystem(arr.dim, eqs, ineqs)
 
 
 def line_origin():
@@ -518,3 +532,97 @@ class TestCheckObDisagreements:
         assert code == 1
         assert doc["results"]["disagreements"] == [
             [labels[j], labels[i]] for j, i in sorted((j, i) for i, j in self.FLIPS)]
+
+
+class TestWitnessOracle:
+    """The oracle evaluates the forms at the witnesses: it solves nothing
+    and reads no label."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("dim,k", [(1, 5), (2, 6), (3, 4)])
+    def test_returns_with_a_solver_that_raises(self, dim, k, kind, monkeypatch):
+        arr = BUILDERS[kind](random.Random(f"nosolve/{kind}/{dim}/{k}"), dim, k)
+        faces = enumerate_faces(arr)
+        expected = pairwise_sign_order(faces)
+
+        def refuse(system):
+            raise AssertionError("the closure oracle solved a system")
+
+        monkeypatch.setattr(feasibility, "solve", refuse)
+        monkeypatch.setattr(arrangement, "solve", refuse)
+        assert closure_rows(arr, faces) == expected
+        for i, a in enumerate(faces):
+            for j, b in enumerate(faces):
+                assert closure_inclusion(arr, a, b) == bool(expected[i] >> j & 1)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_rows_ignore_permuted_labels(self, kind):
+        rng = random.Random(f"relabel/{kind}")
+        arr = BUILDERS[kind](rng, 2, 5)
+        faces = enumerate_faces(arr)
+        labels = [f.signs for f in faces]
+        rng.shuffle(labels)
+        relabelled = [Face(signs, f.witness) for signs, f in zip(labels, faces)]
+        assert pairwise_sign_order(relabelled) != pairwise_sign_order(faces)
+        rows = closure_rows(arr, faces)
+        assert closure_rows(arr, relabelled) == rows
+        for i, a in enumerate(relabelled):
+            for j, b in enumerate(relabelled):
+                assert closure_inclusion(arr, a, b) == bool(rows[i] >> j & 1)
+
+
+def differing_pairs(got, expected):
+    """(i, j) for every bit j where row i of got and of expected differ."""
+    return [(i, j) for i, (a, b) in enumerate(zip(got, expected)) for j in bit_indices(a ^ b)]
+
+
+class TestCheckObCatchesWhatItGuards:
+    def run_check_ob(self, tmp_path, capsys, dual):
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [0, 1, -1]]}))
+        argv = ["arrangement", "check-ob", "--input", str(path)]
+        code = cli.main(argv + ["--dual"] if dual else argv)
+        return code, json.loads(capsys.readouterr().out)["results"]
+
+    @staticmethod
+    def expected_disagreements(labels, pairs, dual):
+        if dual:
+            pairs = sorted((j, i) for i, j in pairs)
+        return [[labels[i], labels[j]] for i, j in pairs]
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_a_face_poset_that_ignores_a_form_fails(self, monkeypatch, tmp_path, capsys,
+                                                     dual):
+        def ignores_last_form(arr, faces=None):
+            return Preorder([f.label for f in faces], pairwise_sign_order(
+                [Face(f.signs[:-1], f.witness) for f in faces]))
+
+        monkeypatch.setattr(arrangement, "face_poset", ignores_last_form)
+        code, results = self.run_check_ob(tmp_path, capsys, dual)
+        faces = enumerate_faces(three_lines())
+        wrong = pairwise_sign_order([Face(f.signs[:-1], f.witness) for f in faces])
+        pairs = differing_pairs(wrong, pairwise_sign_order(faces))
+        assert pairs
+        assert code == 1
+        assert results["disagreements"] == self.expected_disagreements(
+            [f.label for f in faces], pairs, dual)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_a_face_labelled_off_its_witness_fails(self, monkeypatch, tmp_path, capsys, dual):
+        original = arrangement.enumerate_faces
+
+        def swapped_labels(arr):
+            faces = original(arr)
+            first, last = faces[0], faces[-1]
+            faces[0], faces[-1] = Face(last.signs, first.witness), Face(first.signs, last.witness)
+            return faces
+
+        monkeypatch.setattr(arrangement, "enumerate_faces", swapped_labels)
+        code, results = self.run_check_ob(tmp_path, capsys, dual)
+        faces = original(three_lines())
+        labelled = swapped_labels(three_lines())
+        pairs = differing_pairs(pairwise_sign_order(labelled), pairwise_sign_order(faces))
+        assert pairs
+        assert code == 1
+        assert results["disagreements"] == self.expected_disagreements(
+            [f.label for f in labelled], pairs, dual)

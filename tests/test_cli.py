@@ -242,8 +242,17 @@ class TestErrorHandling:
          "missing key 'source'", "source"),
         (["homset", "stratify"], {"category": IDEM, "source": "*"},
          "missing key 'target'", "target"),
+        (["homset", "functor-check"], {"category": IDEM, "side": "R"},
+         "missing key 'anchor'", "anchor"),
+        (["homset", "yoneda"], {"category": IDEM, "functor": {}},
+         "missing key 'anchor'", "anchor"),
+        (["homset", "preorder"], {"source": "*", "target": "*"},
+         "missing key 'category'", "category"),
+        (["homset", "yoneda"], {"category": IDEM, "anchor": "*"},
+         "missing key 'functor'", "functor"),
     ], ids=["closure-space", "closure-space-label", "preorder-source",
-            "stratify-target"])
+            "stratify-target", "functor-check-anchor", "yoneda-anchor",
+            "preorder-category", "yoneda-functor"])
     def test_missing_or_nested_command_input_names_its_path(
             self, tmp_path, capsys, argv, doc, message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
