@@ -44,17 +44,6 @@ class Decomposition:
         self.space = space
         self.blocks = tuple(blocks)
         self.labels = labels
-        self._label_index = {x: i for i, x in enumerate(labels)}
-
-    def block_of(self, point):
-        i = self.space._index.get(point)
-        if i is None:
-            raise InputError(f"point {point!r} not in carrier")
-        bit = 1 << i
-        for k, b in enumerate(self.blocks):
-            if b & bit:
-                return self.labels[k]
-        raise AssertionError("unreachable: blocks cover the carrier")
 
     def image_mask(self, space_mask):
         """Mask over the block labels of the blocks meeting the given subset."""
@@ -82,28 +71,11 @@ def _quotient_preorder(d, above):
     return Preorder(d.labels, _closure([d.image_mask(u) for u in above]))
 
 
-def _star_preorder(d, below):
-    """lambda <= mu iff the lambda block lies inside the mu block's down-set."""
-    k = len(d.blocks)
-    return Preorder(d.labels, [
-        bitmask(m for m in range(k) if block & ~below[m] == 0) for block in d.blocks])
-
-
 def quotient_topology(d):
     """Finest topology on the block labels making the projection continuous."""
     up = d.space.specialization_preorder().up
     above = [union_of_rows(up, b) for b in d.blocks]
     return FiniteTopology.from_preorder(_quotient_preorder(d, above))
-
-
-def star_preorder(d):
-    """lambda <= mu iff the lambda block lies inside the closure of the mu block.
-
-    Transitivity holds on any finite space (closure is monotone and
-    idempotent); the ``Preorder`` constructor asserts it rather than assuming.
-    """
-    down = d.space.specialization_preorder().down()
-    return _star_preorder(d, [union_of_rows(down, b) for b in d.blocks])
 
 
 MOORE_UPPER = "upper-semicontinuous"
@@ -124,8 +96,7 @@ class DecompositionReport(namedtuple(
         "DecompositionReport",
         "pi_open pi_closed moore_class star_preorder tau_pi_preorder "
         "tamaki_agrees blocks_locally_closed frontier_condition quotient_is_poset")):
-    """What ``analyze`` finds; ``moore_class`` must match the two flags.  The
-    quotient topology is enumerated from ``tau_pi_preorder`` on each read."""
+    """What ``analyze`` finds; ``moore_class`` must match the two flags."""
 
     __slots__ = ()
 
@@ -142,12 +113,8 @@ class DecompositionReport(namedtuple(
     def _make(cls, iterable):
         return cls(*iterable)  # so that _replace runs the check too
 
-    @property
-    def quotient(self):
-        return FiniteTopology.from_preorder(self.tau_pi_preorder)
-
     def to_json_dict(self):
-        quotient = self.quotient
+        quotient = FiniteTopology.from_preorder(self.tau_pi_preorder)
         return {
             "quotient": {
                 "carrier": list(quotient.carrier),
@@ -178,6 +145,9 @@ def analyze(d):
     and images commute with unions: the projection is open (closed) iff the
     image of every point up-set (down-set) is a quotient up-set (down-set).
     A block is locally closed iff it is the meet of its up-set and down-set.
+    In the closure order, lambda <= mu iff the lambda block lies inside the
+    mu block's down-set, its closure; the ``Preorder`` constructor asserts
+    transitivity rather than assuming it.
     """
     spec = d.space.specialization_preorder()
     up, down = spec.up, spec.down()
@@ -187,7 +157,8 @@ def analyze(d):
     tau_down = tau_pi.down()
     pi_open = all(union_of_rows(tau_pi.up, s) == s for s in map(d.image_mask, up))
     pi_closed = all(union_of_rows(tau_down, s) == s for s in map(d.image_mask, down))
-    star = _star_preorder(d, below)
+    star = Preorder(d.labels, [bitmask(m for m, c in enumerate(below) if b & ~c == 0)
+                               for b in d.blocks])
     return DecompositionReport(
         pi_open=pi_open,
         pi_closed=pi_closed,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
 from .errors import CapExceeded, InputError, StructureError
@@ -306,6 +307,9 @@ def product(factors):
     factors = list(factors)
     if not factors:
         raise InputError("empty factor list")
+    size = math.prod(len(f.carrier) for f in factors)
+    if size > MAX_CARRIER:  # refuse before building the rows
+        raise CapExceeded(f"carrier has {size} elements, cap is {MAX_CARRIER}")
     labels = [product_label(t) for t in itertools.product(*(f.carrier for f in factors))]
     up = [1]  # the one-point preorder, unit of the product
     for f in factors:

@@ -8,8 +8,6 @@ seed pins the whole suite.
 
 from __future__ import annotations
 
-import itertools
-
 from .decomposition import Decomposition
 from .order import Preorder
 from .topology import FiniteTopology
@@ -44,26 +42,3 @@ def random_decomposition(rng, max_size=6):
     blocks = random_partition(rng, len(space.carrier))
     label_blocks = [[space.carrier[i] for i in b] for b in blocks]
     return Decomposition(space, label_blocks)
-
-
-def random_topology(rng, max_size=5, seeds=3):
-    """Close a few random subsets under union and intersection."""
-    n = rng.randint(1, max_size)
-    labels = [f"p{i}" for i in range(n)]
-    full = (1 << n) - 1
-    family = {0, full}
-    for _ in range(seeds):
-        family.add(rng.randrange(1 << n))
-    while True:
-        fresh = set()
-        for a, b in itertools.combinations(family, 2):
-            fresh.add(a | b)
-            fresh.add(a & b)
-        if fresh <= family:
-            break
-        family |= fresh
-    return FiniteTopology(labels, family, _validate=False)
-
-
-def random_assignment(rng, source_labels, target_labels):
-    return {x: rng.choice(target_labels) for x in source_labels}

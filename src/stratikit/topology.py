@@ -1,8 +1,11 @@
 """Finite topological spaces and the two functors linking them with preorders.
 
-Subsets are bitmasks over the carrier ordering; the family of open sets is
-kept in a canonical order (cardinality, then index-lexicographic) so that two
-topologies are equal exactly when their serialized forms are.
+A finite space is its specialization preorder (Alexandroff; Stong 1966): its
+opens are the up-sets of the rows U_x.  A space keeps those rows, and its
+family of open sets is enumerated from them only when read, under one cap on
+the number of opens.  Subsets are bitmasks over the carrier ordering; the
+family is kept in a canonical order (cardinality, then index-lexicographic)
+so that two topologies are equal exactly when their serialized forms are.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapExceeded, InputError, StructureError
-from .order import Poset, Preorder, bit_indices, bitmask, product
+from .order import MAX_CARRIER, Poset, Preorder, bit_indices, bitmask, product, union_of_rows
 
-MAX_POINTS = 20
+MAX_OPENS = 1 << 16
 
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -49,55 +52,68 @@ def _unions(masks, limit):
 
 
 class FiniteTopology:
-    """An explicit family of open subsets of a finite carrier."""
+    """A finite space: its specialization rows, with its open family as a view
+    of them that is enumerated on the first read."""
 
-    def __init__(self, carrier, opens, _validate=True):
+    def __init__(self, carrier, opens):
+        """Validate an explicit family of open masks as a topology."""
         carrier = tuple(carrier)
         if len(set(carrier)) != len(carrier):
             raise InputError("duplicate labels in carrier")
-        if len(carrier) > MAX_POINTS:
-            raise CapExceeded(
-                f"explicit topologies are capped at {MAX_POINTS} points; "
-                "stay with the preorder representation for larger carriers")
         n = len(carrier)
+        if n > MAX_CARRIER:
+            raise CapExceeded(f"carrier has {n} elements, cap is {MAX_CARRIER}")
         full = (1 << n) - 1
         opens = list(map(int, opens))
         if opens and (min(opens) < 0 or max(opens) > full):
             i = next(i for i, m in enumerate(opens) if not 0 <= m <= full)
             raise InputError(f"open set {i} is not a bitset over {n} elements")
-        opens = sorted(set(opens), key=_canonical_key(n))
+        family = set(opens)
+        if len(family) > MAX_OPENS:
+            raise CapExceeded(f"open family has {len(family)} sets, cap is {MAX_OPENS}")
+        self._start(carrier, family)
+        self._specialization = Preorder(carrier, self._check_axioms())
+
+    @classmethod
+    def from_preorder(cls, p):
+        """The up-set topology of a preorder, kept as the preorder itself."""
+        t = cls.__new__(cls)
+        t._start(p.carrier, None)
+        t._specialization = p
+        return t
+
+    def _start(self, carrier, family):
         self.carrier = carrier
-        self.opens = tuple(opens)
         self._index = {x: i for i, x in enumerate(carrier)}
-        self._full = full
-        self._open_set = frozenset(opens)
+        self._full = (1 << len(carrier)) - 1
         self._labels_by_byte = None
-        self._minimal = None
-        self._specialization = None
-        if _validate:
-            self._check_axioms()
+        self._open_set = family
+        self._opens = None
 
     def _check_axioms(self):
-        """Decide the axioms in O(n * m) for n points and m opens.
+        """Decide the axioms in O(n * m) for n points and m opens, and return
+        the family's rows U_x.
 
         A family holding the empty set and the carrier is a topology iff it
         holds the minimal open U_x (the AND of the opens containing x) of every
         point x and has as many members as there are unions of the U_x: each
         member is then the union of the U_x of its points, so the family is
-        exactly those unions.  The U_x of an accepted family are kept as its
-        specialization rows.  Only a refused family is scanned pairwise, to
+        exactly those unions.  Only a refused family is scanned pairwise, to
         name its first escaping pair.
         """
-        if 0 not in self._open_set:
+        family = self._open_set
+        if 0 not in family:
             raise StructureError("empty set missing from the open family")
-        if self._full not in self._open_set:
+        if self._full not in family:
             raise StructureError("carrier missing from the open family")
-        minimal = [self.minimal_open_mask(i) for i in range(len(self.carrier))]
-        if self._open_set.issuperset(minimal):
-            unions = _unions(minimal, len(self.opens))
-            if unions is not None and len(unions) == len(self.opens):
-                self._minimal = minimal
-                return
+        rows = [self._full] * len(self.carrier)
+        for o in family:
+            for i in bit_indices(o):
+                rows[i] &= o
+        if family.issuperset(rows):
+            unions = _unions(rows, len(family))
+            if unions is not None and len(unions) == len(family):
+                return rows
         raise StructureError(self._first_escape())
 
     def _first_escape(self):
@@ -128,14 +144,32 @@ class FiniteTopology:
             masks.append(mask)
         return cls(carrier, masks)
 
-    @classmethod
-    def from_preorder(cls, p):
-        """Opens are all up-sets of the preorder (unions of the minimal up-sets)."""
-        n = len(p.carrier)
-        if n > MAX_POINTS:
-            raise CapExceeded(
-                f"refusing to enumerate up to 2^{n} open sets; carrier cap is {MAX_POINTS}")
-        return cls(p.carrier, _unions(p.up, 1 << n), _validate=False)
+    # -- the open family, read on demand ---------------------------------------
+
+    def _family(self):
+        """The set of opens: the up-sets of the rows, enumerated once."""
+        if self._open_set is None:
+            family = _unions(self._specialization.up, MAX_OPENS)
+            if family is None:
+                raise CapExceeded(f"refusing to enumerate more than {MAX_OPENS} open sets")
+            self._open_set = family
+        return self._open_set
+
+    @property
+    def opens(self):
+        """The open sets in canonical order."""
+        if self._opens is None:
+            self._opens = tuple(sorted(self._family(), key=_canonical_key(len(self.carrier))))
+        return self._opens
+
+    def is_open(self, mask):
+        return mask in self._family()
+
+    def is_closed(self, mask):
+        return (self._full & ~mask) in self._family()
+
+    def opens_as_labels(self):
+        return [list(self._label_chain(o)) for o in self.opens]
 
     # -- subset plumbing -----------------------------------------------------
 
@@ -167,67 +201,19 @@ class FiniteTopology:
     def full_mask(self):
         return self._full
 
-    def is_open(self, mask):
-        return mask in self._open_set
-
-    def is_closed(self, mask):
-        return (self._full & ~mask) in self._open_set
-
-    # -- closure operators ---------------------------------------------------
+    # -- closure and the specialization functor -------------------------------
 
     def closure_mask(self, mask):
-        """Smallest closed superset: drop every open set disjoint from the subset."""
-        gone = 0
-        for o in self.opens:
-            if o & mask == 0:
-                gone |= o
-        return self._full & ~gone
+        """Smallest closed superset: the down-set the subset generates."""
+        return union_of_rows(self._specialization.down(), mask)
 
     def closure(self, labels):
         return self.labels(self.closure_mask(self.mask(labels)))
 
-    def is_locally_closed_mask(self, mask):
-        """True iff the subset is open inside its own closure."""
-        c = self.closure_mask(mask)
-        u = 0
-        for o in self.opens:
-            if o & c & ~mask == 0:
-                u |= o
-        return (c & u) == mask
-
-    # -- the specialization functor -------------------------------------------
-
-    def minimal_open_mask(self, i):
-        m = self._full
-        for o in self.opens:
-            if o & (1 << i):
-                m &= o
-        return m
-
-    def _minimal_opens_by_scan(self):
-        """The U_x of a family known to be a topology, in one pass over the
-        opens: in canonical order a smaller open comes first, so the first
-        open holding x is U_x.  The pass stops once every point is covered."""
-        rows = [0] * len(self.carrier)
-        covered = 0
-        for o in self.opens:
-            if covered == self._full:
-                break
-            new = o & ~covered
-            if new:
-                for i in bit_indices(new):
-                    rows[i] = o
-                covered |= new
-        return rows
-
     def specialization_preorder(self):
         """x <= y iff every open containing x contains y: row x is the minimal
-        open U_x.  The rows are read off the opens once, by the axiom check or
-        on the first call, and the one ``Preorder`` is kept."""
-        if self._specialization is None:
-            if self._minimal is None:
-                self._minimal = self._minimal_opens_by_scan()
-            self._specialization = Preorder(self.carrier, self._minimal)
+        open U_x.  These are the stored rows; ``rows_of_opens`` reads them off
+        the open family instead."""
         return self._specialization
 
     def __eq__(self, other):
@@ -238,23 +224,30 @@ class FiniteTopology:
     __hash__ = None
 
     def __repr__(self):
-        return f"FiniteTopology({list(self.carrier)!r}, {len(self.opens)} opens)"
+        return f"FiniteTopology({list(self.carrier)!r})"
 
-    def opens_as_labels(self):
-        return [list(self._label_chain(o)) for o in self.opens]
+
+def rows_of_opens(space):
+    """The minimal opens U_x read off the enumerated open family, never off
+    the stored rows, for the round-trip checks: in canonical order a smaller
+    open comes first, so the first open holding x is U_x.  The pass stops once
+    every point is covered."""
+    rows = [0] * len(space.carrier)
+    covered = 0
+    for o in space.opens:
+        if covered == space.full_mask:
+            break
+        new = o & ~covered
+        if new:
+            for i in bit_indices(new):
+                rows[i] = o
+            covered |= new
+    return rows
 
 
 def product_topology(factors):
     """Product space: the up-set topology of the product of the factors'
     specialization preorders, whose opens are the unions of open boxes."""
-    factors = list(factors)
-    if not factors:
-        raise InputError("empty factor list")
-    total = 1
-    for t in factors:
-        total *= len(t.carrier)
-    if total > MAX_POINTS:
-        raise CapExceeded(f"product carrier would have {total} points, cap is {MAX_POINTS}")
     return FiniteTopology.from_preorder(product([f.specialization_preorder() for f in factors]))
 
 

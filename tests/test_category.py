@@ -15,6 +15,8 @@ from stratikit.errors import CapExceeded, InputError, StructureError
 from stratikit.order import quotient_poset
 from stratikit.topology import FiniteTopology, PosetStratifiedSpace
 
+from reference import closure_by_opens, locally_closed_by_opens
+
 
 def nonempty_hom_pairs(cat):
     return [(x, y) for x in cat.objects for y in cat.objects if cat.hom(x, y)]
@@ -188,12 +190,12 @@ def loop_structure_checks(cat, x, y, side):
             projection_open = False
     fibers = {c: pss.fiber_mask(c) for c in strata.carrier}
     fibers_locally_closed = {
-        c: space.is_locally_closed_mask(m) for c, m in fibers.items()
+        c: locally_closed_by_opens(space, m) for c, m in fibers.items()
     }
     order_matches_closure = True
     for a in strata.carrier:
         for b in strata.carrier:
-            closure_holds = (fibers[a] & ~space.closure_mask(fibers[b])) == 0
+            closure_holds = (fibers[a] & ~closure_by_opens(space, fibers[b])) == 0
             if strata.leq(a, b) != closure_holds:
                 order_matches_closure = False
     return projection_open, fibers_locally_closed, order_matches_closure

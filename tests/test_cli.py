@@ -1,13 +1,18 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import stratikit
+from stratikit import topology
+from stratikit.category import hom_preorder_details
 from stratikit.cli import main
-from stratikit.topology import FiniteTopology
+from stratikit.jsonio import dump_preorder, load_category
+from stratikit.order import quotient_poset
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -37,6 +42,20 @@ IDEM = {
     "identities": {"*": "1"},
     "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]],
 }
+
+
+def transformation_monoid(n):
+    """All n^n self-maps of an n-point set on one object, the identity first."""
+    maps = sorted(itertools.product(range(n), repeat=n), key=lambda m: m != tuple(range(n)))
+    name = {m: "t" + "".join(map(str, m)) for m in maps}
+    return {"objects": ["*"], "homs": {"*->*": [name[m] for m in maps]},
+            "identities": {"*": name[maps[0]]},
+            "compose": [[name[g], name[f], name[tuple(g[i] for i in f)]]
+                        for g in maps for f in maps]}
+
+
+# twenty incomparable points: 2^20 up-sets, past the open-count cap
+ANTICHAIN_20 = {"carrier": [f"x{i}" for i in range(20)], "preorder_pairs": []}
 CHAIN_BAD_DECOMP = {
     "space": {"carrier": ["0", "1", "2"],
               "preorder_pairs": [["0", "1"], ["1", "2"]]},
@@ -87,20 +106,18 @@ class TestTopologyCommands:
             assert doc["results"]["pairs"] == []
 
     def test_round_trip_check_reads_the_opens(self, tmp_path, capsys, monkeypatch):
-        # the space the real from_preorder built, with one minimal open taken
-        # out of its family: the round trip fails only if the specialization
-        # rows are read from the opens rather than from the preorder
-        build = FiniteTopology.from_preorder.__func__
+        # the family enumerated from the stored rows loses one minimal open:
+        # the round trip fails only if the specialization rows are read from
+        # the enumerated opens rather than from the stored preorder
+        enumerate_unions = topology._unions
 
-        def drop_a_minimal_open(cls, p):
-            t = build(cls, p)
-            lost = next(row for row in p.up if row != t.full_mask)
-            t.opens = tuple(o for o in t.opens if o != lost)
-            t._open_set = frozenset(t.opens)
-            return t
+        def drop_a_minimal_open(rows, limit):
+            family = enumerate_unions(rows, limit)
+            full = (1 << len(rows)) - 1
+            family.discard(next(row for row in rows if row != full))
+            return family
 
-        monkeypatch.setattr(FiniteTopology, "from_preorder",
-                            classmethod(drop_a_minimal_open))
+        monkeypatch.setattr(topology, "_unions", drop_a_minimal_open)
         code, out = run_cli(capsys, ["topology", "from-preorder", "--input",
                                      write_input(tmp_path, EX1_PREORDER)])
         assert code == 1
@@ -294,6 +311,37 @@ class TestDecompCommands:
         doc = json.loads(out)
         assert doc["results"]["opens"] == [[], ["[0]", "[1]"]]
 
+    def test_commands_that_read_no_opens_run_past_the_open_cap(self, tmp_path, capsys):
+        labels = ANTICHAIN_20["carrier"]
+        validate = write_input(tmp_path, {"space": ANTICHAIN_20,
+                                          "blocks": [[x] for x in labels]})
+        closure = write_input(tmp_path, {"space": ANTICHAIN_20, "subset": ["x3"]},
+                              "closure.json")
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["decomp", "validate", "--input", validate])
+        assert time.perf_counter() - start < 0.5  # no open is enumerated
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["is_stratification"] is True
+        assert [c["pass"] for c in doc["checks"]] == [True, True]
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["topology", "closure", "--input", closure])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert json.loads(out)["results"]["closure"] == ["x3"]
+
+    @pytest.mark.parametrize("action", ["analyze", "quotient"])
+    def test_reference_checks_refuse_past_the_open_cap(self, tmp_path, capsys, action):
+        path = write_input(tmp_path, {"space": ANTICHAIN_20,
+                                      "blocks": [[x] for x in ANTICHAIN_20["carrier"]]})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["decomp", action, "--input", path])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            f"refusing to enumerate more than {topology.MAX_OPENS} open sets")
+        assert elapsed < 1.0
+
     def test_validate(self, tmp_path, capsys):
         path = write_input(tmp_path, {
             "space": {"carrier": ["a", "b", "c", "d"],
@@ -325,6 +373,22 @@ class TestDecompCommands:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["results"]["blocks"]) == 9
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((5, 4), f"refusing to enumerate more than {topology.MAX_OPENS} open sets"),
+        ((65, 65), "carrier has 4225 elements, cap is 4096"),
+    ])
+    def test_product_past_a_cap_exits_2(self, tmp_path, capsys, sizes, message):
+        # open factors whose product is past the open-count or the carrier cap
+        factors = []
+        for n in sizes:
+            labels = [f"x{i}" for i in range(n)]
+            factors.append({"space": {"carrier": labels, "preorder_pairs": []},
+                            "blocks": [[x] for x in labels]})
+        path = write_input(tmp_path, {"factors": factors})
+        code, out = run_cli(capsys, ["decomp", "product", "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == message
 
     def test_star_preorder_dot_export(self, tmp_path, capsys):
         path = write_input(tmp_path, CHAIN_BAD_DECOMP)
@@ -417,6 +481,19 @@ class TestHomsetCommands:
         doc = json.loads(out)
         assert doc["results"]["strata"]["carrier"] == ["[1]", "[e]"]
         assert all(c["pass"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("side", ["R", "L", "LR"])
+    def test_stratify_the_27_maps_of_a_three_point_set(self, tmp_path, capsys, side):
+        cat = transformation_monoid(3)
+        path = write_input(tmp_path, {
+            "category": cat, "source": "*", "target": "*", "side": side})
+        code, out = run_cli(capsys, ["homset", "stratify", "--input", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["pass"] for c in doc["checks"]] == [True, True, True]
+        pre, _ = hom_preorder_details(load_category(cat), "*", "*", side)
+        assert len(pre.carrier) == 27
+        assert doc["results"]["strata"] == dump_preorder(quotient_poset(pre)[0])
 
     def test_functor_check(self, tmp_path, capsys):
         path = write_input(tmp_path, {

@@ -2,17 +2,20 @@ import random
 
 import pytest
 
+from stratikit.arrangement import enumerate_faces, face_poset
+from stratikit.corpus import golden
 from stratikit.decomposition import (MOORE_CLASS, Decomposition,
                                      DecompositionReport, MOORE_CONTINUOUS, analyze,
                                      direct_image_closeds, direct_image_opens,
                                      open_closed_by_opens, product_decomposition,
-                                     quotient_topology, star_preorder,
-                                     validate_stratification)
+                                     quotient_topology, validate_stratification)
 from stratikit.errors import InputError, StructureError
-from stratikit.order import Preorder, bitmask, product
-from stratikit.randomcases import (random_decomposition, random_partition,
-                                   random_topology)
+from stratikit.jsonio import load_arrangement
+from stratikit.order import Preorder, bit_indices, bitmask, product
+from stratikit.randomcases import random_decomposition, random_partition
 from stratikit.topology import FiniteTopology, product_topology
+
+from reference import closure_by_opens, locally_closed_by_opens, random_topology
 
 ORACLE_SEED = 20240601
 ORACLE_CASES = 200
@@ -24,6 +27,12 @@ def pseudo_space(pseudo_poset):
 
 def chain_space(chain3):
     return FiniteTopology.from_preorder(chain3)
+
+
+def block_of(d, point):
+    """Label of the block holding the point."""
+    bit = 1 << d.space.carrier.index(point)
+    return next(lab for lab, b in zip(d.labels, d.blocks) if b & bit)
 
 
 class TestDecompositionType:
@@ -42,7 +51,7 @@ class TestDecompositionType:
     def test_default_labels_use_least_member(self, chain3):
         d = Decomposition(chain_space(chain3), [["0", "2"], ["1"]])
         assert d.labels == ("[0]", "[1]")
-        assert d.block_of("2") == "[0]"
+        assert block_of(d, "2") == "[0]"
 
 
 class TestQuotientTopology:
@@ -105,7 +114,7 @@ class TestAnalyze:
 
     def test_star_preorder_standalone(self, chain3):
         d = Decomposition(chain_space(chain3), [["0", "2"], ["1"]])
-        star = star_preorder(d)
+        star = analyze(d).star_preorder
         assert star.leq("[1]", "[0]") and not star.leq("[0]", "[1]")
 
 
@@ -197,6 +206,12 @@ class TestOracleSuites:
                 disagreements.append(i)
         assert disagreements == []
 
+    def test_row_analysis_matches_the_definition_over_the_opens(self):
+        for d in self.cases():
+            assert len(d.space.carrier) <= 12
+            rep = analyze(d)
+            assert (rep.pi_open, rep.pi_closed) == open_closed_by_opens(d)
+
     def test_open_cases_poset_iff_locally_closed(self):
         hits = 0
         for d in self.cases():
@@ -219,9 +234,10 @@ class TestOracleSuites:
         for d in self.cases():
             rep = analyze(d)
             if rep.pi_open:
-                assert set(direct_image_opens(d)) == set(rep.quotient.opens)
+                assert set(direct_image_opens(d)) == set(quotient_topology(d).opens)
             if rep.pi_closed:
-                closed = {rep.quotient.full_mask & ~o for o in rep.quotient.opens}
+                q = quotient_topology(d)
+                closed = {q.full_mask & ~o for o in q.opens}
                 assert set(direct_image_closeds(d)) == closed
 
     def test_semicontinuity_definitions_match_map_properties(self):
@@ -262,11 +278,11 @@ def reference_analysis(d):
     pi_open = all(quotient.is_open(d.image_mask(g)) for g in space.opens)
     pi_closed = all(quotient.is_closed(d.image_mask(space.full_mask & ~g))
                     for g in space.opens)
-    closures = [space.closure_mask(b) for b in d.blocks]
+    closures = [closure_by_opens(space, b) for b in d.blocks]
     star = Preorder(d.labels, [bitmask(m for m in range(k) if b & ~closures[m] == 0)
                                for b in d.blocks])
     tau_pi = quotient.specialization_preorder()
-    locally_closed = {lab: space.is_locally_closed_mask(b)
+    locally_closed = {lab: locally_closed_by_opens(space, b)
                       for lab, b in zip(d.labels, d.blocks)}
     frontier = not any(a & c and a & ~c for a in d.blocks for c in closures)
     fields = {
@@ -321,9 +337,8 @@ class TestRowsAgainstExplicitOpens:
         fields, strat = reference_analysis(d)
         rep = analyze(d)
         assert rep._asdict() == {k: v for k, v in fields.items() if k != "quotient"}
-        assert rep.quotient.opens_as_labels() == fields["quotient"].opens_as_labels()
+        assert rep.to_json_dict()["quotient"]["opens"] == fields["quotient"].opens_as_labels()
         assert quotient_topology(d) == fields["quotient"]
-        assert star_preorder(d) == fields["star_preorder"]
         assert open_closed_by_opens(d) == (fields["pi_open"], fields["pi_closed"])
         assert validate_stratification(d)._asdict() == strat
         return rep
@@ -348,3 +363,27 @@ class TestRowsAgainstExplicitOpens:
                                     [["a", "b"], ["c"], ["d"]]))
         with pytest.raises(StructureError, match="moore"):
             rep._replace(pi_closed=not rep.pi_closed)
+
+
+
+def test_chains_of_the_three_line_face_poset_over_it():
+    """McCord's finite model of R^n/D(A) = face poset (Barmak, LNM 2032,
+    ch. 1): the 49 chains of the 13-face poset X of three concurrent lines,
+    ordered by inclusion and cut into the fibres of max.  The projection is
+    open and not closed, and the quotient preorder is X itself."""
+    arr = load_arrangement(golden("arrangement-3lines")["arrangement"])
+    x = face_poset(arr, enumerate_faces(arr))
+    n = len(x.carrier)
+    chains = [c for c in range(1, 1 << n)
+              if all(x.up[i] & c | x.down()[i] & c == c for i in bit_indices(c))]
+    assert (n, len(chains)) == (13, 49)
+    space = FiniteTopology.from_preorder(Preorder(
+        ["|".join(x.carrier[i] for i in bit_indices(c)) for c in chains],
+        [bitmask(k for k, d in enumerate(chains) if c & ~d == 0) for c in chains]))
+    top = [next(i for i in bit_indices(c) if x.up[i] & c == 1 << i) for c in chains]
+    fibres = [bitmask(k for k, t in enumerate(top) if t == i) for i in range(n)]
+    rep = analyze(Decomposition(space, fibres, x.carrier))
+    assert (rep.pi_open, rep.pi_closed) == (True, False)
+    assert rep.moore_class == "lower-semicontinuous"
+    assert rep.tau_pi_preorder == x
+    assert rep.quotient_is_poset

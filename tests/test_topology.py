@@ -7,10 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratikit.errors import CapExceeded, InputError, StructureError
-from stratikit.order import Preorder, bit_indices, product_label, quotient_poset
-from stratikit.randomcases import (random_assignment, random_preorder,
-                                   random_topology)
-from stratikit.topology import FiniteTopology, PosetStratifiedSpace, product_topology
+from stratikit.order import MAX_CARRIER, Preorder, bit_indices, product_label, quotient_poset
+from stratikit.randomcases import random_preorder
+from stratikit.topology import (MAX_OPENS, FiniteTopology, PosetStratifiedSpace,
+                                _canonical_key, product_topology, rows_of_opens)
+
+from reference import closure_by_opens, locally_closed_by_opens, random_topology
+
+
+def random_assignment(rng, source_labels, target_labels):
+    return {x: rng.choice(target_labels) for x in source_labels}
+
+
+def antichain(labels):
+    return Preorder.from_pairs(labels, [])
+
+
+def antichain_under_a_top(n):
+    """n incomparable points below one top: 2^n + 1 up-sets."""
+    labels = [f"x{i}" for i in range(n)]
+    return Preorder.from_pairs(labels + ["top"], [(x, "top") for x in labels])
 
 
 def brute_upset_masks(p):
@@ -130,9 +146,24 @@ class TestValidate:
             FiniteTopology.from_open_sets(["a"], [[], ["z"], ["a"]])
 
     def test_carrier_cap(self):
-        labels = [f"p{i}" for i in range(21)]
-        with pytest.raises(CapExceeded):
-            FiniteTopology(labels, [0, (1 << 21) - 1])
+        labels = [f"p{i}" for i in range(MAX_CARRIER + 1)]
+        with pytest.raises(CapExceeded, match=f"^carrier has {MAX_CARRIER + 1} elements, "
+                                              f"cap is {MAX_CARRIER}$"):
+            FiniteTopology(labels, [0, (1 << len(labels)) - 1])
+        # below it a family is accepted at any carrier size
+        t = FiniteTopology(labels[:64], [0, (1 << 64) - 1])
+        assert t.opens == (0, (1 << 64) - 1)
+
+    def test_open_family_cap(self):
+        labels = [f"p{i}" for i in range(17)]
+        top = (1 << 17) - 1
+        at_cap = list(range(1 << 16))  # the 16-point discrete family
+        with pytest.raises(CapExceeded, match=f"^open family has {MAX_OPENS + 1} sets, "
+                                              f"cap is {MAX_OPENS}$"):
+            FiniteTopology(labels, at_cap + [top])
+        t = FiniteTopology(labels[:16], at_cap)
+        assert len(t.opens) == MAX_OPENS
+        assert t.specialization_preorder() == antichain(labels[:16])
 
     def test_mask_with_bits_outside_the_carrier_rejected(self):
         with pytest.raises(InputError, match="^open set 2 is not a bitset over 2 elements$"):
@@ -176,18 +207,20 @@ class TestCanonicalOrder:
         masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
         for size in range(n + 1):  # many ties in size
             masks |= {sum(1 << i for i in rng.sample(range(n), size)) for _ in range(20)}
-        t = FiniteTopology([f"p{i}" for i in range(n)], masks, _validate=False)
-        assert t.opens == tuple(sorted(masks, key=index_tuple_key))
+        assert sorted(masks, key=_canonical_key(n)) == sorted(masks, key=index_tuple_key)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20])
     def test_labels_match_the_set_bits(self, n):
         rng = random.Random(100 + n)
         carrier = [f"p{i}" for i in range(n)]
         masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
-        t = FiniteTopology(carrier, masks, _validate=False)
+        t = FiniteTopology.from_preorder(antichain(carrier))  # enumerates nothing
         for m in masks:
             assert t.labels(m) == tuple(carrier[i] for i in bit_indices(m))
-        assert t.opens_as_labels() == [[carrier[i] for i in bit_indices(m)] for m in t.opens]
+        chain = FiniteTopology.from_preorder(
+            Preorder.from_pairs(carrier, zip(carrier, carrier[1:])))
+        assert chain.opens_as_labels() == [[carrier[i] for i in bit_indices(m)]
+                                           for m in chain.opens]
 
 
 class TestAlexandroff:
@@ -214,10 +247,33 @@ class TestAlexandroff:
             t = FiniteTopology.from_preorder(p)
             assert sorted(t.opens) == brute_upset_masks(p)
 
-    def test_cap_on_large_carriers(self):
-        p = Preorder.from_pairs([f"x{i}" for i in range(21)], [])
-        with pytest.raises(CapExceeded):
-            FiniteTopology.from_preorder(p)
+    def test_open_cap(self):
+        at_cap = FiniteTopology.from_preorder(antichain([f"x{i}" for i in range(16)]))
+        assert len(at_cap.opens) == MAX_OPENS
+        over = FiniteTopology.from_preorder(antichain_under_a_top(16))
+        assert over.closure(["top"]) == over.carrier  # the rows need no opens
+        readers = [lambda t: t.opens, lambda t: t.is_open(0), lambda t: t.is_closed(0),
+                   lambda t: t == t, FiniteTopology.opens_as_labels, rows_of_opens]
+        for read in readers:
+            with pytest.raises(CapExceeded, match=f"^refusing to enumerate more than "
+                                                  f"{MAX_OPENS} open sets$"):
+                read(over)
+
+    def test_repr_enumerates_nothing(self):
+        labels = [f"x{i}" for i in range(64)]
+        t = FiniteTopology.from_preorder(antichain(labels))
+        assert repr(t) == f"FiniteTopology({labels!r})"
+        with pytest.raises(CapExceeded):  # had repr enumerated, it would have raised
+            t.opens
+
+
+def minimal_open_by_opens(t, i):
+    """U_x by its definition: the AND of every open containing x."""
+    m = t.full_mask
+    for o in t.opens:
+        if o >> i & 1:
+            m &= o
+    return m
 
 
 class TestSpecialization:
@@ -237,14 +293,13 @@ class TestSpecialization:
         t = FiniteTopology.from_preorder(p0)
         assert t.specialization_preorder().pairs() == []
 
-    @pytest.mark.parametrize("build", ["from_preorder", "checked_opens", "unchecked_opens"])
+    @pytest.mark.parametrize("build", ["from_preorder", "checked_opens"])
     def test_rows_are_derived_once(self, pseudo_poset, build):
         if build == "from_preorder":
             t = FiniteTopology.from_preorder(pseudo_poset)
         else:
             opens = FiniteTopology.from_preorder(pseudo_poset).opens
-            t = FiniteTopology(pseudo_poset.carrier, opens,
-                               _validate=build == "checked_opens")
+            t = FiniteTopology(pseudo_poset.carrier, opens)
         p = t.specialization_preorder()
         assert p == pseudo_poset
         assert t.specialization_preorder() is p
@@ -256,12 +311,18 @@ class TestSpecialization:
         spaces = [
             FiniteTopology.from_preorder(random_preorder(rng, rng.randint(0, 9))),
             product_topology(FiniteTopology.from_preorder(p) for p in small),
-            random_topology(rng, max_size=6),  # opens given, axioms not checked
+            random_topology(rng, max_size=6),  # opens given
         ]
         for t in spaces:
-            assert t._minimal is None
-            rows = t.specialization_preorder().up
-            assert list(rows) == [t.minimal_open_mask(i) for i in range(len(t.carrier))]
+            minimal = [minimal_open_by_opens(t, i) for i in range(len(t.carrier))]
+            assert rows_of_opens(t) == minimal
+            assert list(t.specialization_preorder().up) == minimal
+
+    def test_rows_of_opens_ignores_the_stored_rows(self, pseudo_poset):
+        t = FiniteTopology.from_preorder(pseudo_poset)
+        t.opens  # enumerated while the stored rows are still there
+        t._specialization = None  # any later read of the stored rows fails
+        assert rows_of_opens(t) == list(pseudo_poset.up)
 
 
 class TestRoundTrips:
@@ -269,14 +330,13 @@ class TestRoundTrips:
         rng = random.Random(101)
         for _ in range(100):
             p = random_preorder(rng, max_size=7)
-            t = FiniteTopology.from_preorder(p)
-            assert t.specialization_preorder() == p
+            assert rows_of_opens(FiniteTopology.from_preorder(p)) == list(p.up)
 
     def test_topology_roundtrip(self):
         rng = random.Random(202)
         for _ in range(100):
             t = random_topology(rng, max_size=5)
-            again = FiniteTopology.from_preorder(t.specialization_preorder())
+            again = FiniteTopology.from_preorder(Preorder(t.carrier, rows_of_opens(t)))
             assert again == t
 
 
@@ -298,6 +358,16 @@ class TestClosure:
         t = FiniteTopology.from_preorder(chain3)
         with pytest.raises(InputError):
             t.closure(["z"])
+
+    def test_rows_match_both_definitions_over_the_opens(self):
+        rng = random.Random(8)
+        for i in range(60):
+            if i % 2:
+                t = random_topology(rng, max_size=6)
+            else:
+                t = FiniteTopology.from_preorder(random_preorder(rng, max_size=6))
+            mask = rng.randrange(t.full_mask + 1)
+            assert t.closure_mask(mask) == brute_closure(t, mask) == closure_by_opens(t, mask)
 
     def test_interior_is_largest_open_inside(self, pseudo_poset):
         t = FiniteTopology.from_preorder(pseudo_poset)
@@ -328,23 +398,23 @@ class TestLocallyClosed:
         for poset in (ex1_poset, pseudo_poset, chain3):
             t = FiniteTopology.from_preorder(poset)
             for x in poset.carrier:
-                assert t.is_locally_closed_mask(t.mask([x]))
+                assert locally_closed_by_opens(t, t.mask([x]))
 
     def test_indiscrete_point_is_not(self):
         t = FiniteTopology.from_open_sets(["p", "q"], [[], ["p", "q"]])
         assert not brute_locally_closed(t, t.mask(["p"]))
-        assert not t.is_locally_closed_mask(t.mask(["p"]))
+        assert not locally_closed_by_opens(t, t.mask(["p"]))
 
     def test_whole_carrier(self, pseudo_poset):
         t = FiniteTopology.from_preorder(pseudo_poset)
-        assert t.is_locally_closed_mask(t.full_mask)
+        assert locally_closed_by_opens(t, t.full_mask)
 
     def test_matches_bruteforce(self):
         rng = random.Random(77)
         for _ in range(40):
             t = random_topology(rng, max_size=5)
             mask = rng.randrange(t.full_mask + 1)
-            assert t.is_locally_closed_mask(mask) == brute_locally_closed(t, mask)
+            assert locally_closed_by_opens(t, mask) == brute_locally_closed(t, mask)
 
 
 class TestFunctoriality:
@@ -402,10 +472,15 @@ class TestProductTopology:
             assert product_topology(factors) == box_product(factors)
 
     def test_cap(self):
-        p = Preorder.from_pairs([str(i) for i in range(5)], [])
-        t = FiniteTopology.from_preorder(p)
-        with pytest.raises(CapExceeded):
-            product_topology([t, t])
+        four = FiniteTopology.from_preorder(antichain([str(i) for i in range(4)]))
+        assert len(product_topology([four, four]).opens) == MAX_OPENS
+        point = FiniteTopology.from_preorder(antichain(["*"]))
+        over = product_topology([FiniteTopology.from_preorder(antichain_under_a_top(16)), point])
+        with pytest.raises(CapExceeded, match="^refusing to enumerate"):
+            over.opens
+        big = FiniteTopology.from_preorder(antichain([str(i) for i in range(65)]))
+        with pytest.raises(CapExceeded, match=f"^carrier has 4225 elements, cap is {MAX_CARRIER}$"):
+            product_topology([big, big])
 
 
 class TestStratifiedSpace:
