@@ -37,8 +37,8 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 # Every submodule except ``cli``: runpy warns when the module it runs as
 # ``__main__`` is already in sys.modules.
 _SUBMODULES = ("errors", "order", "topology", "decomposition", "feasibility",
-               "arrangement", "homology", "category", "catalog", "randomcases",
-               "dot", "jsonio", "corpus")
+               "arrangement", "homology", "category", "randomcases", "dot", "jsonio",
+               "corpus")
 
 __all__ = [*_ORIGIN, "__version__"]
 

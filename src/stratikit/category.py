@@ -11,7 +11,7 @@ import itertools
 from collections import namedtuple
 
 from .errors import CapExceeded, InputError, StructureError
-from .order import Preorder, is_monotone, quotient_poset
+from .order import Preorder, bitmask, is_monotone, quotient_poset
 
 MAX_MORPHISMS = 64
 
@@ -133,35 +133,37 @@ def hom_preorder_details(cat, x, y, side):
 
     side R:  g <= f  iff  f = g . s  for some endomorphism s of the source;
     side L:  g <= f  iff  f = t . g  for some endomorphism t of the target;
-    side LR: g <= f  iff  f = t . g . s.
+    side LR: g <= f  iff  f = t . g . s, that is R followed by L.
+
+    The witness of g <= f is the first s (or t) in hom order that works; on
+    side LR it is the first s for which some t works, with the first such t.
+    Each composite g . s and t . g is formed once.
     """
     if side not in SIDES:
         raise InputError(f"side must be one of {SIDES}, got {side!r}")
     morphs = cat.hom(x, y)
-    end_x = cat.hom(x, x)
-    end_y = cat.hom(y, y)
-    up = [0] * len(morphs)
-    witnesses = {}
-    for i, g in enumerate(morphs):
-        for j, f in enumerate(morphs):
-            found = None
-            if side == "R":
-                found = next(
-                    ({"s": s} for s in end_x if cat.compose(g, s) == f), None)
-            elif side == "L":
-                found = next(
-                    ({"t": t} for t in end_y if cat.compose(t, g) == f), None)
-            else:
-                found = next(
-                    ({"s": s, "t": t}
-                     for s in end_x for t in end_y
-                     if cat.compose(t, cat.compose(g, s)) == f),
-                    None)
-            if found is not None:
-                up[i] |= 1 << j
-                witnesses[(g, f)] = found
-    pre = Preorder(morphs, up)  # reflexivity/transitivity asserted here
-    return pre, witnesses
+    end_x, end_y = cat.hom(x, x), cat.hom(y, y)
+    # right[g] maps each g.s to its first s, left[g] each t.g to its first t
+    right = {g: {} for g in morphs} if side != "L" else {}
+    for g, row in right.items():
+        for s in end_x:
+            row.setdefault(cat.compose(g, s), {"s": s})
+    left = {g: {} for g in morphs} if side != "R" else {}
+    for g, row in left.items():
+        for t in end_y:
+            row.setdefault(cat.compose(t, g), {"t": t})
+    found = right if side == "R" else left
+    if side == "LR":  # right[g] lists each g.s in the order of its first s
+        found = {g: {} for g in morphs}
+        for g, row in found.items():
+            for h, ws in right[g].items():
+                for f, wt in left[h].items():
+                    if f not in row:
+                        row[f] = {**ws, **wt}
+    index = {m: i for i, m in enumerate(morphs)}
+    # Preorder checks that the rows are reflexive and transitive
+    pre = Preorder(morphs, [bitmask(map(index.get, found[g])) for g in morphs])
+    return pre, {(g, f): w for g in morphs for f, w in found[g].items()}
 
 
 def hom_preorder(cat, x, y, side):
@@ -254,55 +256,38 @@ def st_functor_check(cat, anchor, side):
     for obj in cat.objects:
         pair = (anchor, obj) if pre_side == "R" else (obj, anchor)
         pre = hom_preorder(cat, *pair, pre_side)
-        strata, projection = quotient_poset(pre)
-        data[obj] = (pre, strata, projection)
+        data[obj] = (pre, *quotient_poset(pre))
+    phi = {f: _translation(cat, anchor, side, f) for f in cat.morphisms}
 
     squares = []
     for f in cat.morphisms:
-        if pre_side == "R":
-            src_obj, tgt_obj = cat.dom[f], cat.cod[f]
-        else:
-            src_obj, tgt_obj = cat.cod[f], cat.dom[f]
+        src_obj, tgt_obj = cat.dom[f], cat.cod[f]
+        if pre_side == "L":
+            src_obj, tgt_obj = tgt_obj, src_obj
         pre_s, strata_s, proj_s = data[src_obj]
         pre_t, strata_t, proj_t = data[tgt_obj]
-        phi = _translation(cat, anchor, side, f)
-
-        monotone = is_monotone(phi, pre_s, pre_t) if pre_s.carrier else True
         descends = True
         induced = {}
         for g in pre_s.carrier:
             cls = proj_s(g)
-            img = proj_t(phi[g])
+            img = proj_t(phi[f][g])
             if cls in induced and induced[cls] != img:
                 descends = False
             induced[cls] = img
-        quotient_monotone = (
-            descends and (not strata_s.carrier or
-                          is_monotone({c: induced[c] for c in strata_s.carrier},
-                                      strata_s, strata_t)))
-        square = all(proj_t(phi[g]) == induced[proj_s(g)] for g in pre_s.carrier)
+        square = all(proj_t(phi[f][g]) == induced[proj_s(g)] for g in pre_s.carrier)
         squares.append(SquareCheck(
-            morphism=f, monotone=monotone, descends=descends,
-            quotient_monotone=quotient_monotone, square_commutes=square))
+            morphism=f, monotone=is_monotone(phi[f], pre_s, pre_t), descends=descends,
+            quotient_monotone=descends and is_monotone(induced, strata_s, strata_t),
+            square_commutes=square))
 
-    identity_law = True
-    for x in cat.objects:
-        ident = _translation(cat, anchor, side, cat.identity[x])
-        if any(ident[g] != g for g in ident):
-            identity_law = False
+    identity_law = all(phi[cat.identity[x]][g] == g
+                       for x in cat.objects for g in phi[cat.identity[x]])
     composition_law = True
     for g, f in cat.composable_pairs():
-        gf = cat.compose(g, f)
-        whole = _translation(cat, anchor, side, gf)
-        if side == "R-covariant":
-            first, second = _translation(cat, anchor, side, f), _translation(
-                cat, anchor, side, g)
-        else:
-            first, second = _translation(cat, anchor, side, g), _translation(
-                cat, anchor, side, f)
-        for m in whole:
-            if second[first[m]] != whole[m]:
-                composition_law = False
+        whole = phi[cat.compose(g, f)]
+        first, second = (phi[f], phi[g]) if pre_side == "R" else (phi[g], phi[f])
+        if any(second[first[m]] != whole[m] for m in whole):
+            composition_law = False
     return FunctorCheckReport(anchor=anchor, side=side, squares=squares,
                               identity_law=identity_law,
                               composition_law=composition_law)
@@ -512,11 +497,9 @@ def yoneda_image_report(cat, functor, anchor):
     for x in cat.objects:
         if not cat.hom(x, anchor):
             continue
-        pre = hom_preorder(cat, x, anchor, "L")
-        for g in pre.carrier:
-            for f in pre.carrier:
-                if pre.leq(g, f) and not images[x][f] <= images[x][g]:
-                    monotone = False
+        for g, f in hom_preorder(cat, x, anchor, "L").pairs():
+            if not images[x][f] <= images[x][g]:
+                monotone = False
     return ImageReport(
         images=images, naturality_holds=natural,
         monotone_inclusion_holds=monotone)

@@ -231,17 +231,31 @@ def cmd_arrangement(args):
 # -- homset --------------------------------------------------------------------
 
 
-def _endpoints(doc):
-    return (str(jsonio.expect(doc, "source", None, "")),
-            str(jsonio.expect(doc, "target", None, "")))
+def _object(cat, doc, key):
+    """The object named under ``key``; one outside ``cat`` is refused at ``key``."""
+    label = str(jsonio.expect(doc, key, None, ""))
+    if label not in cat.identity:
+        raise InputError(f"unknown object {label!r}", path=key)
+    return label
+
+
+def _hom_endpoints(doc, cat):
+    """Source, target and side of a hom-set preorder, each refused at its own
+    key, in the order ``hom_preorder_details`` checks them."""
+    for key in ("source", "target"):
+        jsonio.expect(doc, key, None, "")
+    side = str(doc.get("side", "R"))
+    if side not in category.SIDES:
+        raise InputError(f"side must be one of {category.SIDES}, got {side!r}",
+                         path="side")
+    return _object(cat, doc, "source"), _object(cat, doc, "target"), side
 
 
 def cmd_homset(args):
     doc, text = _read_input(args)
     cat = jsonio.load_category(jsonio.expect(doc, "category", None, ""), path="category")
     if args.action == "preorder":
-        x, y = _endpoints(doc)
-        side = str(doc.get("side", "R"))
+        x, y, side = _hom_endpoints(doc, cat)
         pre, witnesses = category.hom_preorder_details(cat, x, y, side)
         pre = _maybe_dual(args, pre)
         _write_dot(args, pre)
@@ -251,8 +265,7 @@ def cmd_homset(args):
         }
         return _emit(_report("homset preorder", _digest(text), results, []))
     if args.action == "stratify":
-        x, y = _endpoints(doc)
-        side = str(doc.get("side", "R"))
+        x, y, side = _hom_endpoints(doc, cat)
         pss, rep = category.hom_stratified(cat, x, y, side)
         checks = [
             {"name": "projection open", "pass": rep.projection_open, "detail": ""},
@@ -271,9 +284,13 @@ def cmd_homset(args):
         _write_dot(args, pss.strata_poset)
         return _emit(_report("homset stratify", _digest(text), results, checks))
     if args.action == "functor-check":
-        anchor = str(jsonio.expect(doc, "anchor", None, ""))
+        jsonio.expect(doc, "anchor", None, "")
         side = str(doc.get("side", "R-covariant"))
         side = {"R": "R-covariant", "L": "L-contravariant"}.get(side, side)
+        if side not in ("R-covariant", "L-contravariant"):
+            raise InputError("side must be 'R-covariant' or 'L-contravariant'",
+                             path="side")
+        anchor = _object(cat, doc, "anchor")
         rep = category.st_functor_check(cat, anchor, side)
         checks = [
             {"name": "identity law", "pass": rep.identity_law, "detail": ""},
@@ -286,8 +303,9 @@ def cmd_homset(args):
                    "squares": [sq.morphism for sq in rep.squares]}
         return _emit(_report("homset functor-check", _digest(text), results, checks))
     if args.action == "yoneda":
-        anchor = str(jsonio.expect(doc, "anchor", None, ""))
+        jsonio.expect(doc, "anchor", None, "")
         fun = jsonio.load_functor(cat, jsonio.expect(doc, "functor", None, ""), path="functor")
+        anchor = _object(cat, doc, "anchor")
         transformations, yrep = category.yoneda_natural_transformations(cat, fun, anchor)
         imrep = category.yoneda_image_report(cat, fun, anchor)
         checks = [

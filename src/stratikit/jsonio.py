@@ -171,9 +171,10 @@ def load_category(doc, path=""):
     homs_doc = expect(doc, "homs", dict, path)
     homs = {}
     for key, ms in homs_doc.items():
-        pair = _parse_hom_key(str(key), path=f"homs.{key}")
+        at = _join(path, f"homs.{key}")
+        pair = _parse_hom_key(str(key), path=at)
         if not isinstance(ms, list):
-            raise InputError("hom value must be a list of labels", path=f"homs.{key}")
+            raise InputError("hom value must be a list of labels", path=at)
         homs[pair] = [str(m) for m in ms]
     identities = {
         str(k): str(v)
@@ -184,7 +185,7 @@ def load_category(doc, path=""):
     for i, row in enumerate(compose_doc):
         if not isinstance(row, list) or len(row) != 3:
             raise InputError("each composition entry must be [g, f, gf]",
-                             path=f"compose[{i}]")
+                             path=_join(path, f"compose[{i}]"))
         compose.append(tuple(str(x) for x in row))
     return category.FiniteCategory(objects, homs, identities, compose)
 

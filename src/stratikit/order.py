@@ -276,9 +276,6 @@ class MonotoneMap:
     def __call__(self, label):
         return self.assignment[label]
 
-    def is_surjective(self):
-        return set(self.assignment.values()) == set(self.target.carrier)
-
     def __repr__(self):
         return f"MonotoneMap({self.assignment!r})"
 

@@ -1,9 +1,13 @@
-"""Shipped small categories and set-functor instances used by the test and
-acceptance suites (all of them within 3 objects and 8 morphisms)."""
+"""Small categories and set-functor instances for the test and acceptance
+suites (all of them within 3 objects and 8 morphisms), and monoids of
+self-maps of a finite set up to the 64-morphism cap."""
 
 from __future__ import annotations
 
-from .category import FiniteCategory, SetFunctor
+import itertools
+import random
+
+from stratikit.category import FiniteCategory, SetFunctor
 
 
 def category_c2():
@@ -129,3 +133,64 @@ def yoneda_instances():
         "A"))
     out.append(("chain3-self-C", chain, representable_functor(chain, "C"), "C"))
     return out
+
+
+def all_maps(n):
+    """All n^n self-maps of {0, ..., n-1} as value tuples, the identity first."""
+    identity = tuple(range(n))
+    return sorted(itertools.product(range(n), repeat=n), key=lambda m: m != identity)
+
+
+def cube_of_all_maps2():
+    """T2^3: the 64 triples of self-maps of a two-point set, each triple as one
+    map of {0, ..., 5} acting on {0, 1}, {2, 3} and {4, 5} separately."""
+    return [tuple(v + 2 * k for k, m in enumerate(triple) for v in m)
+            for triple in itertools.product(all_maps(2), repeat=3)]
+
+
+def generated_maps(generators, cap=64):
+    """The monoid of self-maps generated by ``generators``, the identity first
+    and the rest in the order found; None once it has more than ``cap``."""
+    maps = [tuple(range(len(generators[0])))]
+    seen = set(maps)
+    for m in maps:  # grows while it is read
+        for g in generators:
+            gm = tuple(g[i] for i in m)
+            if gm not in seen:
+                if len(maps) == cap:
+                    return None
+                seen.add(gm)
+                maps.append(gm)
+    return maps
+
+
+def seeded_monoids(count=20, seed=17):
+    """``count`` monoids generated by 2 or 3 random self-maps of a 3- or
+    4-point set, each of at most 64 elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((3, 4))
+        gens = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.choice((2, 3)))]
+        maps = generated_maps(gens)
+        if maps is not None:
+            out.append(maps)
+    return out
+
+
+def monoid_document(maps):
+    """The monoid of the given self-maps, closed under composition and the
+    identity first, as the one-object category document ``homset`` reads;
+    the map with values (v0, v1, ...) is labelled "tv0v1..."."""
+    name = {m: "t" + "".join(map(str, m)) for m in maps}
+    return {"objects": ["*"], "homs": {"*->*": [name[m] for m in maps]},
+            "identities": {"*": name[maps[0]]},
+            "compose": [[name[g], name[f], name[tuple(g[i] for i in f)]]
+                        for g in maps for f in maps]}
+
+
+def monoid(maps):
+    """``monoid_document(maps)`` as a category."""
+    doc = monoid_document(maps)
+    return FiniteCategory(doc["objects"], {("*", "*"): doc["homs"]["*->*"]},
+                          doc["identities"], [tuple(row) for row in doc["compose"]])

@@ -1,8 +1,10 @@
 """Test references that read a space only through its enumerated open family,
-and a seeded generator of topologies given by their opens."""
+a seeded generator of topologies given by their opens, and the hom-set
+preorder found by searching every pair of morphisms."""
 
 import itertools
 
+from stratikit.order import Preorder
 from stratikit.topology import FiniteTopology
 
 
@@ -43,3 +45,33 @@ def random_topology(rng, max_size=5, seeds=3):
             break
         family |= fresh
     return FiniteTopology(labels, family)
+
+
+def hom_preorder_by_search(cat, x, y, side):
+    """The hom-set preorder and witnesses of ``category.hom_preorder_details``,
+    found pair by pair: for each (g, f), the first s, t or (s, t) in hom order
+    whose composite with g is f."""
+    morphs = cat.hom(x, y)
+    end_x = cat.hom(x, x)
+    end_y = cat.hom(y, y)
+    up = [0] * len(morphs)
+    witnesses = {}
+    for i, g in enumerate(morphs):
+        for j, f in enumerate(morphs):
+            found = None
+            if side == "R":
+                found = next(
+                    ({"s": s} for s in end_x if cat.compose(g, s) == f), None)
+            elif side == "L":
+                found = next(
+                    ({"t": t} for t in end_y if cat.compose(t, g) == f), None)
+            else:
+                found = next(
+                    ({"s": s, "t": t}
+                     for s in end_x for t in end_y
+                     if cat.compose(t, cat.compose(g, s)) == f),
+                    None)
+            if found is not None:
+                up[i] |= 1 << j
+                witnesses[(g, f)] = found
+    return Preorder(morphs, up), witnesses

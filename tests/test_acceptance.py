@@ -9,7 +9,6 @@ import time
 
 from stratikit.arrangement import (Arrangement, closure_inclusion,
                                    enumerate_faces, face_poset)
-from stratikit.catalog import all_categories, yoneda_instances
 from stratikit.category import (hom_stratified, yoneda_image_report,
                                 hom_preorder, yoneda_natural_transformations)
 from stratikit.decomposition import analyze, open_closed_by_opens
@@ -19,6 +18,7 @@ from stratikit.order import (Preorder, is_order_isomorphism,
 from stratikit.randomcases import random_decomposition, random_preorder
 from stratikit.topology import FiniteTopology, rows_of_opens
 
+from catalog import all_categories, yoneda_instances
 from reference import random_topology
 
 

@@ -1,12 +1,7 @@
 import pytest
 
-from stratikit.catalog import (all_categories, category_arrow, category_c2,
-                               category_chain3, category_idempotent_monoid,
-                               category_left_zero_monoid,
-                               category_parallel_pair,
-                               category_transformation_monoid2,
-                               representable_functor, yoneda_instances)
-from stratikit.category import (FiniteCategory, IMAGE_ORDER_NOTE, SetFunctor,
+from stratikit import category
+from stratikit.category import (SIDES, FiniteCategory, IMAGE_ORDER_NOTE, SetFunctor,
                                 hom_preorder, hom_preorder_details,
                                 hom_stratified, st_functor_check, yoneda_image,
                                 yoneda_image_report,
@@ -15,7 +10,12 @@ from stratikit.errors import CapExceeded, InputError, StructureError
 from stratikit.order import quotient_poset
 from stratikit.topology import FiniteTopology, PosetStratifiedSpace
 
-from reference import closure_by_opens, locally_closed_by_opens
+from catalog import (all_categories, all_maps, category_arrow, category_c2,
+                     category_chain3, category_idempotent_monoid,
+                     category_left_zero_monoid, category_parallel_pair,
+                     category_transformation_monoid2, cube_of_all_maps2, monoid,
+                     representable_functor, seeded_monoids, yoneda_instances)
+from reference import closure_by_opens, hom_preorder_by_search, locally_closed_by_opens
 
 
 def nonempty_hom_pairs(cat):
@@ -127,6 +127,73 @@ class TestHomPreorder:
     def test_unknown_object_rejected(self):
         with pytest.raises(InputError):
             hom_preorder(category_c2(), "*", "?", "R")
+
+
+# T2, T3, T2^3 at the 64-morphism cap, and twenty seeded monoids of self-maps
+MONOIDS = {"T2": all_maps(2), "T3": all_maps(3), "T2^3": cube_of_all_maps2(),
+           **{f"seeded{i}": maps for i, maps in enumerate(seeded_monoids())}}
+
+
+def assert_matches_the_pairwise_search(cat, x, y, side):
+    pre, witnesses = hom_preorder_details(cat, x, y, side)
+    ref_pre, ref_witnesses = hom_preorder_by_search(cat, x, y, side)
+    assert pre == ref_pre
+    assert witnesses == ref_witnesses
+    # the CLI prints each witness, so its key order matters too
+    assert all(list(witnesses[k]) == list(w) for k, w in ref_witnesses.items())
+
+
+class TestHomPreorderAgainstTheSearch:
+    @pytest.mark.parametrize("side", SIDES)
+    def test_every_hom_set_of_the_catalog(self, side):
+        cases = 0
+        for name, cat in all_categories().items():
+            for x in cat.objects:
+                for y in cat.objects:
+                    assert_matches_the_pairwise_search(cat, x, y, side)
+                    cases += 1
+        assert cases == 21
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("name", MONOIDS)
+    def test_monoids_of_self_maps(self, name, side):
+        cat = monoid(MONOIDS[name])
+        assert len(cat.morphisms) <= 64
+        assert_matches_the_pairwise_search(cat, "*", "*", side)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call's arguments are recorded; returns
+    the record."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkAtTheCap:
+    @pytest.mark.parametrize("side", SIDES)
+    def test_hom_preorder_forms_each_composite_once(self, monkeypatch, side):
+        cat = monoid(cube_of_all_maps2())
+        calls = count_calls(monkeypatch, cat, "compose")
+        hom_preorder_details(cat, "*", "*", side)
+        # |hom| * (|End x| + |End y|) on LR, one of the two on R and L
+        n = len(cat.morphisms)
+        assert n == 64
+        assert len(calls) <= {"R": n * n, "L": n * n, "LR": 2 * n * n}[side]
+
+    @pytest.mark.parametrize("side", ["R-covariant", "L-contravariant"])
+    def test_functor_check_translates_each_morphism_once(self, monkeypatch, side):
+        cat = monoid(cube_of_all_maps2())
+        calls = count_calls(monkeypatch, category, "_translation")
+        rep = st_functor_check(cat, "*", side)
+        assert rep.ok()
+        assert sorted(args[3] for args in calls) == sorted(cat.morphisms)
 
 
 class TestHomStratified:

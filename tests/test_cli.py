@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import subprocess
@@ -13,6 +12,8 @@ from stratikit.category import hom_preorder_details
 from stratikit.cli import main
 from stratikit.jsonio import dump_preorder, load_category
 from stratikit.order import quotient_poset
+
+from catalog import all_maps, cube_of_all_maps2, monoid_document
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -42,16 +43,6 @@ IDEM = {
     "identities": {"*": "1"},
     "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]],
 }
-
-
-def transformation_monoid(n):
-    """All n^n self-maps of an n-point set on one object, the identity first."""
-    maps = sorted(itertools.product(range(n), repeat=n), key=lambda m: m != tuple(range(n)))
-    name = {m: "t" + "".join(map(str, m)) for m in maps}
-    return {"objects": ["*"], "homs": {"*->*": [name[m] for m in maps]},
-            "identities": {"*": name[maps[0]]},
-            "compose": [[name[g], name[f], name[tuple(g[i] for i in f)]]
-                        for g in maps for f in maps]}
 
 
 # twenty incomparable points: 2^20 up-sets, past the open-count cap
@@ -276,6 +267,44 @@ class TestErrorHandling:
         assert code == 2
         assert json.loads(out)["error"] == {"message": message, "path": path}
 
+    @pytest.mark.parametrize("argv, doc, message, path", [
+        (["homset", "preorder"],
+         {"category": {**IDEM, "homs": {"*": ["1", "e"]}}, "source": "*", "target": "*"},
+         "hom key '*' must look like 'X->Y'", "category.homs.*"),
+        (["homset", "stratify"],
+         {"category": {**IDEM, "homs": {"*->*": "1e"}}, "source": "*", "target": "*"},
+         "hom value must be a list of labels", "category.homs.*->*"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "compose": [["1", "1"]]}, "source": "*", "target": "*"},
+         "each composition entry must be [g, f, gf]", "category.compose[0]"),
+        (["homset", "preorder"], {"category": IDEM, "source": "X", "target": "*"},
+         "unknown object 'X'", "source"),
+        (["homset", "stratify"], {"category": IDEM, "source": "*", "target": "X"},
+         "unknown object 'X'", "target"),
+        (["homset", "functor-check"], {"category": IDEM, "anchor": "X"},
+         "unknown object 'X'", "anchor"),
+        (["homset", "yoneda"],
+         {"category": IDEM, "anchor": "X",
+          "functor": {"variance": "contravariant", "on_objects": {"*": ["0"]},
+                      "on_morphisms": {"1": {"0": "0"}, "e": {"0": "0"}}}},
+         "unknown object 'X'", "anchor"),
+        (["homset", "preorder"],
+         {"category": IDEM, "source": "*", "target": "*", "side": "Q"},
+         "side must be one of ('R', 'L', 'LR'), got 'Q'", "side"),
+        (["homset", "stratify"],
+         {"category": IDEM, "source": "*", "target": "*", "side": "RL"},
+         "side must be one of ('R', 'L', 'LR'), got 'RL'", "side"),
+        (["homset", "functor-check"], {"category": IDEM, "anchor": "*", "side": "LR"},
+         "side must be 'R-covariant' or 'L-contravariant'", "side"),
+    ], ids=["hom-key", "hom-value", "compose-row", "preorder-source",
+            "stratify-target", "functor-check-anchor", "yoneda-anchor",
+            "preorder-side", "stratify-side", "functor-check-side"])
+    def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,
+                                             message, path):
+        code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": message, "path": path}
+
 
 class TestDecompCommands:
     def test_analyze_not_open_still_exits_0(self, tmp_path, capsys):
@@ -484,7 +513,7 @@ class TestHomsetCommands:
 
     @pytest.mark.parametrize("side", ["R", "L", "LR"])
     def test_stratify_the_27_maps_of_a_three_point_set(self, tmp_path, capsys, side):
-        cat = transformation_monoid(3)
+        cat = monoid_document(all_maps(3))
         path = write_input(tmp_path, {
             "category": cat, "source": "*", "target": "*", "side": side})
         code, out = run_cli(capsys, ["homset", "stratify", "--input", path])
@@ -494,6 +523,14 @@ class TestHomsetCommands:
         pre, _ = hom_preorder_details(load_category(cat), "*", "*", side)
         assert len(pre.carrier) == 27
         assert doc["results"]["strata"] == dump_preorder(quotient_poset(pre)[0])
+
+    @pytest.mark.parametrize("side", ["R", "L", "LR"])
+    def test_stratify_at_the_64_morphism_cap(self, tmp_path, capsys, side):
+        path = write_input(tmp_path, {"category": monoid_document(cube_of_all_maps2()),
+                                      "source": "*", "target": "*", "side": side})
+        code, out = run_cli(capsys, ["homset", "stratify", "--input", path])
+        assert code == 0
+        assert [c["pass"] for c in json.loads(out)["checks"]] == [True, True, True]
 
     def test_functor_check(self, tmp_path, capsys):
         path = write_input(tmp_path, {
@@ -770,9 +807,9 @@ EXECUTED_MODULES = (
     "      file=sys.stderr)\n"
 )
 
-SUBMODULES = ["arrangement", "catalog", "category", "cli", "corpus", "decomposition",
-              "dot", "errors", "feasibility", "homology", "jsonio", "order",
-              "randomcases", "topology"]
+SUBMODULES = ["arrangement", "category", "cli", "corpus", "decomposition", "dot",
+              "errors", "feasibility", "homology", "jsonio", "order", "randomcases",
+              "topology"]
 
 
 def executed_modules(argv):

@@ -7,8 +7,9 @@ import pytest
 from stratikit import jsonio
 from stratikit.cli import main
 from stratikit.corpus import CASE_NAMES, golden
-from stratikit.catalog import category_chain3, representable_functor
 from stratikit.errors import InputError
+
+from catalog import category_chain3, representable_functor
 
 
 class TestRationals:
