@@ -100,13 +100,11 @@ def sign_map(arr, point):
 
 
 def _constraint(row, s):
-    """(equalities, inequalities) selecting the points where the row has sign s."""
-    coeffs, const = row[:-1], row[-1]
+    """(equalities, inequalities) selecting the points where the row has sign
+    s, as rows of ``LinearSystem.extended``."""
     if s == 0:
-        return [(coeffs, const)], ()
-    if s > 0:
-        return (), [(coeffs, const, True)]
-    return (), [(tuple(-c for c in coeffs), -const, True)]
+        return [row], ()
+    return (), [(row if s > 0 else tuple(-c for c in row), True)]
 
 
 def enumerate_faces(arr, cap=MAX_FORMS):

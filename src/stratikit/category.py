@@ -82,21 +82,32 @@ class FiniteCategory:
         self._check_laws()
 
     def _check_laws(self):
+        """Identity laws for each f, then associativity for each composable
+        (f, g, h), in morphism order.  Raises at the first law that fails or
+        the first composable pair the table misses."""
         for f in self.morphisms:
             x, y = self.dom[f], self.cod[f]
             if self.compose(self.identity[y], f) != f:
                 raise StructureError(f"left identity law fails at {f!r}")
             if self.compose(f, self.identity[x]) != f:
                 raise StructureError(f"right identity law fails at {f!r}")
+        after = {m: {} for m in self.morphisms}  # after[g][f] = g . f
+        for (g, f), gf in self._compose.items():
+            after[g][f] = gf
+        leaving = {x: [] for x in self.objects}
+        for m in self.morphisms:
+            leaving[self.dom[m]].append(m)
         for f in self.morphisms:
-            for g in self.morphisms:
-                if self.dom[g] != self.cod[f]:
-                    continue
-                for h in self.morphisms:
-                    if self.dom[h] != self.cod[g]:
-                        continue
-                    if self.compose(h, self.compose(g, f)) != self.compose(
-                            self.compose(h, g), f):
+            for g in leaving[self.cod[f]]:
+                gf = after[g].get(f)
+                for h in leaving[self.cod[g]]:
+                    row = after[h]
+                    hg, left = row.get(g), row.get(gf)
+                    if left is None or hg is None or after[hg].get(f) != left:
+                        # compose raises at the first missing pair, in the
+                        # order h . (g . f) = (h . g) . f reads them
+                        self.compose(h, self.compose(g, f))
+                        self.compose(self.compose(h, g), f)
                         raise StructureError(
                             f"associativity fails at ({h!r}, {g!r}, {f!r})")
 

@@ -15,7 +15,7 @@ from .errors import InputError, StratikitError, StructureError
 
 
 def _read_input(args):
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -45,190 +45,169 @@ def _digest(text):
     return {"sha256": _sha256(data), "bytes": len(data)}
 
 
-def _report(command, inputs, results, checks):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-    }
-
-
-def _emit(report, stream=None):
-    stream = stream or sys.stdout
-    stream.write(jsonio.canonical_dumps(report) + "\n")
-    return 0 if all(c["pass"] for c in report["checks"]) else 1
+def _check(name, ok, detail=""):
+    return {"name": name, "pass": ok, "detail": detail}
 
 
 def _write_dot(args, preorder):
-    if getattr(args, "dot", None):
+    if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot.preorder_dot(preorder, full_relation=args.full_relation))
 
 
 def _maybe_dual(args, preorder):
-    return preorder.dual() if getattr(args, "dual", False) else preorder
+    return preorder.dual() if args.dual else preorder
 
+
+# Each action takes the input document (None for a group without --input) and
+# the parsed arguments, and returns the report's (results, checks).
 
 # -- topology ----------------------------------------------------------------
 
 
-def cmd_topology(args):
-    doc, text = _read_input(args)
-    checks = []
-    if args.action == "check":
-        try:
-            space = jsonio.load_topology(doc)
-        except StructureError as exc:
-            checks.append({"name": "family is a topology", "pass": False,
-                           "detail": str(exc)})
-            return _emit(_report("topology check", _digest(text), {}, checks))
-        checks.append({"name": "family is a topology", "pass": True, "detail": ""})
-        return _emit(_report("topology check", _digest(text),
-                             jsonio.dump_topology(space), checks))
-    if args.action == "from-preorder":
-        pre = _maybe_dual(args, jsonio.load_preorder(doc))
-        space = topology.FiniteTopology.from_preorder(pre)
-        checks.append({"name": "specialization preorder round-trips",
-                       "pass": topology.rows_of_opens(space) == list(pre.up),
-                       "detail": ""})
-        _write_dot(args, pre)
-        return _emit(_report("topology from-preorder", _digest(text),
-                             jsonio.dump_topology(space), checks))
-    if args.action == "to-preorder":
+def _topology_check(doc, args):
+    try:
         space = jsonio.load_topology(doc)
-        pre = _maybe_dual(args, space.specialization_preorder())
-        again = topology.FiniteTopology.from_preorder(
-            order.Preorder(space.carrier, topology.rows_of_opens(space)))
-        checks.append({"name": "alexandroff topology round-trips",
-                       "pass": again == space, "detail": ""})
-        _write_dot(args, pre)
-        return _emit(_report("topology to-preorder", _digest(text),
-                             jsonio.dump_preorder(pre), checks))
-    if args.action == "closure":
-        space = jsonio.load_topology(jsonio.expect(doc, "space", dict, ""), path="space")
-        subset = jsonio.load_subset(doc, space.carrier)
-        closed = space.closure(subset)
-        mask = space.mask(closed)
-        checks.append({
-            "name": "closure is extensive and idempotent",
-            "pass": (space.mask(subset) & ~mask) == 0
-                    and space.closure_mask(mask) == mask,
-            "detail": ""})
-        return _emit(_report("topology closure", _digest(text),
-                             {"subset": subset, "closure": list(closed)}, checks))
-    raise InputError(f"unknown topology action {args.action!r}")
+    except StructureError as exc:
+        return {}, [_check("family is a topology", False, str(exc))]
+    return jsonio.dump_topology(space), [_check("family is a topology", True)]
+
+
+def _topology_from_preorder(doc, args):
+    pre = _maybe_dual(args, jsonio.load_preorder(doc))
+    space = topology.FiniteTopology.from_preorder(pre)
+    checks = [_check("specialization preorder round-trips",
+                     topology.rows_of_opens(space) == list(pre.up))]
+    _write_dot(args, pre)
+    return jsonio.dump_topology(space), checks
+
+
+def _topology_to_preorder(doc, args):
+    space = jsonio.load_topology(doc)
+    pre = _maybe_dual(args, space.specialization_preorder())
+    again = topology.FiniteTopology.from_preorder(
+        order.Preorder(space.carrier, topology.rows_of_opens(space)))
+    checks = [_check("alexandroff topology round-trips", again == space)]
+    _write_dot(args, pre)
+    return jsonio.dump_preorder(pre), checks
+
+
+def _topology_closure(doc, args):
+    space = jsonio.load_topology(jsonio.expect(doc, "space", dict, ""), path="space")
+    subset = jsonio.load_subset(doc, space.carrier)
+    closed = space.closure(subset)
+    mask = space.mask(closed)
+    checks = [_check("closure is extensive and idempotent",
+                     (space.mask(subset) & ~mask) == 0
+                     and space.closure_mask(mask) == mask)]
+    return {"subset": subset, "closure": list(closed)}, checks
 
 
 # -- decomposition -----------------------------------------------------------
 
 
-def cmd_decomp(args):
-    doc, text = _read_input(args)
-    if args.action == "quotient":
-        dec = jsonio.load_decomposition(doc)
-        q = decomposition.quotient_topology(dec)
-        checks = [{"name": "projection continuous for the quotient topology",
-                   "pass": all(dec.space.is_open(dec.preimage_mask(u)) for u in q.opens),
-                   "detail": ""}]
-        return _emit(_report("decomp quotient", _digest(text),
-                             jsonio.dump_topology(q), checks))
-    if args.action == "analyze":
-        dec = jsonio.load_decomposition(doc)
-        rep = decomposition.analyze(dec)
-        reference = decomposition.MOORE_CLASS[decomposition.open_closed_by_opens(dec)]
+def _decomp_quotient(doc, args):
+    dec = jsonio.load_decomposition(doc)
+    q = decomposition.quotient_topology(dec)
+    checks = [_check("projection continuous for the quotient topology",
+                     all(dec.space.is_open(dec.preimage_mask(u)) for u in q.opens))]
+    return jsonio.dump_topology(q), checks
+
+
+def _decomp_analyze(doc, args):
+    dec = jsonio.load_decomposition(doc)
+    rep = decomposition.analyze(dec)
+    reference = decomposition.MOORE_CLASS[decomposition.open_closed_by_opens(dec)]
+    checks = [_check("semicontinuity class consistent with map openness/closedness",
+                     rep.moore_class == reference, rep.moore_class)]
+    _write_dot(args, rep.star_preorder)
+    return rep.to_json_dict(), checks
+
+
+def _decomp_validate(doc, args):
+    dec = jsonio.load_decomposition(doc)
+    strat = decomposition.validate_stratification(dec)
+    checks = []
+    if strat.is_stratification:
         checks = [
-            {"name": "semicontinuity class consistent with map openness/closedness",
-             "pass": rep.moore_class == reference, "detail": rep.moore_class},
+            _check("projection continuous to the closure-order poset",
+                   bool(strat.pi_continuous_to_star)),
+            _check("closure-order topology equals the quotient topology",
+                   bool(strat.star_topology_equals_quotient)),
         ]
-        _write_dot(args, rep.star_preorder)
-        return _emit(_report("decomp analyze", _digest(text),
-                             rep.to_json_dict(), checks))
-    if args.action == "validate":
-        dec = jsonio.load_decomposition(doc)
-        strat = decomposition.validate_stratification(dec)
-        checks = []
-        if strat.is_stratification:
-            checks.append({
-                "name": "projection continuous to the closure-order poset",
-                "pass": bool(strat.pi_continuous_to_star), "detail": ""})
-            checks.append({
-                "name": "closure-order topology equals the quotient topology",
-                "pass": bool(strat.star_topology_equals_quotient), "detail": ""})
-        return _emit(_report("decomp validate", _digest(text),
-                             strat.to_json_dict(), checks))
-    if args.action == "product":
-        factors = doc.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise InputError("'factors' must be a nonempty list", path="factors")
-        decs = [jsonio.load_decomposition(f, path=f"factors[{i}]")
-                for i, f in enumerate(factors)]
-        try:
-            prod, ver = decomposition.product_decomposition(decs)
-        except StructureError as exc:  # a factor whose projection is not open
-            report = _report("decomp product", _digest(text), {},
-                             [{"name": "factors lower semicontinuous",
-                               "pass": False, "detail": str(exc)}])
-            return _emit(report)
-        checks = [{"name": n, "pass": ok, "detail": ""} for n, ok in ver.checks]
-        return _emit(_report("decomp product", _digest(text),
-                             jsonio.dump_decomposition(prod), checks))
-    raise InputError(f"unknown decomp action {args.action!r}")
+    return strat.to_json_dict(), checks
+
+
+def _decomp_product(doc, args):
+    factors = doc.get("factors")
+    if not isinstance(factors, list) or not factors:
+        raise InputError("'factors' must be a nonempty list", path="factors")
+    decs = [jsonio.load_decomposition(f, path=f"factors[{i}]")
+            for i, f in enumerate(factors)]
+    try:
+        prod, ver = decomposition.product_decomposition(decs)
+    except StructureError as exc:  # a factor whose projection is not open
+        return {}, [_check("factors lower semicontinuous", False, str(exc))]
+    return (jsonio.dump_decomposition(prod),
+            [_check(name, ok) for name, ok in ver.checks])
 
 
 # -- arrangement ---------------------------------------------------------------
 
 
-def cmd_arrangement(args):
-    doc, text = _read_input(args)
+def _faces(doc):
+    """The arrangement and its faces, which every arrangement action reads first."""
     arr = jsonio.load_arrangement(doc)
-    faces = arrangement.enumerate_faces(arr)
-    if args.action == "faces":
-        checks = [{
-            "name": "witness signs recompute exactly",
-            "pass": all(arrangement.sign_map(arr, f.witness) == f.signs for f in faces),
-            "detail": ""}]
-        results = {
-            "count": len(faces),
-            "faces": [{
-                "signs": f.label,
-                "witness": [jsonio.format_rational(c) for c in f.witness],
-            } for f in faces],
-        }
-        return _emit(_report("arrangement faces", _digest(text), results, checks))
-    poset = arrangement.face_poset(arr, faces)
+    return arr, arrangement.enumerate_faces(arr)
+
+
+def _arrangement_faces(doc, args):
+    arr, faces = _faces(doc)
+    checks = [_check("witness signs recompute exactly",
+                     all(arrangement.sign_map(arr, f.witness) == f.signs for f in faces))]
+    results = {
+        "count": len(faces),
+        "faces": [{
+            "signs": f.label,
+            "witness": [jsonio.format_rational(c) for c in f.witness],
+        } for f in faces],
+    }
+    return results, checks
+
+
+def _arrangement_poset(doc, args):
+    arr, faces = _faces(doc)
+    poset = _maybe_dual(args, arrangement.face_poset(arr, faces))
+    checks = [_check("componentwise order is a partial order", poset.is_partial_order())]
+    if arr.is_central() and not args.dual:
+        bottom = "0" * arr.k
+        checks.append(_check("central arrangement has the all-zero bottom",
+                             all(poset.leq(bottom, f.label) for f in faces), bottom))
+    _write_dot(args, poset)
+    return jsonio.dump_preorder(poset), checks
+
+
+def _arrangement_check_ob(doc, args):
+    arr, faces = _faces(doc)
+    poset = _maybe_dual(args, arrangement.face_poset(arr, faces))
+    oracle = arrangement.closure_rows(arr, faces)
     if args.dual:
-        poset = poset.dual()
-    if args.action == "poset":
-        checks = [{"name": "componentwise order is a partial order",
-                   "pass": poset.is_partial_order(), "detail": ""}]
-        if arr.is_central() and not args.dual:
-            bottom = "0" * arr.k
-            checks.append({
-                "name": "central arrangement has the all-zero bottom",
-                "pass": all(poset.leq(bottom, f.label) for f in faces),
-                "detail": bottom})
-        _write_dot(args, poset)
-        return _emit(_report("arrangement poset", _digest(text),
-                             jsonio.dump_preorder(poset), checks))
-    if args.action == "check-ob":
-        oracle = arrangement.closure_rows(arr, faces)
-        if args.dual:
-            oracle = order.transpose(oracle)
-        disagreements = [
-            [faces[i].label, faces[j].label]
-            for i, (row, expected) in enumerate(zip(poset.up, oracle))
-            for j in order.bit_indices(row ^ expected)]
-        checks = [{
-            "name": "componentwise order agrees with the closure-inclusion oracle",
-            "pass": not disagreements,
-            "detail": f"{len(faces) ** 2} pairs"}]
-        results = {"pairs_checked": len(faces) ** 2, "disagreements": disagreements}
-        return _emit(_report("arrangement check-ob", _digest(text), results, checks))
-    raise InputError(f"unknown arrangement action {args.action!r}")
+        oracle = order.transpose(oracle)
+    disagreements = [
+        [faces[i].label, faces[j].label]
+        for i, (row, expected) in enumerate(zip(poset.up, oracle))
+        for j in order.bit_indices(row ^ expected)]
+    checks = [_check("componentwise order agrees with the closure-inclusion oracle",
+                     not disagreements, f"{len(faces) ** 2} pairs")]
+    return {"pairs_checked": len(faces) ** 2, "disagreements": disagreements}, checks
 
 
 # -- homset --------------------------------------------------------------------
+
+
+def _category(doc):
+    """The category, which every homset action loads first."""
+    return jsonio.load_category(jsonio.expect(doc, "category", None, ""), path="category")
 
 
 def _object(cat, doc, key):
@@ -251,176 +230,162 @@ def _hom_endpoints(doc, cat):
     return _object(cat, doc, "source"), _object(cat, doc, "target"), side
 
 
-def cmd_homset(args):
-    doc, text = _read_input(args)
-    cat = jsonio.load_category(jsonio.expect(doc, "category", None, ""), path="category")
-    if args.action == "preorder":
-        x, y, side = _hom_endpoints(doc, cat)
-        pre, witnesses = category.hom_preorder_details(cat, x, y, side)
-        pre = _maybe_dual(args, pre)
-        _write_dot(args, pre)
-        results = {
-            "preorder": jsonio.dump_preorder(pre),
-            "witnesses": {f"{g}<={f}": w for (g, f), w in sorted(witnesses.items())},
-        }
-        return _emit(_report("homset preorder", _digest(text), results, []))
-    if args.action == "stratify":
-        x, y, side = _hom_endpoints(doc, cat)
-        pss, rep = category.hom_stratified(cat, x, y, side)
-        checks = [
-            {"name": "projection open", "pass": rep.projection_open, "detail": ""},
-            {"name": "fibers locally closed",
-             "pass": all(rep.fibers_locally_closed.values()),
-             "detail": str(rep.fibers_locally_closed)},
-            {"name": "quotient order equals closure inclusion",
-             "pass": rep.order_matches_closure, "detail": ""},
-        ]
-        results = {
-            "strata": jsonio.dump_preorder(pss.strata_poset),
-            "strat_map": dict(sorted(pss.strat_map.items())),
-            "witnesses": {f"{g}<={f}": w
-                          for (g, f), w in sorted(rep.witnesses.items())},
-        }
-        _write_dot(args, pss.strata_poset)
-        return _emit(_report("homset stratify", _digest(text), results, checks))
-    if args.action == "functor-check":
-        jsonio.expect(doc, "anchor", None, "")
-        side = str(doc.get("side", "R-covariant"))
-        side = {"R": "R-covariant", "L": "L-contravariant"}.get(side, side)
-        if side not in ("R-covariant", "L-contravariant"):
-            raise InputError("side must be 'R-covariant' or 'L-contravariant'",
-                             path="side")
-        anchor = _object(cat, doc, "anchor")
-        rep = category.st_functor_check(cat, anchor, side)
-        checks = [
-            {"name": "identity law", "pass": rep.identity_law, "detail": ""},
-            {"name": "composition law", "pass": rep.composition_law, "detail": ""},
-        ]
-        for sq in rep.squares:
-            checks.append({"name": f"square at {sq.morphism}", "pass": sq.ok(),
-                           "detail": ""})
-        results = {"anchor": anchor, "side": side,
-                   "squares": [sq.morphism for sq in rep.squares]}
-        return _emit(_report("homset functor-check", _digest(text), results, checks))
-    if args.action == "yoneda":
-        jsonio.expect(doc, "anchor", None, "")
-        fun = jsonio.load_functor(cat, jsonio.expect(doc, "functor", None, ""), path="functor")
-        anchor = _object(cat, doc, "anchor")
-        transformations, yrep = category.yoneda_natural_transformations(cat, fun, anchor)
-        imrep = category.yoneda_image_report(cat, fun, anchor)
-        checks = [
-            {"name": "evaluation at the identity is a bijection",
-             "pass": yrep.ok(),
-             "detail": f"{yrep.transformation_count} transformations vs "
-                       f"{yrep.target_size} target elements"},
-            {"name": "image family is natural",
-             "pass": imrep.naturality_holds, "detail": ""},
-            {"name": "left order reverses image inclusion",
-             "pass": imrep.monotone_inclusion_holds, "detail": imrep.note},
-        ]
-        results = {
-            "transformation_count": yrep.transformation_count,
-            "target_size": yrep.target_size,
-            "images": {
-                x: {f: sorted(s) for f, s in sorted(per.items())}
-                for x, per in sorted(imrep.images.items())
-            },
-            "order_direction_note": imrep.note,
-        }
-        return _emit(_report("homset yoneda", _digest(text), results, checks))
-    raise InputError(f"unknown homset action {args.action!r}")
+def _witnesses(witnesses):
+    return {f"{g}<={f}": w for (g, f), w in sorted(witnesses.items())}
+
+
+def _homset_preorder(doc, args):
+    cat = _category(doc)
+    pre, witnesses = category.hom_preorder_details(cat, *_hom_endpoints(doc, cat))
+    pre = _maybe_dual(args, pre)
+    _write_dot(args, pre)
+    return {"preorder": jsonio.dump_preorder(pre), "witnesses": _witnesses(witnesses)}, []
+
+
+def _homset_stratify(doc, args):
+    cat = _category(doc)
+    pss, rep = category.hom_stratified(cat, *_hom_endpoints(doc, cat))
+    checks = [
+        _check("projection open", rep.projection_open),
+        _check("fibers locally closed", all(rep.fibers_locally_closed.values()),
+               str(rep.fibers_locally_closed)),
+        _check("quotient order equals closure inclusion", rep.order_matches_closure),
+    ]
+    results = {
+        "strata": jsonio.dump_preorder(pss.strata_poset),
+        "strat_map": dict(sorted(pss.strat_map.items())),
+        "witnesses": _witnesses(rep.witnesses),
+    }
+    _write_dot(args, pss.strata_poset)
+    return results, checks
+
+
+def _homset_functor_check(doc, args):
+    cat = _category(doc)
+    jsonio.expect(doc, "anchor", None, "")
+    side = str(doc.get("side", "R-covariant"))
+    side = {"R": "R-covariant", "L": "L-contravariant"}.get(side, side)
+    if side not in ("R-covariant", "L-contravariant"):
+        raise InputError("side must be 'R-covariant' or 'L-contravariant'", path="side")
+    anchor = _object(cat, doc, "anchor")
+    rep = category.st_functor_check(cat, anchor, side)
+    checks = [_check("identity law", rep.identity_law),
+              _check("composition law", rep.composition_law)]
+    checks += [_check(f"square at {sq.morphism}", sq.ok()) for sq in rep.squares]
+    return {"anchor": anchor, "side": side,
+            "squares": [sq.morphism for sq in rep.squares]}, checks
+
+
+def _homset_yoneda(doc, args):
+    cat = _category(doc)
+    jsonio.expect(doc, "anchor", None, "")
+    fun = jsonio.load_functor(cat, jsonio.expect(doc, "functor", None, ""), path="functor")
+    anchor = _object(cat, doc, "anchor")
+    _, yrep = category.yoneda_natural_transformations(cat, fun, anchor)
+    imrep = category.yoneda_image_report(cat, fun, anchor)
+    checks = [
+        _check("evaluation at the identity is a bijection", yrep.ok(),
+               f"{yrep.transformation_count} transformations vs "
+               f"{yrep.target_size} target elements"),
+        _check("image family is natural", imrep.naturality_holds),
+        _check("left order reverses image inclusion", imrep.monotone_inclusion_holds,
+               imrep.note),
+    ]
+    results = {
+        "transformation_count": yrep.transformation_count,
+        "target_size": yrep.target_size,
+        "images": {
+            x: {f: sorted(s) for f, s in sorted(per.items())}
+            for x, per in sorted(imrep.images.items())
+        },
+        "order_direction_note": imrep.note,
+    }
+    return results, checks
 
 
 # -- homology --------------------------------------------------------------------
 
 
-def cmd_homology(args):
-    doc, text = _read_input(args)
-    pre = jsonio.load_preorder(doc)
-    poset = pre.to_poset()
+def _complex(doc):
+    """The order complex of the input poset and the Euler check, which every
+    homology action computes first."""
+    poset = jsonio.load_preorder(doc).to_poset()
     complex_ = homology.order_complex(poset)
-    euler = {"name": "euler characteristic consistent",
-             "pass": homology.euler_characteristic_consistent(poset, complex_),
-             "detail": ""}
-    if args.action == "order-complex":
-        checks = [euler]
-        results = {
-            "f_vector": complex_.f_vector(),
-            "simplices": complex_.simplex_labels(),
-        }
-        return _emit(_report("homology order-complex", _digest(text), results, checks))
-    if args.action == "betti":
-        numbers = homology.betti(complex_, args.max_dim)
-        checks = [
-            {"name": "boundary of boundary vanishes",
-             "pass": homology.boundary_squares_to_zero(complex_), "detail": ""},
-            euler,
-        ]
-        results = {"f_vector": complex_.f_vector(), "betti": numbers}
-        return _emit(_report("homology betti", _digest(text), results, checks))
-    raise InputError(f"unknown homology action {args.action!r}")
+    euler = _check("euler characteristic consistent",
+                   homology.euler_characteristic_consistent(poset, complex_))
+    return complex_, euler
+
+
+def _homology_order_complex(doc, args):
+    complex_, euler = _complex(doc)
+    return {"f_vector": complex_.f_vector(),
+            "simplices": complex_.simplex_labels()}, [euler]
+
+
+def _homology_betti(doc, args):
+    complex_, euler = _complex(doc)
+    numbers = homology.betti(complex_, args.max_dim)
+    checks = [_check("boundary of boundary vanishes",
+                     homology.boundary_squares_to_zero(complex_)), euler]
+    return {"f_vector": complex_.f_vector(), "betti": numbers}, checks
 
 
 # -- corpus ----------------------------------------------------------------------
 
 
-def cmd_corpus(args):
-    if args.action == "list":
-        unmatched = corpus.unmatched_cases()
-        detail = ("not in all of CASE_NAMES, RUNNERS and corpus_data: "
-                  + ", ".join(unmatched)) if unmatched else ""
-        report = _report("corpus list", {"sha256": "", "bytes": 0},
-                         {"cases": list(corpus.CASE_NAMES)},
-                         [{"name": "corpus complete", "pass": not unmatched,
-                           "detail": detail}])
-        return _emit(report)
-    if args.action == "run":
-        names = list(corpus.CASE_NAMES) if args.case == "all" else [args.case]
-        all_checks = []
-        results = {}
-        for name in names:
-            try:
-                case_results, checks, g = corpus.run_case(name)
-            except KeyError as exc:
-                raise InputError(str(exc)) from exc
-            results[name] = {
-                "provenance": g.get("provenance", ""),
-                "note": g.get("note", ""),
-                "results": case_results,
-            }
-            for c in checks:
-                all_checks.append({"name": f"{name}: {c['name']}",
-                                   "pass": c["pass"], "detail": c["detail"]})
-        return _emit(_report("corpus run", {"sha256": "", "bytes": 0},
-                             results, all_checks))
-    if args.action == "oracle":
-        import random
-        rng = random.Random(args.seed)
-        cases = args.cases
-        tamaki_bad = []
-        openlocal_bad = []
-        for i in range(cases):
-            dec = randomcases.random_decomposition(rng, max_size=6)
-            rep = decomposition.analyze(dec)
-            pi_open = decomposition.open_closed_by_opens(dec)[0]
-            if pi_open != rep.tamaki_agrees:
-                tamaki_bad.append(i)
-            if pi_open:
-                lc = all(rep.blocks_locally_closed.values())
-                if rep.quotient_is_poset != lc:
-                    openlocal_bad.append(i)
-        checks = [
-            {"name": "openness criterion agrees with direct check",
-             "pass": not tamaki_bad, "detail": f"{cases} cases, seed {args.seed}"},
-            {"name": "poset quotient iff locally closed blocks (open cases)",
-             "pass": not openlocal_bad, "detail": f"seed {args.seed}"},
-        ]
-        results = {"cases": cases, "seed": args.seed,
-                   "tamaki_disagreements": tamaki_bad,
-                   "open_locally_disagreements": openlocal_bad}
-        return _emit(_report("corpus oracle", {"sha256": "", "bytes": 0},
-                             results, checks))
-    raise InputError(f"unknown corpus action {args.action!r}")
+def _corpus_list(doc, args):
+    unmatched = corpus.unmatched_cases()
+    detail = ("not in all of CASE_NAMES, RUNNERS and corpus_data: "
+              + ", ".join(unmatched)) if unmatched else ""
+    return ({"cases": list(corpus.CASE_NAMES)},
+            [_check("corpus complete", not unmatched, detail)])
+
+
+def _corpus_run(doc, args):
+    names = list(corpus.CASE_NAMES) if args.case == "all" else [args.case]
+    all_checks = []
+    results = {}
+    for name in names:
+        try:
+            case_results, checks, g = corpus.run_case(name)
+        except KeyError as exc:
+            raise InputError(str(exc)) from exc
+        results[name] = {
+            "provenance": g.get("provenance", ""),
+            "note": g.get("note", ""),
+            "results": case_results,
+        }
+        all_checks += [_check(f"{name}: {c['name']}", c["pass"], c["detail"])
+                       for c in checks]
+    return results, all_checks
+
+
+def _corpus_oracle(doc, args):
+    import random
+    rng = random.Random(args.seed)
+    cases = args.cases
+    tamaki_bad = []
+    openlocal_bad = []
+    for i in range(cases):
+        dec = randomcases.random_decomposition(rng, max_size=6)
+        rep = decomposition.analyze(dec)
+        pi_open = decomposition.open_closed_by_opens(dec)[0]
+        if pi_open != rep.tamaki_agrees:
+            tamaki_bad.append(i)
+        if pi_open:
+            lc = all(rep.blocks_locally_closed.values())
+            if rep.quotient_is_poset != lc:
+                openlocal_bad.append(i)
+    checks = [
+        _check("openness criterion agrees with direct check", not tamaki_bad,
+               f"{cases} cases, seed {args.seed}"),
+        _check("poset quotient iff locally closed blocks (open cases)",
+               not openlocal_bad, f"seed {args.seed}"),
+    ]
+    results = {"cases": cases, "seed": args.seed,
+               "tamaki_disagreements": tamaki_bad,
+               "open_locally_disagreements": openlocal_bad}
+    return results, checks
 
 
 # -- arguments -------------------------------------------------------------------
@@ -431,28 +396,33 @@ DESCRIPTION = ("finite order/topology toolkit: preorders, decomposition spaces, 
 # Option -> (attribute, metavar, value type, default, help); a flag has no
 # metavar and no type and stores True.
 _INPUT = {"--input": ("input", "FILE", str, None, "JSON input file (default: stdin)")}
+_DOT = {"--dot": ("dot", "PATH", str, None, "write a DOT diagram here"),
+        "--full-relation": ("full_relation", None, None, False,
+                            "DOT: emit every related pair, not the covering relation")}
 _DRAWN = {**_INPUT,
           "--dual": ("dual", None, None, False, "reverse the order convention on output"),
-          "--dot": ("dot", "PATH", str, None, "write a DOT diagram here"),
-          "--full-relation": ("full_relation", None, None, False,
-                              "DOT: emit every related pair, not the covering relation")}
+          **_DOT}
 
-# Group -> (handler, actions, options, (attribute, default) of the optional
+# Group -> (action -> function, options, (attribute, default) of the optional
 # positional after the action or None, help line).
 COMMANDS = {
-    "topology": (cmd_topology, ("check", "to-preorder", "from-preorder", "closure"),
+    "topology": ({"check": _topology_check, "to-preorder": _topology_to_preorder,
+                  "from-preorder": _topology_from_preorder, "closure": _topology_closure},
                  _DRAWN, None, "finite topologies and the two functors"),
-    "decomp": (cmd_decomp, ("analyze", "quotient", "validate", "product"),
-               _DRAWN, None, "decomposition spaces"),
-    "arrangement": (cmd_arrangement, ("faces", "poset", "check-ob"),
+    "decomp": ({"analyze": _decomp_analyze, "quotient": _decomp_quotient,
+                "validate": _decomp_validate, "product": _decomp_product},
+               {**_INPUT, **_DOT}, None, "decomposition spaces"),
+    "arrangement": ({"faces": _arrangement_faces, "poset": _arrangement_poset,
+                     "check-ob": _arrangement_check_ob},
                     _DRAWN, None, "hyperplane arrangement faces"),
-    "homset": (cmd_homset, ("preorder", "stratify", "functor-check", "yoneda"),
+    "homset": ({"preorder": _homset_preorder, "stratify": _homset_stratify,
+                "functor-check": _homset_functor_check, "yoneda": _homset_yoneda},
                _DRAWN, None, "hom-set preorders and Yoneda machinery"),
-    "homology": (cmd_homology, ("order-complex", "betti"),
+    "homology": ({"order-complex": _homology_order_complex, "betti": _homology_betti},
                  {**_INPUT, "--max-dim": ("max_dim", "N", int, None,
                                           "highest dimension of the Betti numbers")},
                  None, "order complexes and Betti numbers"),
-    "corpus": (cmd_corpus, ("list", "run", "oracle"),
+    "corpus": ({"list": _corpus_list, "run": _corpus_run, "oracle": _corpus_oracle},
                {"--seed": ("seed", "N", int, 0, "oracle: random seed"),
                 "--cases": ("cases", "N", int, 200, "oracle: number of cases")},
                ("case", "all"), "golden examples and seeded property suites"),
@@ -474,7 +444,7 @@ def _choices(names):
 def _usage(group):
     if group is None:
         return f"usage: stratikit [-h] {_choices(COMMANDS)} ..."
-    _, actions, options, extra, _ = COMMANDS[group]
+    actions, options, extra, _ = COMMANDS[group]
     words = [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
              for name, spec in options.items()]
     words.append(_choices(actions))
@@ -492,10 +462,10 @@ def _fail(message, group=None):
 def _help(group):
     if group is None:
         lines = [DESCRIPTION, "", "commands:"]
-        lines += [f"  {name:<12} {spec[4]}" for name, spec in COMMANDS.items()]
+        lines += [f"  {name:<12} {spec[3]}" for name, spec in COMMANDS.items()]
         lines.append("\nrun `stratikit COMMAND --help` for the options of a command")
     else:
-        _, actions, options, _, text = COMMANDS[group]
+        actions, options, _, text = COMMANDS[group]
         lines = [text, "", f"actions: {', '.join(actions)}", "", "options:",
                  f"  {'-h, --help':<22} show this help and exit"]
         for name, spec in options.items():
@@ -512,7 +482,7 @@ def _is_value(token):
 
 
 def parse_args(argv):
-    """(handler, Arguments) of a command line ``GROUP ACTION [options]``.
+    """(group, Arguments) of a command line ``GROUP ACTION [options]``.
 
     Options may come before or after the action, as ``--opt value`` or
     ``--opt=value``; option names must be spelled out in full.  ``-h`` or
@@ -525,7 +495,7 @@ def parse_args(argv):
     if group not in COMMANDS:
         _fail(f"argument command: invalid choice: {group!r} "
               f"(choose from {', '.join(map(repr, COMMANDS))})")
-    handler, actions, options, extra, _ = COMMANDS[group]
+    actions, options, extra, _ = COMMANDS[group]
     values = {spec[0]: spec[3] for spec in options.values()}
     positionals = []
     tokens = iter(tokens)
@@ -563,19 +533,32 @@ def parse_args(argv):
     if rest:
         _fail(f"unrecognized arguments: {' '.join(rest)}", group)
     values["action"] = action
-    return handler, Arguments(values)
+    return group, Arguments(values)
+
+
+def _run(group, args):
+    """Run one action and write its report; 0 if every check passes, else 1."""
+    actions, options, _, _ = COMMANDS[group]
+    doc = text = None
+    if "--input" in options:
+        doc, text = _read_input(args)
+    results, checks = actions[args.action](doc, args)
+    report = {
+        "command": f"{group} {args.action}",
+        "inputs": {"sha256": "", "bytes": 0} if text is None else _digest(text),
+        "results": results,
+        "checks": checks,
+    }
+    sys.stdout.write(jsonio.canonical_dumps(report) + "\n")
+    return 0 if all(c["pass"] for c in checks) else 1
 
 
 def main(argv=None):
-    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    group, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return handler(args)
-    except InputError as exc:
-        error = {"error": {"message": str(exc), "path": exc.path or ""}}
-        sys.stdout.write(jsonio.canonical_dumps(error) + "\n")
-        return 2
+        return _run(group, args)
     except StratikitError as exc:
-        error = {"error": {"message": str(exc), "path": ""}}
+        error = {"error": {"message": str(exc), "path": getattr(exc, "path", None) or ""}}
         sys.stdout.write(jsonio.canonical_dumps(error) + "\n")
         return 2
 

@@ -12,8 +12,8 @@ import itertools
 from collections import namedtuple
 
 from .errors import InputError, StructureError
-from .order import (Preorder, _closure, bit_indices, bitmask, product, product_label,
-                    union_of_rows)
+from .order import (Preorder, _closure, bitmask, product, product_label,
+                    product_mask, union_of_rows)
 from .topology import FiniteTopology, product_topology
 
 
@@ -243,18 +243,6 @@ def validate_stratification(d):
     )
 
 
-def product_mask(sizes, index_lists):
-    """Mask over the row-major product of carriers of the given sizes, with a
-    bit at every index tuple drawn from the per-factor index lists."""
-    strides = [1] * len(sizes)
-    for d in range(len(sizes) - 2, -1, -1):
-        strides[d] = strides[d + 1] * sizes[d + 1]
-    mask = 0
-    for idx in itertools.product(*index_lists):
-        mask |= 1 << sum(i * s for i, s in zip(idx, strides))
-    return mask
-
-
 ProductVerification = namedtuple(
     "ProductVerification",
     "factor_reports product_pi_open quotient_matches_preorder_product checks")
@@ -277,14 +265,11 @@ def product_decomposition(ds):
             "factor(s) not lower semicontinuous (projection not open): "
             + ", ".join(f"#{i}" for i in bad))
     space = product_topology([d.space for d in ds])
-    sizes = [len(d.space.carrier) for d in ds]
-
-    blocks = []
-    labels = []
-    for combo in itertools.product(*(range(len(d.blocks)) for d in ds)):
-        blocks.append(product_mask(
-            sizes, [bit_indices(ds[axis].blocks[k]) for axis, k in enumerate(combo)]))
-        labels.append(product_label(ds[axis].labels[k] for axis, k in enumerate(combo)))
+    blocks = [1]  # the one-point space, unit of the product
+    for d in ds:
+        m = len(d.space.carrier)
+        blocks = [product_mask(a, b, m) for a in blocks for b in d.blocks]
+    labels = [product_label(t) for t in itertools.product(*(d.labels for d in ds))]
     out = Decomposition(space, blocks, labels)
 
     rep = analyze(out)

@@ -69,10 +69,11 @@ class LinearSystem:
         return [(row[:-1], row[-1], s) for row, s in self._ineqs]
 
     def extended(self, equalities=(), inequalities=()):
-        """This system plus more rows; only the new rows are converted."""
-        out = LinearSystem(self.nvars, equalities, inequalities)
-        out._eqs = self._eqs + out._eqs
-        out._ineqs = self._ineqs + out._ineqs
+        """This system plus more rows, appended as given: each a primitive
+        integer row (a1, ..., an, a0), an inequality as (row, strict)."""
+        out = LinearSystem(self.nvars)
+        out._eqs = [*self._eqs, *equalities]
+        out._ineqs = [*self._ineqs, *inequalities]
         return out
 
 

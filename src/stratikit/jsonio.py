@@ -151,11 +151,14 @@ def load_arrangement(doc, path=""):
     for i, form in enumerate(forms):
         if not isinstance(form, list):
             raise InputError("each form must be a coefficient list",
-                             path=f"forms[{i}]")
-        parsed.append([
-            parse_rational(c, path=f"forms[{i}][{j}]") for j, c in enumerate(form)
-        ])
-    return arrangement.Arrangement(dim, parsed)
+                             path=_join(path, f"forms[{i}]"))
+        parsed.append([parse_rational(c, path=_join(path, f"forms[{i}][{j}]"))
+                       for j, c in enumerate(form)])
+    try:
+        return arrangement.Arrangement(dim, parsed)
+    except InputError as exc:  # a form of the wrong length or without variables
+        exc.path = exc.path and _join(path, exc.path)
+        raise
 
 
 def _parse_hom_key(key, path):

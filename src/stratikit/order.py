@@ -299,6 +299,13 @@ def product_label(parts):
     return "(" + ",".join(str(p) for p in parts) + ")"
 
 
+def product_mask(a, b, m):
+    """Mask over the row-major product of two carriers, the second with m
+    elements: bit (k, j) is set for every bit k of a and bit j of b.  The
+    m-bit blocks are disjoint, so the sum is their union."""
+    return sum(b << k * m for k in bit_indices(a))
+
+
 def product(factors):
     """Componentwise product preorder; carrier in row-major factor order."""
     factors = list(factors)
@@ -310,11 +317,8 @@ def product(factors):
     labels = [product_label(t) for t in itertools.product(*(f.carrier for f in factors))]
     up = [1]  # the one-point preorder, unit of the product
     for f in factors:
-        m = len(f.carrier)
-        # row (i, j) repeats row j of f in the m-bit block k for every k above
-        # i; the blocks are disjoint, so the sum is their union
-        up = [sum(f.up[j] << k * m for k in bit_indices(row))
-              for row in up for j in range(m)]
+        m = len(f.carrier)  # row (i, j) is row i so far times row j of f
+        up = [product_mask(row, f_row, m) for row in up for f_row in f.up]
     if all(isinstance(f, Poset) for f in factors):
         return Poset(labels, up)
     return Preorder(labels, up)

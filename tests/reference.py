@@ -1,9 +1,11 @@
 """Test references that read a space only through its enumerated open family,
-a seeded generator of topologies given by their opens, and the hom-set
-preorder found by searching every pair of morphisms."""
+a seeded generator of topologies given by their opens, the hom-set
+preorder found by searching every pair of morphisms, and the category law
+check made one ``compose`` call at a time."""
 
 import itertools
 
+from stratikit.errors import StructureError
 from stratikit.order import Preorder
 from stratikit.topology import FiniteTopology
 
@@ -75,3 +77,24 @@ def hom_preorder_by_search(cat, x, y, side):
                 up[i] |= 1 << j
                 witnesses[(g, f)] = found
     return Preorder(morphs, up), witnesses
+
+
+def check_laws_by_compose(cat):
+    """``FiniteCategory._check_laws`` through ``compose``: identity laws for
+    each f, then h . (g . f) = (h . g) . f for each composable (f, g, h) in
+    morphism order.  Raises what the first failure raises."""
+    for f in cat.morphisms:
+        x, y = cat.dom[f], cat.cod[f]
+        if cat.compose(cat.identity[y], f) != f:
+            raise StructureError(f"left identity law fails at {f!r}")
+        if cat.compose(f, cat.identity[x]) != f:
+            raise StructureError(f"right identity law fails at {f!r}")
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if cat.dom[g] != cat.cod[f]:
+                continue
+            for h in cat.morphisms:
+                if cat.dom[h] != cat.cod[g]:
+                    continue
+                if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f):
+                    raise StructureError(f"associativity fails at ({h!r}, {g!r}, {f!r})")

@@ -25,7 +25,7 @@ def _system(arr, signs):
         e, q = _constraint(row, s)
         eqs += e
         ineqs += q
-    return LinearSystem(arr.dim, eqs, ineqs)
+    return LinearSystem(arr.dim).extended(eqs, ineqs)
 
 
 def line_origin():

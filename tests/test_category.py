@@ -15,14 +15,59 @@ from catalog import (all_categories, all_maps, category_arrow, category_c2,
                      category_left_zero_monoid, category_parallel_pair,
                      category_transformation_monoid2, cube_of_all_maps2, monoid,
                      representable_functor, seeded_monoids, yoneda_instances)
-from reference import closure_by_opens, hom_preorder_by_search, locally_closed_by_opens
+from reference import (check_laws_by_compose, closure_by_opens, hom_preorder_by_search,
+                       locally_closed_by_opens)
 
 
 def nonempty_hom_pairs(cat):
     return [(x, y) for x in cat.objects for y in cat.objects if cat.hom(x, y)]
 
 
+def first_law_failure(check, cat):
+    try:
+        check(cat)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
 class TestCategoryValidation:
+    @pytest.mark.parametrize("drop, message", [
+        (("e", "e"), "composition table misses composable pair ('e', 'e')"),
+        (("1", "e"), "composition table misses composable pair ('1', 'e')"),
+    ], ids=["in-associativity", "in-an-identity-law"])
+    def test_a_missing_composable_pair_is_named(self, drop, message):
+        compose = [row for row in [("1", "1", "1"), ("1", "e", "e"), ("e", "1", "e"),
+                                   ("e", "e", "e")] if row[:2] != drop]
+        with pytest.raises(StructureError) as err:
+            FiniteCategory(["*"], {("*", "*"): ["1", "e"]}, {"*": "1"}, compose)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_failure_is_the_one_compose_finds(self, seed):
+        """Drop a pair or redirect a composite within its hom-set, one to
+        six times, and compare with the check made through compose."""
+        import random
+        rng = random.Random(seed)
+        cats = [*all_categories().values(), monoid(all_maps(2)), monoid(all_maps(3)),
+                *(monoid(maps) for maps in seeded_monoids(count=4, seed=seed))]
+        failures = set()
+        for cat in cats:
+            table = dict(cat._compose)
+            for _ in range(25):
+                cat._compose = dict(table)
+                for _ in range(rng.randint(1, 6)):
+                    g, f = rng.choice(sorted(table))
+                    if rng.random() < 0.5:
+                        cat._compose.pop((g, f), None)
+                    else:
+                        cat._compose[(g, f)] = rng.choice(cat.hom(cat.dom[f], cat.cod[g]))
+                found = first_law_failure(FiniteCategory._check_laws, cat)
+                assert found == first_law_failure(check_laws_by_compose, cat)
+                failures.add(found and found.split(" ")[0])
+            cat._compose = table
+        assert failures == {None, "left", "right", "associativity", "composition"}
+
     def test_shipped_categories_load(self):
         for name, cat in all_categories().items():
             assert len(cat.objects) <= 3

@@ -712,6 +712,7 @@ class TestArguments:
         ["corpus", "oracle", "--seed", "x"],
         ["corpus", "oracle", "--seed=1.5"],
         ["corpus", "run", "ex1", "ex6"],
+        ["decomp", "analyze", "--dual"],
     ])
     def test_usage_errors_exit_2_on_stderr(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_:
@@ -745,8 +746,8 @@ class TestArguments:
 
     def test_corpus_case_and_integer_options(self):
         from stratikit.cli import parse_args
-        handler, args = parse_args(["corpus", "--cases=40", "oracle", "--seed", "-7"])
-        assert handler is stratikit.cli.cmd_corpus
+        group, args = parse_args(["corpus", "--cases=40", "oracle", "--seed", "-7"])
+        assert group == "corpus"
         assert (args.action, args.case, args.seed, args.cases) == ("oracle", "all", -7, 40)
         _, args = parse_args(["corpus", "run", "ex1"])
         assert (args.action, args.case) == ("run", "ex1")
@@ -767,6 +768,22 @@ class TestArguments:
         monkeypatch.setitem(sys.modules, "_sha2", None)  # None blocks the import
         monkeypatch.setitem(sys.modules, "_sha256", None)
         assert _sha256(b"stratikit") == hashlib.sha256(b"stratikit").hexdigest()
+
+
+def test_readme_synopsis_lists_exactly_the_options_of_each_group():
+    from pathlib import Path
+    from stratikit.cli import COMMANDS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+    expected = []
+    for group, (actions, options, extra, _) in COMMANDS.items():
+        words = ["stratikit", group, "|".join(actions)]
+        if extra:
+            words.append(f"[{extra[0].upper()}]")
+        words += [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
+                  for name, spec in options.items()]
+        expected.append(" ".join(words))
+    assert synopsis.splitlines() == expected
 
 
 class TestDeterminism:

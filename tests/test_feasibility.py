@@ -178,7 +178,7 @@ def test_rows_are_primitive_integer_tuples():
     for coeffs, const, *_ in sys_.equalities + sys_.inequalities:
         assert all(type(v) is int for v in (*coeffs, const))
         assert math.gcd(*coeffs, const) == 1
-    longer = sys_.extended(inequalities=[((Fraction(1, 3), Fraction(1, 3)), 0, True)])
+    longer = sys_.extended(inequalities=[((1, 1, 0), True)])
     assert longer.inequalities[-1] == ((1, 1), 0, True)
     assert longer.inequalities[:2] == sys_.inequalities
 

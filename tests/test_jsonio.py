@@ -107,6 +107,19 @@ class TestRoundTrips:
         again = jsonio.load_arrangement(dump_arrangement(a))
         assert again.forms == a.forms
 
+    @pytest.mark.parametrize("forms, message, at", [
+        ([5], "each form must be a coefficient list", "forms[0]"),
+        ([[0, "1/0"]], "cannot parse rational '1/0'", "forms[0][1]"),
+        ([[0, 1, 2]], "form 0 has 3 coefficients, expected 2", "forms[0]"),
+        ([[1, 0]], "form 0 has no variable part and cuts out no hyperplane",
+         "forms[0]"),
+    ], ids=["not-a-list", "coefficient", "length", "no-variable-part"])
+    def test_arrangement_refusals_carry_the_document_path(self, forms, message, at):
+        for path, expected in (("", at), ("arr", f"arr.{at}")):
+            with pytest.raises(InputError) as err:
+                jsonio.load_arrangement({"dim": 1, "forms": forms}, path=path)
+            assert (str(err.value), err.value.path) == (message, expected)
+
     def test_category_with_both_arrow_spellings(self):
         doc = {
             "objects": ["A", "B"],
