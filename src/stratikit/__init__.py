@@ -27,7 +27,7 @@ _EXPORTS = {
                       "product_decomposition", "quotient_topology",
                       "validate_stratification"),
     "errors": ("CapExceeded", "InputError", "StratikitError", "StructureError"),
-    "homology": ("SimplicialComplex", "betti", "order_complex"),
+    "homology": ("betti", "order_complex"),
     "order": ("MonotoneMap", "Poset", "Preorder", "is_monotone", "order_isomorphism",
               "product", "quotient_poset"),
     "topology": ("FiniteTopology", "PosetStratifiedSpace", "product_topology"),

@@ -107,7 +107,7 @@ def _constraint(row, s):
     return (), [(row if s > 0 else tuple(-c for c in row), True)]
 
 
-def enumerate_faces(arr, cap=MAX_FORMS):
+def enumerate_faces(arr):
     """All realizable sign vectors with rational witnesses, in lexicographic
     order under - < 0 < +.  Infeasible prefixes prune the sign tree.
 
@@ -117,8 +117,8 @@ def enumerate_faces(arr, cap=MAX_FORMS):
     point realizing the parent is feasible, realized by that same point, and
     is not solved.  Leaves are always solved, so each witness is the
     solution of the face's full system."""
-    if arr.k > cap:
-        raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {cap}")
+    if arr.k > MAX_FORMS:
+        raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {MAX_FORMS}")
     table = [{s: _constraint(row, s) for s in (-1, 0, 1)} for row in arr.rows]
     last = arr.k - 1
     faces = []

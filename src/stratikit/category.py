@@ -14,6 +14,7 @@ from .errors import CapExceeded, InputError, StructureError
 from .order import Preorder, bitmask, is_monotone, quotient_poset
 
 MAX_MORPHISMS = 64
+MAX_CANDIDATES = 200000  # natural-transformation search space
 
 SIDES = ("R", "L", "LR")
 
@@ -375,7 +376,7 @@ class YonedaReport(namedtuple(
                 and self.bijection_holds and self.inverse_holds)
 
 
-def yoneda_natural_transformations(cat, functor, anchor, cap=200000):
+def yoneda_natural_transformations(cat, functor, anchor):
     """Exhaustively enumerate the natural transformations hom(-, anchor) -> F
     and verify the evaluation-at-identity bijection onto F(anchor).
 
@@ -393,9 +394,9 @@ def yoneda_natural_transformations(cat, functor, anchor, cap=200000):
             total = 0
             break
         total *= max(1, len(fx)) ** len(h)
-        if total > cap:
+        if total > MAX_CANDIDATES:
             raise CapExceeded(
-                f"natural transformation search space exceeds cap {cap}")
+                f"natural transformation search space exceeds cap {MAX_CANDIDATES}")
 
     objs = list(cat.objects)
 

@@ -335,7 +335,7 @@ def _homology_betti(doc, args):
 
 def _corpus_list(doc, args):
     unmatched = corpus.unmatched_cases()
-    detail = ("not in all of CASE_NAMES, RUNNERS and corpus_data: "
+    detail = ("not in both RUNNERS and corpus_data: "
               + ", ".join(unmatched)) if unmatched else ""
     return ({"cases": list(corpus.CASE_NAMES)},
             [_check("corpus complete", not unmatched, detail)])
@@ -403,8 +403,8 @@ _DRAWN = {**_INPUT,
           "--dual": ("dual", None, None, False, "reverse the order convention on output"),
           **_DOT}
 
-# Group -> (action -> function, options, (attribute, default) of the optional
-# positional after the action or None, help line).
+# Group -> (action -> function, options, (attribute, default, action) of the
+# optional positional that one action takes after it or None, help line).
 COMMANDS = {
     "topology": ({"check": _topology_check, "to-preorder": _topology_to_preorder,
                   "from-preorder": _topology_from_preorder, "closure": _topology_closure},
@@ -425,7 +425,7 @@ COMMANDS = {
     "corpus": ({"list": _corpus_list, "run": _corpus_run, "oracle": _corpus_oracle},
                {"--seed": ("seed", "N", int, 0, "oracle: random seed"),
                 "--cases": ("cases", "N", int, 200, "oracle: number of cases")},
-               ("case", "all"), "golden examples and seeded property suites"),
+               ("case", "all", "run"), "golden examples and seeded property suites"),
 }
 
 
@@ -447,9 +447,8 @@ def _usage(group):
     actions, options, extra, _ = COMMANDS[group]
     words = [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
              for name, spec in options.items()]
-    words.append(_choices(actions))
-    if extra:
-        words.append(f"[{extra[0].upper()}]")
+    words.append(_choices(f"{a} [{extra[0].upper()}]" if extra and a == extra[2] else a
+                          for a in actions))
     return f"usage: stratikit {group} [-h] {' '.join(words)}"
 
 
@@ -529,7 +528,8 @@ def parse_args(argv):
         _fail(f"argument action: invalid choice: {action!r} "
               f"(choose from {', '.join(map(repr, actions))})", group)
     if extra:
-        values[extra[0]] = rest.pop(0) if rest else extra[1]
+        attribute, default, taker = extra
+        values[attribute] = rest.pop(0) if rest and action == taker else default
     if rest:
         _fail(f"unrecognized arguments: {' '.join(rest)}", group)
     values["action"] = action

@@ -12,21 +12,6 @@ from importlib import resources
 
 from . import arrangement, category, decomposition, homology, jsonio, order, topology
 
-CASE_NAMES = (
-    "ex1",
-    "ex2-replica",
-    "rational",
-    "pseudo",
-    "pseudo-prime-replica",
-    "ex6",
-    "ex7",
-    "coordinate-n3",
-    "arrangement-3lines",
-    "monoid-idempotent",
-    "group-c2",
-)
-
-
 def golden(name):
     if name not in CASE_NAMES:
         raise KeyError(f"unknown corpus case {name!r}; known: {', '.join(CASE_NAMES)}")
@@ -287,16 +272,16 @@ RUNNERS = {
     "monoid-idempotent": run_monoid_idempotent,
     "group-c2": run_group_c2,
 }
+CASE_NAMES = tuple(RUNNERS)
 
 
 def unmatched_cases():
-    """Case names missing from one of CASE_NAMES, RUNNERS and the golden
-    files in ``corpus_data``, sorted; empty when the three name the same set."""
+    """Case names with a runner but no golden file in ``corpus_data``, or the
+    reverse, sorted; empty when the two name the same set."""
     files = {entry.name[:-len(".json")]
              for entry in resources.files("stratikit.corpus_data").iterdir()
              if entry.name.endswith(".json")}
-    sets = [set(CASE_NAMES), set(RUNNERS), files]
-    return sorted(set.union(*sets) - set.intersection(*sets))
+    return sorted(set(RUNNERS) ^ files)
 
 
 def run_case(name):

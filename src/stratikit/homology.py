@@ -14,60 +14,30 @@ MAX_SIMPLICES = 5000
 
 
 class SimplicialComplex:
-    """Vertices plus a downward-closed family of nonempty simplices.
-
-    Simplices are tuples of vertex indices in increasing carrier order; that
-    order also fixes the orientation used by the boundary columns.
+    """The order complex of a poset, built by ``order_complex``: its vertices
+    and ``faces[d]``, the d-simplices as increasing tuples of vertex indices
+    in lexicographic order.  Index order fixes the orientation used by the
+    boundary columns; a simplex's place in ``faces[d]`` is its row in the
+    boundary from dimension d + 1.
     """
 
-    def __init__(self, vertices, simplices):
-        vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise InputError("duplicate vertex labels")
-        index = {v: i for i, v in enumerate(vertices)}
-        canon = set()
-        for s in simplices:
-            if not s:
-                raise InputError("empty simplex not allowed")
-            idx = tuple(sorted(index[v] if v in index else -1 for v in s))
-            if idx[0] < 0:
-                raise InputError(f"simplex {s!r} uses an unknown vertex")
-            if len(set(idx)) != len(idx):
-                raise InputError(f"simplex {s!r} repeats a vertex")
-            canon.add(idx)
-        if len(canon) > MAX_SIMPLICES:
-            raise CapExceeded(f"complex has {len(canon)} simplices, cap is {MAX_SIMPLICES}")
-        for s in canon:
-            if len(s) > 1:
-                for drop in range(len(s)):
-                    face = s[:drop] + s[drop + 1:]
-                    if face not in canon:
-                        raise StructureError(
-                            f"complex not downward closed: face {face} of {s} missing")
-        used = {i for s in canon for i in s}
-        for i in used:
-            if (i,) not in canon:
-                raise StructureError(
-                    f"vertex {vertices[i]!r} appears in a simplex but not as a singleton")
+    def __init__(self, vertices, faces):
         self.vertices = vertices
-        self.simplices = tuple(sorted(canon, key=lambda s: (len(s), s)))
+        self.faces = faces
 
-    def by_dimension(self):
-        out = {}
-        for s in self.simplices:
-            out.setdefault(len(s) - 1, []).append(s)
-        return out
+    @property
+    def simplices(self):
+        return tuple(s for simplices in self.faces for s in simplices)
 
     @property
     def dimension(self):
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return len(self.faces) - 1
 
     def f_vector(self):
-        dims = self.by_dimension()
-        return [len(dims.get(d, ())) for d in range(self.dimension + 1)]
+        return [len(simplices) for simplices in self.faces]
 
     def simplex_labels(self):
-        return [[self.vertices[i] for i in s] for s in self.simplices]
+        return [[self.vertices[i] for i in s] for simplices in self.faces for s in simplices]
 
     def __repr__(self):
         return f"SimplicialComplex({len(self.vertices)} vertices, f={self.f_vector()})"
@@ -78,34 +48,40 @@ def order_complex(poset):
     if not poset.is_partial_order():
         raise StructureError("order complex requires a poset (antisymmetry failed)")
     comparable = [u | d for u, d in zip(poset.up, poset.down())]
-    chains = []
+    faces = []
+    count = 0
 
     def grow(chain, common):
-        """Extend by every later element comparable with all of ``chain``,
-        whose comparability masks intersect to ``common``."""
-        if len(chains) > MAX_SIMPLICES:
+        """File ``chain`` under its dimension, then extend it by every later
+        element comparable with all of it, whose comparability masks
+        intersect to ``common``.  Depth first in index order, so each
+        dimension fills in lexicographic order."""
+        nonlocal count
+        count += 1
+        if count > MAX_SIMPLICES:
             raise CapExceeded(f"chain count exceeds cap {MAX_SIMPLICES}")
+        if len(chain) > len(faces):
+            faces.append([])
+        faces[len(chain) - 1].append(chain)
         last = chain[-1]
         later = common >> (last + 1) << (last + 1)  # drop the bits up to last
         for j in bit_indices(later):
-            longer = chain + (j,)
-            chains.append(longer)
-            grow(longer, common & comparable[j])
+            grow(chain + (j,), common & comparable[j])
 
     for i, mask in enumerate(comparable):
-        chains.append((i,))
         grow((i,), mask)
-    return SimplicialComplex(
-        poset.carrier, [[poset.carrier[i] for i in c] for c in chains])
+    return SimplicialComplex(poset.carrier, faces)
 
 
 def boundary_columns(complex_, dim):
     """Boundary from dim-simplices to (dim-1)-simplices: one sparse column
     ``{face row: +-1}`` per dim-simplex, rows indexing the (dim-1)-simplices."""
-    dims = complex_.by_dimension()
-    faces = {s: i for i, s in enumerate(dims.get(dim - 1, ()))}
-    return [{faces[s[:k] + s[k + 1:]]: (-1) ** k for k in range(len(s) if dim else 0)}
-            for s in dims.get(dim, ())]
+    faces = complex_.faces
+    if not 0 <= dim < len(faces):
+        return []
+    rows = {s: i for i, s in enumerate(faces[dim - 1])} if dim else {}
+    return [{rows[s[:k] + s[k + 1:]]: (-1) ** k for k in range(len(s) if dim else 0)}
+            for s in faces[dim]]
 
 
 def column_rank(columns):
@@ -142,10 +118,9 @@ def betti(complex_, max_dim=None):
         raise CapExceeded(f"max_dim {max_dim} exceeds the cap {MAX_SIMPLICES}")
     if max_dim is None:
         max_dim = max(complex_.dimension, 0)
-    dims = complex_.by_dimension()
-    ranks = {d: column_rank(boundary_columns(complex_, d))
-             for d in range(1, complex_.dimension + 1)}
-    return [len(dims.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    sizes = complex_.f_vector()
+    ranks = [0, *(column_rank(boundary_columns(complex_, d)) for d in range(1, len(sizes))), 0]
+    return [sizes[d] - ranks[d] - ranks[d + 1] if d < len(sizes) else 0
             for d in range(max_dim + 1)]
 
 
@@ -161,10 +136,11 @@ def euler_characteristic_consistent(poset, complex_):
 
 
 def boundary_squares_to_zero(complex_):
-    """Check that d_{d-1} d_d vanishes by composing the sparse columns."""
-    for d in range(2, complex_.dimension + 1):
-        outer = boundary_columns(complex_, d - 1)
-        for column in boundary_columns(complex_, d):
+    """Check that d_{d-1} d_d vanishes by composing the sparse columns, each
+    boundary built once."""
+    boundaries = [boundary_columns(complex_, d) for d in range(1, len(complex_.faces))]
+    for outer, inner in zip(boundaries, boundaries[1:]):
+        for column in inner:
             image = {}
             for row, a in column.items():
                 for face, b in outer[row].items():

@@ -1,7 +1,8 @@
 """Test references that read a space only through its enumerated open family,
 a seeded generator of topologies given by their opens, the hom-set
-preorder found by searching every pair of morphisms, and the category law
-check made one ``compose`` call at a time."""
+preorder found by searching every pair of morphisms, the category law
+check made one ``compose`` call at a time, and the chains of a poset found
+by testing every subset of its carrier."""
 
 import itertools
 
@@ -98,3 +99,18 @@ def check_laws_by_compose(cat):
                     continue
                 if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f):
                     raise StructureError(f"associativity fails at ({h!r}, {g!r}, {f!r})")
+
+
+def chains_by_search(poset):
+    """Every nonempty chain of ``poset`` as an increasing index tuple, listed
+    by dimension, each dimension in lexicographic order: the subsets of the
+    carrier, by size, whose elements are pairwise comparable."""
+    comparable = [u | d for u, d in zip(poset.up, poset.down())]
+    faces = []
+    for size in range(1, len(poset.carrier) + 1):
+        chains = [c for c in itertools.combinations(range(len(poset.carrier)), size)
+                  if all(comparable[i] >> j & 1 for i, j in itertools.combinations(c, 2))]
+        if not chains:
+            break
+        faces.append(chains)
+    return faces

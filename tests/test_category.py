@@ -415,13 +415,14 @@ class TestYoneda:
             _, rep = yoneda_natural_transformations(cat, fun, anchor)
             assert rep.transformation_count == len(cat.hom(anchor, anchor))
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(category, "MAX_CANDIDATES", 1)
         cat = category_c2()
         fun = SetFunctor(cat, "contravariant",
                          {"*": ["0", "1"]},
                          {"1": {"0": "0", "1": "1"}, "g": {"0": "1", "1": "0"}})
         with pytest.raises(CapExceeded):
-            yoneda_natural_transformations(cat, fun, "*", cap=1)
+            yoneda_natural_transformations(cat, fun, "*")
 
     def test_covariant_functor_rejected(self):
         cat = category_c2()

@@ -656,8 +656,7 @@ class TestCorpusCommands:
 
     def test_list_fails_when_a_case_has_no_runner_or_golden_file(
             self, capsys, monkeypatch):
-        monkeypatch.setattr(stratikit.corpus, "CASE_NAMES",
-                            (*stratikit.corpus.CASE_NAMES, "ex99"))
+        monkeypatch.setitem(stratikit.corpus.RUNNERS, "ex99", lambda: None)
         code, out = run_cli(capsys, ["corpus", "list"])
         assert code == 1
         check = json.loads(out)["checks"][0]
@@ -712,6 +711,8 @@ class TestArguments:
         ["corpus", "oracle", "--seed", "x"],
         ["corpus", "oracle", "--seed=1.5"],
         ["corpus", "run", "ex1", "ex6"],
+        ["corpus", "list", "ex1"],
+        ["corpus", "oracle", "ex1"],
         ["decomp", "analyze", "--dual"],
     ])
     def test_usage_errors_exit_2_on_stderr(self, capsys, argv):
@@ -777,9 +778,8 @@ def test_readme_synopsis_lists_exactly_the_options_of_each_group():
     synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```")[0]
     expected = []
     for group, (actions, options, extra, _) in COMMANDS.items():
-        words = ["stratikit", group, "|".join(actions)]
-        if extra:
-            words.append(f"[{extra[0].upper()}]")
+        words = ["stratikit", group, "|".join(
+            f"{a} [{extra[0].upper()}]" if extra and a == extra[2] else a for a in actions)]
         words += [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
                   for name, spec in options.items()]
         expected.append(" ".join(words))

@@ -12,6 +12,8 @@ from stratikit.homology import (SimplicialComplex, betti, boundary_columns,
                                 euler_characteristic_consistent, order_complex)
 from stratikit.order import Preorder, product
 
+from reference import chains_by_search
+
 
 def components_oracle(complex_):
     """Union-find count of connected components from edges alone."""
@@ -54,21 +56,38 @@ class TestOrderComplex:
         with pytest.raises(StructureError):
             order_complex(p)
 
+    def test_faces_are_the_chains_by_dimension_in_lexicographic_order(self, chain3):
+        carrier, pairs = proper_boolean_lattice(4)
+        posets = [
+            Preorder.from_pairs([], []).to_poset(),
+            Preorder.from_pairs(["a", "b", "c"], []).to_poset(),
+            chain3,
+            Preorder.from_pairs(carrier, pairs).to_poset(),
+        ]
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            labels = [f"x{i}" for i in range(n)]
+            posets.append(Preorder.from_pairs(labels, [
+                (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.4]).to_poset())
+        for poset in posets:
+            k = order_complex(poset)
+            assert k.faces == chains_by_search(poset)
+            assert k.f_vector() == [len(f) for f in k.faces]
 
-class TestComplexValidation:
-    def test_downward_closure_enforced(self):
-        with pytest.raises(StructureError, match="downward"):
-            SimplicialComplex(["a", "b", "c"], [["a"], ["b"], ["a", "b", "c"]])
-
-    def test_missing_singleton_detected(self):
-        # caught by the downward-closure scan: the vertex face is missing
-        with pytest.raises(StructureError, match="missing"):
-            SimplicialComplex(["a", "b"], [["a", "b"], ["a"]])
-
-    def test_deduplicates_and_orients_by_carrier(self):
-        k = SimplicialComplex(["b", "a"], [["a"], ["b"], ["a", "b"], ["b", "a"]])
-        assert k.f_vector() == [2, 1]
-        assert k.simplices[-1] == (0, 1)  # indices follow carrier order (b, a)
+    @pytest.mark.parametrize("bottoms, tops, accepted", [(2, 1666, True), (1, 2500, False)])
+    def test_chain_cap_boundary(self, bottoms, tops, accepted):
+        # K_{b,t}: b + t vertices and b * t edges, 5000 chains at (2, 1666)
+        # and 5001 at (1, 2500)
+        low = [f"b{i}" for i in range(bottoms)]
+        high = [f"t{i}" for i in range(tops)]
+        poset = Preorder.from_pairs(low + high, [(a, b) for a in low for b in high]).to_poset()
+        if accepted:
+            assert sum(order_complex(poset).f_vector()) == 5000
+        else:
+            with pytest.raises(CapExceeded, match="chain count exceeds cap 5000"):
+                order_complex(poset)
 
 
 class TestBetti:
@@ -126,8 +145,8 @@ class TestChainComplexInvariants:
 
     def test_euler_check_fails_on_a_foreign_complex(self, pseudo_poset):
         # the 4-cycle has chi = 0, a 4-vertex path has chi = 1
-        path = SimplicialComplex(["a", "b", "c", "d"], [
-            ["a"], ["b"], ["c"], ["d"], ["a", "c"], ["c", "b"], ["b", "d"]])
+        path = SimplicialComplex(("a", "b", "c", "d"), [
+            [(0,), (1,), (2,), (3,)], [(0, 2), (1, 2), (1, 3)]])
         assert not euler_characteristic_consistent(pseudo_poset, path)
 
     def test_rank_of_known_matrix(self):
