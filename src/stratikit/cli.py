@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import sys
+import types
 
 from . import (arrangement, category, corpus, decomposition, dot, homology, jsonio,
                order, randomcases, topology)
-from .errors import InputError, StratikitError, StructureError
+from .errors import CapExceeded, InputError, StratikitError, StructureError
 
 
 def _read_input(args):
@@ -59,8 +60,8 @@ def _maybe_dual(args, preorder):
     return preorder.dual() if args.dual else preorder
 
 
-# Each action takes the input document (None for a group without --input) and
-# the parsed arguments, and returns the report's (results, checks).
+# Each action takes the input document (None for an action without --input)
+# and the parsed arguments, and returns the report's (results, checks).
 
 # -- topology ----------------------------------------------------------------
 
@@ -362,8 +363,12 @@ def _corpus_run(doc, args):
 
 def _corpus_oracle(doc, args):
     import random
-    rng = random.Random(args.seed)
     cases = args.cases
+    if cases < 1:
+        raise InputError(f"cases {cases} is below 1")
+    if cases > corpus.MAX_ORACLE_CASES:
+        raise CapExceeded(f"cases {cases} exceeds the cap {corpus.MAX_ORACLE_CASES}")
+    rng = random.Random(args.seed)
     tamaki_bad = []
     openlocal_bad = []
     for i in range(cases):
@@ -393,83 +398,86 @@ def _corpus_oracle(doc, args):
 DESCRIPTION = ("finite order/topology toolkit: preorders, decomposition spaces, "
                "arrangement face posets, hom-set stratifications")
 
-# Option -> (attribute, metavar, value type, default, help); a flag has no
-# metavar and no type and stores True.
-_INPUT = {"--input": ("input", "FILE", str, None, "JSON input file (default: stdin)")}
-_DOT = {"--dot": ("dot", "PATH", str, None, "write a DOT diagram here"),
-        "--full-relation": ("full_relation", None, None, False,
-                            "DOT: emit every related pair, not the covering relation")}
-_DRAWN = {**_INPUT,
-          "--dual": ("dual", None, None, False, "reverse the order convention on output"),
-          **_DOT}
+# Name -> (attribute, metavar, value type, default, help).  A flag has no
+# metavar and no type and stores True; a name without dashes is a positional
+# read after the action.
+OPTIONS = {
+    "--input": ("input", "FILE", str, None, "JSON input file (default: stdin)"),
+    "--dual": ("dual", None, None, False, "reverse the order convention on output"),
+    "--dot": ("dot", "PATH", str, None, "write a DOT diagram here"),
+    "--full-relation": ("full_relation", None, None, False,
+                        "DOT: emit every related pair, not the covering relation"),
+    "--max-dim": ("max_dim", "N", int, None, "highest dimension of the Betti numbers"),
+    "--seed": ("seed", "N", int, 0, "oracle: random seed"),
+    "--cases": ("cases", "N", int, 200, "oracle: number of cases"),
+    "CASE": ("case", None, str, "all", "run: golden case (default: all)"),
+}
 
-# Group -> (action -> function, options, (attribute, default, action) of the
-# optional positional that one action takes after it or None, help line).
+# Group -> (help line, action -> (function, names in OPTIONS that it reads)).
 COMMANDS = {
-    "topology": ({"check": _topology_check, "to-preorder": _topology_to_preorder,
-                  "from-preorder": _topology_from_preorder, "closure": _topology_closure},
-                 _DRAWN, None, "finite topologies and the two functors"),
-    "decomp": ({"analyze": _decomp_analyze, "quotient": _decomp_quotient,
-                "validate": _decomp_validate, "product": _decomp_product},
-               {**_INPUT, **_DOT}, None, "decomposition spaces"),
-    "arrangement": ({"faces": _arrangement_faces, "poset": _arrangement_poset,
-                     "check-ob": _arrangement_check_ob},
-                    _DRAWN, None, "hyperplane arrangement faces"),
-    "homset": ({"preorder": _homset_preorder, "stratify": _homset_stratify,
-                "functor-check": _homset_functor_check, "yoneda": _homset_yoneda},
-               _DRAWN, None, "hom-set preorders and Yoneda machinery"),
-    "homology": ({"order-complex": _homology_order_complex, "betti": _homology_betti},
-                 {**_INPUT, "--max-dim": ("max_dim", "N", int, None,
-                                          "highest dimension of the Betti numbers")},
-                 None, "order complexes and Betti numbers"),
-    "corpus": ({"list": _corpus_list, "run": _corpus_run, "oracle": _corpus_oracle},
-               {"--seed": ("seed", "N", int, 0, "oracle: random seed"),
-                "--cases": ("cases", "N", int, 200, "oracle: number of cases")},
-               ("case", "all", "run"), "golden examples and seeded property suites"),
+    "topology": ("finite topologies and the two functors", {
+        "check": (_topology_check, ("--input",)),
+        "to-preorder": (_topology_to_preorder,
+                        ("--input", "--dual", "--dot", "--full-relation")),
+        "from-preorder": (_topology_from_preorder,
+                          ("--input", "--dual", "--dot", "--full-relation")),
+        "closure": (_topology_closure, ("--input",))}),
+    "decomp": ("decomposition spaces", {
+        "analyze": (_decomp_analyze, ("--input", "--dot", "--full-relation")),
+        "quotient": (_decomp_quotient, ("--input",)),
+        "validate": (_decomp_validate, ("--input",)),
+        "product": (_decomp_product, ("--input",))}),
+    "arrangement": ("hyperplane arrangement faces", {
+        "faces": (_arrangement_faces, ("--input",)),
+        "poset": (_arrangement_poset, ("--input", "--dual", "--dot", "--full-relation")),
+        "check-ob": (_arrangement_check_ob, ("--input", "--dual"))}),
+    "homset": ("hom-set preorders and Yoneda machinery", {
+        "preorder": (_homset_preorder, ("--input", "--dual", "--dot", "--full-relation")),
+        "stratify": (_homset_stratify, ("--input", "--dot", "--full-relation")),
+        "functor-check": (_homset_functor_check, ("--input",)),
+        "yoneda": (_homset_yoneda, ("--input",))}),
+    "homology": ("order complexes and Betti numbers", {
+        "order-complex": (_homology_order_complex, ("--input",)),
+        "betti": (_homology_betti, ("--input", "--max-dim"))}),
+    "corpus": ("golden examples and seeded property suites", {
+        "list": (_corpus_list, ()),
+        "run": (_corpus_run, ("CASE",)),
+        "oracle": (_corpus_oracle, ("--seed", "--cases"))}),
 }
 
 
-class Arguments:
-    """The parsed command line: the action and one attribute per option of
-    its group."""
-
-    def __init__(self, values):
-        self.__dict__.update(values)
+def _spelled(name):
+    metavar = OPTIONS[name][1]
+    return f"{name} {metavar}" if metavar else name
 
 
-def _choices(names):
-    return "{" + ",".join(names) + "}"
-
-
-def _usage(group):
+def _usage(group, action=None):
+    """Usage of the whole program, or one line per action of ``group``
+    (just ``action`` once it is known) with the options it takes."""
     if group is None:
-        return f"usage: stratikit [-h] {_choices(COMMANDS)} ..."
-    actions, options, extra, _ = COMMANDS[group]
-    words = [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
-             for name, spec in options.items()]
-    words.append(_choices(f"{a} [{extra[0].upper()}]" if extra and a == extra[2] else a
-                          for a in actions))
-    return f"usage: stratikit {group} [-h] {' '.join(words)}"
+        return "usage: stratikit [-h] {" + ",".join(COMMANDS) + "} ..."
+    lines = [" ".join(["stratikit", group, name, *(f"[{_spelled(o)}]" for o in declared)])
+             for name, (_, declared) in COMMANDS[group][1].items() if action in (None, name)]
+    return "usage: " + "\n       ".join(lines)
 
 
-def _fail(message, group=None):
+def _fail(message, group=None, action=None):
     """A usage error: usage and message on stderr, exit status 2."""
-    sys.stderr.write(f"{_usage(group)}\nstratikit: error: {message}\n")
+    sys.stderr.write(f"{_usage(group, action)}\nstratikit: error: {message}\n")
     raise SystemExit(2)
 
 
 def _help(group):
     if group is None:
         lines = [DESCRIPTION, "", "commands:"]
-        lines += [f"  {name:<12} {spec[3]}" for name, spec in COMMANDS.items()]
+        lines += [f"  {name:<12} {spec[0]}" for name, spec in COMMANDS.items()]
         lines.append("\nrun `stratikit COMMAND --help` for the options of a command")
     else:
-        actions, options, _, text = COMMANDS[group]
-        lines = [text, "", f"actions: {', '.join(actions)}", "", "options:",
-                 f"  {'-h, --help':<22} show this help and exit"]
-        for name, spec in options.items():
-            spelled = f"{name} {spec[1]}" if spec[1] else name
-            lines.append(f"  {spelled:<22} {spec[4]}")
+        text, actions = COMMANDS[group]
+        taken = {name for _, declared in actions.values() for name in declared}
+        lines = [text, "", "options:", f"  {'-h, --help':<22} show this help and exit"]
+        lines += [f"  {_spelled(name):<22} {spec[4]}"
+                  for name, spec in OPTIONS.items() if name in taken]
     sys.stdout.write(f"{_usage(group)}\n\n" + "\n".join(lines) + "\n")
     raise SystemExit(0)
 
@@ -481,11 +489,13 @@ def _is_value(token):
 
 
 def parse_args(argv):
-    """(group, Arguments) of a command line ``GROUP ACTION [options]``.
+    """(group, namespace) of a command line ``GROUP ACTION [options]``: the
+    action, and one attribute per option that the action declares.
 
     Options may come before or after the action, as ``--opt value`` or
-    ``--opt=value``; option names must be spelled out in full.  ``-h`` or
-    ``--help`` prints help and exits 0; a usage error exits 2."""
+    ``--opt=value``; option names must be spelled out in full, and an option
+    that the action does not declare is refused.  ``-h`` or ``--help`` prints
+    help and exits 0; a usage error exits 2."""
     if not argv:
         _fail("the following arguments are required: command")
     group, *tokens = argv
@@ -494,8 +504,8 @@ def parse_args(argv):
     if group not in COMMANDS:
         _fail(f"argument command: invalid choice: {group!r} "
               f"(choose from {', '.join(map(repr, COMMANDS))})")
-    actions, options, extra, _ = COMMANDS[group]
-    values = {spec[0]: spec[3] for spec in options.values()}
+    actions = COMMANDS[group][1]
+    given = []  # (name, tokens as spelled, value) of each option on the line
     positionals = []
     tokens = iter(tokens)
     for token in tokens:
@@ -505,20 +515,21 @@ def parse_args(argv):
         if token in ("-h", "--help"):
             _help(group)
         name, eq, value = token.partition("=")
-        if name not in options:
+        if name not in OPTIONS:
             _fail(f"unrecognized arguments: {token}", group)
-        attribute, _, kind, _, _ = options[name]
+        kind = OPTIONS[name][2]
         if kind is None:
             if eq:
                 _fail(f"argument {name}: ignored explicit argument {value!r}", group)
-            values[attribute] = True
+            given.append((name, token, True))
             continue
         if not eq:
             value = next(tokens, None)
             if value is None or not _is_value(value):
                 _fail(f"argument {name}: expected one argument", group)
+            token = f"{token} {value}"
         try:
-            values[attribute] = kind(value)
+            given.append((name, token, kind(value)))
         except ValueError:
             _fail(f"argument {name}: invalid {kind.__name__} value: {value!r}", group)
     if not positionals:
@@ -527,22 +538,24 @@ def parse_args(argv):
     if action not in actions:
         _fail(f"argument action: invalid choice: {action!r} "
               f"(choose from {', '.join(map(repr, actions))})", group)
-    if extra:
-        attribute, default, taker = extra
-        values[attribute] = rest.pop(0) if rest and action == taker else default
-    if rest:
-        _fail(f"unrecognized arguments: {' '.join(rest)}", group)
-    values["action"] = action
-    return group, Arguments(values)
+    declared = actions[action][1]
+    if rest and "CASE" in declared:
+        given.append(("CASE", "", rest.pop(0)))
+    unrecognized = [token for name, token, _ in given if name not in declared] + rest
+    if unrecognized:
+        _fail(f"unrecognized arguments: {' '.join(unrecognized)}", group, action)
+    values = {OPTIONS[name][0]: OPTIONS[name][3] for name in declared}
+    values.update((OPTIONS[name][0], value) for name, _, value in given)
+    return group, types.SimpleNamespace(action=action, **values)
 
 
 def _run(group, args):
     """Run one action and write its report; 0 if every check passes, else 1."""
-    actions, options, _, _ = COMMANDS[group]
+    function, declared = COMMANDS[group][1][args.action]
     doc = text = None
-    if "--input" in options:
+    if "--input" in declared:
         doc, text = _read_input(args)
-    results, checks = actions[args.action](doc, args)
+    results, checks = function(doc, args)
     report = {
         "command": f"{group} {args.action}",
         "inputs": {"sha256": "", "bytes": 0} if text is None else _digest(text),

@@ -24,6 +24,7 @@ class SimplicialComplex:
     def __init__(self, vertices, faces):
         self.vertices = vertices
         self.faces = faces
+        self._boundaries = None
 
     @property
     def simplices(self):
@@ -32,6 +33,14 @@ class SimplicialComplex:
     @property
     def dimension(self):
         return len(self.faces) - 1
+
+    def boundaries(self):
+        """``boundary_columns(self, d)`` for d = 1..dimension, built on the
+        first call and kept, like ``Preorder.down()``, as a tuple."""
+        if self._boundaries is None:
+            self._boundaries = tuple(boundary_columns(self, d)
+                                     for d in range(1, len(self.faces)))
+        return self._boundaries
 
     def f_vector(self):
         return [len(simplices) for simplices in self.faces]
@@ -110,7 +119,7 @@ def column_rank(columns):
 
 def betti(complex_, max_dim=None):
     """Rational Betti numbers b_d = n_d - rank d_d - rank d_{d+1} for
-    d = 0..max_dim, each boundary rank taken once.  A complex under the
+    d = 0..max_dim, from the boundaries the complex keeps.  A complex under the
     simplex cap has dimension below it, so a larger max_dim is refused."""
     if max_dim is not None and max_dim < 0:
         raise InputError(f"max_dim {max_dim} is negative")
@@ -119,7 +128,7 @@ def betti(complex_, max_dim=None):
     if max_dim is None:
         max_dim = max(complex_.dimension, 0)
     sizes = complex_.f_vector()
-    ranks = [0, *(column_rank(boundary_columns(complex_, d)) for d in range(1, len(sizes))), 0]
+    ranks = [0, *map(column_rank, complex_.boundaries()), 0]
     return [sizes[d] - ranks[d] - ranks[d + 1] if d < len(sizes) else 0
             for d in range(max_dim + 1)]
 
@@ -136,9 +145,9 @@ def euler_characteristic_consistent(poset, complex_):
 
 
 def boundary_squares_to_zero(complex_):
-    """Check that d_{d-1} d_d vanishes by composing the sparse columns, each
-    boundary built once."""
-    boundaries = [boundary_columns(complex_, d) for d in range(1, len(complex_.faces))]
+    """Check that d_{d-1} d_d vanishes by composing the sparse columns of the
+    boundaries the complex keeps."""
+    boundaries = complex_.boundaries()
     for outer, inner in zip(boundaries, boundaries[1:]):
         for column in inner:
             image = {}

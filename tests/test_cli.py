@@ -687,6 +687,33 @@ class TestCorpusCommands:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The sizes of the random decompositions the oracle draws."""
+        sizes = []
+        real = stratikit.randomcases.random_decomposition
+        monkeypatch.setattr(stratikit.randomcases, "random_decomposition",
+                            lambda rng, max_size: sizes.append(max_size) or real(rng, max_size))
+        return sizes
+
+    @pytest.mark.parametrize("cases, message", [
+        (0, "cases 0 is below 1"),
+        (-5, "cases -5 is below 1"),
+        (100_001, "cases 100001 exceeds the cap 100000"),
+    ])
+    def test_oracle_case_count_is_refused_before_any_case_runs(
+            self, capsys, drawn, cases, message):
+        code, out = run_cli(capsys, ["corpus", "oracle", "--cases", str(cases)])
+        assert code == 2
+        assert json.loads(out) == {"error": {"message": message, "path": ""}}
+        assert drawn == []
+
+    @pytest.mark.parametrize("cases, code", [(1, 0), (3, 0), (4, 2)])
+    def test_oracle_case_count_at_the_cap_edges(self, capsys, monkeypatch, drawn, cases, code):
+        monkeypatch.setattr(stratikit.corpus, "MAX_ORACLE_CASES", 3)
+        assert run_cli(capsys, ["corpus", "oracle", "--cases", str(cases)])[0] == code
+        assert len(drawn) == (cases if code == 0 else 0)
+
 
 class TestArguments:
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["topology", "--help"],
@@ -714,8 +741,15 @@ class TestArguments:
         ["corpus", "list", "ex1"],
         ["corpus", "oracle", "ex1"],
         ["decomp", "analyze", "--dual"],
+        # options that another action of the same group reads
+        ["homset", "stratify", "--dual"],
+        ["homset", "yoneda", "--dot", "x.dot"],
+        ["homology", "order-complex", "--max-dim", "3"],
+        ["corpus", "list", "--seed", "1"],
+        ["topology", "check", "--dual"],
     ])
-    def test_usage_errors_exit_2_on_stderr(self, capsys, argv):
+    def test_usage_errors_exit_2_on_stderr(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
@@ -723,6 +757,14 @@ class TestArguments:
         assert out == ""
         assert err.startswith("usage: stratikit")
         assert "\nstratikit: error: " in err
+        assert list(tmp_path.iterdir()) == []  # no DOT file either
+
+    def test_undeclared_option_is_named_under_the_usage_of_its_action(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["topology", "--dual", "check"])
+        assert capsys.readouterr().err == (
+            "usage: stratikit topology check [--input FILE]\n"
+            "stratikit: error: unrecognized arguments: --dual\n")
 
     def test_negative_max_dim_is_a_value_that_reaches_the_input_check(
             self, tmp_path, capsys):
@@ -749,9 +791,22 @@ class TestArguments:
         from stratikit.cli import parse_args
         group, args = parse_args(["corpus", "--cases=40", "oracle", "--seed", "-7"])
         assert group == "corpus"
-        assert (args.action, args.case, args.seed, args.cases) == ("oracle", "all", -7, 40)
+        assert vars(args) == {"action": "oracle", "seed": -7, "cases": 40}
         _, args = parse_args(["corpus", "run", "ex1"])
-        assert (args.action, args.case) == ("run", "ex1")
+        assert vars(args) == {"action": "run", "case": "ex1"}
+        _, args = parse_args(["corpus", "run"])
+        assert vars(args) == {"action": "run", "case": "all"}
+
+    def test_every_declared_option_is_accepted(self):
+        from stratikit.cli import COMMANDS, OPTIONS, parse_args
+        declared = [(group, action, name) for group, (_, actions) in COMMANDS.items()
+                    for action, (_, names) in actions.items() for name in names]
+        assert len(declared) == 38
+        for group, action, name in declared:
+            attribute, _, kind, _, _ = OPTIONS[name]
+            words = [name] * name.startswith("-") + ["7"] * (kind is not None)
+            _, args = parse_args([group, action, *words])
+            assert getattr(args, attribute) == (True if kind is None else kind("7"))
 
     def test_input_digest_is_sha256(self, tmp_path, capsys):
         import hashlib
@@ -771,19 +826,58 @@ class TestArguments:
         assert _sha256(b"stratikit") == hashlib.sha256(b"stratikit").hexdigest()
 
 
-def test_readme_synopsis_lists_exactly_the_options_of_each_group():
+def test_readme_synopsis_lists_exactly_the_options_of_each_action():
     from pathlib import Path
-    from stratikit.cli import COMMANDS
+    from stratikit.cli import COMMANDS, OPTIONS
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```")[0]
     expected = []
-    for group, (actions, options, extra, _) in COMMANDS.items():
-        words = ["stratikit", group, "|".join(
-            f"{a} [{extra[0].upper()}]" if extra and a == extra[2] else a for a in actions)]
-        words += [f"[{name} {spec[1]}]" if spec[1] else f"[{name}]"
-                  for name, spec in options.items()]
-        expected.append(" ".join(words))
+    for group, (_, actions) in COMMANDS.items():
+        for action, (_, declared) in actions.items():
+            words = ["stratikit", group, action]
+            words += [f"[{name} {OPTIONS[name][1]}]" if OPTIONS[name][1] else f"[{name}]"
+                      for name in declared]
+            expected.append(" ".join(words))
     assert synopsis.splitlines() == expected
+
+
+def args_read(source, name):
+    """Attributes of ``args`` that function ``name`` of ``source`` reads, itself
+    or through the module's functions it calls."""
+    import ast
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions):
+            read |= args_read(source, node.func.id)
+    return read
+
+
+def test_each_action_reads_exactly_the_options_it_declares():
+    """No declared option goes unread and none is read undeclared; ``input``
+    is read by ``_run``, not by the action."""
+    from pathlib import Path
+    from stratikit import cli
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    read = {(group, action): args_read(source, function.__name__)
+            for group, (_, actions) in cli.COMMANDS.items()
+            for action, (function, _) in actions.items()}
+    declared = {(group, action): {cli.OPTIONS[name][0] for name in names} - {"input"}
+                for group, (_, actions) in cli.COMMANDS.items()
+                for action, (_, names) in actions.items()}
+    assert read == declared
+    assert read["homset", "stratify"] == {"dot", "full_relation"}  # via _write_dot
+
+
+def test_args_read_follows_helper_calls():
+    source = ("def _helper(args):\n    return args.dot\n"
+              "def action(doc, args):\n    _helper(args)\n    return args.dual\n")
+    assert args_read(source, "action") == {"dot", "dual"}
 
 
 class TestDeterminism:

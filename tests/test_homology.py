@@ -268,6 +268,21 @@ class TestTopologyCases:
         assert len(doc["checks"]) == 2
         assert all(c["pass"] for c in doc["checks"])
 
+    def test_betti_command_builds_each_boundary_once(self, tmp_path, capsys, monkeypatch):
+        """``betti`` and the boundary check read the boundaries the complex
+        keeps, so one job builds each of them once."""
+        from stratikit import homology
+        built = []
+        real = homology.boundary_columns
+        monkeypatch.setattr(homology, "boundary_columns",
+                            lambda complex_, dim: built.append(dim) or real(complex_, dim))
+        carrier, pairs = proper_boolean_lattice(5)
+        path = tmp_path / "b5.json"
+        path.write_text(json.dumps({"carrier": carrier, "pairs": pairs}))
+        assert main(["homology", "betti", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["betti"] == [1, 0, 0, 1]
+        assert built == [1, 2, 3]
+
     def test_proper_part_of_b7_exceeds_the_simplex_cap(self):
         carrier, pairs = proper_boolean_lattice(7)
         poset = Preorder.from_pairs(carrier, pairs).to_poset()
