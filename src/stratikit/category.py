@@ -7,14 +7,12 @@ them when called, so the other hom-set commands never load them."""
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .errors import CapExceeded, InputError, StructureError
 from .order import Preorder, bitmask, is_monotone, quotient_poset
 
 MAX_MORPHISMS = 64
-MAX_CANDIDATES = 200000  # natural-transformation search space
 
 SIDES = ("R", "L", "LR")
 
@@ -58,6 +56,9 @@ class FiniteCategory:
             raise CapExceeded(
                 f"category has {len(self.morphisms)} morphisms, cap is {MAX_MORPHISMS}")
 
+        for x in identities:
+            if x not in obj_set:
+                raise InputError(f"identity of unknown object {x!r}", path=f"identities.{x}")
         self.identity = {}
         for x in objects:
             if x not in identities:
@@ -316,6 +317,9 @@ class SetFunctor:
         self.on_objects = {
             x: tuple(str(v) for v in vs) for x, vs in on_objects.items()
         }
+        for x in self.on_objects:
+            if x not in cat.identity:
+                raise InputError(f"functor names unknown object {x!r}", path=f"on_objects.{x}")
         for x in cat.objects:
             if x not in self.on_objects:
                 raise InputError(f"functor misses object {x!r}")
@@ -323,6 +327,10 @@ class SetFunctor:
             if len(set(vals)) != len(vals):
                 raise InputError(f"duplicate elements in value set of {x!r}")
         self.on_morphisms = {m: dict(fn) for m, fn in on_morphisms.items()}
+        for m in self.on_morphisms:
+            if m not in cat.dom:
+                raise InputError(f"functor names unknown morphism {m!r}",
+                                 path=f"on_morphisms.{m}")
         self._check()
 
     def source_object(self, m):
@@ -377,89 +385,69 @@ class YonedaReport(namedtuple(
 
 
 def yoneda_natural_transformations(cat, functor, anchor):
-    """Exhaustively enumerate the natural transformations hom(-, anchor) -> F
-    and verify the evaluation-at-identity bijection onto F(anchor).
+    """Every natural transformation hom(-, anchor) -> F by a complete search,
+    and the evaluation-at-identity bijection onto F(anchor) verified.
+
+    The unknowns are tau(f) for f: x -> anchor; naturality over g: w -> z says
+    tau(h.g) = F(g)(tau(h)) for every h: z -> anchor.  The search branches on
+    the first unknown without a value, the anchor's identity first and then
+    hom order, and after each choice applies every equation whose right side
+    is known (forward checking): it sets an unknown without a value and ends
+    the branch at a conflict.  The identity's value forces every tau(f) (take
+    h = id, g = f), so |F(anchor)| branches apply at most MAX_MORPHISMS^2
+    equations each.
 
     Each transformation is a dict object -> (dict morphism -> element).
     """
     if functor.variance != "contravariant":
         raise InputError("the representable side here is contravariant; pass a contravariant functor")
     cat.hom(anchor, anchor)
+    ident = cat.identity[anchor]
+    unknowns = [ident, *(f for x in cat.objects for f in cat.hom(x, anchor) if f != ident)]
+    # equations[h]: the pairs (g, h.g) for every g into the domain of h
+    equations = {h: [(g, cat.compose(h, g)) for w in cat.objects
+                     for g in cat.hom(w, cat.dom[h])] for h in unknowns}
 
-    total = 1
-    for x in cat.objects:
-        h = cat.hom(x, anchor)
-        fx = functor.on_objects[x]
-        if h and not fx:
-            total = 0
-            break
-        total *= max(1, len(fx)) ** len(h)
-        if total > MAX_CANDIDATES:
-            raise CapExceeded(
-                f"natural transformation search space exceeds cap {MAX_CANDIDATES}")
-
-    objs = list(cat.objects)
-
-    def components(x):
-        h = cat.hom(x, anchor)
-        fx = functor.on_objects[x]
-        if not h:
-            yield {}
-            return
-        if not fx:
-            return
-        for combo in itertools.product(fx, repeat=len(h)):
-            yield dict(zip(h, combo))
-
-    def natural_between(tau, w, z):
-        # contravariant naturality over g: w -> z, pulled back along g
-        for g in cat.hom(w, z):
-            for h in cat.hom(z, anchor):
-                if tau[w][cat.compose(h, g)] != functor.apply(g, tau[z][h]):
-                    return False
-        return True
+    def propagate(tau, f, value):
+        tau = {**tau, f: value}
+        queue = [f]
+        for h in queue:  # grows while it is read
+            for g, hg in equations[h]:
+                forced = functor.apply(g, tau[h])
+                if hg not in tau:
+                    tau[hg] = forced
+                    queue.append(hg)
+                elif tau[hg] != forced:
+                    return None
+        return tau
 
     results = []
 
-    def extend(pos, tau):
-        if pos == len(objs):
-            results.append({x: dict(c) for x, c in tau.items()})
+    def extend(tau):
+        free = next((f for f in unknowns if f not in tau), None)
+        if free is None:
+            results.append({x: {f: tau[f] for f in cat.hom(x, anchor)}
+                            for x in cat.objects})
             return
-        x = objs[pos]
-        for comp in components(x):
-            tau[x] = comp
-            ok = True
-            for y in objs[: pos + 1]:
-                if not natural_between(tau, x, y) or not natural_between(tau, y, x):
-                    ok = False
-                    break
-            if ok:
-                extend(pos + 1, tau)
-            del tau[x]
+        for value in functor.on_objects[cat.dom[free]]:
+            branch = propagate(tau, free, value)
+            if branch is not None:
+                extend(branch)
 
-    extend(0, {})
+    extend({})
 
     target = functor.on_objects[anchor]
-    ident = cat.identity[anchor]
-    evaluations = [tau[anchor][ident] for tau in results] if results else []
+    evaluations = [tau[anchor][ident] for tau in results]
     bijection = (sorted(evaluations) == sorted(set(evaluations))
                  and set(evaluations) == set(target))
-    if not results:
-        bijection = not target
-
-    inverse_ok = True
-    for alpha in target:
-        built = {
-            x: {f: functor.apply(f, alpha) for f in cat.hom(x, anchor)}
-            for x in cat.objects
-        }
-        if built not in results:
-            inverse_ok = False
-        elif built[anchor][ident] != alpha:
-            inverse_ok = False
+    by_value = {tau[anchor][ident]: tau for tau in results}
+    inverse_ok = all(
+        by_value.get(alpha) == {x: {f: functor.apply(f, alpha) for f in cat.hom(x, anchor)}
+                                for x in cat.objects}
+        for alpha in target)
 
     report = YonedaReport(
-        object_count=len(objs),
+        object_count=len(cat.objects),
         transformation_count=len(results),
         target_size=len(target),
         bijection_holds=bijection,

@@ -12,10 +12,6 @@ from importlib import resources
 
 from . import arrangement, category, decomposition, homology, jsonio, order, topology
 
-# Most cases one ``corpus oracle`` run draws; a case takes about 0.4 ms, so a
-# run at the cap takes under a minute.
-MAX_ORACLE_CASES = 100_000
-
 
 def golden(name):
     if name not in CASE_NAMES:

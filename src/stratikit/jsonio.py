@@ -54,6 +54,16 @@ def expect(doc, key, kind, path):
     return value
 
 
+def _within(path, build, *args):
+    """``build(*args)``; an ``InputError`` whose path is relative to the built
+    value (a form, an identity, a functor key) gets ``path`` in front."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        exc.path = exc.path and _join(path, exc.path)
+        raise
+
+
 def _members(entry, known, what, at):
     """The labels of one list entry at path ``at``; a label outside ``known``
     is refused with the path of its position in the entry."""
@@ -154,11 +164,7 @@ def load_arrangement(doc, path=""):
                              path=_join(path, f"forms[{i}]"))
         parsed.append([parse_rational(c, path=_join(path, f"forms[{i}][{j}]"))
                        for j, c in enumerate(form)])
-    try:
-        return arrangement.Arrangement(dim, parsed)
-    except InputError as exc:  # a form of the wrong length or without variables
-        exc.path = exc.path and _join(path, exc.path)
-        raise
+    return _within(path, arrangement.Arrangement, dim, parsed)
 
 
 def _parse_hom_key(key, path):
@@ -190,7 +196,7 @@ def load_category(doc, path=""):
             raise InputError("each composition entry must be [g, f, gf]",
                              path=_join(path, f"compose[{i}]"))
         compose.append(tuple(str(x) for x in row))
-    return category.FiniteCategory(objects, homs, identities, compose)
+    return _within(path, category.FiniteCategory, objects, homs, identities, compose)
 
 
 def load_functor(cat, doc, path=""):
@@ -205,7 +211,7 @@ def load_functor(cat, doc, path=""):
         str(k): {str(a): str(b) for a, b in expect(morphisms, k, dict, at).items()}
         for k in morphisms
     }
-    return category.SetFunctor(cat, variance, on_objects, on_morphisms)
+    return _within(path, category.SetFunctor, cat, variance, on_objects, on_morphisms)
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}

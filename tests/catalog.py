@@ -1,6 +1,7 @@
 """Small categories and set-functor instances for the test and acceptance
-suites (all of them within 3 objects and 8 morphisms), and monoids of
-self-maps of a finite set up to the 64-morphism cap."""
+suites (all of them within 3 objects and 8 morphisms), stars of arrows into
+one object, and monoids of self-maps of a finite set up to the 64-morphism
+cap with their self-representable and preimage functors."""
 
 from __future__ import annotations
 
@@ -90,6 +91,28 @@ def all_categories():
         "chain3": category_chain3(),
         "parallel-pair": category_parallel_pair(),
     }
+
+
+def category_star(n):
+    """Arrows u0, ..., u(n-1) from objects s0, ..., s(n-1) into one object a,
+    listed after them, and nothing else: 2n + 1 morphisms."""
+    spokes = [f"s{i}" for i in range(n)]
+    homs = {("a", "a"): ["ida"]}
+    compose = [("ida", "ida", "ida")]
+    for i, s in enumerate(spokes):
+        homs[(s, s)] = [f"id{s}"]
+        homs[(s, "a")] = [f"u{i}"]
+        compose += [(f"id{s}", f"id{s}", f"id{s}"), (f"u{i}", f"id{s}", f"u{i}"),
+                    ("ida", f"u{i}", f"u{i}")]
+    identities = {**{s: f"id{s}" for s in spokes}, "a": "ida"}
+    return FiniteCategory([*spokes, "a"], homs, identities, compose)
+
+
+def constant_functor(cat, values):
+    """The contravariant functor with the same value set at every object and
+    the identity map at every morphism."""
+    return SetFunctor(cat, "contravariant", {x: list(values) for x in cat.objects},
+                      {m: {v: v for v in values} for m in cat.morphisms})
 
 
 def representable_functor(cat, anchor):
@@ -194,3 +217,27 @@ def monoid(maps):
     doc = monoid_document(maps)
     return FiniteCategory(doc["objects"], {("*", "*"): doc["homs"]["*->*"]},
                           doc["identities"], [tuple(row) for row in doc["compose"]])
+
+
+def yoneda_document(maps):
+    """The ``homset yoneda`` document of the self-representable functor
+    hom(-, *) of ``monoid_document(maps)``: F(m) sends h to h . m."""
+    doc = monoid_document(maps)
+    composite = {(g, f): gf for g, f, gf in doc["compose"]}
+    labels = doc["homs"]["*->*"]
+    return {"category": doc, "anchor": "*", "functor": {
+        "variance": "contravariant", "on_objects": {"*": labels},
+        "on_morphisms": {m: {h: composite[(h, m)] for h in labels} for m in labels}}}
+
+
+def preimage_functor(maps):
+    """The contravariant functor A -> m^-1(A) on the subsets of {0, ..., n-1},
+    over ``monoid(maps)``; the subset {0, 1} is labelled "{0,1}"."""
+    n = len(maps[0])
+    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    label = {a: "{" + ",".join(map(str, sorted(a))) + "}" for a in subsets}
+    cat = monoid(maps)
+    on_morphisms = {name: {label[a]: label[frozenset(i for i in range(n) if m[i] in a)]
+                           for a in subsets}
+                    for m, name in zip(maps, cat.morphisms)}
+    return SetFunctor(cat, "contravariant", {"*": [label[a] for a in subsets]}, on_morphisms)

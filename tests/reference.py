@@ -1,11 +1,13 @@
 """Test references that read a space only through its enumerated open family,
 a seeded generator of topologies given by their opens, the hom-set
 preorder found by searching every pair of morphisms, the category law
-check made one ``compose`` call at a time, and the chains of a poset found
-by testing every subset of its carrier."""
+check made one ``compose`` call at a time, the chains of a poset found
+by testing every subset of its carrier, and the natural transformations
+out of a representable functor found by trying every candidate family."""
 
 import itertools
 
+from stratikit.category import YonedaReport
 from stratikit.errors import StructureError
 from stratikit.order import Preorder
 from stratikit.topology import FiniteTopology
@@ -114,3 +116,63 @@ def chains_by_search(poset):
             break
         faces.append(chains)
     return faces
+
+
+def yoneda_by_enumeration(cat, functor, anchor):
+    """``category.yoneda_natural_transformations`` by trying every one of the
+    prod_x |F(x)|^|hom(x, anchor)| candidate families, object by object, and
+    keeping those natural over every hom-set between the objects chosen so
+    far; then the bijection and inverse checks against that list."""
+    objs = list(cat.objects)
+
+    def components(x):
+        h = cat.hom(x, anchor)
+        fx = functor.on_objects[x]
+        if not h:
+            yield {}
+            return
+        if not fx:
+            return
+        for combo in itertools.product(fx, repeat=len(h)):
+            yield dict(zip(h, combo))
+
+    def natural_between(tau, w, z):
+        # contravariant naturality over g: w -> z, pulled back along g
+        for g in cat.hom(w, z):
+            for h in cat.hom(z, anchor):
+                if tau[w][cat.compose(h, g)] != functor.apply(g, tau[z][h]):
+                    return False
+        return True
+
+    results = []
+
+    def extend(pos, tau):
+        if pos == len(objs):
+            results.append({x: dict(c) for x, c in tau.items()})
+            return
+        x = objs[pos]
+        for comp in components(x):
+            tau[x] = comp
+            if all(natural_between(tau, x, y) and natural_between(tau, y, x)
+                   for y in objs[: pos + 1]):
+                extend(pos + 1, tau)
+            del tau[x]
+
+    extend(0, {})
+
+    target = functor.on_objects[anchor]
+    ident = cat.identity[anchor]
+    evaluations = [tau[anchor][ident] for tau in results]
+    bijection = (sorted(evaluations) == sorted(set(evaluations))
+                 and set(evaluations) == set(target))
+    if not results:
+        bijection = not target
+    inverse_ok = True
+    for alpha in target:
+        built = {x: {f: functor.apply(f, alpha) for f in cat.hom(x, anchor)}
+                 for x in cat.objects}
+        if built not in results or built[anchor][ident] != alpha:
+            inverse_ok = False
+    return results, YonedaReport(
+        object_count=len(objs), transformation_count=len(results),
+        target_size=len(target), bijection_holds=bijection, inverse_holds=inverse_ok)

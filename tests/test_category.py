@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from stratikit import category
@@ -6,17 +8,18 @@ from stratikit.category import (SIDES, FiniteCategory, IMAGE_ORDER_NOTE, SetFunc
                                 hom_stratified, st_functor_check, yoneda_image,
                                 yoneda_image_report,
                                 yoneda_natural_transformations)
-from stratikit.errors import CapExceeded, InputError, StructureError
+from stratikit.errors import InputError, StructureError
 from stratikit.order import quotient_poset
 from stratikit.topology import FiniteTopology, PosetStratifiedSpace
 
 from catalog import (all_categories, all_maps, category_arrow, category_c2,
                      category_chain3, category_idempotent_monoid,
-                     category_left_zero_monoid, category_parallel_pair,
-                     category_transformation_monoid2, cube_of_all_maps2, monoid,
+                     category_left_zero_monoid, category_parallel_pair, category_star,
+                     category_transformation_monoid2, constant_functor,
+                     cube_of_all_maps2, monoid, preimage_functor,
                      representable_functor, seeded_monoids, yoneda_instances)
 from reference import (check_laws_by_compose, closure_by_opens, hom_preorder_by_search,
-                       locally_closed_by_opens)
+                       locally_closed_by_opens, yoneda_by_enumeration)
 
 
 def nonempty_hom_pairs(cat):
@@ -94,6 +97,12 @@ class TestCategoryValidation:
     def test_missing_identity_rejected(self):
         with pytest.raises(InputError, match="identity"):
             FiniteCategory(["*"], {("*", "*"): ["e"]}, {}, [("e", "e", "e")])
+
+    def test_identity_of_an_unknown_object_rejected_at_its_key(self):
+        with pytest.raises(InputError, match="unknown object 'ghost'") as err:
+            FiniteCategory(["*"], {("*", "*"): ["1"]}, {"*": "1", "ghost": "zz"},
+                           [("1", "1", "1")])
+        assert err.value.path == "identities.ghost"
 
     def test_mistyped_composite_rejected(self):
         with pytest.raises(StructureError, match="wrong hom-set"):
@@ -372,12 +381,34 @@ class TestSetFunctor:
                        {"1": {"0": "1", "1": "0"},
                         "g": {"0": "1", "1": "0"}})
 
+    @pytest.mark.parametrize("on_objects, on_morphisms, path", [
+        ({"*": ["0"], "ghost": ["0"]}, {"1": {"0": "0"}, "g": {"0": "0"}},
+         "on_objects.ghost"),
+        ({"*": ["0"]}, {"1": {"0": "0"}, "g": {"0": "0"}, "nope": {"0": "0"}},
+         "on_morphisms.nope"),
+    ], ids=["object", "morphism"])
+    def test_unknown_key_rejected_at_its_path(self, on_objects, on_morphisms, path):
+        with pytest.raises(InputError, match="unknown") as err:
+            SetFunctor(category_c2(), "contravariant", on_objects, on_morphisms)
+        assert err.value.path == path
+
     def test_partial_value_map_rejected(self):
         cat = category_c2()
         with pytest.raises(StructureError, match="total"):
             SetFunctor(cat, "contravariant",
                        {"*": ["0", "1"]},
                        {"1": {"0": "0", "1": "1"}, "g": {"0": "0"}})
+
+
+def candidate_count(cat, fun, anchor):
+    """The candidate families hom(-, anchor) -> F that the enumeration tries."""
+    return math.prod(len(fun.on_objects[x]) ** len(cat.hom(x, anchor)) for x in cat.objects)
+
+
+def frozen(transformations):
+    """A list of transformations as a sorted list of hashable values."""
+    return sorted(tuple((x, tuple(sorted(c.items()))) for x, c in sorted(t.items()))
+                  for t in transformations)
 
 
 class TestYoneda:
@@ -415,14 +446,57 @@ class TestYoneda:
             _, rep = yoneda_natural_transformations(cat, fun, anchor)
             assert rep.transformation_count == len(cat.hom(anchor, anchor))
 
-    def test_enumeration_cap(self, monkeypatch):
-        monkeypatch.setattr(category, "MAX_CANDIDATES", 1)
-        cat = category_c2()
-        fun = SetFunctor(cat, "contravariant",
-                         {"*": ["0", "1"]},
-                         {"1": {"0": "0", "1": "1"}, "g": {"0": "1", "1": "0"}})
-        with pytest.raises(CapExceeded):
-            yoneda_natural_transformations(cat, fun, "*")
+    @pytest.mark.parametrize("maps, count", [(all_maps(3), 27), (cube_of_all_maps2(), 64)],
+                             ids=["T3", "T2^3"])
+    def test_full_transformation_monoids_at_the_cap(self, maps, count):
+        cat = monoid(maps)
+        transformations, rep = yoneda_natural_transformations(
+            cat, representable_functor(cat, "*"), "*")
+        assert rep.transformation_count == len(transformations) == count
+        assert rep.ok()
+
+    def test_star_into_the_anchor_branches_at_the_identity(self):
+        """Hom order lists the 31 spokes before the anchor's identity, so a
+        search in hom order alone would branch 2^31 times first."""
+        cat = category_star(31)
+        fun = constant_functor(cat, ["0", "1"])
+        assert len(cat.morphisms) == 63
+        assert candidate_count(cat, fun, "a") == 2 ** 32
+        transformations, rep = yoneda_natural_transformations(cat, fun, "a")
+        assert rep.transformation_count == 2 and rep.ok()
+        assert sorted(t["s30"]["u30"] for t in transformations) == ["0", "1"]
+
+    def test_a_conflict_ends_the_branch(self):
+        """F(e) made a swap after construction breaks F(e.e) = F(e)F(e), so
+        no value at the identity extends to a natural family."""
+        cat = category_idempotent_monoid()
+        fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
+                         {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
+        fun.on_morphisms["e"] = {"0": "1", "1": "0"}
+        transformations, rep = yoneda_natural_transformations(cat, fun, "*")
+        assert transformations == [] and not rep.ok()
+        assert rep == yoneda_by_enumeration(cat, fun, "*")[1]
+
+    def test_agrees_with_the_enumeration_below_its_old_cap(self):
+        """The catalog instances, every representable hom(-, b) at every
+        anchor, the constant two-point functor at every anchor and the
+        preimage functor of T2, each within the 200000 candidate families
+        the enumeration used to be capped at."""
+        cases = list(yoneda_instances())
+        for name, cat in all_categories().items():
+            for anchor in cat.objects:
+                cases += [(f"{name} hom(-, {b}) at {anchor}", cat,
+                           representable_functor(cat, b), anchor) for b in cat.objects]
+                cases.append((f"{name} constant at {anchor}", cat,
+                              constant_functor(cat, ["0", "1"]), anchor))
+        cases.append(("T2 preimage", monoid(all_maps(2)), preimage_functor(all_maps(2)), "*"))
+        assert len(cases) >= 30
+        for name, cat, fun, anchor in cases:
+            assert candidate_count(cat, fun, anchor) <= 200000, name
+            transformations, rep = yoneda_natural_transformations(cat, fun, anchor)
+            expected, expected_rep = yoneda_by_enumeration(cat, fun, anchor)
+            assert frozen(transformations) == frozen(expected), name
+            assert rep == expected_rep, name
 
     def test_covariant_functor_rejected(self):
         cat = category_c2()

@@ -13,7 +13,7 @@ from stratikit.cli import main
 from stratikit.jsonio import dump_preorder, load_category
 from stratikit.order import quotient_poset
 
-from catalog import all_maps, cube_of_all_maps2, monoid_document
+from catalog import all_maps, cube_of_all_maps2, monoid_document, yoneda_document
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -586,6 +586,37 @@ class TestHomsetCommands:
         assert error["path"] == "functor.on_objects.*"
         assert "list" in error["message"]
 
+    def test_yoneda_object_key_outside_the_category_exits_2_with_path(
+            self, tmp_path, capsys):
+        error = self.yoneda_error(tmp_path, capsys, {"*": ["0", "1"], "ghost": []},
+                                  {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
+        assert error["path"] == "functor.on_objects.ghost"
+
+    def test_yoneda_morphism_key_outside_the_category_exits_2_with_path(
+            self, tmp_path, capsys):
+        error = self.yoneda_error(tmp_path, capsys, {"*": ["0", "1"]},
+                                  {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"},
+                                   "nope": {"0": "0", "1": "1"}})
+        assert error["path"] == "functor.on_morphisms.nope"
+
+    def test_identity_of_an_object_outside_the_category_exits_2_with_path(
+            self, tmp_path, capsys):
+        category = dict(IDEM, identities={"*": "1", "ghost": "zz"})
+        path = write_input(tmp_path, {"category": category, "source": "*", "target": "*"})
+        code, out = run_cli(capsys, ["homset", "preorder", "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"]["path"] == "category.identities.ghost"
+
+    @pytest.mark.parametrize("maps, count", [(all_maps(3), 27), (cube_of_all_maps2(), 64)],
+                             ids=["T3", "T2^3"])
+    def test_yoneda_on_full_transformation_monoids(self, tmp_path, capsys, maps, count):
+        path = write_input(tmp_path, yoneda_document(maps))
+        code, out = run_cli(capsys, ["homset", "yoneda", "--input", path])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["transformation_count"] == count
+        assert all(check["pass"] for check in doc["checks"])
+
     def test_preorder_reports_no_check_that_cannot_fail(self, tmp_path, capsys):
         path = write_input(tmp_path, {
             "category": IDEM, "source": "*", "target": "*", "side": "L"})
@@ -710,7 +741,7 @@ class TestCorpusCommands:
 
     @pytest.mark.parametrize("cases, code", [(1, 0), (3, 0), (4, 2)])
     def test_oracle_case_count_at_the_cap_edges(self, capsys, monkeypatch, drawn, cases, code):
-        monkeypatch.setattr(stratikit.corpus, "MAX_ORACLE_CASES", 3)
+        monkeypatch.setattr(stratikit.cli, "MAX_ORACLE_CASES", 3)
         assert run_cli(capsys, ["corpus", "oracle", "--cases", str(cases)])[0] == code
         assert len(drawn) == (cases if code == 0 else 0)
 
@@ -963,6 +994,13 @@ def test_arrangement_faces_skips_unrelated_modules_and_dataclasses(tmp_path):
     for name in ("category", "decomposition", "homology", "corpus"):
         assert f"stratikit.{name}" not in ran
     assert "dataclasses" not in modules
+
+
+def test_corpus_oracle_does_not_execute_the_corpus():
+    code, ran, _, _ = executed_modules(["corpus", "oracle", "--cases", "1"])
+    assert code == 0
+    assert "stratikit.decomposition" in ran
+    assert "stratikit.corpus" not in ran
 
 
 def test_order_complex_never_imports_fractions(tmp_path):
