@@ -69,10 +69,11 @@ class FiniteCategory:
             self.identity[x] = i
 
         self._compose = {}
-        for g, f, h in compose:
+        for i, (g, f, h) in enumerate(compose):
             for m in (g, f, h):
                 if m not in self.dom:
-                    raise InputError(f"unknown morphism {m!r} in composition table")
+                    raise InputError(f"unknown morphism {m!r} in composition table",
+                                     path=f"compose[{i}]")
             if self.cod[f] != self.dom[g]:
                 raise StructureError(f"pair ({g!r}, {f!r}) is not composable")
             if (g, f) in self._compose:

@@ -193,7 +193,7 @@ def _arrangement_check_ob(doc, args):
     poset = _maybe_dual(args, arrangement.face_poset(arr, faces))
     oracle = arrangement.closure_rows(arr, faces)
     if args.dual:
-        oracle = order.transpose(oracle)
+        oracle = order.transpose(oracle, len(oracle))
     disagreements = [
         [faces[i].label, faces[j].label]
         for i, (row, expected) in enumerate(zip(poset.up, oracle))

@@ -8,12 +8,14 @@ the down-set it generates, so the analysis runs on the specialization rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import namedtuple
 
 from .errors import InputError, StructureError
-from .order import (Preorder, _closure, bitmask, product, product_label,
-                    product_mask, union_of_rows)
+from .order import (Preorder, _closure, bit_indices, product, product_label,
+                    product_mask, transpose, union_of_rows)
 from .topology import FiniteTopology, product_topology
 
 
@@ -24,7 +26,8 @@ class Decomposition:
         blocks = [space.mask(b) if not isinstance(b, int) else b for b in blocks]
         if labels is None:
             labels = [
-                "[%s]" % min(space.labels(b)) if b else "[]" for b in blocks
+                "[%s]" % min(space.carrier[i] for i in bit_indices(b)) if b else "[]"
+                for b in blocks
             ]
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(blocks):
@@ -54,28 +57,15 @@ class Decomposition:
         return out
 
     def preimage_mask(self, label_mask):
-        out = 0
-        for k, b in enumerate(self.blocks):
-            if label_mask & (1 << k):
-                out |= b
-        return out
+        return union_of_rows(self.blocks, label_mask)
 
     def __repr__(self):
         return f"Decomposition({len(self.blocks)} blocks of {len(self.space.carrier)} points)"
 
 
-def _quotient_preorder(d, above):
-    """Specialization preorder of the quotient, from the up-set of each block:
-    a set of blocks is open iff its preimage is an up-set, so the minimal open
-    around block a closes {a} under a -> every block meeting the up-set of a."""
-    return Preorder(d.labels, _closure([d.image_mask(u) for u in above]))
-
-
 def quotient_topology(d):
     """Finest topology on the block labels making the projection continuous."""
-    up = d.space.specialization_preorder().up
-    above = [union_of_rows(up, b) for b in d.blocks]
-    return FiniteTopology.from_preorder(_quotient_preorder(d, above))
+    return FiniteTopology.from_preorder(analyze(d).tau_pi_preorder)
 
 
 MOORE_UPPER = "upper-semicontinuous"
@@ -141,24 +131,29 @@ class DecompositionReport(namedtuple(
 def analyze(d):
     """Full openness/semicontinuity/stratification-adjacent report for a decomposition.
 
-    Opens are unions of point up-sets, closed sets unions of point down-sets,
-    and images commute with unions: the projection is open (closed) iff the
-    image of every point up-set (down-set) is a quotient up-set (down-set).
-    A block is locally closed iff it is the meet of its up-set and down-set.
-    In the closure order, lambda <= mu iff the lambda block lies inside the
-    mu block's down-set, its closure; the ``Preorder`` constructor asserts
-    transitivity rather than assuming it.
+    Read off two point tables: bit m of ``meets_up[x]`` (``meets_down[x]``)
+    says block m meets the up-set (down-set) of x.  The minimal quotient open
+    around block a closes {a} under the OR of ``meets_up`` over a's points,
+    and a <= b in the closure order (block a lies in b's closure) iff b is in
+    the AND; the frontier condition (a block meeting another's closure lies
+    inside it) says OR = AND.  Images commute with unions, so the projection
+    is open (closed) iff each ``meets_up[x]`` (``meets_down[x]``), which holds
+    x's block and lies in its quotient up-set (down-set), is it.
     """
     spec = d.space.specialization_preorder()
     up, down = spec.up, spec.down()
     above = [union_of_rows(up, b) for b in d.blocks]
     below = [union_of_rows(down, b) for b in d.blocks]
-    tau_pi = _quotient_preorder(d, above)
+    meets_up, meets_down = transpose(below, len(up)), transpose(above, len(up))
+    points = [bit_indices(b) for b in d.blocks]
+    rows = [[meets_up[x] for x in p] for p in points]
+    generating = [functools.reduce(operator.or_, r) for r in rows]
+    star_rows = [functools.reduce(operator.and_, r) for r in rows]
+    tau_pi = Preorder(d.labels, _closure(generating))
     tau_down = tau_pi.down()
-    pi_open = all(union_of_rows(tau_pi.up, s) == s for s in map(d.image_mask, up))
-    pi_closed = all(union_of_rows(tau_down, s) == s for s in map(d.image_mask, down))
-    star = Preorder(d.labels, [bitmask(m for m, c in enumerate(below) if b & ~c == 0)
-                               for b in d.blocks])
+    pi_open = all(meets_up[x] == tau_pi.up[m] for m, p in enumerate(points) for x in p)
+    pi_closed = all(meets_down[x] == tau_down[m] for m, p in enumerate(points) for x in p)
+    star = Preorder(d.labels, star_rows)
     return DecompositionReport(
         pi_open=pi_open,
         pi_closed=pi_closed,
@@ -166,12 +161,11 @@ def analyze(d):
         star_preorder=star,
         tau_pi_preorder=tau_pi,
         tamaki_agrees=(star == tau_pi),
-        blocks_locally_closed={
+        blocks_locally_closed={  # a block is the meet of its up-set and down-set
             lab: a & c == b
             for lab, b, a, c in zip(d.labels, d.blocks, above, below)
         },
-        # a block meeting the closure of another lies inside it
-        frontier_condition=all(b & c in (0, b) for b in d.blocks for c in below),
+        frontier_condition=(generating == star_rows),
         quotient_is_poset=tau_pi.is_partial_order(),
     )
 

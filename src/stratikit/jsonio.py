@@ -182,6 +182,9 @@ def load_category(doc, path=""):
     for key, ms in homs_doc.items():
         at = _join(path, f"homs.{key}")
         pair = _parse_hom_key(str(key), path=at)
+        for x in pair:  # the constructor knows the pair, not the key's spelling
+            if x not in objects:
+                raise InputError(f"unknown object {x!r} in hom key", path=at)
         if not isinstance(ms, list):
             raise InputError("hom value must be a list of labels", path=at)
         homs[pair] = [str(m) for m in ms]

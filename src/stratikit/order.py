@@ -45,10 +45,12 @@ def union_of_rows(rows, mask):
     return functools.reduce(operator.or_, map(rows.__getitem__, bit_indices(mask)), 0)
 
 
-def transpose(rows):
-    """Bitset rows of the transposed relation: bit i of row j iff bit j of row i."""
-    n = len(rows)
-    texts = [format(row, f"0{n}b")[::-1] for row in rows]  # character j is bit j
+def transpose(rows, width):
+    """The ``width`` bitset rows of the transposed relation: bit i of row j iff
+    bit j of row i, for rows whose bits lie below ``width``."""
+    if not rows or not width:
+        return [0] * width
+    texts = [format(row, f"0{width}b")[::-1] for row in rows]  # character j is bit j
     return [int("".join(column)[::-1], 2) for column in zip(*texts)]
 
 
@@ -209,7 +211,7 @@ class Preorder:
         Computed on the first call and kept, like ``up``, as a tuple.
         """
         if self._down is None:
-            self._down = tuple(transpose(self.up))
+            self._down = tuple(transpose(self.up, len(self.up)))
         return self._down
 
     def pairs(self):

@@ -2,14 +2,16 @@
 a seeded generator of topologies given by their opens, the hom-set
 preorder found by searching every pair of morphisms, the category law
 check made one ``compose`` call at a time, the chains of a poset found
-by testing every subset of its carrier, and the natural transformations
-out of a representable functor found by trying every candidate family."""
+by testing every subset of its carrier, the natural transformations
+out of a representable functor found by trying every candidate family, and
+the decomposition analysis made block by block and block pair by block pair."""
 
 import itertools
 
 from stratikit.category import YonedaReport
+from stratikit.decomposition import MOORE_CLASS, DecompositionReport
 from stratikit.errors import StructureError
-from stratikit.order import Preorder
+from stratikit.order import Preorder, _closure, bitmask, union_of_rows
 from stratikit.topology import FiniteTopology
 
 
@@ -176,3 +178,45 @@ def yoneda_by_enumeration(cat, functor, anchor):
     return results, YonedaReport(
         object_count=len(objs), transformation_count=len(results),
         target_size=len(target), bijection_holds=bijection, inverse_holds=inverse_ok)
+
+
+def analyze_by_blocks(d):
+    """``decomposition.analyze`` from the rows of each block: images of point
+    up-sets and down-sets one block mask at a time, and the closure-order
+    rows and the frontier condition from every pair of blocks.
+
+    Opens are unions of point up-sets, closed sets unions of point down-sets,
+    and images commute with unions: the projection is open (closed) iff the
+    image of every point up-set (down-set) is a quotient up-set (down-set).
+    A block is locally closed iff it is the meet of its up-set and down-set.
+    In the closure order, lambda <= mu iff the lambda block lies inside the
+    mu block's down-set, its closure; the ``Preorder`` constructor asserts
+    transitivity rather than assuming it.
+    """
+    spec = d.space.specialization_preorder()
+    up, down = spec.up, spec.down()
+    above = [union_of_rows(up, b) for b in d.blocks]
+    below = [union_of_rows(down, b) for b in d.blocks]
+    # the minimal open around block a closes {a} under a -> every block
+    # meeting the up-set of a
+    tau_pi = Preorder(d.labels, _closure([d.image_mask(u) for u in above]))
+    tau_down = tau_pi.down()
+    pi_open = all(union_of_rows(tau_pi.up, s) == s for s in map(d.image_mask, up))
+    pi_closed = all(union_of_rows(tau_down, s) == s for s in map(d.image_mask, down))
+    star = Preorder(d.labels, [bitmask(m for m, c in enumerate(below) if b & ~c == 0)
+                               for b in d.blocks])
+    return DecompositionReport(
+        pi_open=pi_open,
+        pi_closed=pi_closed,
+        moore_class=MOORE_CLASS[(pi_open, pi_closed)],
+        star_preorder=star,
+        tau_pi_preorder=tau_pi,
+        tamaki_agrees=(star == tau_pi),
+        blocks_locally_closed={
+            lab: a & c == b
+            for lab, b, a, c in zip(d.labels, d.blocks, above, below)
+        },
+        # a block meeting the closure of another lies inside it
+        frontier_condition=all(b & c in (0, b) for b in d.blocks for c in below),
+        quotient_is_poset=tau_pi.is_partial_order(),
+    )

@@ -277,6 +277,18 @@ class TestErrorHandling:
         (["homset", "preorder"],
          {"category": {**IDEM, "compose": [["1", "1"]]}, "source": "*", "target": "*"},
          "each composition entry must be [g, f, gf]", "category.compose[0]"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "homs": {"*->*": ["1", "e"], "A->Q": []}},
+          "source": "*", "target": "*"},
+         "unknown object 'A' in hom key", "category.homs.A->Q"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "homs": {"*->*": ["1", "e"], "* -> Q": []}},
+          "source": "*", "target": "*"},
+         "unknown object 'Q' in hom key", "category.homs.* -> Q"),
+        (["homset", "stratify"],
+         {"category": {**IDEM, "compose": [["1", "1", "1"], ["e", "zz", "e"]]},
+          "source": "*", "target": "*"},
+         "unknown morphism 'zz' in composition table", "category.compose[1]"),
         (["homset", "preorder"], {"category": IDEM, "source": "X", "target": "*"},
          "unknown object 'X'", "source"),
         (["homset", "stratify"], {"category": IDEM, "source": "*", "target": "X"},
@@ -296,7 +308,8 @@ class TestErrorHandling:
          "side must be one of ('R', 'L', 'LR'), got 'RL'", "side"),
         (["homset", "functor-check"], {"category": IDEM, "anchor": "*", "side": "LR"},
          "side must be 'R-covariant' or 'L-contravariant'", "side"),
-    ], ids=["hom-key", "hom-value", "compose-row", "preorder-source",
+    ], ids=["hom-key", "hom-value", "compose-row", "hom-key-object",
+            "hom-key-object-as-spelled", "compose-morphism", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
             "preorder-side", "stratify-side", "functor-check-side"])
     def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,

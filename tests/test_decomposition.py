@@ -11,11 +11,12 @@ from stratikit.decomposition import (MOORE_CLASS, Decomposition,
                                      quotient_topology, validate_stratification)
 from stratikit.errors import InputError, StructureError
 from stratikit.jsonio import load_arrangement
-from stratikit.order import Preorder, bit_indices, bitmask, product
+from stratikit.order import Preorder, bit_indices, bitmask, product, transpose
 from stratikit.randomcases import random_decomposition, random_partition
 from stratikit.topology import FiniteTopology, product_topology
 
-from reference import closure_by_opens, locally_closed_by_opens, random_topology
+from reference import (analyze_by_blocks, closure_by_opens, locally_closed_by_opens,
+                       random_topology)
 
 ORACLE_SEED = 20240601
 ORACLE_CASES = 200
@@ -364,6 +365,65 @@ class TestRowsAgainstExplicitOpens:
         with pytest.raises(StructureError, match="moore"):
             rep._replace(pi_closed=not rep.pi_closed)
 
+
+
+def large_decompositions(seed=20241019):
+    """Seeded decompositions of 40 to 300 points, far past the 2^k reach of
+    the explicit-opens reference.  Sparse random posets (arrows only up the
+    index order) and preorders (cycles allowed), of sizes on both sides of
+    byte boundaries, are cut into singletons, one block, a uniform random
+    partition, a few random classes, and runs of consecutive indices, which
+    are convex in the posets.  The nonempty chains of random 8-point posets
+    under inclusion, cut into the fibres of max, are open and not closed;
+    under reverse inclusion they are closed and not open."""
+    rng = random.Random(seed)
+    for n in (40, 63, 64, 65, 127, 128, 129, 200, 255, 256, 257, 300):
+        labels = [f"x{i}" for i in range(n)]
+        for forward in (True, False):
+            p = rng.choice((1.0, 2.5)) / n
+            pairs = [(labels[i], labels[j]) for i in range(n) for j in range(n)
+                     if (i < j if forward else i != j) and rng.random() < p]
+            space = FiniteTopology.from_preorder(Preorder.from_pairs(labels, pairs))
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, 12)))
+            classes = rng.randint(2, 6)
+            partitions = [
+                [[i] for i in range(n)],
+                [list(range(n))],
+                random_partition(rng, n),
+                [[i for i in range(n) if i % classes == c] for c in range(classes)],
+                [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])],
+            ]
+            for blocks in partitions:
+                yield Decomposition(space, [[labels[i] for i in b] for b in blocks])
+    found = 0
+    while found < 4:
+        x = Preorder.from_pairs(range(8), [(i, j) for i in range(8) for j in range(i + 1, 8)
+                                           if rng.random() < 0.3])
+        chains = [c for c in range(1, 1 << 8)
+                  if all(x.up[i] & c | x.down()[i] & c == c for i in bit_indices(c))]
+        if not 40 <= len(chains) <= 300:
+            continue
+        found += 1
+        top = [next(i for i in bit_indices(c) if x.up[i] & c == 1 << i) for c in chains]
+        fibres = [bitmask(k for k, t in enumerate(top) if t == i) for i in range(8)]
+        inclusion = [bitmask(k for k, d in enumerate(chains) if c & ~d == 0) for c in chains]
+        for rows in (inclusion, transpose(inclusion, len(chains))):
+            space = FiniteTopology.from_preorder(Preorder([f"c{c}" for c in chains], rows))
+            yield Decomposition(space, fibres)
+
+
+class TestRowsAgainstBlockPairs:
+    def test_seeded_large_decompositions(self):
+        outcomes = set()
+        for d in large_decompositions():
+            rep = analyze(d)
+            assert rep == analyze_by_blocks(d)
+            outcomes.add((rep.moore_class, rep.frontier_condition,
+                          all(rep.blocks_locally_closed.values())))
+        # the cases reach every class and both answers of each block condition
+        assert {c for c, _, _ in outcomes} == set(MOORE_CLASS.values())
+        assert {f for _, f, _ in outcomes} == {True, False}
+        assert {lc for _, _, lc in outcomes} == {True, False}
 
 
 def test_chains_of_the_three_line_face_poset_over_it():

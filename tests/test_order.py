@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratikit.errors import InputError, StructureError
-from stratikit.order import (MonotoneMap, Poset, Preorder, is_monotone,
+from stratikit.order import (MonotoneMap, Poset, Preorder, bitmask, is_monotone,
                              is_order_isomorphism, order_isomorphism, product,
                              product_label, quotient_poset, transpose)
 from stratikit.randomcases import random_preorder
@@ -171,8 +171,22 @@ class TestDown:
             p = random_preorder(rng, max_size=9)
             down = p.down()
             assert isinstance(down, tuple)
-            assert down == tuple(transpose(p.up))
+            assert down == tuple(transpose(p.up, len(p.up)))
             assert p.down() is down
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("count, width", [
+        (9, 9), (70, 9), (5, 3), (3, 70), (2, 130), (4, 0), (0, 5), (0, 0)])
+    def test_against_bit_by_bit(self, count, width):
+        rng = random.Random(100 * count + width)
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        expected = [bitmask(i for i, row in enumerate(rows) if row >> j & 1)
+                    for j in range(width)]
+        assert transpose(rows, width) == expected
+
+    def test_no_rows_give_width_zero_rows(self):
+        assert transpose([], 5) == [0] * 5
 
 
 class TestPartialOrder:
