@@ -7,15 +7,13 @@ never reads a label, so the two agree only if every label is the sign vector
 of its witness and the poset is built right.  ``order`` is imported only
 where the face poset is built, so face enumeration alone never loads it."""
 
-from __future__ import annotations
-
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
 from .errors import CapExceeded, InputError
-from .feasibility import LinearSystem, integer_row, solve
+from .feasibility import integer_row, solve
 
 MAX_FORMS = 12
 
@@ -30,17 +28,17 @@ class Arrangement:
     """A list of rational affine forms a0 + a1*x1 + ... + an*xn, each cutting
     out a genuine hyperplane.
 
-    Each form is also stored once in ``rows`` as the primitive integer row
+    Each form is stored only in ``rows``, as the primitive integer row
     (a1, ..., an, a0) of the feasibility layer.  The row is a positive multiple
     of the form, so it has the same sign at every point."""
 
     def __init__(self, dim, forms):
         dim = int(dim)
         if dim < 1:
-            raise InputError("dimension must be positive")
+            raise InputError("dimension must be positive", path="dim")
         forms = [tuple(Fraction(c) for c in f) for f in forms]
         if not forms:
-            raise InputError("at least one form required")
+            raise InputError("at least one form required", path="forms")
         for i, f in enumerate(forms):
             if len(f) != dim + 1:
                 raise InputError(
@@ -51,15 +49,14 @@ class Arrangement:
                     f"form {i} has no variable part and cuts out no hyperplane",
                     path=f"forms[{i}]")
         self.dim = dim
-        self.forms = tuple(forms)
-        self.rows = tuple(integer_row(f[1:], f[0], dim, "form") for f in forms)
+        self.rows = tuple(integer_row(f[1:], f[0]) for f in forms)
 
     @property
     def k(self):
-        return len(self.forms)
+        return len(self.rows)
 
     def is_central(self):
-        return all(f[0] == 0 for f in self.forms)
+        return all(row[-1] == 0 for row in self.rows)
 
     def __repr__(self):
         return f"Arrangement(dim={self.dim}, k={self.k})"
@@ -99,50 +96,46 @@ def sign_map(arr, point):
     return tuple(_sign_at(row, scaled) for row in arr.rows)
 
 
-def _constraint(row, s):
-    """(equalities, inequalities) selecting the points where the row has sign
-    s, as rows of ``LinearSystem.extended``."""
-    if s == 0:
-        return [row], ()
-    return (), [(row if s > 0 else tuple(-c for c in row), True)]
-
-
 def enumerate_faces(arr):
     """All realizable sign vectors with rational witnesses, in lexicographic
     order under - < 0 < +.  Infeasible prefixes prune the sign tree.
 
-    Each child of a prefix extends the parent's system by one row, in form
-    order, so it selects exactly the points with the child's signs on those
-    forms.  An interior child whose sign is the sign of its form at the
-    point realizing the parent is feasible, realized by that same point, and
-    is not solved.  Leaves are always solved, so each witness is the
-    solution of the face's full system."""
+    Each child of a prefix extends the parent's row lists by the row of the
+    next form: an equality for sign 0, a strict inequality on the row for +
+    or on its negation for -.  So it selects exactly the points with the
+    child's signs on those forms.  An interior child whose sign is the sign
+    of its form at the point realizing the parent is feasible, realized by
+    that same point, and is not solved.  Leaves are always solved, so each
+    witness is the solution of the face's full system."""
     if arr.k > MAX_FORMS:
         raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {MAX_FORMS}")
-    table = [{s: _constraint(row, s) for s in (-1, 0, 1)} for row in arr.rows]
+    rows = arr.rows
+    negated = [tuple(-c for c in row) for row in rows]
     last = arr.k - 1
     faces = []
 
-    def extend(prefix, system, point):
+    def extend(prefix, eqs, ineqs, point):
         i = len(prefix)
-        at_point = None if point is None else _sign_at(arr.rows[i], point)
-        for s in (-1, 0, 1):
+        at_point = None if point is None else _sign_at(rows[i], point)
+        children = ((eqs, [*ineqs, (negated[i], True)]),
+                    ([*eqs, rows[i]], ineqs),
+                    (eqs, [*ineqs, (rows[i], True)]))
+        for s, child in zip((-1, 0, 1), children):
             candidate = prefix + (s,)
-            child = system.extended(*table[i][s])
             if i < last and s == at_point:
-                extend(candidate, child, point)
+                extend(candidate, *child, point)
                 continue
-            w = solve(child)
+            w = solve(arr.dim, *child)
             if w is None:
                 continue
             if i < last:
-                extend(candidate, child, _scaled(w))
+                extend(candidate, *child, _scaled(w))
                 continue
             if sign_map(arr, w) != candidate:
                 raise AssertionError(f"witness does not reproduce signs {candidate}")
             faces.append(Face(candidate, w))
 
-    extend((), LinearSystem(arr.dim), None)
+    extend((), [], [], None)
     return faces
 
 

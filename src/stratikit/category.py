@@ -5,8 +5,6 @@ functors into stratified spaces, and Yoneda machinery.
 Only ``hom_stratified`` needs ``decomposition`` and ``topology``; it imports
 them when called, so the other hom-set commands never load them."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import CapExceeded, InputError, StructureError
@@ -27,7 +25,7 @@ class FiniteCategory:
     def __init__(self, objects, homs, identities, compose):
         objects = tuple(str(x) for x in objects)
         if len(set(objects)) != len(objects):
-            raise InputError("duplicate object labels")
+            raise InputError("duplicate object labels", path="objects")
         self.objects = objects
         obj_set = set(objects)
 

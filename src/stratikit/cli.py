@@ -4,8 +4,6 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input (the error
 object names the offending schema path) or a usage error (reported on stderr).
 """
 
-from __future__ import annotations
-
 import json
 import sys
 import types

@@ -5,8 +5,6 @@ file says so in its provenance note.  A case recomputes everything from its
 stored inputs and compares against the frozen expectations.
 """
 
-from __future__ import annotations
-
 import json
 from importlib import resources
 

@@ -6,8 +6,6 @@ are the up-sets of its specialization preorder and the closure of a subset is
 the down-set it generates, so the analysis runs on the specialization rows.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator
@@ -24,16 +22,6 @@ class Decomposition:
 
     def __init__(self, space, blocks, labels=None):
         blocks = [space.mask(b) if not isinstance(b, int) else b for b in blocks]
-        if labels is None:
-            labels = [
-                "[%s]" % min(space.carrier[i] for i in bit_indices(b)) if b else "[]"
-                for b in blocks
-            ]
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != len(blocks):
-            raise InputError("one label per block required")
-        if len(set(labels)) != len(labels):
-            raise InputError("duplicate block labels")
         union = 0
         for b in blocks:
             if b == 0:
@@ -44,6 +32,14 @@ class Decomposition:
         if union != space.full_mask:
             missing = space.labels(space.full_mask & ~union)
             raise StructureError(f"blocks do not cover the carrier; missing {missing}")
+        if labels is None:
+            labels = ["[%s]" % min(space.carrier[i] for i in bit_indices(b))
+                      for b in blocks]
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != len(blocks):
+            raise InputError("one label per block required")
+        if len(set(labels)) != len(labels):
+            raise InputError("duplicate block labels")
         self.space = space
         self.blocks = tuple(blocks)
         self.labels = labels

@@ -1,7 +1,5 @@
 """DOT export of order diagrams: an arrow a -> b means a <= b."""
 
-from __future__ import annotations
-
 
 def _quote(label):
     return '"' + str(label).replace('"', '\\"') + '"'

@@ -1,24 +1,23 @@
 """Exact feasibility of mixed strict/weak rational linear systems.
 
-Every row is stored once as a primitive integer vector: a positive rescaling
-of the given rational row, so it describes the same half-space (or
-hyperplane).  Equalities are removed first by pivoting; the remaining
-inequalities go through Fourier-Motzkin elimination, where a derived row is
-strict iff any parent row is strict.  Both steps combine two rows with
-positive integer multipliers, so elimination never leaves the integers.
-Witness points are rebuilt by exact back-substitution, taking interval
-midpoints (or bound +/- 1 on unbounded sides).  Bounds are computed and
-compared in integers over the common denominator of the point so far, and
-only the value chosen for each variable becomes a Fraction.
+``solve`` takes every row as an integer vector; ``integer_row`` turns a
+rational row into the primitive integer one, a positive rescaling that
+describes the same half-space (or hyperplane).  Equalities are removed first
+by pivoting; the remaining inequalities go through Fourier-Motzkin
+elimination, where a derived row is strict iff any parent row is strict.
+Both steps combine two rows with positive integer multipliers, so
+elimination never leaves the integers.  Witness points are rebuilt by exact
+back-substitution, taking interval midpoints (or bound +/- 1 on unbounded
+sides).  Bounds are computed and compared in integers over the common
+denominator of the point so far, and only the value chosen for each
+variable becomes a Fraction.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded
 
 # Most rows one elimination step may derive (len(lowers) * len(uppers)).
 # Without redundancy pruning, FM roughly squares the row count per step, so
@@ -36,45 +35,12 @@ def _primitive(row):
     return tuple(v // g for v in row) if g > 1 else row
 
 
-def integer_row(coeffs, const, nvars, what):
-    """The primitive integer row proportional (by a positive factor) to the
-    rational row (coeffs, const)."""
+def integer_row(coeffs, const):
+    """The primitive integer row (c1, ..., cn, const) proportional, by a
+    positive factor, to the rational row (coeffs, const)."""
     values = (*coeffs, const)
-    if len(values) != nvars + 1:
-        raise InputError(f"{what} coefficient length mismatch")
-    try:
-        denom = lcm(*(v.denominator for v in values))
-        return _primitive(tuple(v.numerator * (denom // v.denominator)
-                                for v in values))
-    except AttributeError:
-        raise InputError(f"{what} coefficients must be rational") from None
-
-
-class LinearSystem:
-    def __init__(self, nvars, equalities=(), inequalities=()):
-        self.nvars = int(nvars)
-        n = self.nvars
-        self._eqs = [integer_row(co, k, n, "equality") for co, k in equalities]
-        self._ineqs = [(integer_row(co, k, n, "inequality"), bool(s))
-                       for co, k, s in inequalities]
-
-    @property
-    def equalities(self):
-        """Rows as (coeffs, const) integer tuples."""
-        return [(row[:-1], row[-1]) for row in self._eqs]
-
-    @property
-    def inequalities(self):
-        """Rows as (coeffs, const, strict), coefficients integer tuples."""
-        return [(row[:-1], row[-1], s) for row, s in self._ineqs]
-
-    def extended(self, equalities=(), inequalities=()):
-        """This system plus more rows, appended as given: each a primitive
-        integer row (a1, ..., an, a0), an inequality as (row, strict)."""
-        out = LinearSystem(self.nvars)
-        out._eqs = [*self._eqs, *equalities]
-        out._ineqs = [*self._ineqs, *inequalities]
-        return out
+    denom = lcm(*(v.denominator for v in values))
+    return _primitive(tuple(v.numerator * (denom // v.denominator) for v in values))
 
 
 def _tidy(rows):
@@ -92,18 +58,19 @@ def _tidy(rows):
     return list(seen.items())
 
 
-def solve(system):
-    """A rational witness satisfying every constraint, or None if infeasible.
+def solve(n, equalities, inequalities):
+    """A rational witness in n variables satisfying every row, or None if
+    infeasible.  Each equality is an integer row, each inequality a pair
+    (row, strict).
 
     Raises CapExceeded when one elimination step would derive more than
     MAX_FM_ROWS rows."""
-    n = system.nvars
 
     # Stage 1: pivot away the equalities.  Eliminating x_var with the pivot
     # row eq (coefficient c) maps a row with coefficient w to
     # |c| * row - sign(c) * w * eq.
-    ineqs = list(system._ineqs)
-    pending = list(system._eqs)
+    ineqs = list(inequalities)
+    pending = list(equalities)
     pivots = []  # (var, eq): x_var = -(eq without x_var) / eq[var]
     pivoted = set()
     while pending:

@@ -5,8 +5,6 @@ come from exact column reduction of sparse boundary columns over Q;
 ``fractions`` is imported only when a rank is taken.
 """
 
-from __future__ import annotations
-
 from .errors import CapExceeded, InputError, StructureError
 from .order import bit_indices
 

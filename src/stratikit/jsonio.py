@@ -6,8 +6,6 @@ lowest-terms string form with the sign on the numerator.  ``fractions`` (and
 document without rationals never loads it.
 """
 
-from __future__ import annotations
-
 from json.encoder import encode_basestring as _quote
 
 from . import arrangement, category, decomposition, order, topology
@@ -39,15 +37,17 @@ def _join(path, key):
 
 
 def expect(doc, key, kind, path):
-    """``doc[key]``, checked to be an instance of ``kind`` unless that is None;
-    a non-object ``doc``, a missing key or a wrong type is refused with the
-    key's schema path under ``path``."""
+    """``doc[key]``, checked to be an instance of ``kind`` unless that is None
+    (a JSON ``true`` or ``false`` is not an ``int``); a non-object ``doc``, a
+    missing key or a wrong type is refused with the key's schema path under
+    ``path``."""
     if not isinstance(doc, dict):
         raise InputError(f"expected object, got {type(doc).__name__}", path=path)
     if key not in doc:
         raise InputError(f"missing key {key!r}", path=_join(path, key))
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise InputError(
             f"key {key!r} should be {kind.__name__}, got {type(value).__name__}",
             path=_join(path, key))
@@ -56,7 +56,8 @@ def expect(doc, key, kind, path):
 
 def _within(path, build, *args):
     """``build(*args)``; an ``InputError`` whose path is relative to the built
-    value (a form, an identity, a functor key) gets ``path`` in front."""
+    value (a carrier, a form, an identity, a functor key) gets ``path`` in
+    front."""
     try:
         return build(*args)
     except InputError as exc:
@@ -111,8 +112,8 @@ def load_subset(doc, carrier, path=""):
 
 def load_preorder(doc, path=""):
     carrier = [str(x) for x in expect(doc, "carrier", list, path)]
-    return order.Preorder.from_pairs(carrier,
-                                     _label_pairs(doc, "pairs", carrier, path))
+    return _within(path, order.Preorder.from_pairs, carrier,
+                   _label_pairs(doc, "pairs", carrier, path))
 
 
 def dump_preorder(p):
@@ -122,12 +123,12 @@ def dump_preorder(p):
 def load_topology(doc, path=""):
     carrier = [str(x) for x in expect(doc, "carrier", list, path)]
     if "opens" in doc:
-        return topology.FiniteTopology.from_open_sets(
-            carrier, _label_lists(doc, "opens", carrier, path))
+        return _within(path, topology.FiniteTopology.from_open_sets,
+                       carrier, _label_lists(doc, "opens", carrier, path))
     if "preorder_pairs" in doc:
         pairs = _label_pairs(doc, "preorder_pairs", carrier, path)
         return topology.FiniteTopology.from_preorder(
-            order.Preorder.from_pairs(carrier, pairs))
+            _within(path, order.Preorder.from_pairs, carrier, pairs))
     raise InputError("topology needs either 'opens' or 'preorder_pairs'",
                      path=path or "opens")
 
@@ -143,7 +144,13 @@ def load_decomposition(doc, path=""):
     labels = None
     if doc.get("labels") is not None:
         labels = [str(x) for x in expect(doc, "labels", list, path)]
-    return decomposition.Decomposition(space, blocks, labels)
+    try:
+        return decomposition.Decomposition(space, blocks, labels)
+    except InputError as exc:
+        # the blocks were checked above, so the refusal is of the labels.  The
+        # path is set here: a product builds labels that no document holds.
+        exc.path = _join(path, "labels")
+        raise
 
 
 def dump_decomposition(d):

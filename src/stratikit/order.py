@@ -4,8 +4,6 @@ A relation is a tuple of int bitset rows, one per carrier element, the same
 bitmask form the topology layer uses for subsets.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
@@ -166,7 +164,7 @@ class Preorder:
         """Smallest reflexive-transitive relation on ``labels`` containing ``pairs``."""
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
-            raise InputError("duplicate labels")
+            raise InputError("duplicate labels", path="carrier")
         if len(labels) > MAX_CARRIER:
             # refuse before the closure, not after
             raise CapExceeded(

@@ -6,8 +6,6 @@ empty blocks dropped.  Everything is driven by an explicit random.Random so a
 seed pins the whole suite.
 """
 
-from __future__ import annotations
-
 from .decomposition import Decomposition
 from .order import Preorder
 from .topology import FiniteTopology

@@ -8,8 +8,6 @@ family is kept in a canonical order (cardinality, then index-lexicographic)
 so that two topologies are equal exactly when their serialized forms are.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import CapExceeded, InputError, StructureError
@@ -59,7 +57,7 @@ class FiniteTopology:
         """Validate an explicit family of open masks as a topology."""
         carrier = tuple(carrier)
         if len(set(carrier)) != len(carrier):
-            raise InputError("duplicate labels in carrier")
+            raise InputError("duplicate labels in carrier", path="carrier")
         n = len(carrier)
         if n > MAX_CARRIER:
             raise CapExceeded(f"carrier has {n} elements, cap is {MAX_CARRIER}")

@@ -3,14 +3,16 @@ a seeded generator of topologies given by their opens, the hom-set
 preorder found by searching every pair of morphisms, the category law
 check made one ``compose`` call at a time, the chains of a poset found
 by testing every subset of its carrier, the natural transformations
-out of a representable functor found by trying every candidate family, and
-the decomposition analysis made block by block and block pair by block pair."""
+out of a representable functor found by trying every candidate family, the
+decomposition analysis made block by block and block pair by block pair, and
+linear systems written as rational rows, converted row by row."""
 
 import itertools
 
 from stratikit.category import YonedaReport
 from stratikit.decomposition import MOORE_CLASS, DecompositionReport
 from stratikit.errors import StructureError
+from stratikit.feasibility import integer_row
 from stratikit.order import Preorder, _closure, bitmask, union_of_rows
 from stratikit.topology import FiniteTopology
 
@@ -220,3 +222,12 @@ def analyze_by_blocks(d):
         frontier_condition=all(b & c in (0, b) for b in d.blocks for c in below),
         quotient_is_poset=tau_pi.is_partial_order(),
     )
+
+
+def rational_system(nvars, equalities=(), inequalities=()):
+    """The arguments of ``feasibility.solve`` for rational rows: each
+    equality (coeffs, const) and inequality (coeffs, const, strict) becomes
+    its primitive integer row."""
+    return (nvars, [integer_row(coeffs, const) for coeffs, const in equalities],
+            [(integer_row(coeffs, const), strict)
+             for coeffs, const, strict in inequalities])

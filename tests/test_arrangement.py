@@ -6,26 +6,32 @@ from fractions import Fraction
 import pytest
 
 from stratikit import arrangement, cli, feasibility
-from stratikit.arrangement import (Arrangement, Face, _constraint, closure_inclusion,
-                                   closure_rows, enumerate_faces, face_poset, sign_map)
+from stratikit.arrangement import (Arrangement, Face, closure_inclusion, closure_rows,
+                                   enumerate_faces, face_poset, sign_map)
 from stratikit.errors import CapExceeded, InputError
-from stratikit.feasibility import LinearSystem, solve
+from stratikit.feasibility import solve
 from stratikit.order import (Preorder, bit_indices, is_order_isomorphism,
                              order_isomorphism, product, product_label)
 
+from reference import rational_system
+
 
 def feasible(system):
-    return solve(system) is not None
+    return solve(*system) is not None
 
 
-def _system(arr, signs):
-    """Constraint system selecting the points with the given (partial) signs."""
+def _system(dim, forms, signs):
+    """Constraint system selecting the points with the given (partial) signs
+    on the leading forms: the form = 0 where the sign is 0, sign * form > 0
+    elsewhere."""
     eqs, ineqs = [], []
-    for row, s in zip(arr.rows, signs):
-        e, q = _constraint(row, s)
-        eqs += e
-        ineqs += q
-    return LinearSystem(arr.dim).extended(eqs, ineqs)
+    for form, s in zip(forms, signs):
+        coeffs, const = form[1:], form[0]
+        if s == 0:
+            eqs.append((coeffs, const))
+        else:
+            ineqs.append((tuple(s * c for c in coeffs), s * const, True))
+    return rational_system(dim, eqs, ineqs)
 
 
 def line_origin():
@@ -163,11 +169,11 @@ class TestEnumerateFaces:
             enumerate_faces(arr)
 
 
-def onedim_faces_oracle(arr):
+def onedim_faces_oracle(arr, forms):
     """Complete independent enumeration in dimension 1: the sign vector is
     constant between consecutive roots, so roots, midpoints, and outer points
     realize every face exactly once."""
-    roots = sorted({-f[0] / f[1] for f in arr.forms})
+    roots = sorted({-f[0] / f[1] for f in forms})
     candidates = list(roots)
     candidates += [(a + b) / 2 for a, b in zip(roots, roots[1:])]
     candidates += [roots[0] - 1, roots[-1] + 1]
@@ -183,7 +189,7 @@ class TestOneDimOracle:
                  for _ in range(k)]
         arr = Arrangement(1, forms)
         enumerated = {f.signs for f in enumerate_faces(arr)}
-        assert enumerated == onedim_faces_oracle(arr)
+        assert enumerated == onedim_faces_oracle(arr, forms)
 
 
 class TestFacePoset:
@@ -269,29 +275,22 @@ class TestClosureInclusion:
                 assert poset.leq(a.label, b.label) == closure_inclusion(arr, a, b)
 
 
-def early_exit_closure_oracle(arr, f, g):
+def early_exit_closure_oracle(dim, forms, f, g):
     """Pairwise reference: f lies in the closure of g iff no point of f
     violates a weak constraint of g.  Builds its systems from the forms and
     stops at the first feasible violation."""
-    eqs, ineqs = [], []
-    for form, s in zip(arr.forms, f.signs):
-        coeffs, const = form[1:], form[0]
-        if s == 0:
-            eqs.append((coeffs, const))
-        else:
-            ineqs.append((tuple(s * c for c in coeffs), s * const, True))
-    for form, s in zip(arr.forms, g.signs):
-        coeffs, const = form[1:], form[0]
+    _, eqs, ineqs = _system(dim, forms, f.signs)
+    for form, s in zip(forms, g.signs):
         for side in (-1, 1):
             if side == s:  # the closure of g keeps the side g lies on
                 continue
-            violation = (tuple(side * c for c in coeffs), side * const, True)
-            if feasible(LinearSystem(arr.dim, eqs, ineqs + [violation])):
+            _, _, violation = _system(dim, [form], (side,))
+            if feasible((dim, eqs, ineqs + violation)):
                 return False
     return True
 
 
-def random_arrangement(rng, dim, k):
+def random_forms(rng, dim, k):
     forms = []
     for _ in range(k):
         form = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
@@ -299,7 +298,7 @@ def random_arrangement(rng, dim, k):
         if not any(form[1:]):
             form[1 + rng.randrange(dim)] = Fraction(rng.choice([-1, 1]))
         forms.append(form)
-    return Arrangement(dim, forms)
+    return forms
 
 
 RANDOM_SHAPES = [(2, k) for k in range(2, 7)] + [(3, k) for k in range(2, 5)]
@@ -309,8 +308,9 @@ class TestClosureTableDifferential:
     @pytest.mark.parametrize("dim,k", RANDOM_SHAPES)
     def test_mask_test_matches_early_exit_oracle(self, dim, k):
         rng = random.Random(1000 * dim + k)
-        arr = random_arrangement(rng, dim, k)
-        assert any(c.denominator > 1 for form in arr.forms for c in form)
+        forms = random_forms(rng, dim, k)
+        arr = Arrangement(dim, forms)
+        assert any(c.denominator > 1 for form in forms for c in form)
         faces = enumerate_faces(arr)
         poset = face_poset(arr, faces)
         pairs = [(a, b) for a in faces for b in faces]
@@ -320,7 +320,7 @@ class TestClosureTableDifferential:
         rows = closure_rows(arr, faces)
         index = {f.signs: i for i, f in enumerate(faces)}
         for a, b in sample:
-            expected = early_exit_closure_oracle(arr, a, b)
+            expected = early_exit_closure_oracle(dim, forms, a, b)
             assert closure_inclusion(arr, a, b) == expected
             assert bool(rows[index[a.signs]] >> index[b.signs] & 1) == expected
             assert poset.leq(a.label, b.label) == expected
@@ -328,29 +328,29 @@ class TestClosureTableDifferential:
     @pytest.mark.parametrize("dim,k", [(2, 6), (3, 4)])
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     def test_cli_check_ob_has_no_disagreements(self, dim, k, dual, tmp_path, capsys):
-        arr = random_arrangement(random.Random(1000 * dim + k), dim, k)
+        forms = random_forms(random.Random(1000 * dim + k), dim, k)
         path = tmp_path / "arr.json"
         path.write_text(json.dumps({
-            "dim": dim, "forms": [[str(c) for c in form] for form in arr.forms]}))
+            "dim": dim, "forms": [[str(c) for c in form] for form in forms]}))
         argv = ["arrangement", "check-ob", "--input", str(path)]
         assert cli.main(argv + ["--dual"] if dual else argv) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["disagreements"] == []
-        assert results["pairs_checked"] == len(enumerate_faces(arr)) ** 2
+        assert results["pairs_checked"] == len(enumerate_faces(Arrangement(dim, forms))) ** 2
 
 
-def reference_faces(arr):
-    """Face enumeration that rebuilds every prefix with _system and solves it,
-    with no carried systems and no skipped solves."""
+def reference_faces(dim, forms):
+    """Face enumeration that rebuilds every prefix with _system from the forms
+    and solves it, with no carried rows and no skipped solves."""
     faces = []
 
     def walk(prefix):
         for s in (-1, 0, 1):
             candidate = prefix + (s,)
-            w = solve(_system(arr, candidate))
+            w = solve(*_system(dim, forms, candidate))
             if w is None:
                 continue
-            if len(candidate) == arr.k:
+            if len(candidate) == len(forms):
                 faces.append(Face(candidate, w))
             else:
                 walk(candidate)
@@ -359,28 +359,28 @@ def reference_faces(arr):
     return faces
 
 
-def parallel_arrangement(rng, dim, k):
+def parallel_forms(rng, dim, k):
     """Random forms, then a rescaled parallel copy of the first one."""
-    arr = random_arrangement(rng, dim, k - 1)
-    first = arr.forms[0]
+    forms = random_forms(rng, dim, k - 1)
+    first = forms[0]
     shift = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
     copy = [first[0] * Fraction(-2, 3) + shift] + [c * Fraction(-2, 3) for c in first[1:]]
-    return Arrangement(dim, list(arr.forms) + [copy])
+    return forms + [copy]
 
 
-def concurrent_arrangement(rng, dim, k):
+def concurrent_forms(rng, dim, k):
     """k random forms through one common rational point."""
     point = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(dim)]
     forms = []
-    for form in random_arrangement(rng, dim, k).forms:
+    for form in random_forms(rng, dim, k):
         coeffs = list(form[1:])
         forms.append([-sum(c * x for c, x in zip(coeffs, point))] + coeffs)
-    return Arrangement(dim, forms)
+    return forms
 
 
 DIFFERENTIAL_SHAPES = [(1, 5), (2, 5), (2, 7), (3, 4), (3, 5), (4, 4), (4, 5)]
-BUILDERS = {"random": random_arrangement, "parallel": parallel_arrangement,
-            "concurrent": concurrent_arrangement}
+BUILDERS = {"random": random_forms, "parallel": parallel_forms,
+            "concurrent": concurrent_forms}
 
 
 class TestIncrementalEnumeration:
@@ -388,27 +388,28 @@ class TestIncrementalEnumeration:
     @pytest.mark.parametrize("dim,k", DIFFERENTIAL_SHAPES)
     def test_matches_rebuild_every_prefix_reference(self, dim, k, kind):
         rng = random.Random(f"{kind}/{dim}/{k}")
-        arr = BUILDERS[kind](rng, dim, k)
+        forms = BUILDERS[kind](rng, dim, k)
         # a positive rescaling keeps the hyperplane and makes coefficients
         # non-integer (every nonzero one is at most 4 in absolute value)
-        arr = Arrangement(dim, [[c / 7 for c in arr.forms[0]], *arr.forms[1:]])
-        got = enumerate_faces(arr)
-        expected = reference_faces(arr)
+        forms = [[c / 7 for c in forms[0]], *forms[1:]]
+        got = enumerate_faces(Arrangement(dim, forms))
+        expected = reference_faces(dim, forms)
         assert got == expected
         assert all(type(c) is Fraction for face in got for c in face.witness)
 
     def test_concurrent_forms_meet_in_one_vertex(self):
-        arr = concurrent_arrangement(random.Random(7), 3, 5)
+        arr = Arrangement(3, concurrent_forms(random.Random(7), 3, 5))
         vertices = [f for f in enumerate_faces(arr) if not any(f.signs)]
         assert len(vertices) == 1
 
     def test_parallel_forms_never_vanish_together(self):
-        arr = parallel_arrangement(random.Random(8), 2, 4)
+        arr = Arrangement(2, parallel_forms(random.Random(8), 2, 4))
         assert all(f.signs[0] or f.signs[-1] for f in enumerate_faces(arr))
 
     def test_rows_are_positive_multiples_of_the_forms(self):
-        arr = random_arrangement(random.Random(9), 3, 6)
-        for form, row in zip(arr.forms, arr.rows):
+        forms = random_forms(random.Random(9), 3, 6)
+        arr = Arrangement(3, forms)
+        for form, row in zip(forms, arr.rows):
             assert all(type(v) is int for v in row)
             nonzero = [(r, c) for r, c in zip(row, (*form[1:], form[0])) if c]
             ratio = nonzero[0][0] / nonzero[0][1]
@@ -416,38 +417,40 @@ class TestIncrementalEnumeration:
             assert all(r == ratio * c for r, c in zip(row, (*form[1:], form[0])))
 
 
-def solved_prefixes(monkeypatch, arr):
-    """Enumerate the faces of arr and return each solved prefix in call order
-    with the solver's answer.  Prefixes are recovered from their systems."""
+def solved_prefixes(monkeypatch, forms):
+    """Enumerate the faces of the arrangement of forms in the plane and
+    return each solved prefix in call order with the solver's answer.
+    Prefixes are recovered from their rows."""
     prefixes = {}
-    for depth in range(1, arr.k + 1):
+    for depth in range(1, len(forms) + 1):
         for signs in itertools.product((-1, 0, 1), repeat=depth):
-            system = _system(arr, signs)
-            prefixes[(tuple(system.equalities), tuple(system.inequalities))] = signs
-    assert len(prefixes) == sum(3 ** d for d in range(1, arr.k + 1))
+            _, eqs, ineqs = _system(2, forms, signs)
+            prefixes[(tuple(eqs), tuple(ineqs))] = signs
+    assert len(prefixes) == sum(3 ** d for d in range(1, len(forms) + 1))
     calls = []
 
-    def counting_solve(system):
-        w = solve(system)
-        calls.append((prefixes[(tuple(system.equalities), tuple(system.inequalities))], w))
+    def counting_solve(n, eqs, ineqs):
+        w = solve(n, eqs, ineqs)
+        calls.append((prefixes[(tuple(eqs), tuple(ineqs))], w))
         return w
 
     monkeypatch.setattr(arrangement, "solve", counting_solve)
-    faces = enumerate_faces(arr)
+    faces = enumerate_faces(Arrangement(2, forms))
     return faces, calls
 
 
 class TestSolveSkip:
-    ARR = Arrangement(2, [(0, 1, 0), (-1, 1, 1), (Fraction(1, 2), -1, 2),
-                          (2, 0, 1), (Fraction(-1, 3), 1, -1)])
+    FORMS = [(0, 1, 0), (-1, 1, 1), (Fraction(1, 2), -1, 2), (2, 0, 1),
+             (Fraction(-1, 3), 1, -1)]
+    ARR = Arrangement(2, FORMS)
 
     def test_no_interior_prefix_realized_by_its_parent_point_is_solved(
             self, monkeypatch):
         arr = self.ARR
-        faces, calls = solved_prefixes(monkeypatch, arr)
+        faces, calls = solved_prefixes(monkeypatch, self.FORMS)
         solved = dict(calls)
         assert len(solved) == len(calls)  # no prefix is solved twice
-        assert faces == reference_faces(arr)
+        assert faces == reference_faces(2, self.FORMS)
         # The realizing point of every feasible prefix: its own witness when
         # solved, otherwise the point of its parent.
         point = {(): None}
@@ -472,7 +475,7 @@ class TestSolveSkip:
 
     def test_skips_cut_the_solve_count(self, monkeypatch):
         arr = self.ARR
-        faces, calls = solved_prefixes(monkeypatch, arr)
+        faces, calls = solved_prefixes(monkeypatch, self.FORMS)
         # the reference solves the three children of the root and of every
         # feasible interior prefix
         interior = {f.signs[:d] for f in faces for d in range(1, arr.k)}
@@ -491,7 +494,8 @@ class TestBitsetFacePoset:
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @pytest.mark.parametrize("dim,k", [(1, 4), (2, 6), (3, 5), (4, 4)])
     def test_rows_match_pairwise_reference(self, dim, k, kind):
-        arr = BUILDERS[kind](random.Random(f"poset/{kind}/{dim}/{k}"), dim, k)
+        forms = BUILDERS[kind](random.Random(f"poset/{kind}/{dim}/{k}"), dim, k)
+        arr = Arrangement(dim, forms)
         faces = enumerate_faces(arr)
         poset = face_poset(arr, faces)
         assert list(poset.up) == pairwise_sign_order(faces)
@@ -541,11 +545,12 @@ class TestWitnessOracle:
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @pytest.mark.parametrize("dim,k", [(1, 5), (2, 6), (3, 4)])
     def test_returns_with_a_solver_that_raises(self, dim, k, kind, monkeypatch):
-        arr = BUILDERS[kind](random.Random(f"nosolve/{kind}/{dim}/{k}"), dim, k)
+        forms = BUILDERS[kind](random.Random(f"nosolve/{kind}/{dim}/{k}"), dim, k)
+        arr = Arrangement(dim, forms)
         faces = enumerate_faces(arr)
         expected = pairwise_sign_order(faces)
 
-        def refuse(system):
+        def refuse(n, eqs, ineqs):
             raise AssertionError("the closure oracle solved a system")
 
         monkeypatch.setattr(feasibility, "solve", refuse)
@@ -558,7 +563,7 @@ class TestWitnessOracle:
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_rows_ignore_permuted_labels(self, kind):
         rng = random.Random(f"relabel/{kind}")
-        arr = BUILDERS[kind](rng, 2, 5)
+        arr = Arrangement(2, BUILDERS[kind](rng, 2, 5))
         faces = enumerate_faces(arr)
         labels = [f.signs for f in faces]
         rng.shuffle(labels)

@@ -258,9 +258,51 @@ class TestErrorHandling:
          "missing key 'category'", "category"),
         (["homset", "yoneda"], {"category": IDEM, "anchor": "*"},
          "missing key 'functor'", "functor"),
+        (["topology", "check"], {"carrier": ["a", "a"], "opens": [[], ["a"]]},
+         "duplicate labels in carrier", "carrier"),
+        (["topology", "from-preorder"], {"carrier": ["a", "b", "a"], "pairs": []},
+         "duplicate labels", "carrier"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "a"], "preorder_pairs": []}, "blocks": [["a"]]},
+         "duplicate labels", "space.carrier"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "a"], "opens": [[], ["a"]]}, "blocks": [["a"]]},
+         "duplicate labels in carrier", "space.carrier"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "preorder_pairs": []},
+          "blocks": [["a"], ["b"]], "labels": ["x", "x"]},
+         "duplicate block labels", "labels"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "preorder_pairs": []},
+          "blocks": [["a"], ["b"]], "labels": ["x"]},
+         "one label per block required", "labels"),
+        (["decomp", "product"],
+         {"factors": [{"space": {"carrier": ["a"], "preorder_pairs": []},
+                       "blocks": [["a"]], "labels": []}]},
+         "one label per block required", "factors[0].labels"),
+        (["decomp", "product"],
+         {"factors": [{"space": {"carrier": ["p", "q"], "preorder_pairs": []},
+                       "blocks": [["p"], ["q"]], "labels": ["a,b", "a"]},
+                      {"space": {"carrier": ["r", "s"], "preorder_pairs": []},
+                       "blocks": [["r"], ["s"]], "labels": ["c", "b,c"]}]},
+         "duplicate block labels", ""),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "preorder_pairs": []},
+          "blocks": [["a"], ["a", "b"]]},
+         "blocks are not pairwise disjoint", ""),
+        (["arrangement", "faces"], {"dim": 0, "forms": [[0]]},
+         "dimension must be positive", "dim"),
+        (["arrangement", "faces"], {"dim": True, "forms": [[0, 1]]},
+         "key 'dim' should be int, got bool", "dim"),
+        (["arrangement", "faces"], {"dim": 1, "forms": []},
+         "at least one form required", "forms"),
     ], ids=["closure-space", "closure-space-label", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
-            "preorder-category", "yoneda-functor"])
+            "preorder-category", "yoneda-functor", "duplicate-carrier-opens",
+            "duplicate-carrier-pairs", "nested-duplicate-carrier-pairs",
+            "nested-duplicate-carrier-opens", "duplicate-block-labels",
+            "block-label-count", "factor-label-count", "product-label-collision",
+            "overlapping-blocks", "dim-not-positive", "dim-boolean", "no-forms"])
     def test_missing_or_nested_command_input_names_its_path(
             self, tmp_path, capsys, argv, doc, message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
@@ -308,10 +350,14 @@ class TestErrorHandling:
          "side must be one of ('R', 'L', 'LR'), got 'RL'", "side"),
         (["homset", "functor-check"], {"category": IDEM, "anchor": "*", "side": "LR"},
          "side must be 'R-covariant' or 'L-contravariant'", "side"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "objects": ["*", "*"]}, "source": "*", "target": "*"},
+         "duplicate object labels", "category.objects"),
     ], ids=["hom-key", "hom-value", "compose-row", "hom-key-object",
             "hom-key-object-as-spelled", "compose-morphism", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
-            "preorder-side", "stratify-side", "functor-check-side"])
+            "preorder-side", "stratify-side", "functor-check-side",
+            "duplicate-objects"])
     def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,
                                              message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])

@@ -45,6 +45,11 @@ class TestDecompositionType:
         with pytest.raises(StructureError, match="disjoint"):
             Decomposition(chain_space(chain3), [["0", "1"], ["1", "2"]])
 
+    def test_overlap_is_refused_before_default_labels_are_compared(self, chain3):
+        # both blocks would be named [0]
+        with pytest.raises(StructureError, match="disjoint"):
+            Decomposition(chain_space(chain3), [["0"], ["0", "1", "2"]])
+
     def test_empty_block_rejected(self, chain3):
         with pytest.raises(StructureError, match="empty"):
             Decomposition(chain_space(chain3), [["0", "1", "2"], []])

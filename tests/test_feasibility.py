@@ -7,23 +7,21 @@ import pytest
 
 from stratikit import feasibility
 from stratikit.errors import CapExceeded
-from stratikit.feasibility import LinearSystem, solve
+from stratikit.feasibility import integer_row, solve
+
+from reference import rational_system
 
 
 def feasible(system):
-    return solve(system) is not None
+    return solve(*system) is not None
 
 
 def F(x):
     return Fraction(x)
 
 
-def satisfies(system, point):
-    """Direct constraint evaluation, the ground truth for any witness."""
-    return satisfies_rows(system.equalities, system.inequalities, point)
-
-
 def satisfies_rows(equalities, inequalities, point):
+    """Direct evaluation of the rational rows, the ground truth for any witness."""
     for coeffs, const, strict in inequalities:
         value = const + sum(c * x for c, x in zip(coeffs, point))
         if strict and not value > 0:
@@ -38,77 +36,66 @@ def satisfies_rows(equalities, inequalities, point):
 
 class TestKnownSystems:
     def test_contradictory_strict_pair(self):
-        sys_ = LinearSystem(1, inequalities=[((1,), 0, True), ((-1,), 0, True)])
-        assert solve(sys_) is None
+        sys_ = rational_system(1, inequalities=[((1,), 0, True), ((-1,), 0, True)])
+        assert solve(*sys_) is None
 
     def test_weak_pair_pins_zero(self):
-        sys_ = LinearSystem(1, inequalities=[((1,), 0, False), ((-1,), 0, False)])
-        assert solve(sys_) == (0,)
+        sys_ = rational_system(1, inequalities=[((1,), 0, False), ((-1,), 0, False)])
+        assert solve(*sys_) == (0,)
 
     def test_open_interval_midpoint(self):
         # 1 < x < 2
-        sys_ = LinearSystem(1, inequalities=[((1,), -1, True), ((-1,), 2, True)])
-        assert solve(sys_) == (F("3/2"),)
+        sys_ = rational_system(1, inequalities=[((1,), -1, True), ((-1,), 2, True)])
+        assert solve(*sys_) == (F("3/2"),)
 
     def test_unbounded_above_steps_out(self):
-        sys_ = LinearSystem(1, inequalities=[((1,), -5, True)])
-        assert solve(sys_) == (6,)
+        sys_ = rational_system(1, inequalities=[((1,), -5, True)])
+        assert solve(*sys_) == (6,)
 
     def test_unbounded_below(self):
-        sys_ = LinearSystem(1, inequalities=[((-1,), -5, True)])
-        assert solve(sys_) == (-6,)
+        sys_ = rational_system(1, inequalities=[((-1,), -5, True)])
+        assert solve(*sys_) == (-6,)
 
     def test_no_constraints_gives_origin(self):
-        assert solve(LinearSystem(3)) == (0, 0, 0)
+        assert solve(3, [], []) == (0, 0, 0)
 
     def test_equality_chain_back_substitutes(self):
         # x + y = 0, y + z = 0, z = 7  ->  (7, -7, 7)
-        sys_ = LinearSystem(3, equalities=[
+        sys_ = rational_system(3, equalities=[
             ((1, 1, 0), 0), ((0, 1, 1), 0), ((0, 0, 1), -7)])
-        assert solve(sys_) == (7, -7, 7)
+        assert solve(*sys_) == (7, -7, 7)
 
     def test_inconsistent_equalities(self):
-        sys_ = LinearSystem(1, equalities=[((1,), 0), ((1,), -1)])
-        assert solve(sys_) is None
+        sys_ = rational_system(1, equalities=[((1,), 0), ((1,), -1)])
+        assert solve(*sys_) is None
 
     def test_degenerate_equality_rows(self):
-        assert feasible(LinearSystem(1, equalities=[((0,), 0)]))
-        assert not feasible(LinearSystem(1, equalities=[((0,), 1)]))
+        assert feasible(rational_system(1, equalities=[((0,), 0)]))
+        assert not feasible(rational_system(1, equalities=[((0,), 1)]))
 
     def test_strictness_propagates_through_elimination(self):
         # x > 0 and x + y <= 0 force y < 0, so y >= 0 must fail
-        sys_ = LinearSystem(2, inequalities=[
+        sys_ = rational_system(2, inequalities=[
             ((1, 0), 0, True), ((-1, -1), 0, False), ((0, 1), 0, False)])
-        assert solve(sys_) is None
+        assert solve(*sys_) is None
 
     def test_two_dimensional_triangle(self):
         # x > 0, y > 0, x + y < 1
-        sys_ = LinearSystem(2, inequalities=[
-            ((1, 0), 0, True), ((0, 1), 0, True), ((-1, -1), 1, True)])
-        w = solve(sys_)
-        assert w is not None and satisfies(sys_, w)
+        ineqs = [((1, 0), 0, True), ((0, 1), 0, True), ((-1, -1), 1, True)]
+        w = solve(*rational_system(2, inequalities=ineqs))
+        assert w is not None and satisfies_rows((), ineqs, w)
 
     def test_equalities_mixed_with_strict(self):
         # x = y, x > 3
-        sys_ = LinearSystem(2, equalities=[((1, -1), 0)],
-                            inequalities=[((1, 0), -3, True)])
-        w = solve(sys_)
+        sys_ = rational_system(2, equalities=[((1, -1), 0)],
+                               inequalities=[((1, 0), -3, True)])
+        w = solve(*sys_)
         assert w is not None and w[0] == w[1] and w[0] > 3
 
     def test_rational_coefficients_stay_exact(self):
         # 2x/3 = 1/7
-        sys_ = LinearSystem(1, equalities=[((F("2/3"),), F("-1/7"))])
-        assert solve(sys_) == (F("3/14"),)
-
-    def test_coefficient_length_validated(self):
-        from stratikit.errors import InputError
-        with pytest.raises(InputError):
-            LinearSystem(2, inequalities=[((1,), 0, True)])
-
-    def test_float_coefficients_rejected(self):
-        from stratikit.errors import InputError
-        with pytest.raises(InputError, match="rational"):
-            LinearSystem(1, inequalities=[((0.5,), 0, True)])
+        sys_ = rational_system(1, equalities=[((F("2/3"),), F("-1/7"))])
+        assert solve(*sys_) == (F("3/14"),)
 
 
 def random_rows(rng, nvars, rows):
@@ -124,19 +111,16 @@ def random_rows(rng, nvars, rows):
     return eqs, ineqs
 
 
-def random_system(rng, nvars, rows):
-    return LinearSystem(nvars, *random_rows(rng, nvars, rows))
-
-
 def test_witnesses_always_satisfy_their_system():
     rng = random.Random(314159)
     found = 0
     for _ in range(400):
-        sys_ = random_system(rng, rng.randint(1, 4), rng.randint(1, 5))
-        w = solve(sys_)
+        nvars = rng.randint(1, 4)
+        eqs, ineqs = random_rows(rng, nvars, rng.randint(1, 5))
+        w = solve(*rational_system(nvars, eqs, ineqs))
         if w is not None:
             found += 1
-            assert satisfies(sys_, w)
+            assert satisfies_rows(eqs, ineqs, w)
     assert found > 100  # the sampler must not degenerate into all-infeasible
 
 
@@ -163,24 +147,19 @@ def onedim_sweep_feasible(equalities, inequalities):
 def test_infeasibility_matches_onedim_sweep():
     rng = random.Random(271828)
     for _ in range(300):
-        sys_ = random_system(rng, 1, rng.randint(1, 5))
-        oracle = onedim_sweep_feasible(sys_.equalities, sys_.inequalities)
-        assert feasible(sys_) == oracle
+        eqs, ineqs = random_rows(rng, 1, rng.randint(1, 5))
+        oracle = onedim_sweep_feasible(eqs, ineqs)
+        assert feasible(rational_system(1, eqs, ineqs)) == oracle
 
 
 def test_rows_are_primitive_integer_tuples():
-    sys_ = LinearSystem(
-        2, equalities=[((Fraction(2, 3), Fraction(-4, 3)), 2)],
-        inequalities=[((Fraction(-1, 2), 0), Fraction(3, 4), True),
-                      ((6, 4), -2, False)])
-    assert sys_.equalities == [((1, -2), 3)]
-    assert sys_.inequalities == [((-2, 0), 3, True), ((3, 2), -1, False)]
-    for coeffs, const, *_ in sys_.equalities + sys_.inequalities:
-        assert all(type(v) is int for v in (*coeffs, const))
-        assert math.gcd(*coeffs, const) == 1
-    longer = sys_.extended(inequalities=[((1, 1, 0), True)])
-    assert longer.inequalities[-1] == ((1, 1), 0, True)
-    assert longer.inequalities[:2] == sys_.inequalities
+    rows = [integer_row((Fraction(2, 3), Fraction(-4, 3)), 2),
+            integer_row((Fraction(-1, 2), 0), Fraction(3, 4)),
+            integer_row((6, 4), -2)]
+    assert rows == [(1, -2, 3), (-2, 0, 3), (3, 2, -1)]
+    for row in rows:
+        assert all(type(v) is int for v in row)
+        assert math.gcd(*row) == 1
 
 
 SCALES = [Fraction(1, 3), Fraction(7, 2), Fraction(5), Fraction(2, 9), Fraction(1)]
@@ -200,8 +179,8 @@ def test_positive_row_scaling_keeps_the_exact_witness():
         for coeffs, const, strict in ineqs:
             t = rng.choice(SCALES)
             scaled_ineqs.append((tuple(t * c for c in coeffs), t * const, strict))
-        expected = solve(LinearSystem(nvars, eqs, ineqs))
-        got = solve(LinearSystem(nvars, scaled_eqs, scaled_ineqs))
+        expected = solve(*rational_system(nvars, eqs, ineqs))
+        got = solve(*rational_system(nvars, scaled_eqs, scaled_ineqs))
         assert got == expected
         if got is not None:
             found += 1
@@ -213,13 +192,13 @@ def test_positive_row_scaling_keeps_the_exact_witness():
 
 def test_fm_row_cap(monkeypatch):
     # two lower and two upper bounds on x derive 2 * 2 rows
-    sys_ = LinearSystem(1, inequalities=[
+    sys_ = rational_system(1, inequalities=[
         ((1,), 0, True), ((1,), -1, True), ((-1,), 2, True), ((-1,), 3, True)])
     monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 3)
     with pytest.raises(CapExceeded, match="4 rows"):
-        solve(sys_)
+        solve(*sys_)
     monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 4)
-    assert solve(sys_) == (Fraction(3, 2),)
+    assert solve(*sys_) == (Fraction(3, 2),)
 
 
 def canonical_witnesses(seed, count):
@@ -240,7 +219,7 @@ def canonical_witnesses(seed, count):
             ineqs.append((coeffs, const, rng.random() < 0.6))
             if rng.random() < 0.15:
                 ineqs.append((tuple(-c for c in coeffs), -const, False))
-        out.append(solve(LinearSystem(nvars, eqs, ineqs)))
+        out.append(solve(*rational_system(nvars, eqs, ineqs)))
     return out
 
 

@@ -42,14 +42,19 @@ def test_submodules_are_the_registered_module_objects():
 
 def imported_but_unused(source):
     """Names bound by the imports of a module, at any depth, that no other
-    name in it reads; ``from __future__`` imports bind nothing."""
+    name in it reads.  ``from __future__`` imports bind nothing, but
+    ``annotations`` counts as unused in a module with no annotation."""
     tree = ast.parse(source)
+    annotated = any(getattr(node, "annotation", None) or getattr(node, "returns", None)
+                    for node in ast.walk(tree))
     bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not annotated:
+            bound.update(a.name for a in node.names if a.name == "annotations")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(bound - used)
 
@@ -66,4 +71,8 @@ def test_unused_import_check_flags_an_unused_name():
         "from __future__ import annotations\n"
         "import os.path\nimport json as j\nfrom .order import bitmask, transpose\n"
         "j.dumps(os.sep)\ndef f():\n    import random\n    return bitmask\n"
-    ) == ["random", "transpose"]
+    ) == ["annotations", "random", "transpose"]
+    for annotated in ("def f(x: int):\n    return x\n", "def f() -> int:\n    return 0\n",
+                      "x: int = 0\n"):
+        assert imported_but_unused(
+            "from __future__ import annotations\n" + annotated) == []
