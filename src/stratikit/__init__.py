@@ -28,8 +28,7 @@ _EXPORTS = {
                       "validate_stratification"),
     "errors": ("CapExceeded", "InputError", "StratikitError", "StructureError"),
     "homology": ("betti", "order_complex"),
-    "order": ("MonotoneMap", "Poset", "Preorder", "is_monotone", "order_isomorphism",
-              "product", "quotient_poset"),
+    "order": ("Poset", "Preorder", "is_monotone", "product", "quotient_poset"),
     "topology": ("FiniteTopology", "PosetStratifiedSpace", "product_topology"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

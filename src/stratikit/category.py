@@ -211,7 +211,7 @@ def hom_stratified(cat, x, y, side):
         raise InputError(f"hom({x!r}, {y!r}) is empty; nothing to stratify")
     space = FiniteTopology.from_preorder(pre)
     strata, projection = quotient_poset(pre)
-    pss = PosetStratifiedSpace(space, strata, projection.assignment)
+    pss = PosetStratifiedSpace(space, strata, projection)
     rep = analyze(Decomposition(
         space, [pss.fiber_mask(c) for c in strata.carrier], strata.carrier))
     report = HomStructureReport(
@@ -223,12 +223,11 @@ def hom_stratified(cat, x, y, side):
 
 
 class SquareCheck(namedtuple(
-        "SquareCheck", "morphism monotone descends quotient_monotone square_commutes")):
+        "SquareCheck", "morphism monotone descends quotient_monotone")):
     __slots__ = ()
 
     def ok(self):
-        return (self.monotone and self.descends and self.quotient_monotone
-                and self.square_commutes)
+        return self.monotone and self.descends and self.quotient_monotone
 
 
 class FunctorCheckReport(namedtuple(
@@ -255,7 +254,8 @@ def st_functor_check(cat, anchor, side):
     """Verify the stratified-space functor induced by an anchor object.
 
     For every morphism: the translation map is monotone, descends to the
-    quotient posets, and the projection square commutes elementwise.  Functor
+    quotient posets (each class has a single image, so the projection square
+    commutes with the induced map), and the induced map is monotone.  Functor
     laws (identities and composition, reversed for the contravariant side)
     are checked on the underlying hom-set maps.
     """
@@ -281,16 +281,14 @@ def st_functor_check(cat, anchor, side):
         descends = True
         induced = {}
         for g in pre_s.carrier:
-            cls = proj_s(g)
-            img = proj_t(phi[f][g])
+            cls = proj_s[g]
+            img = proj_t[phi[f][g]]
             if cls in induced and induced[cls] != img:
                 descends = False
             induced[cls] = img
-        square = all(proj_t(phi[f][g]) == induced[proj_s(g)] for g in pre_s.carrier)
         squares.append(SquareCheck(
             morphism=f, monotone=is_monotone(phi[f], pre_s, pre_t), descends=descends,
-            quotient_monotone=descends and is_monotone(induced, strata_s, strata_t),
-            square_commutes=square))
+            quotient_monotone=descends and is_monotone(induced, strata_s, strata_t)))
 
     identity_law = all(phi[cat.identity[x]][g] == g
                        for x in cat.objects for g in phi[cat.identity[x]])

@@ -7,12 +7,11 @@ the down-set it generates, so the analysis runs on the specialization rows.
 """
 
 import functools
-import itertools
 import operator
 from collections import namedtuple
 
 from .errors import InputError, StructureError
-from .order import (Preorder, _closure, bit_indices, product, product_label,
+from .order import (Preorder, _closure, bit_indices, product, product_labels,
                     product_mask, transpose, union_of_rows)
 from .topology import FiniteTopology, product_topology
 
@@ -80,24 +79,15 @@ MOORE_CLASS = {
 
 class DecompositionReport(namedtuple(
         "DecompositionReport",
-        "pi_open pi_closed moore_class star_preorder tau_pi_preorder "
+        "pi_open pi_closed star_preorder tau_pi_preorder "
         "tamaki_agrees blocks_locally_closed frontier_condition quotient_is_poset")):
-    """What ``analyze`` finds; ``moore_class`` must match the two flags."""
+    """What ``analyze`` finds."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        expected = MOORE_CLASS[(self.pi_open, self.pi_closed)]
-        if self.moore_class != expected:
-            raise StructureError(
-                f"moore_class {self.moore_class!r} inconsistent with "
-                f"(open={self.pi_open}, closed={self.pi_closed})")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # so that _replace runs the check too
+    @property
+    def moore_class(self):
+        return MOORE_CLASS[(self.pi_open, self.pi_closed)]
 
     def to_json_dict(self):
         quotient = FiniteTopology.from_preorder(self.tau_pi_preorder)
@@ -153,7 +143,6 @@ def analyze(d):
     return DecompositionReport(
         pi_open=pi_open,
         pi_closed=pi_closed,
-        moore_class=MOORE_CLASS[(pi_open, pi_closed)],
         star_preorder=star,
         tau_pi_preorder=tau_pi,
         tamaki_agrees=(star == tau_pi),
@@ -259,7 +248,7 @@ def product_decomposition(ds):
     for d in ds:
         m = len(d.space.carrier)
         blocks = [product_mask(a, b, m) for a in blocks for b in d.blocks]
-    labels = [product_label(t) for t in itertools.product(*(d.labels for d in ds))]
+    labels = product_labels(d.labels for d in ds)
     out = Decomposition(space, blocks, labels)
 
     rep = analyze(out)

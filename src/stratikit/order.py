@@ -1,7 +1,8 @@
 """Finite preorders and posets: construction, products, quotients, monotone maps.
 
 A relation is a tuple of int bitset rows, one per carrier element, the same
-bitmask form the topology layer uses for subsets.
+bitmask form the topology layer uses for subsets.  A map of preorders is a
+plain dict from source labels to target labels.
 """
 
 import functools
@@ -255,48 +256,49 @@ class Poset(Preorder):
                     f"{self.carrier[j]!r} are equivalent but distinct")
 
 
-class MonotoneMap:
-    """A total order-preserving assignment between two preorders."""
+def first_escape(images, source, target):
+    """The first source index whose up-set maps outside the up-set of its
+    image, or None; ``images[i]`` is the target index of source element i.
 
-    def __init__(self, source, target, assignment):
-        assignment = dict(assignment)
-        for x in source.carrier:
-            if x not in assignment:
-                raise InputError(f"assignment misses source element {x!r}")
-        for x, y in assignment.items():
-            source.index(x)
-            if y not in target._index:
-                raise InputError(f"assignment value {y!r} outside target carrier")
-        if not is_monotone(assignment, source, target):
-            raise StructureError("assignment is not monotone")
-        self.source = source
-        self.target = target
-        self.assignment = assignment
-
-    def __call__(self, label):
-        return self.assignment[label]
-
-    def __repr__(self):
-        return f"MonotoneMap({self.assignment!r})"
+    A map of preorders is monotone iff this is None.
+    """
+    for i, row in enumerate(source.up):
+        if bitmask(images[j] for j in bit_indices(row)) & ~target.up[images[i]]:
+            return i
+    return None
 
 
 def is_monotone(assignment, source, target):
     """True iff x <= y in source implies assignment[x] <= assignment[y] in target."""
     images = []
     for x in source.carrier:
-        y = assignment[x]
-        if y not in target._index:
-            raise InputError(f"assignment value {y!r} outside target carrier")
-        images.append(target.index(y))
-    # the image of each up-set must lie in the up-set of the image
-    return all(
-        bitmask(images[j] for j in bit_indices(row)) & ~target.up[images[i]] == 0
-        for i, row in enumerate(source.up))
+        if x not in assignment:
+            raise InputError(f"assignment misses source element {x!r}")
+        j = target._index.get(assignment[x])
+        if j is None:
+            raise InputError(f"assignment value {assignment[x]!r} outside target carrier")
+        images.append(j)
+    return first_escape(images, source, target) is None
 
 
 def product_label(parts):
     """Label of a product element, e.g. ('N', 'P') -> '(N,P)'."""
     return "(" + ",".join(str(p) for p in parts) + ")"
+
+
+def product_labels(label_lists):
+    """``product_label`` of each tuple of the row-major product of the label
+    lists, refused if two tuples read the same: the labels are joined with
+    "," and not escaped, so ('a,b', 'c') and ('a', 'b,c') both read '(a,b,c)'."""
+    seen = {}
+    for parts in itertools.product(*label_lists):
+        label = product_label(parts)
+        if label in seen:
+            raise InputError(
+                f"product labels collide: {seen[label]!r} and {parts!r} both read "
+                f"{label!r}", path="factors")
+        seen[label] = parts
+    return list(seen)
 
 
 def product_mask(a, b, m):
@@ -314,7 +316,7 @@ def product(factors):
     size = math.prod(len(f.carrier) for f in factors)
     if size > MAX_CARRIER:  # refuse before building the rows
         raise CapExceeded(f"carrier has {size} elements, cap is {MAX_CARRIER}")
-    labels = [product_label(t) for t in itertools.product(*(f.carrier for f in factors))]
+    labels = product_labels(f.carrier for f in factors)
     up = [1]  # the one-point preorder, unit of the product
     for f in factors:
         m = len(f.carrier)  # row (i, j) is row i so far times row j of f
@@ -325,7 +327,8 @@ def product(factors):
 
 
 def quotient_poset(p):
-    """Collapse the equivalence a<=b<=a; returns (poset of classes, projection).
+    """Collapse the equivalence a<=b<=a; returns (poset of classes, projection),
+    the projection a dict from each label to its class label.
 
     Class labels are "[m]" with m the lexicographically least member; classes
     are ordered by first occurrence in the source carrier.
@@ -342,63 +345,9 @@ def quotient_poset(p):
             members.append(cls)
     labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in members]
     qup = [bitmask(class_of[j] for j in bit_indices(p.up[cls[0]])) for cls in members]
-    poset = Poset(labels, qup)
-    projection = MonotoneMap(
-        p, poset, {p.carrier[i]: labels[class_of[i]] for i in range(n)})
-    return poset, projection
-
-
-def _signatures(p):
-    """Per-element isomorphism-invariant signatures, one refinement round."""
-    down = p.down()
-    base = [(d.bit_count(), u.bit_count()) for u, d in zip(p.up, down)]
-    refined = []
-    for i, (u, d) in enumerate(zip(p.up, down)):
-        below = sorted(base[j] for j in bit_indices(d & ~(1 << i)))
-        above = sorted(base[j] for j in bit_indices(u & ~(1 << i)))
-        refined.append((base[i], tuple(below), tuple(above)))
-    return refined
-
-
-def order_isomorphism(p, q):
-    """An order isomorphism p -> q as a label dict, or None."""
-    n = len(p.carrier)
-    if n != len(q.carrier):
-        return None
-    sp, sq = _signatures(p), _signatures(q)
-    if sorted(sp) != sorted(sq):
-        return None
-    candidates = [[j for j in range(n) if sq[j] == sp[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(candidates[i]))
-    assign = [-1] * n
-    used = [False] * n
-
-    def consistent(i, j, upto):
-        for k in range(upto):
-            ik = order[k]
-            jk = assign[ik]
-            if (p.up[i] >> ik & 1 != q.up[j] >> jk & 1
-                    or p.up[ik] >> i & 1 != q.up[jk] >> j & 1):
-                return False
-        return True
-
-    def backtrack(pos):
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if not used[j] and consistent(i, j, pos):
-                assign[i] = j
-                used[j] = True
-                if backtrack(pos + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    if not backtrack(0):
-        return None
-    return {p.carrier[i]: q.carrier[assign[i]] for i in range(n)}
+    # each class row is the image of its members' rows, so the projection
+    # is monotone by construction
+    return Poset(labels, qup), {p.carrier[i]: labels[class_of[i]] for i in range(n)}
 
 
 def is_order_isomorphism(assignment, p, q):

@@ -11,7 +11,8 @@ so that two topologies are equal exactly when their serialized forms are.
 import itertools
 
 from .errors import CapExceeded, InputError, StructureError
-from .order import MAX_CARRIER, Poset, Preorder, bit_indices, bitmask, product, union_of_rows
+from .order import (MAX_CARRIER, Poset, Preorder, bit_indices, first_escape, product,
+                    union_of_rows)
 
 MAX_OPENS = 1 << 16
 
@@ -267,13 +268,12 @@ class PosetStratifiedSpace:
             if x not in strat_map:
                 raise InputError(f"stratification map misses point {x!r}")
             stratum.append(strata_poset.index(strat_map[x]))
-        for i, row in enumerate(space.specialization_preorder().up):
+        i = first_escape(stratum, space.specialization_preorder(), strata_poset)
+        if i is not None:
             above = strata_poset.up[stratum[i]]
-            if bitmask(stratum[j] for j in bit_indices(row)) & ~above:
-                labels = tuple(strata_poset.carrier[k] for k in bit_indices(above))
-                raise StructureError(
-                    f"stratification map not continuous: preimage of "
-                    f"{labels} is not open")
+            labels = tuple(strata_poset.carrier[k] for k in bit_indices(above))
+            raise StructureError(
+                f"stratification map not continuous: preimage of {labels} is not open")
         self.space = space
         self.strata_poset = strata_poset
         self.strat_map = strat_map

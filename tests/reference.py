@@ -10,7 +10,7 @@ linear systems written as rational rows, converted row by row."""
 import itertools
 
 from stratikit.category import YonedaReport
-from stratikit.decomposition import MOORE_CLASS, DecompositionReport
+from stratikit.decomposition import DecompositionReport
 from stratikit.errors import StructureError
 from stratikit.feasibility import integer_row
 from stratikit.order import Preorder, _closure, bitmask, union_of_rows
@@ -210,7 +210,6 @@ def analyze_by_blocks(d):
     return DecompositionReport(
         pi_open=pi_open,
         pi_closed=pi_closed,
-        moore_class=MOORE_CLASS[(pi_open, pi_closed)],
         star_preorder=star,
         tau_pi_preorder=tau_pi,
         tamaki_agrees=(star == tau_pi),

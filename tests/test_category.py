@@ -290,7 +290,7 @@ class TestHomStratified:
                     _, pi = quotient_poset(pre)
                     for a in pre.carrier:
                         for b in pre.carrier:
-                            same = pi(a) == pi(b)
+                            same = pi[a] == pi[b]
                             assert same == (pre.leq(a, b) and pre.leq(b, a))
 
 
@@ -299,14 +299,14 @@ def loop_structure_checks(cat, x, y, side):
     the explicit opens, fibers and strata pairs of hom(x, y)."""
     space = FiniteTopology.from_preorder(hom_preorder(cat, x, y, side))
     strata, projection = quotient_poset(hom_preorder(cat, x, y, side))
-    pss = PosetStratifiedSpace(space, strata, projection.assignment)
+    pss = PosetStratifiedSpace(space, strata, projection)
     strata_space = FiniteTopology.from_preorder(strata)
     projection_open = True
     for u in space.opens:
         image = 0
         for i, m in enumerate(space.carrier):
             if u & (1 << i):
-                image |= 1 << strata_space._index[projection(m)]
+                image |= 1 << strata_space._index[projection[m]]
         if not strata_space.is_open(image):
             projection_open = False
     fibers = {c: pss.fiber_mask(c) for c in strata.carrier}

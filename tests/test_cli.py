@@ -285,7 +285,15 @@ class TestErrorHandling:
                        "blocks": [["p"], ["q"]], "labels": ["a,b", "a"]},
                       {"space": {"carrier": ["r", "s"], "preorder_pairs": []},
                        "blocks": [["r"], ["s"]], "labels": ["c", "b,c"]}]},
-         "duplicate block labels", ""),
+         "product labels collide: ('a,b', 'c') and ('a', 'b,c') both read '(a,b,c)'",
+         "factors"),
+        (["decomp", "product"],
+         {"factors": [{"space": {"carrier": ["a,b", "a"], "preorder_pairs": []},
+                       "blocks": [["a,b"], ["a"]]},
+                      {"space": {"carrier": ["c", "b,c"], "preorder_pairs": []},
+                       "blocks": [["c"], ["b,c"]]}]},
+         "product labels collide: ('a,b', 'c') and ('a', 'b,c') both read '(a,b,c)'",
+         "factors"),
         (["decomp", "analyze"],
          {"space": {"carrier": ["a", "b"], "preorder_pairs": []},
           "blocks": [["a"], ["a", "b"]]},
@@ -302,7 +310,8 @@ class TestErrorHandling:
             "duplicate-carrier-pairs", "nested-duplicate-carrier-pairs",
             "nested-duplicate-carrier-opens", "duplicate-block-labels",
             "block-label-count", "factor-label-count", "product-label-collision",
-            "overlapping-blocks", "dim-not-positive", "dim-boolean", "no-forms"])
+            "product-carrier-collision", "overlapping-blocks", "dim-not-positive",
+            "dim-boolean", "no-forms"])
     def test_missing_or_nested_command_input_names_its_path(
             self, tmp_path, capsys, argv, doc, message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
@@ -382,9 +391,7 @@ class TestDecompCommands:
 
         def flipped(dec):
             rep = analyze(dec)
-            closed = not rep.pi_closed
-            return rep._replace(pi_closed=closed, moore_class=decomposition.MOORE_CLASS[
-                (rep.pi_open, closed)])
+            return rep._replace(pi_closed=not rep.pi_closed)
 
         monkeypatch.setattr(decomposition, "analyze", flipped)
         path = write_input(tmp_path, CHAIN_BAD_DECOMP)
@@ -604,6 +611,42 @@ class TestHomsetCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["side"] == "L-contravariant"
+
+    # On the four self-maps of a two-point set, under R, hom(*, *) quotients
+    # to [t01] = {t01, t10} below [t00] and [t11]; t10 swaps [t00] and [t11].
+    @pytest.mark.parametrize("field, morphism", [
+        ("monotone", "t00"), ("descends", "t00"), ("quotient_monotone", "t10")])
+    def test_functor_check_fails_on_a_broken_square(
+            self, tmp_path, capsys, monkeypatch, field, morphism):
+        from stratikit import category
+        from stratikit.order import Preorder
+        translation, quotient = category._translation, category.quotient_poset
+        wrong = {"monotone": {"t00": "t01"},  # t01 <= t00 is sent to t00 > t01
+                 "descends": {"t10": "t11"}}  # t01 ~ t10 are sent to t00 and t11
+
+        def translated(cat, anchor, side, f):
+            phi = translation(cat, anchor, side, f)
+            return {**phi, **wrong[field]} if f == morphism else phi
+
+        def chained(pre):  # [t01] < [t00] < [t11], which t10 does not preserve
+            strata, projection = quotient(pre)
+            labels = strata.carrier
+            chain = Preorder.from_pairs(labels, zip(labels, labels[1:]))
+            return chain.to_poset(), projection
+
+        if field == "quotient_monotone":
+            monkeypatch.setattr(category, "quotient_poset", chained)
+        else:
+            monkeypatch.setattr(category, "_translation", translated)
+        cat = monoid_document(all_maps(2))
+        squares = {sq.morphism: sq for sq in category.st_functor_check(
+            load_category(cat), "*", "R-covariant").squares}
+        assert getattr(squares[morphism], field) is False
+        path = write_input(tmp_path, {"category": cat, "anchor": "*", "side": "R"})
+        code, out = run_cli(capsys, ["homset", "functor-check", "--input", path])
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert f"square at {morphism}" in failed
 
     def test_yoneda(self, tmp_path, capsys):
         path = write_input(tmp_path, {
