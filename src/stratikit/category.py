@@ -60,7 +60,7 @@ class FiniteCategory:
         self.identity = {}
         for x in objects:
             if x not in identities:
-                raise InputError(f"missing identity for object {x!r}")
+                raise InputError(f"missing identity for object {x!r}", path="identities")
             i = identities[x]
             if i not in self.hom_table[(x, x)]:
                 raise StructureError(f"identity {i!r} is not an endomorphism of {x!r}")
@@ -75,7 +75,8 @@ class FiniteCategory:
             if self.cod[f] != self.dom[g]:
                 raise StructureError(f"pair ({g!r}, {f!r}) is not composable")
             if (g, f) in self._compose:
-                raise InputError(f"duplicate composition entry for ({g!r}, {f!r})")
+                raise InputError(f"duplicate composition entry for ({g!r}, {f!r})",
+                                 path=f"compose[{i}]")
             if self.dom[h] != self.dom[f] or self.cod[h] != self.cod[g]:
                 raise StructureError(
                     f"composite {h!r} of ({g!r}, {f!r}) lands in the wrong hom-set")
@@ -222,21 +223,13 @@ def hom_stratified(cat, x, y, side):
     return pss, report
 
 
-class SquareCheck(namedtuple(
-        "SquareCheck", "morphism monotone descends quotient_monotone")):
-    __slots__ = ()
-
-    def ok(self):
-        return self.monotone and self.descends and self.quotient_monotone
-
-
 class FunctorCheckReport(namedtuple(
         "FunctorCheckReport", "anchor side squares identity_law composition_law")):
     __slots__ = ()
 
     def ok(self):
         return (self.identity_law and self.composition_law
-                and all(s.ok() for s in self.squares))
+                and all(self.squares.values()))
 
 
 def _translation(cat, anchor, side, f):
@@ -253,42 +246,31 @@ def _translation(cat, anchor, side, f):
 def st_functor_check(cat, anchor, side):
     """Verify the stratified-space functor induced by an anchor object.
 
-    For every morphism: the translation map is monotone, descends to the
-    quotient posets (each class has a single image, so the projection square
-    commutes with the induced map), and the induced map is monotone.  Functor
-    laws (identities and composition, reversed for the contravariant side)
-    are checked on the underlying hom-set maps.
+    For every morphism the square is the translation map's monotonicity on
+    the hom-set preorders: a map of preorders is monotone iff it sends each
+    class a <= b <= a into one class and the induced map of quotient posets
+    is monotone, since the quotient reflects the order.  ``squares`` maps
+    each morphism, in morphism order, to that verdict.  Functor laws
+    (identities and composition, reversed for the contravariant side) are
+    checked on the underlying hom-set maps.
     """
     if side not in ("R-covariant", "L-contravariant"):
         raise InputError("side must be 'R-covariant' or 'L-contravariant'")
     cat.hom(anchor, anchor)
     pre_side = "R" if side == "R-covariant" else "L"
 
-    data = {}
+    pre = {}
     for obj in cat.objects:
         pair = (anchor, obj) if pre_side == "R" else (obj, anchor)
-        pre = hom_preorder(cat, *pair, pre_side)
-        data[obj] = (pre, *quotient_poset(pre))
+        pre[obj] = hom_preorder(cat, *pair, pre_side)
     phi = {f: _translation(cat, anchor, side, f) for f in cat.morphisms}
 
-    squares = []
+    squares = {}
     for f in cat.morphisms:
         src_obj, tgt_obj = cat.dom[f], cat.cod[f]
         if pre_side == "L":
             src_obj, tgt_obj = tgt_obj, src_obj
-        pre_s, strata_s, proj_s = data[src_obj]
-        pre_t, strata_t, proj_t = data[tgt_obj]
-        descends = True
-        induced = {}
-        for g in pre_s.carrier:
-            cls = proj_s[g]
-            img = proj_t[phi[f][g]]
-            if cls in induced and induced[cls] != img:
-                descends = False
-            induced[cls] = img
-        squares.append(SquareCheck(
-            morphism=f, monotone=is_monotone(phi[f], pre_s, pre_t), descends=descends,
-            quotient_monotone=descends and is_monotone(induced, strata_s, strata_t)))
+        squares[f] = is_monotone(phi[f], pre[src_obj], pre[tgt_obj])
 
     identity_law = all(phi[cat.identity[x]][g] == g
                        for x in cat.objects for g in phi[cat.identity[x]])
@@ -308,7 +290,8 @@ class SetFunctor:
 
     def __init__(self, cat, variance, on_objects, on_morphisms):
         if variance not in ("covariant", "contravariant"):
-            raise InputError("variance must be 'covariant' or 'contravariant'")
+            raise InputError("variance must be 'covariant' or 'contravariant'",
+                             path="variance")
         self.cat = cat
         self.variance = variance
         self.on_objects = {
@@ -319,10 +302,11 @@ class SetFunctor:
                 raise InputError(f"functor names unknown object {x!r}", path=f"on_objects.{x}")
         for x in cat.objects:
             if x not in self.on_objects:
-                raise InputError(f"functor misses object {x!r}")
+                raise InputError(f"functor misses object {x!r}", path="on_objects")
             vals = self.on_objects[x]
             if len(set(vals)) != len(vals):
-                raise InputError(f"duplicate elements in value set of {x!r}")
+                raise InputError(f"duplicate elements in value set of {x!r}",
+                                 path=f"on_objects.{x}")
         self.on_morphisms = {m: dict(fn) for m, fn in on_morphisms.items()}
         for m in self.on_morphisms:
             if m not in cat.dom:
@@ -340,7 +324,7 @@ class SetFunctor:
         cat = self.cat
         for m in cat.morphisms:
             if m not in self.on_morphisms:
-                raise InputError(f"functor misses morphism {m!r}")
+                raise InputError(f"functor misses morphism {m!r}", path="on_morphisms")
             fn = self.on_morphisms[m]
             src = set(self.on_objects[self.source_object(m)])
             tgt = set(self.on_objects[self.target_object(m)])

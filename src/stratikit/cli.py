@@ -270,9 +270,8 @@ def _homset_functor_check(doc, args):
     rep = category.st_functor_check(cat, anchor, side)
     checks = [_check("identity law", rep.identity_law),
               _check("composition law", rep.composition_law)]
-    checks += [_check(f"square at {sq.morphism}", sq.ok()) for sq in rep.squares]
-    return {"anchor": anchor, "side": side,
-            "squares": [sq.morphism for sq in rep.squares]}, checks
+    checks += [_check(f"square at {f}", ok) for f, ok in rep.squares.items()]
+    return {"anchor": anchor, "side": side, "squares": list(rep.squares)}, checks
 
 
 def _homset_yoneda(doc, args):

@@ -186,6 +186,7 @@ def load_category(doc, path=""):
     objects = [str(x) for x in expect(doc, "objects", list, path)]
     homs_doc = expect(doc, "homs", dict, path)
     homs = {}
+    spelled = {}  # the path of each pair's key, as the document spells it
     for key, ms in homs_doc.items():
         at = _join(path, f"homs.{key}")
         pair = _parse_hom_key(str(key), path=at)
@@ -195,6 +196,13 @@ def load_category(doc, path=""):
         if not isinstance(ms, list):
             raise InputError("hom value must be a list of labels", path=at)
         homs[pair] = [str(m) for m in ms]
+        spelled[pair] = at
+    seen = set()
+    for pair, ms in homs.items():
+        for m in ms:
+            if m in seen:
+                raise InputError(f"morphism label {m!r} used twice", path=spelled[pair])
+            seen.add(m)
     identities = {
         str(k): str(v)
         for k, v in expect(doc, "identities", dict, path).items()

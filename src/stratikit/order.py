@@ -351,13 +351,11 @@ def quotient_poset(p):
 
 
 def is_order_isomorphism(assignment, p, q):
-    """Check a bijection preserves and reflects the order."""
+    """Check a bijection preserves and reflects the order: it and its
+    inverse are monotone."""
     if sorted(assignment) != sorted(p.carrier):
         return False
     if sorted(assignment.values()) != sorted(q.carrier):
         return False
-    for a in p.carrier:
-        for b in p.carrier:
-            if p.leq(a, b) != q.leq(assignment[a], assignment[b]):
-                return False
-    return True
+    inverse = {b: a for a, b in assignment.items()}
+    return is_monotone(assignment, p, q) and is_monotone(inverse, q, p)

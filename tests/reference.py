@@ -1,6 +1,8 @@
 """Test references that read a space only through its enumerated open family,
 a seeded generator of topologies given by their opens, the hom-set
-preorder found by searching every pair of morphisms, the category law
+preorder found by searching every pair of morphisms, Green's orders on a
+transformation monoid read off images, kernels and ranks, the functor-check
+squares made through the quotient posets, the category law
 check made one ``compose`` call at a time, the chains of a poset found
 by testing every subset of its carrier, the natural transformations
 out of a representable functor found by trying every candidate family, the
@@ -13,7 +15,7 @@ from stratikit.category import YonedaReport
 from stratikit.decomposition import DecompositionReport
 from stratikit.errors import StructureError
 from stratikit.feasibility import integer_row
-from stratikit.order import Preorder, _closure, bitmask, union_of_rows
+from stratikit.order import Preorder, _closure, bitmask, quotient_poset, union_of_rows
 from stratikit.topology import FiniteTopology
 
 
@@ -84,6 +86,67 @@ def hom_preorder_by_search(cat, x, y, side):
                 up[i] |= 1 << j
                 witnesses[(g, f)] = found
     return Preorder(morphs, up), witnesses
+
+
+def green_leq(g, f, side, blocks):
+    """g <= f in the hom-set preorder of a monoid of self-maps that acts as the
+    full transformation monoid on each of ``blocks`` (disjoint point lists
+    that every map keeps), read off the value tuples alone (Green 1951;
+    Howie, *Fundamentals of Semigroup Theory*, 1995, section 2.2).
+
+    With g . s the map i -> g[s[i]], the order of the catalog's composition
+    table: on side R, f = g . s iff the image of f lies in the image of g;
+    on side L, f = t . g iff the kernel of g refines that of f; on side LR,
+    f = t . g . s iff f has at most the rank of g.  In a product of monoids
+    each side holds componentwise, so each is tested block by block.
+    """
+    for block in blocks:
+        if side == "R" and not {f[i] for i in block} <= {g[i] for i in block}:
+            return False
+        if side == "L" and any(g[i] == g[j] and f[i] != f[j] for i in block for j in block):
+            return False
+        if side == "LR" and len({f[i] for i in block}) > len({g[i] for i in block}):
+            return False
+    return True
+
+
+def monotone_by_leq(phi, source, target):
+    """``order.is_monotone`` by ``leq`` on every related pair."""
+    return all(target.leq(phi[a], phi[b])
+               for a in source.carrier for b in source.carrier if source.leq(a, b))
+
+
+def square_through_quotients(phi, source, target):
+    """Whether the map ``phi`` of preorders is monotone, whether it descends
+    to the quotient posets (each class has one image class), and whether the
+    induced map of quotient posets is monotone, each by ``monotone_by_leq``."""
+    strata_s, proj_s = quotient_poset(source)
+    strata_t, proj_t = quotient_poset(target)
+    images = {}
+    for g in source.carrier:
+        images.setdefault(proj_s[g], set()).add(proj_t[phi[g]])
+    descends = all(len(cls) == 1 for cls in images.values())
+    induced = {c: min(cls) for c, cls in images.items()}
+    return (monotone_by_leq(phi, source, target), descends,
+            descends and monotone_by_leq(induced, strata_s, strata_t))
+
+
+def squares_through_quotients(cat, anchor, side):
+    """``category.st_functor_check``'s squares the long way round: each
+    morphism's hom-set map, built from ``compose``, through
+    ``square_through_quotients`` on the searched hom-set preorders."""
+    pre_side = "R" if side == "R-covariant" else "L"
+    pre = {obj: hom_preorder_by_search(
+        cat, *((anchor, obj) if pre_side == "R" else (obj, anchor)), pre_side)[0]
+        for obj in cat.objects}
+    squares = {}
+    for f in cat.morphisms:
+        # post-composition with f on side R, pre-composition on side L
+        src, tgt = (cat.dom[f], cat.cod[f]) if pre_side == "R" else (cat.cod[f], cat.dom[f])
+        phi = {g: cat.compose(f, g) if pre_side == "R" else cat.compose(g, f)
+               for g in pre[src].carrier}
+        squares[f] = square_through_quotients(phi, pre[src], pre[tgt])
+    return squares
 
 
 def check_laws_by_compose(cat):

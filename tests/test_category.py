@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from stratikit.category import (SIDES, FiniteCategory, IMAGE_ORDER_NOTE, SetFunc
                                 yoneda_image_report,
                                 yoneda_natural_transformations)
 from stratikit.errors import InputError, StructureError
-from stratikit.order import quotient_poset
+from stratikit.order import is_monotone, quotient_poset
 from stratikit.topology import FiniteTopology, PosetStratifiedSpace
 
 from catalog import (all_categories, all_maps, category_arrow, category_c2,
@@ -18,8 +19,10 @@ from catalog import (all_categories, all_maps, category_arrow, category_c2,
                      category_transformation_monoid2, constant_functor,
                      cube_of_all_maps2, monoid, preimage_functor,
                      representable_functor, seeded_monoids, yoneda_instances)
-from reference import (check_laws_by_compose, closure_by_opens, hom_preorder_by_search,
-                       locally_closed_by_opens, yoneda_by_enumeration)
+from reference import (check_laws_by_compose, closure_by_opens, green_leq,
+                       hom_preorder_by_search, locally_closed_by_opens,
+                       square_through_quotients, squares_through_quotients,
+                       yoneda_by_enumeration)
 
 
 def nonempty_hom_pairs(cat):
@@ -348,8 +351,7 @@ class TestStFunctor:
     def test_identity_morphism_square_is_trivial(self):
         cat = category_chain3()
         rep = st_functor_check(cat, "A", "R-covariant")
-        squares = {sq.morphism: sq for sq in rep.squares}
-        assert squares["idB"].ok()
+        assert rep.squares["idB"] is True
 
     def test_arrow_category_one_point_spaces(self):
         cat = category_arrow()
@@ -362,6 +364,69 @@ class TestStFunctor:
     def test_bad_side_rejected(self):
         with pytest.raises(InputError):
             st_functor_check(category_c2(), "*", "R")
+
+
+class TestSquaresThroughTheQuotients:
+    """A map of preorders is monotone iff it descends to the quotient posets
+    and the induced map is monotone, so each square is one monotone test."""
+
+    @pytest.mark.parametrize("side", ["R-covariant", "L-contravariant"])
+    def test_every_square_matches_the_quotient_path(self, side):
+        cats = [*all_categories().values(), *map(monoid, MONOIDS.values())]
+        squares = 0
+        for cat in cats:
+            for anchor in cat.objects:
+                rep = st_functor_check(cat, anchor, side)
+                ref = squares_through_quotients(cat, anchor, side)
+                assert list(rep.squares) == list(cat.morphisms)
+                assert rep.squares == {f: all(fields) for f, fields in ref.items()}
+                squares += len(ref)
+        assert squares == 365
+
+    @pytest.mark.parametrize("side", ["R", "L"])
+    def test_altered_translations_fail_both_ways_alike(self, side):
+        # every square of a category holds, so alter one value of each
+        # translation of T3 to get maps of either verdict
+        cat = monoid(all_maps(3))
+        pre = hom_preorder(cat, "*", "*", side)
+        rng = random.Random(f"altered/{side}")
+        verdicts = []
+        for f in cat.morphisms:
+            phi = {g: cat.compose(f, g) if side == "R" else cat.compose(g, f)
+                   for g in pre.carrier}
+            phi[rng.choice(pre.carrier)] = rng.choice(pre.carrier)
+            monotone, descends, induced = square_through_quotients(phi, pre, pre)
+            assert is_monotone(phi, pre, pre) == monotone == (descends and induced)
+            verdicts.append(monotone)
+        assert True in verdicts and False in verdicts
+
+
+# Green's orders on T2, T3 and T2^3: the point blocks each monoid acts on fully
+GREEN = {"T2": [[0, 1]], "T3": [[0, 1, 2]], "T2^3": [[0, 1], [2, 3], [4, 5]]}
+
+
+class TestGreensRelations:
+    """The hom-set preorders and strata of full transformation monoids
+    against images, kernels and ranks, with no composite read."""
+
+    @pytest.mark.parametrize("side, strata", [
+        ("R", {"T2": 3, "T3": 7, "T2^3": 27}),
+        ("L", {"T2": 2, "T3": 5, "T2^3": 8}),
+        ("LR", {"T2": 2, "T3": 3, "T2^3": 8})])
+    @pytest.mark.parametrize("name", GREEN)
+    def test_rows_and_strata(self, name, side, strata):
+        maps, blocks = MONOIDS[name], GREEN[name]
+        leq = {(g, f): green_leq(g, f, side, blocks) for g in maps for f in maps}
+        label = {m: "t" + "".join(map(str, m)) for m in maps}
+        pre = hom_preorder(monoid(maps), "*", "*", side)
+        assert list(pre.carrier) == [label[m] for m in maps]
+        poset, projection = quotient_poset(pre)
+        assert len(poset.carrier) == strata[name]
+        for (g, f), below in leq.items():
+            a, b = label[g], label[f]
+            assert pre.leq(a, b) == below
+            assert (projection[a] == projection[b]) == (below and leq[(f, g)])
+            assert poset.leq(projection[a], projection[b]) == below
 
 
 class TestSetFunctor:

@@ -43,6 +43,9 @@ IDEM = {
     "identities": {"*": "1"},
     "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]],
 }
+YONEDA_DOC = {"category": IDEM, "anchor": "*", "functor": {
+    "variance": "contravariant", "on_objects": {"*": ["0", "1"]},
+    "on_morphisms": {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}}}}
 
 
 # twenty incomparable points: 2^20 up-sets, past the open-count cap
@@ -362,11 +365,39 @@ class TestErrorHandling:
         (["homset", "preorder"],
          {"category": {**IDEM, "objects": ["*", "*"]}, "source": "*", "target": "*"},
          "duplicate object labels", "category.objects"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "objects": ["*", "A"],
+                       "homs": {"*->*": ["1", "e"], "* -> A": ["e"]}},
+          "source": "*", "target": "*"},
+         "morphism label 'e' used twice", "category.homs.* -> A"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "identities": {}}, "source": "*", "target": "*"},
+         "missing identity for object '*'", "category.identities"),
+        (["homset", "stratify"],
+         {"category": {**IDEM, "compose": [*IDEM["compose"], ["e", "1", "e"]]},
+          "source": "*", "target": "*"},
+         "duplicate composition entry for ('e', '1')", "category.compose[4]"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "variance": "both"}},
+         "variance must be 'covariant' or 'contravariant'", "functor.variance"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "on_objects": {}}},
+         "functor misses object '*'", "functor.on_objects"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"],
+                                    "on_objects": {"*": ["0", "1", "0"]}}},
+         "duplicate elements in value set of '*'", "functor.on_objects.*"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"],
+                                    "on_morphisms": {"1": {"0": "0", "1": "1"}}}},
+         "functor misses morphism 'e'", "functor.on_morphisms"),
     ], ids=["hom-key", "hom-value", "compose-row", "hom-key-object",
             "hom-key-object-as-spelled", "compose-morphism", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
             "preorder-side", "stratify-side", "functor-check-side",
-            "duplicate-objects"])
+            "duplicate-objects", "morphism-label-twice", "missing-identity",
+            "duplicate-compose-entry", "functor-variance", "functor-misses-object",
+            "functor-duplicate-values", "functor-misses-morphism"])
     def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,
                                              message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
@@ -612,41 +643,45 @@ class TestHomsetCommands:
         doc = json.loads(out)
         assert doc["results"]["side"] == "L-contravariant"
 
-    # On the four self-maps of a two-point set, under R, hom(*, *) quotients
-    # to [t01] = {t01, t10} below [t00] and [t11]; t10 swaps [t00] and [t11].
-    @pytest.mark.parametrize("field, morphism", [
-        ("monotone", "t00"), ("descends", "t00"), ("quotient_monotone", "t10")])
+    # On the four self-maps of a two-point set, under R, g <= f iff the image
+    # of f lies in the image of g: t01 ~ t10 sit below t00 and t11, which are
+    # incomparable. Post-composition with t00 sends every map to t00.
+    @pytest.mark.parametrize("morphism, wrong", [
+        ("t00", {"t00": "t01"}),   # t01 <= t00 is sent to t00 > t01
+        ("t00", {"t10": "t11"})],  # t01 ~ t10 are sent to t00 and t11: no descent
+        ids=["monotone-t00", "descends-t00"])
     def test_functor_check_fails_on_a_broken_square(
-            self, tmp_path, capsys, monkeypatch, field, morphism):
+            self, tmp_path, capsys, monkeypatch, morphism, wrong):
         from stratikit import category
-        from stratikit.order import Preorder
-        translation, quotient = category._translation, category.quotient_poset
-        wrong = {"monotone": {"t00": "t01"},  # t01 <= t00 is sent to t00 > t01
-                 "descends": {"t10": "t11"}}  # t01 ~ t10 are sent to t00 and t11
+        translation = category._translation
 
         def translated(cat, anchor, side, f):
             phi = translation(cat, anchor, side, f)
-            return {**phi, **wrong[field]} if f == morphism else phi
+            return {**phi, **wrong} if f == morphism else phi
 
-        def chained(pre):  # [t01] < [t00] < [t11], which t10 does not preserve
-            strata, projection = quotient(pre)
-            labels = strata.carrier
-            chain = Preorder.from_pairs(labels, zip(labels, labels[1:]))
-            return chain.to_poset(), projection
-
-        if field == "quotient_monotone":
-            monkeypatch.setattr(category, "quotient_poset", chained)
-        else:
-            monkeypatch.setattr(category, "_translation", translated)
+        monkeypatch.setattr(category, "_translation", translated)
         cat = monoid_document(all_maps(2))
-        squares = {sq.morphism: sq for sq in category.st_functor_check(
-            load_category(cat), "*", "R-covariant").squares}
-        assert getattr(squares[morphism], field) is False
+        squares = category.st_functor_check(load_category(cat), "*", "R-covariant").squares
+        assert squares[morphism] is False
         path = write_input(tmp_path, {"category": cat, "anchor": "*", "side": "R"})
         code, out = run_cli(capsys, ["homset", "functor-check", "--input", path])
         assert code == 1
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
         assert f"square at {morphism}" in failed
+
+    def test_functor_check_builds_no_quotient_poset(self, tmp_path, capsys, monkeypatch):
+        from stratikit import category
+
+        def refuse(pre):
+            raise AssertionError("functor-check built a quotient poset")
+
+        monkeypatch.setattr(category, "quotient_poset", refuse)
+        cat = monoid_document(all_maps(2))
+        for side in ("R-covariant", "L-contravariant"):
+            assert category.st_functor_check(load_category(cat), "*", side).ok()
+        path = write_input(tmp_path, {"category": cat, "anchor": "*", "side": "L"})
+        code, out = run_cli(capsys, ["homset", "functor-check", "--input", path])
+        assert code == 0
 
     def test_yoneda(self, tmp_path, capsys):
         path = write_input(tmp_path, {

@@ -304,6 +304,23 @@ class TestMonotone:
             is_monotone({"N": "N", "O": "O"}, ex1_poset, ex1_poset)
 
 
+class TestOrderIsomorphism:
+    def test_swapping_the_ends_of_the_line_is_one(self, ex1_poset):
+        assert is_order_isomorphism({"N": "P", "O": "O", "P": "N"}, ex1_poset, ex1_poset)
+
+    def test_a_map_that_is_not_a_bijection_is_not_one(self, ex1_poset):
+        assert not is_order_isomorphism({"N": "N", "O": "O", "P": "N"}, ex1_poset, ex1_poset)
+        assert not is_order_isomorphism({"N": "N", "O": "O"}, ex1_poset, ex1_poset)
+
+    def test_a_bijection_that_preserves_but_does_not_reflect_is_not_one(self):
+        antichain = Preorder.from_pairs(["a", "b"], [])
+        chain = Preorder.from_pairs(["0", "1"], [("0", "1")])
+        bijection = {"a": "0", "b": "1"}
+        assert is_monotone(bijection, antichain, chain)
+        assert not is_order_isomorphism(bijection, antichain, chain)
+        assert not is_order_isomorphism({"0": "a", "1": "b"}, chain, antichain)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_generated_preorders_are_reflexive_transitive(seed):
