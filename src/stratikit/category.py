@@ -366,17 +366,15 @@ class YonedaReport(namedtuple(
 
 
 def yoneda_natural_transformations(cat, functor, anchor):
-    """Every natural transformation hom(-, anchor) -> F by a complete search,
-    and the evaluation-at-identity bijection onto F(anchor) verified.
+    """Every natural transformation hom(-, anchor) -> F, one candidate per
+    element of F(anchor), and the evaluation-at-identity bijection onto
+    F(anchor) verified.
 
-    The unknowns are tau(f) for f: x -> anchor; naturality over g: w -> z says
-    tau(h.g) = F(g)(tau(h)) for every h: z -> anchor.  The search branches on
-    the first unknown without a value, the anchor's identity first and then
-    hom order, and after each choice applies every equation whose right side
-    is known (forward checking): it sets an unknown without a value and ends
-    the branch at a conflict.  The identity's value forces every tau(f) (take
-    h = id, g = f), so |F(anchor)| branches apply at most MAX_MORPHISMS^2
-    equations each.
+    Naturality over g: w -> z says tau(h.g) = F(g)(tau(h)) for every
+    h: z -> anchor.  At h = id it reads tau(g) = F(g)(tau(id)), so a natural
+    tau is the family tau_u with u = tau(id): tau_u(id) = u and
+    tau_u(f) = F(f)(u) for every other f into the anchor.  Each tau_u, in the
+    order of F(anchor), is kept iff it satisfies every equation.
 
     Each transformation is a dict object -> (dict morphism -> element).
     """
@@ -384,40 +382,18 @@ def yoneda_natural_transformations(cat, functor, anchor):
         raise InputError("the representable side here is contravariant; pass a contravariant functor")
     cat.hom(anchor, anchor)
     ident = cat.identity[anchor]
-    unknowns = [ident, *(f for x in cat.objects for f in cat.hom(x, anchor) if f != ident)]
-    # equations[h]: the pairs (g, h.g) for every g into the domain of h
-    equations = {h: [(g, cat.compose(h, g)) for w in cat.objects
-                     for g in cat.hom(w, cat.dom[h])] for h in unknowns}
-
-    def propagate(tau, f, value):
-        tau = {**tau, f: value}
-        queue = [f]
-        for h in queue:  # grows while it is read
-            for g, hg in equations[h]:
-                forced = functor.apply(g, tau[h])
-                if hg not in tau:
-                    tau[hg] = forced
-                    queue.append(hg)
-                elif tau[hg] != forced:
-                    return None
-        return tau
-
+    into = [f for x in cat.objects for f in cat.hom(x, anchor)]
+    equations = [(h, g, cat.compose(h, g)) for h in into
+                 for w in cat.objects for g in cat.hom(w, cat.dom[h])]
+    target = functor.on_objects[anchor]
     results = []
-
-    def extend(tau):
-        free = next((f for f in unknowns if f not in tau), None)
-        if free is None:
+    for u in target:
+        tau = {f: functor.apply(f, u) for f in into}
+        tau[ident] = u
+        if all(tau[hg] == functor.apply(g, tau[h]) for h, g, hg in equations):
             results.append({x: {f: tau[f] for f in cat.hom(x, anchor)}
                             for x in cat.objects})
-            return
-        for value in functor.on_objects[cat.dom[free]]:
-            branch = propagate(tau, free, value)
-            if branch is not None:
-                extend(branch)
 
-    extend({})
-
-    target = functor.on_objects[anchor]
     evaluations = [tau[anchor][ident] for tau in results]
     bijection = (sorted(evaluations) == sorted(set(evaluations))
                  and set(evaluations) == set(target))

@@ -347,7 +347,7 @@ def _corpus_run(doc, args):
         try:
             case_results, checks, g = corpus.run_case(name)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         results[name] = {
             "provenance": g.get("provenance", ""),
             "note": g.get("note", ""),

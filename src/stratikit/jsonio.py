@@ -186,7 +186,7 @@ def load_category(doc, path=""):
     objects = [str(x) for x in expect(doc, "objects", list, path)]
     homs_doc = expect(doc, "homs", dict, path)
     homs = {}
-    spelled = {}  # the path of each pair's key, as the document spells it
+    spelled = {}  # each pair's key, as the document spells it
     for key, ms in homs_doc.items():
         at = _join(path, f"homs.{key}")
         pair = _parse_hom_key(str(key), path=at)
@@ -195,13 +195,16 @@ def load_category(doc, path=""):
                 raise InputError(f"unknown object {x!r} in hom key", path=at)
         if not isinstance(ms, list):
             raise InputError("hom value must be a list of labels", path=at)
+        if pair in spelled:
+            raise InputError(f"hom keys {spelled[pair]!r} and {key!r} name one pair", path=at)
         homs[pair] = [str(m) for m in ms]
-        spelled[pair] = at
+        spelled[pair] = key
     seen = set()
     for pair, ms in homs.items():
         for m in ms:
             if m in seen:
-                raise InputError(f"morphism label {m!r} used twice", path=spelled[pair])
+                raise InputError(f"morphism label {m!r} used twice",
+                                 path=_join(path, f"homs.{spelled[pair]}"))
             seen.add(m)
     identities = {
         str(k): str(v)

@@ -262,8 +262,9 @@ def first_escape(images, source, target):
 
     A map of preorders is monotone iff this is None.
     """
+    bits = [1 << j for j in images]
     for i, row in enumerate(source.up):
-        if bitmask(images[j] for j in bit_indices(row)) & ~target.up[images[i]]:
+        if union_of_rows(bits, row) & ~target.up[images[i]]:
             return i
     return None
 

@@ -521,8 +521,8 @@ class TestYoneda:
         assert rep.ok()
 
     def test_star_into_the_anchor_branches_at_the_identity(self):
-        """Hom order lists the 31 spokes before the anchor's identity, so a
-        search in hom order alone would branch 2^31 times first."""
+        """Hom order lists the 31 spokes before the anchor's identity; one
+        pass over F(a) tries 2 of the 2^32 candidate families."""
         cat = category_star(31)
         fun = constant_functor(cat, ["0", "1"])
         assert len(cat.morphisms) == 63
@@ -531,16 +531,25 @@ class TestYoneda:
         assert rep.transformation_count == 2 and rep.ok()
         assert sorted(t["s30"]["u30"] for t in transformations) == ["0", "1"]
 
-    def test_a_conflict_ends_the_branch(self):
-        """F(e) made a swap after construction breaks F(e.e) = F(e)F(e), so
-        no value at the identity extends to a natural family."""
+    @pytest.mark.parametrize("morphism, table, count", [
+        ("1", {"0": "0", "1": "0"}, 1),
+        ("1", {"0": "1", "1": "0"}, 0),
+        ("e", {"0": "1", "1": "0"}, 0),
+    ], ids=["F1-constant", "F1-swap", "Fe-swap"])
+    def test_broken_functor_agrees_with_the_enumeration(self, morphism, table, count):
+        """A value table replaced after construction breaks a functor law, so
+        the evaluation at the identity is no bijection.  With F(1) constant at
+        0 only u = 0 survives: tau_u(1) is u itself, not F(1)(u), or u = 1
+        would record the family of u = 0 a second time."""
         cat = category_idempotent_monoid()
         fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
                          {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
-        fun.on_morphisms["e"] = {"0": "1", "1": "0"}
+        fun.on_morphisms[morphism] = table
         transformations, rep = yoneda_natural_transformations(cat, fun, "*")
-        assert transformations == [] and not rep.ok()
-        assert rep == yoneda_by_enumeration(cat, fun, "*")[1]
+        expected, expected_rep = yoneda_by_enumeration(cat, fun, "*")
+        assert len(transformations) == rep.transformation_count == count
+        assert transformations == expected and rep == expected_rep
+        assert not rep.ok()
 
     def test_agrees_with_the_enumeration_below_its_old_cap(self):
         """The catalog instances, every representable hom(-, b) at every

@@ -371,6 +371,10 @@ class TestErrorHandling:
           "source": "*", "target": "*"},
          "morphism label 'e' used twice", "category.homs.* -> A"),
         (["homset", "preorder"],
+         {"category": {**IDEM, "homs": {"*->*": ["1", "e", "x"], "* -> *": ["1", "e"]}},
+          "source": "*", "target": "*"},
+         "hom keys '*->*' and '* -> *' name one pair", "category.homs.* -> *"),
+        (["homset", "preorder"],
          {"category": {**IDEM, "identities": {}}, "source": "*", "target": "*"},
          "missing identity for object '*'", "category.identities"),
         (["homset", "stratify"],
@@ -395,7 +399,7 @@ class TestErrorHandling:
             "hom-key-object-as-spelled", "compose-morphism", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
             "preorder-side", "stratify-side", "functor-check-side",
-            "duplicate-objects", "morphism-label-twice", "missing-identity",
+            "duplicate-objects", "morphism-label-twice", "hom-pair-twice", "missing-identity",
             "duplicate-compose-entry", "functor-variance", "functor-misses-object",
             "functor-duplicate-values", "functor-misses-morphism"])
     def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,
@@ -846,6 +850,12 @@ class TestCorpusCommands:
     def test_unknown_case_exits_2(self, capsys):
         code, out = run_cli(capsys, ["corpus", "run", "nope"])
         assert code == 2
+
+    def test_unknown_case_message_is_not_quoted(self, capsys):
+        code, out = run_cli(capsys, ["corpus", "run", "nope"])
+        known = ", ".join(stratikit.corpus.CASE_NAMES)
+        assert json.loads(out)["error"]["message"] == (
+            f"unknown corpus case 'nope'; known: {known}")
 
     def test_oracle_deterministic_per_seed(self, capsys):
         code1, out1 = run_cli(capsys, ["corpus", "oracle", "--seed", "3",

@@ -10,6 +10,8 @@ from stratikit.order import (Poset, Preorder, bitmask, is_monotone, is_order_iso
                              product, product_label, quotient_poset, transpose)
 from stratikit.randomcases import random_preorder
 
+from reference import monotone_by_leq
+
 # Generators of the 9-element grid order on pairs over {N, O, P}; the list
 # includes redundant non-covering arrows out of the bottom, closure tidies them.
 GRID_CARRIER = ["(N,N)", "(N,O)", "(N,P)", "(O,N)", "(O,O)", "(O,P)",
@@ -302,6 +304,30 @@ class TestMonotone:
     def test_missing_source_element_rejected(self, ex1_poset):
         with pytest.raises(InputError, match="^assignment misses source element 'P'$"):
             is_monotone({"N": "N", "O": "O"}, ex1_poset, ex1_poset)
+
+    def test_matches_leq_on_every_pair_on_random_preorders(self):
+        """Random maps into random preorders, and the identity into a random
+        coarsening of the source with one value moved half the time, so that
+        both verdicts are common; the preorders often have equivalences."""
+        rng = random.Random(20261019)
+        verdicts, equivalences = [], 0
+        for _ in range(400):
+            source = random_preorder(rng, max_size=7)
+            labels = source.carrier
+            if rng.random() < 0.5:
+                target = random_preorder(rng, max_size=7)
+                phi = {x: rng.choice(target.carrier) for x in labels}
+            else:
+                extra = [(rng.choice(labels), rng.choice(labels)) for _ in range(2)]
+                target = Preorder.from_pairs(labels, [*source.pairs(), *extra])
+                phi = {x: x for x in labels}
+                if rng.random() < 0.5:
+                    phi[rng.choice(labels)] = rng.choice(labels)
+            equivalences += len(quotient_poset(source)[0].carrier) < len(labels)
+            verdict = monotone_by_leq(phi, source, target)
+            assert is_monotone(phi, source, target) == verdict
+            verdicts.append(verdict)
+        assert min(verdicts.count(True), verdicts.count(False), equivalences) > 50
 
 
 class TestOrderIsomorphism:
