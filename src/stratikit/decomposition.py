@@ -22,23 +22,24 @@ class Decomposition:
     def __init__(self, space, blocks, labels=None):
         blocks = [space.mask(b) if not isinstance(b, int) else b for b in blocks]
         union = 0
-        for b in blocks:
+        for i, b in enumerate(blocks):
             if b == 0:
-                raise StructureError("empty block")
+                raise StructureError("empty block", path=f"blocks[{i}]")
             if b & union:
-                raise StructureError("blocks are not pairwise disjoint")
+                raise StructureError("blocks are not pairwise disjoint", path=f"blocks[{i}]")
             union |= b
         if union != space.full_mask:
             missing = space.labels(space.full_mask & ~union)
-            raise StructureError(f"blocks do not cover the carrier; missing {missing}")
+            raise StructureError(f"blocks do not cover the carrier; missing {missing}",
+                                 path="blocks")
         if labels is None:
             labels = ["[%s]" % min(space.carrier[i] for i in bit_indices(b))
                       for b in blocks]
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(blocks):
-            raise InputError("one label per block required")
+            raise InputError("one label per block required", path="labels")
         if len(set(labels)) != len(labels):
-            raise InputError("duplicate block labels")
+            raise InputError("duplicate block labels", path="labels")
         self.space = space
         self.blocks = tuple(blocks)
         self.labels = labels

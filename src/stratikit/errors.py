@@ -2,11 +2,7 @@
 
 
 class StratikitError(Exception):
-    """Base class for every error raised by this package."""
-
-
-class InputError(StratikitError):
-    """Malformed input: bad labels, bad schema, dimension mismatch.
+    """Base class for every error raised by this package.
 
     Carries an optional ``path`` locating the offending entry in a JSON
     document (e.g. ``"forms[2][0]"``).
@@ -15,6 +11,10 @@ class InputError(StratikitError):
     def __init__(self, message, path=None):
         super().__init__(message)
         self.path = path
+
+
+class InputError(StratikitError):
+    """Malformed input: bad labels, bad schema, dimension mismatch."""
 
 
 class StructureError(StratikitError):

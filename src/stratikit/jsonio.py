@@ -9,7 +9,7 @@ document without rationals never loads it.
 from json.encoder import encode_basestring as _quote
 
 from . import arrangement, category, decomposition, order, topology
-from .errors import InputError
+from .errors import InputError, StratikitError
 
 
 def parse_rational(value, path=""):
@@ -55,12 +55,12 @@ def expect(doc, key, kind, path):
 
 
 def _within(path, build, *args):
-    """``build(*args)``; an ``InputError`` whose path is relative to the built
-    value (a carrier, a form, an identity, a functor key) gets ``path`` in
+    """``build(*args)``; an error whose path is relative to the built value (a
+    carrier, a form, a block, an identity, a functor key) gets ``path`` in
     front."""
     try:
         return build(*args)
-    except InputError as exc:
+    except StratikitError as exc:
         exc.path = exc.path and _join(path, exc.path)
         raise
 
@@ -144,13 +144,7 @@ def load_decomposition(doc, path=""):
     labels = None
     if doc.get("labels") is not None:
         labels = [str(x) for x in expect(doc, "labels", list, path)]
-    try:
-        return decomposition.Decomposition(space, blocks, labels)
-    except InputError as exc:
-        # the blocks were checked above, so the refusal is of the labels.  The
-        # path is set here: a product builds labels that no document holds.
-        exc.path = _join(path, "labels")
-        raise
+    return _within(path, decomposition.Decomposition, space, blocks, labels)
 
 
 def dump_decomposition(d):

@@ -1,6 +1,7 @@
 """README's table "What each check certifies": every check that a pinned
-command line reports has a row there, and each check whose row names a
-mutation in this file fails under it."""
+command line reports has a row there, every row is a check that a pinned
+command line reports, and each check whose row names a mutation in this file
+fails under it."""
 
 import json
 import re
@@ -13,7 +14,7 @@ from stratikit.arrangement import Face
 from stratikit.cli import main
 from stratikit.order import Preorder
 
-from test_reports import CHAIN, JOBS, LINES, SIERPINSKI
+from test_reports import CENTRAL, CHAIN, JOBS, LINES, SIERPINSKI, STRATIFIED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,13 +52,21 @@ def test_table_has_one_row_per_check():
     assert "square at <morphism>" in rows and "<case>: <check>" in rows
 
 
-def test_every_pinned_check_has_a_row(tmp_path, capsys):
-    rows = set(table_rows())
-    missing = set()
+def pinned_rows(tmp_path, capsys):
+    """The table rows of the checks that the pinned command lines report."""
+    emitted = set()
     for argv, doc, _, _ in JOBS:
         _, checks = run(tmp_path, capsys, argv, doc)
-        missing |= {row_of(argv, name) for name in checks} - rows
-    assert not missing
+        emitted |= {row_of(argv, name) for name in checks}
+    return emitted
+
+
+def test_every_pinned_check_has_a_row(tmp_path, capsys):
+    assert not pinned_rows(tmp_path, capsys) - set(table_rows())
+
+
+def test_every_row_is_a_pinned_check(tmp_path, capsys):
+    assert not set(table_rows()) - pinned_rows(tmp_path, capsys)
 
 
 CHAIN3 = {"carrier": ["0", "1", "2"], "pairs": [["0", "1"], ["1", "2"]]}
@@ -101,6 +110,17 @@ def drop_the_last_face(monkeypatch):
     monkeypatch.setattr(arrangement, "enumerate_faces", lambda arr: enumerate_faces(arr)[:-1])
 
 
+def drop_the_origin(monkeypatch):
+    enumerate_faces = arrangement.enumerate_faces
+    monkeypatch.setattr(arrangement, "enumerate_faces",
+                        lambda arr: [f for f in enumerate_faces(arr) if any(f.signs)])
+
+
+def reversed_product(monkeypatch):
+    product = decomposition.product
+    monkeypatch.setattr(decomposition, "product", lambda factors: product(factors[::-1]))
+
+
 def negate_in_analyze(field):
     """A mutation that negates one boolean field of every ``analyze`` report."""
     def mutate(monkeypatch):
@@ -124,13 +144,19 @@ def negate_in_analyze(field):
      "boundary of boundary vanishes"),
     (rows_read_as_the_carrier, ["topology", "to-preorder"], SIERPINSKI,
      "alexandroff topology round-trips"),
+    (drop_the_origin, ["arrangement", "poset"], CENTRAL,
+     "central arrangement has the all-zero face"),
+    (reversed_product, ["decomp", "product"],
+     {"factors": [STRATIFIED, {"space": SIERPINSKI, "blocks": [["a"], ["b"]]}]},
+     "quotient equals product of factor quotient preorders"),
     (drop_the_last_face, ["corpus", "run", "ex7"], None, "ex7: face count"),
     (negate_in_analyze("tamaki_agrees"), ["corpus", "oracle", "--cases", "20"], None,
      "openness criterion agrees with direct check"),
     (negate_in_analyze("quotient_is_poset"), ["corpus", "oracle", "--cases", "20"], None,
      "poset quotient iff locally closed blocks (open cases)"),
 ], ids=["witness-signs", "quotient-continuity", "boundary", "alexandroff-round-trip",
-        "corpus-case", "openness-criterion", "poset-quotient"])
+        "central-origin", "product-quotient", "corpus-case", "openness-criterion",
+        "poset-quotient"])
 def test_check_fails_under_its_mutation(tmp_path, capsys, monkeypatch,
                                         mutate, argv, doc, check):
     code, checks = run(tmp_path, capsys, argv, doc)

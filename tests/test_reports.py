@@ -1,13 +1,14 @@
 """Whole CLI reports pinned by SHA-256: results, checks, inputs and command.
 
 One small job for each (group, action) of the command line, plus jobs that
-pass ``--dual``, fail a check (exit 1) or refuse their input (exit 2). Each
-digest is of the exact stdout bytes, so a report that moves in any key, the
-checks included, fails here.
+pass ``--dual``, order a central arrangement, fail a check (exit 1) or
+refuse their input (exit 2). Each digest is of the exact stdout bytes, so a
+report that moves in any key, the checks included, fails here.
 """
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ STRATIFIED = {"space": {"carrier": ["N", "O", "P"],
                         "preorder_pairs": [["O", "N"], ["O", "P"]]},
               "blocks": [["N"], ["O"], ["P"]]}
 LINES = {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [1, 1, -1]]}
+CENTRAL = {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [0, 1, -1]]}
 IDEM = {"objects": ["*"], "homs": {"*->*": ["1", "e"]}, "identities": {"*": "1"},
         "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]]}
 HOM = {"category": IDEM, "source": "*", "target": "*", "side": "LR"}
@@ -46,13 +48,13 @@ JOBS = [
     (["decomp", "quotient"], CHAIN, 0,
      "225f27b42a198fc1a826156fcaaaa1b71835ea4ddd342d1148ab6a13c3b49341"),
     (["decomp", "validate"], STRATIFIED, 0,
-     "9fc11cb71c6fc1113e651adb2f45bed6af500f5c9869015de19473bd646cdcf6"),
+     "05bfbf513d6664c2cd5c5305a1790bb2b8be6007e31c88d55ab0fe9e21b0a954"),
     (["decomp", "product"], {"factors": [STRATIFIED, STRATIFIED]}, 0,
      "1498dcd7a64a16eb728b83215d0b497cbf3b55e91dad632ca35d8109fd33fef5"),
     (["arrangement", "faces"], LINES, 0,
      "5ebdb1a20e7695d0e68fa5f8a11d9c248ee4d44d441d926d012da1b822766231"),
     (["arrangement", "poset"], LINES, 0,
-     "509623f9564c545f3f311bf8c9168aa90fd20053e7cea51adecc596ccede90f0"),
+     "db4db8c13ef4854d087390196ef79d14815d59968bef57a25abd863a7e5becba"),
     (["arrangement", "check-ob"], LINES, 0,
      "cee80b645e61f29d32e047c74d75f854b1874f01cbfa9c02ecde58f3661bfdf3"),
     (["homset", "preorder"], HOM, 0,
@@ -60,9 +62,9 @@ JOBS = [
     (["homset", "stratify"], HOM, 0,
      "8771c93763d602c9cd3f7b42965a8f37dcf3a8b18b02d042c71eec708b1ec4eb"),
     (["homset", "functor-check"], {"category": IDEM, "anchor": "*", "side": "L"}, 0,
-     "1f1bc26b3911ec59f4277c573161ef27cb7870013e65760896ebe17c5f1f01af"),
+     "5b440364ae0cddb375b97761706c0d135e567e1715ee4facedc75138f33aa233"),
     (["homset", "yoneda"], YONEDA, 0,
-     "c76d270ac5f90dee3fe40a952d3765f7b846124c275a577540538d5d41b1ba99"),
+     "c6b754b829a738a8d5b26b2496876cff2af22240c7440a0be9fc0968875084b8"),
     (["homology", "order-complex"], PSEUDO, 0,
      "40f6195feb0d43f9cdf485e687bf344ab83e53b27e053c4433f0de57c6ca2060"),
     (["homology", "betti", "--max-dim", "2"], PSEUDO, 0,
@@ -77,11 +79,14 @@ JOBS = [
     (["topology", "to-preorder", "--dual"], SIERPINSKI, 0,
      "a55779819a42199a6f01f2d3aa05d76d5374c8d26b505538e0af8cbd52626eb4"),
     (["arrangement", "poset", "--dual"], LINES, 0,
-     "35f65e7615a5f0823bf9120fcb3dba9ff9c746db2247dd82461d8d608d1aa930"),
+     "1a02277f337d5a195a6d2f4f0c063f47562b7f433f03e33857ca8c370f6164b0"),
     (["arrangement", "check-ob", "--dual"], LINES, 0,
      "cee80b645e61f29d32e047c74d75f854b1874f01cbfa9c02ecde58f3661bfdf3"),
     (["homset", "preorder", "--dual"], HOM, 0,
      "a1a31899d990ec1667de41a016907b77709118a77e76d0589054eea6c13c9674"),
+    # a central arrangement, whose report has the all-zero face check
+    (["arrangement", "poset"], CENTRAL, 0,
+     "454a11a178e4bcffa13abf82a3f5a1adcfce3ed2d649d61c6041291630e515f7"),
     # a failing check
     (["topology", "check"], {"carrier": ["a", "b"], "opens": [["a"], ["b"]]}, 1,
      "22691714c782992459b389be30890a3111903afaa97192493098e84625eac437"),
@@ -95,8 +100,18 @@ JOBS = [
 ]
 
 
-@pytest.mark.parametrize("argv, doc, code, digest", JOBS,
-                         ids=[f"{'-'.join(job[0])}-exit{job[2]}" for job in JOBS])
+def job_ids():
+    """``<argv>-exit<code>`` of each job; a later job with the id of an
+    earlier one gets ``-2``, ``-3``, ... after it."""
+    ids, seen = [], Counter()
+    for argv, _, code, _ in JOBS:
+        name = f"{'-'.join(argv)}-exit{code}"
+        seen[name] += 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("argv, doc, code, digest", JOBS, ids=job_ids())
 def test_report_digest(tmp_path, capsys, argv, doc, code, digest):
     if doc is not None:
         path = tmp_path / "input.json"
