@@ -102,9 +102,9 @@ class FiniteTopology:
         """
         family = self._open_set
         if 0 not in family:
-            raise StructureError("empty set missing from the open family")
+            raise StructureError("empty set missing from the open family", path="opens")
         if self._full not in family:
-            raise StructureError("carrier missing from the open family")
+            raise StructureError("carrier missing from the open family", path="opens")
         rows = [self._full] * len(self.carrier)
         for o in family:
             for i in bit_indices(o):
@@ -113,7 +113,7 @@ class FiniteTopology:
             unions = _unions(rows, len(family))
             if unions is not None and len(unions) == len(family):
                 return rows
-        raise StructureError(self._first_escape())
+        raise StructureError(self._first_escape(), path="opens")
 
     def _first_escape(self):
         """Text naming the first pair of opens, in canonical order, whose union
@@ -131,14 +131,15 @@ class FiniteTopology:
         masks = []
         seen = set()
         index = {x: i for i, x in enumerate(carrier)}
-        for fam in families:
+        for i, fam in enumerate(families):
             mask = 0
             for x in fam:
                 if x not in index:
                     raise InputError(f"open set member {x!r} not in carrier")
                 mask |= 1 << index[x]
             if mask in seen:
-                raise StructureError(f"duplicate open set {sorted(map(str, fam))}")
+                raise StructureError(f"duplicate open set {sorted(map(str, fam))}",
+                                     path=f"opens[{i}]")
             seen.add(mask)
             masks.append(mask)
         return cls(carrier, masks)

@@ -6,8 +6,10 @@ squares made through the quotient posets, the category law
 check made one ``compose`` call at a time, the chains of a poset found
 by testing every subset of its carrier, the natural transformations
 out of a representable functor found by trying every candidate family, the
-decomposition analysis made block by block and block pair by block pair, and
-linear systems written as rational rows, converted row by row."""
+verdicts that hold by theorem on the Yoneda families, on their images and on
+a closure, the decomposition analysis made block by block and block pair by
+block pair, and linear systems written as rational rows, converted row by
+row."""
 
 import itertools
 
@@ -189,7 +191,7 @@ def yoneda_by_enumeration(cat, functor, anchor):
     """``category.yoneda_natural_transformations`` by trying every one of the
     prod_x |F(x)|^|hom(x, anchor)| candidate families, object by object, and
     keeping those natural over every hom-set between the objects chosen so
-    far; then the bijection and inverse checks against that list."""
+    far."""
     objs = list(cat.objects)
 
     def components(x):
@@ -226,23 +228,52 @@ def yoneda_by_enumeration(cat, functor, anchor):
             del tau[x]
 
     extend(0, {})
+    return results, YonedaReport(transformation_count=len(results),
+                                 target_size=len(functor.on_objects[anchor]))
 
-    target = functor.on_objects[anchor]
+
+def yoneda_bijection_holds(cat, functor, anchor, transformations):
+    """Evaluation at the anchor's identity is a bijection from the
+    transformations onto F(anchor): no value twice, and every element hit."""
     ident = cat.identity[anchor]
-    evaluations = [tau[anchor][ident] for tau in results]
-    bijection = (sorted(evaluations) == sorted(set(evaluations))
-                 and set(evaluations) == set(target))
-    if not results:
-        bijection = not target
-    inverse_ok = True
-    for alpha in target:
-        built = {x: {f: functor.apply(f, alpha) for f in cat.hom(x, anchor)}
-                 for x in cat.objects}
-        if built not in results or built[anchor][ident] != alpha:
-            inverse_ok = False
-    return results, YonedaReport(
-        object_count=len(objs), transformation_count=len(results),
-        target_size=len(target), bijection_holds=bijection, inverse_holds=inverse_ok)
+    values = [tau[anchor][ident] for tau in transformations]
+    return len(values) == len(set(values)) and set(values) == set(functor.on_objects[anchor])
+
+
+def yoneda_inverse_holds(cat, functor, anchor, transformations):
+    """The inverse of the evaluation: for each alpha in F(anchor), the
+    transformation whose value at the identity is alpha is the family
+    f -> F(f)(alpha)."""
+    ident = cat.identity[anchor]
+    by_value = {tau[anchor][ident]: tau for tau in transformations}
+    return all(by_value.get(alpha) == {x: {f: functor.apply(f, alpha)
+                                           for f in cat.hom(x, anchor)}
+                                       for x in cat.objects}
+               for alpha in functor.on_objects[anchor])
+
+
+def images_natural(cat, functor, anchor, images):
+    """The image family of ``category.yoneda_image_report`` is natural: the
+    image of f: y -> anchor pulled back along each g: x -> y is the image of
+    f.g."""
+    return all(images[cat.dom[g]][cat.compose(f, g)]
+               == frozenset(functor.apply(g, v) for v in images[cat.cod[g]][f])
+               for g in cat.morphisms for f in cat.hom(cat.cod[g], anchor))
+
+
+def images_reverse_left_order(cat, anchor, images):
+    """g <= f in the left preorder on hom(x, anchor), found by search, puts
+    the image of f inside the image of g, for every object x."""
+    return all(images[x][f] <= images[x][g]
+               for x in cat.objects
+               for g, f in hom_preorder_by_search(cat, x, anchor, "L")[0].pairs())
+
+
+def closure_extensive_and_idempotent(t, subset, closure):
+    """The closure (a label list) holds the subset and is closed, by
+    ``closure_by_opens`` over the enumerated open family."""
+    s, c = t.mask(subset), t.mask(closure)
+    return s & ~c == 0 and closure_by_opens(t, c) == c
 
 
 def analyze_by_blocks(d):

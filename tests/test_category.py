@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stratikit import category
-from stratikit.category import (SIDES, FiniteCategory, IMAGE_ORDER_NOTE, SetFunctor,
+from stratikit.category import (SIDES, FiniteCategory, SetFunctor,
                                 hom_preorder, hom_preorder_details,
                                 hom_stratified, st_functor_check, yoneda_image,
                                 yoneda_image_report,
@@ -20,9 +20,10 @@ from catalog import (all_categories, all_maps, category_arrow, category_c2,
                      cube_of_all_maps2, monoid, preimage_functor,
                      representable_functor, seeded_monoids, yoneda_instances)
 from reference import (check_laws_by_compose, closure_by_opens, green_leq,
-                       hom_preorder_by_search, locally_closed_by_opens,
-                       square_through_quotients, squares_through_quotients,
-                       yoneda_by_enumeration)
+                       hom_preorder_by_search, images_natural, images_reverse_left_order,
+                       locally_closed_by_opens, square_through_quotients,
+                       squares_through_quotients, yoneda_bijection_holds,
+                       yoneda_by_enumeration, yoneda_inverse_holds)
 
 
 def nonempty_hom_pairs(cat):
@@ -479,7 +480,8 @@ class TestYoneda:
         for name, cat, fun, anchor in yoneda_instances():
             transformations, rep = yoneda_natural_transformations(cat, fun, anchor)
             assert rep.transformation_count == rep.target_size, name
-            assert rep.ok(), name
+            assert yoneda_bijection_holds(cat, fun, anchor, transformations), name
+            assert yoneda_inverse_holds(cat, fun, anchor, transformations), name
             seen += 1
         assert seen >= 5
 
@@ -489,8 +491,8 @@ class TestYoneda:
                          {"A": [], "B": []}, {"idA": {}, "idB": {}, "u": {}})
         assert cat.hom("A", "A")
         transformations, rep = yoneda_natural_transformations(cat, fun, "A")
-        assert transformations == [] and rep.transformation_count == 0
-        assert rep.ok()
+        assert transformations == [] and rep.transformation_count == rep.target_size == 0
+        assert yoneda_bijection_holds(cat, fun, "A", transformations)
 
     def test_idempotent_example_has_exactly_two(self):
         cat = category_idempotent_monoid()
@@ -512,10 +514,10 @@ class TestYoneda:
                              ids=["T3", "T2^3"])
     def test_full_transformation_monoids_at_the_cap(self, maps, count):
         cat = monoid(maps)
-        transformations, rep = yoneda_natural_transformations(
-            cat, representable_functor(cat, "*"), "*")
+        fun = representable_functor(cat, "*")
+        transformations, rep = yoneda_natural_transformations(cat, fun, "*")
         assert rep.transformation_count == len(transformations) == count
-        assert rep.ok()
+        assert yoneda_bijection_holds(cat, fun, "*", transformations)
 
     def test_star_into_the_anchor_branches_at_the_identity(self):
         """Hom order lists the 31 spokes before the anchor's identity; one
@@ -525,7 +527,7 @@ class TestYoneda:
         assert len(cat.morphisms) == 63
         assert candidate_count(cat, fun, "a") == 2 ** 32
         transformations, rep = yoneda_natural_transformations(cat, fun, "a")
-        assert rep.transformation_count == 2 and rep.ok()
+        assert rep.transformation_count == rep.target_size == 2
         assert sorted(t["s30"]["u30"] for t in transformations) == ["0", "1"]
 
     @pytest.mark.parametrize("morphism, table, count", [
@@ -535,9 +537,10 @@ class TestYoneda:
     ], ids=["F1-constant", "F1-swap", "Fe-swap"])
     def test_broken_functor_agrees_with_the_enumeration(self, morphism, table, count):
         """A value table replaced after construction breaks a functor law, so
-        the evaluation at the identity is no bijection.  With F(1) constant at
-        0 only u = 0 survives: tau_u(1) is u itself, not F(1)(u), or u = 1
-        would record the family of u = 0 a second time."""
+        fewer transformations than |F(a)| are found and the evaluation at the
+        identity is no bijection.  With F(1) constant at 0 only u = 0
+        survives: tau_u(1) is u itself, not F(1)(u), or u = 1 would record
+        the family of u = 0 a second time."""
         cat = category_idempotent_monoid()
         fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
                          {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
@@ -546,7 +549,8 @@ class TestYoneda:
         expected, expected_rep = yoneda_by_enumeration(cat, fun, "*")
         assert len(transformations) == rep.transformation_count == count
         assert transformations == expected and rep == expected_rep
-        assert not rep.ok()
+        assert rep.transformation_count < rep.target_size
+        assert not yoneda_bijection_holds(cat, fun, "*", transformations)
 
     def test_agrees_with_the_enumeration_below_its_old_cap(self):
         """The catalog instances, every representable hom(-, b) at every
@@ -568,6 +572,21 @@ class TestYoneda:
             expected, expected_rep = yoneda_by_enumeration(cat, fun, anchor)
             assert frozen(transformations) == frozen(expected), name
             assert rep == expected_rep, name
+
+    def test_bijection_and_inverse_fail_on_altered_families(self):
+        """The two Yoneda verdicts of ``reference`` are false on families
+        altered by hand: one family dropped or listed twice breaks the
+        bijection, and one value off the identity breaks only the inverse."""
+        cat = category_idempotent_monoid()
+        fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
+                         {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
+        transformations, _ = yoneda_natural_transformations(cat, fun, "*")
+        first, second = transformations
+        assert not yoneda_bijection_holds(cat, fun, "*", [first])
+        assert not yoneda_bijection_holds(cat, fun, "*", [first, first, second])
+        altered = {"*": {**second["*"], "e": "1"}}
+        assert yoneda_bijection_holds(cat, fun, "*", [first, altered])
+        assert not yoneda_inverse_holds(cat, fun, "*", [first, altered])
 
     def test_covariant_functor_rejected(self):
         cat = category_c2()
@@ -596,10 +615,24 @@ class TestYonedaImage:
 
     def test_reports_hold_on_all_instances(self):
         for name, cat, fun, anchor in yoneda_instances():
-            rep = yoneda_image_report(cat, fun, anchor)
-            assert rep.naturality_holds, name
-            assert rep.monotone_inclusion_holds, name
-            assert rep.note == IMAGE_ORDER_NOTE
+            images = yoneda_image_report(cat, fun, anchor)
+            assert images == {x: yoneda_image(cat, fun, anchor, x) for x in cat.objects}
+            assert images_natural(cat, fun, anchor, images), name
+            assert images_reverse_left_order(cat, anchor, images), name
+
+    def test_image_verdicts_fail_on_altered_images(self):
+        """Grown to all of F(*), the image of e still reverses the left order
+        but is no longer natural; with the images of 1 and e swapped, the
+        left order is not reversed."""
+        cat = category_idempotent_monoid()
+        fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
+                         {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
+        images = yoneda_image_report(cat, fun, "*")
+        grown = {"*": {**images["*"], "e": frozenset({"0", "1"})}}
+        assert images_reverse_left_order(cat, "*", grown)
+        assert not images_natural(cat, fun, "*", grown)
+        swapped = {"*": {"1": images["*"]["e"], "e": images["*"]["1"]}}
+        assert not images_reverse_left_order(cat, "*", swapped)
 
     def test_inclusion_direction_explicitly(self):
         # 1 <=_L e, so the image of e must sit inside the image of 1

@@ -10,10 +10,11 @@ import stratikit
 from stratikit import topology
 from stratikit.category import hom_preorder_details
 from stratikit.cli import main
-from stratikit.jsonio import dump_preorder, load_category
+from stratikit.jsonio import dump_preorder, load_category, load_preorder
 from stratikit.order import quotient_poset
 
 from catalog import all_maps, cube_of_all_maps2, monoid_document, yoneda_document
+from reference import closure_extensive_and_idempotent
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -125,7 +126,12 @@ class TestTopologyCommands:
             "subset": ["c"]})
         code, out = run_cli(capsys, ["topology", "closure", "--input", path])
         assert code == 0
-        assert json.loads(out)["results"]["closure"] == ["a", "b", "c"]
+        doc = json.loads(out)
+        assert doc["results"]["closure"] == ["a", "b", "c"]
+        assert doc["checks"] == []
+        space = topology.FiniteTopology.from_preorder(load_preorder(PSEUDO_PREORDER))
+        assert closure_extensive_and_idempotent(space, doc["results"]["subset"],
+                                                doc["results"]["closure"])
 
     def test_dual_flag_reverses(self, tmp_path, capsys):
         code, out = run_cli(
@@ -322,6 +328,35 @@ class TestErrorHandling:
          {"factors": [{"space": {"carrier": ["a", "b"], "preorder_pairs": []},
                        "blocks": [["b"]]}]},
          "blocks do not cover the carrier; missing ('a',)", "factors[0].blocks"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "opens": [[], ["a"], ["a"], ["a", "b"]]},
+          "blocks": [["a"], ["b"]]},
+         "duplicate open set ['a']", "space.opens[2]"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "opens": [["a"], ["a", "b"]]},
+          "blocks": [["a"], ["b"]]},
+         "empty set missing from the open family", "space.opens"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b"], "opens": [[], ["a"]]},
+          "blocks": [["a"], ["b"]]},
+         "carrier missing from the open family", "space.opens"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b", "c"], "opens": [[], ["a"], ["b"], ["a", "b", "c"]]},
+          "blocks": [["a"], ["b", "c"]]},
+         "union escape: ('a',) | ('b',) not open", "space.opens"),
+        (["decomp", "analyze"],
+         {"space": {"carrier": ["a", "b", "c"],
+                    "opens": [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]},
+          "blocks": [["a"], ["b", "c"]]},
+         "intersection escape: ('a', 'b') & ('b', 'c') not open", "space.opens"),
+        (["decomp", "product"],
+         {"factors": [CHAIN_BAD_DECOMP,
+                      {"space": {"carrier": ["a", "b"], "opens": [[], ["b"], ["b"], ["a", "b"]]},
+                       "blocks": [["a", "b"]]}]},
+         "duplicate open set ['b']", "factors[1].space.opens[2]"),
+        (["topology", "to-preorder"],
+         {"carrier": ["a", "b"], "opens": [[], ["b"], ["a", "b"], ["b"]]},
+         "duplicate open set ['b']", "opens[3]"),
         (["arrangement", "faces"], {"dim": 0, "forms": [[0]]},
          "dimension must be positive", "dim"),
         (["arrangement", "faces"], {"dim": True, "forms": [[0, 1]]},
@@ -336,7 +371,10 @@ class TestErrorHandling:
             "block-label-count", "factor-label-count", "product-label-collision",
             "product-carrier-collision", "overlapping-blocks", "empty-block",
             "uncovered-carrier", "factor-overlapping-blocks", "factor-empty-block",
-            "factor-uncovered-carrier", "dim-not-positive", "dim-boolean", "no-forms"])
+            "factor-uncovered-carrier", "duplicate-open", "open-family-without-empty-set",
+            "open-family-without-carrier", "open-union-escape", "open-intersection-escape",
+            "factor-duplicate-open", "top-level-duplicate-open", "dim-not-positive",
+            "dim-boolean", "no-forms"])
     def test_missing_or_nested_command_input_names_its_path(
             self, tmp_path, capsys, argv, doc, message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
@@ -777,8 +815,8 @@ class TestHomsetCommands:
         code, out = run_cli(capsys, ["homset", "yoneda", "--input", path])
         assert code == 0
         doc = json.loads(out)
-        assert doc["results"]["transformation_count"] == count
-        assert all(check["pass"] for check in doc["checks"])
+        assert doc["results"]["transformation_count"] == doc["results"]["target_size"] == count
+        assert doc["checks"] == []
 
     def test_preorder_reports_no_check_that_cannot_fail(self, tmp_path, capsys):
         path = write_input(tmp_path, {

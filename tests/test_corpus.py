@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from stratikit import corpus
@@ -30,3 +34,21 @@ def test_corpus_is_complete():
 
 def test_case_names_runners_and_golden_files_agree():
     assert corpus.unmatched_cases() == []
+
+
+def test_a_corpus_job_loads_no_resource_machinery():
+    """The golden files are read by plain path: without ``site``, which may
+    preload them, ``corpus run ex1`` leaves ``importlib.resources``,
+    ``pathlib`` and ``tempfile`` unloaded."""
+    script = ("import sys\n"
+              "from stratikit.cli import main\n"
+              "code = main(['corpus', 'run', 'ex1'])\n"
+              "loaded = {'importlib.resources', 'pathlib', 'tempfile'} & set(sys.modules)\n"
+              "print(sorted(loaded), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(corpus.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"

@@ -42,7 +42,7 @@ JOBS = [
     (["topology", "from-preorder"], LINE, 0,
      "f8cfdf9c2da5b4a668e595cacd0d8d6fc32a9120d48a0683c95eda6abf7ece24"),
     (["topology", "closure"], {"space": SIERPINSKI, "subset": ["b"]}, 0,
-     "c56568e70d977075579d2a9752b1e0e48f418e30eaffc62e1be429891d3efd9d"),
+     "c0fee287043b7734c87494bc9b4c7b54ad148b4ed626f5d5131789624eb9ded6"),
     (["decomp", "analyze"], CHAIN, 0,
      "12ead0a3dfb767c88c3a24108aa422ac4600e94134ecdf2e7f6887544e4b237d"),
     (["decomp", "quotient"], CHAIN, 0,
@@ -64,7 +64,7 @@ JOBS = [
     (["homset", "functor-check"], {"category": IDEM, "anchor": "*", "side": "L"}, 0,
      "5b440364ae0cddb375b97761706c0d135e567e1715ee4facedc75138f33aa233"),
     (["homset", "yoneda"], YONEDA, 0,
-     "c6b754b829a738a8d5b26b2496876cff2af22240c7440a0be9fc0968875084b8"),
+     "5f491bb4ce12aaf4a91d5ae2cb571728603f5d47e4f316cdbe8d4a280b98ca6a"),
     (["homology", "order-complex"], PSEUDO, 0,
      "40f6195feb0d43f9cdf485e687bf344ab83e53b27e053c4433f0de57c6ca2060"),
     (["homology", "betti", "--max-dim", "2"], PSEUDO, 0,

@@ -12,7 +12,8 @@ from stratikit.randomcases import random_preorder
 from stratikit.topology import (MAX_OPENS, FiniteTopology, PosetStratifiedSpace,
                                 _canonical_key, product_topology, rows_of_opens)
 
-from reference import closure_by_opens, locally_closed_by_opens, random_topology
+from reference import (closure_by_opens, closure_extensive_and_idempotent,
+                       locally_closed_by_opens, random_topology)
 
 
 def random_assignment(rng, source_labels, target_labels):
@@ -391,6 +392,17 @@ def test_kuratowski_axioms(seed):
         assert ca & ~t.closure_mask(b) == 0   # monotone
     assert t.closure_mask(a | b) == ca | t.closure_mask(b)  # additive
     assert t.closure_mask(0) == 0
+
+
+def test_closure_verdict_fails_on_a_wrong_closure():
+    """``reference.closure_extensive_and_idempotent`` holds on the closure of
+    {a} in the Sierpinski space and fails on a set that misses a or is not
+    closed."""
+    t = FiniteTopology.from_open_sets(["a", "b"], [[], ["a"], ["a", "b"]])
+    assert t.closure(["a"]) == ("a", "b")
+    assert closure_extensive_and_idempotent(t, ["a"], ["a", "b"])
+    assert not closure_extensive_and_idempotent(t, ["a"], ["b"])
+    assert not closure_extensive_and_idempotent(t, ["a"], ["a"])
 
 
 class TestLocallyClosed:
