@@ -63,7 +63,8 @@ class FiniteCategory:
                 raise InputError(f"missing identity for object {x!r}", path="identities")
             i = identities[x]
             if i not in self.hom_table[(x, x)]:
-                raise StructureError(f"identity {i!r} is not an endomorphism of {x!r}")
+                raise StructureError(f"identity {i!r} is not an endomorphism of {x!r}",
+                                     path=f"identities.{x}")
             self.identity[x] = i
 
         self._compose = {}
@@ -73,15 +74,21 @@ class FiniteCategory:
                     raise InputError(f"unknown morphism {m!r} in composition table",
                                      path=f"compose[{i}]")
             if self.cod[f] != self.dom[g]:
-                raise StructureError(f"pair ({g!r}, {f!r}) is not composable")
+                raise StructureError(f"pair ({g!r}, {f!r}) is not composable",
+                                     path=f"compose[{i}]")
             if (g, f) in self._compose:
                 raise InputError(f"duplicate composition entry for ({g!r}, {f!r})",
                                  path=f"compose[{i}]")
             if self.dom[h] != self.dom[f] or self.cod[h] != self.cod[g]:
                 raise StructureError(
-                    f"composite {h!r} of ({g!r}, {f!r}) lands in the wrong hom-set")
+                    f"composite {h!r} of ({g!r}, {f!r}) lands in the wrong hom-set",
+                    path=f"compose[{i}]")
             self._compose[(g, f)] = h
-        self._check_laws()
+        try:
+            self._check_laws()
+        except StructureError as exc:  # the table as a whole breaks a law
+            exc.path = "compose"
+            raise
 
     def _check_laws(self):
         """Identity laws for each f, then associativity for each composable
@@ -185,8 +192,7 @@ def hom_preorder(cat, x, y, side):
 
 class HomStructureReport(namedtuple(
         "HomStructureReport",
-        "side source target preorder witnesses projection_open "
-        "fibers_locally_closed order_matches_closure")):
+        "witnesses projection_open fibers_locally_closed order_matches_closure")):
     __slots__ = ()
 
     def all_hold(self):
@@ -216,7 +222,7 @@ def hom_stratified(cat, x, y, side):
     rep = analyze(Decomposition(
         space, [pss.fiber_mask(c) for c in strata.carrier], strata.carrier))
     report = HomStructureReport(
-        side=side, source=x, target=y, preorder=pre, witnesses=witnesses,
+        witnesses=witnesses,
         projection_open=rep.pi_open and rep.tau_pi_preorder == strata,
         fibers_locally_closed=rep.blocks_locally_closed,
         order_matches_closure=rep.star_preorder == strata)
@@ -310,15 +316,19 @@ class SetFunctor:
             src = set(self.on_objects[self.source_object(m)])
             tgt = set(self.on_objects[self.target_object(m)])
             if set(fn) != src:
-                raise StructureError(f"value map of {m!r} is not total on its source set")
+                raise StructureError(f"value map of {m!r} is not total on its source set",
+                                     path=f"on_morphisms.{m}")
             if not set(fn.values()) <= tgt:
-                raise StructureError(f"value map of {m!r} escapes its target set")
+                raise StructureError(f"value map of {m!r} escapes its target set",
+                                     path=f"on_morphisms.{m}")
         for x in cat.objects:
             fn = self.on_morphisms[cat.identity[x]]
             if any(fn[v] != v for v in fn):
-                raise StructureError(f"functor does not preserve the identity of {x!r}")
+                raise StructureError(f"functor does not preserve the identity of {x!r}",
+                                     path=f"on_morphisms.{cat.identity[x]}")
         for g, f in cat.composable_pairs():
-            gf = self.on_morphisms[cat.compose(g, f)]
+            h = cat.compose(g, f)
+            gf = self.on_morphisms[h]
             fg, fF = self.on_morphisms[g], self.on_morphisms[f]
             if self.variance == "covariant":
                 composed = {v: fg[fF[v]] for v in fF}
@@ -326,7 +336,8 @@ class SetFunctor:
                 composed = {v: fF[fg[v]] for v in fg}
             if composed != gf:
                 raise StructureError(
-                    f"functor does not respect composition at ({g!r}, {f!r})")
+                    f"functor does not respect composition at ({g!r}, {f!r})",
+                    path=f"on_morphisms.{h}")
 
     def apply(self, m, value):
         return self.on_morphisms[m][value]

@@ -115,12 +115,12 @@ def _decomp_analyze(doc, args):
     checks = [_check("semicontinuity class consistent with map openness/closedness",
                      rep.moore_class == reference, rep.moore_class)]
     _write_dot(args, rep.star_preorder)
-    return rep.to_json_dict(), checks
+    return jsonio.dump_analysis(rep), checks
 
 
 def _decomp_validate(doc, args):
     dec = jsonio.load_decomposition(doc)
-    return decomposition.validate_stratification(dec).to_json_dict(), []
+    return decomposition.validate_stratification(dec), []
 
 
 def _decomp_product(doc, args):
@@ -130,11 +130,12 @@ def _decomp_product(doc, args):
     decs = [jsonio.load_decomposition(f, path=f"factors[{i}]")
             for i, f in enumerate(factors)]
     try:
-        prod, ver = decomposition.product_decomposition(decs)
+        prod, pi_open, matches = decomposition.product_decomposition(decs)
     except StructureError as exc:  # a factor whose projection is not open
         return {}, [_check("factors lower semicontinuous", False, str(exc))]
-    return (jsonio.dump_decomposition(prod),
-            [_check(name, ok) for name, ok in ver.checks])
+    checks = [_check("product projection open", pi_open),
+              _check("quotient equals product of factor quotient preorders", matches)]
+    return jsonio.dump_decomposition(prod), checks
 
 
 # -- arrangement ---------------------------------------------------------------

@@ -90,30 +90,6 @@ class DecompositionReport(namedtuple(
     def moore_class(self):
         return MOORE_CLASS[(self.pi_open, self.pi_closed)]
 
-    def to_json_dict(self):
-        quotient = FiniteTopology.from_preorder(self.tau_pi_preorder)
-        return {
-            "quotient": {
-                "carrier": list(quotient.carrier),
-                "opens": quotient.opens_as_labels(),
-            },
-            "pi_open": self.pi_open,
-            "pi_closed": self.pi_closed,
-            "moore_class": self.moore_class,
-            "star_preorder": {
-                "carrier": list(self.star_preorder.carrier),
-                "pairs": [list(p) for p in self.star_preorder.pairs()],
-            },
-            "tau_pi_preorder": {
-                "carrier": list(self.tau_pi_preorder.carrier),
-                "pairs": [list(p) for p in self.tau_pi_preorder.pairs()],
-            },
-            "tamaki_agrees": self.tamaki_agrees,
-            "blocks_locally_closed": dict(self.blocks_locally_closed),
-            "frontier_condition": self.frontier_condition,
-            "quotient_is_poset": self.quotient_is_poset,
-        }
-
 
 def analyze(d):
     """Full openness/semicontinuity/stratification-adjacent report for a decomposition.
@@ -174,62 +150,35 @@ def open_closed_by_opens(d):
             all(space.is_closed(d.preimage_mask(u)) for u in direct_image_closeds(d)))
 
 
-class StratificationReport(namedtuple(
-        "StratificationReport",
-        "blocks_locally_closed frontier_condition closed_union_condition "
-        "is_stratification pi_continuous_to_star star_topology_equals_quotient")):
-    """The last two fields are None unless the partition is a stratification."""
-
-    __slots__ = ()
-
-    def to_json_dict(self):
-        return {
-            "blocks_locally_closed": dict(self.blocks_locally_closed),
-            "frontier_condition": self.frontier_condition,
-            "closed_union_condition": self.closed_union_condition,
-            "is_stratification": self.is_stratification,
-            "pi_continuous_to_star": self.pi_continuous_to_star,
-            "star_topology_equals_quotient": self.star_topology_equals_quotient,
-        }
-
-
 def validate_stratification(d):
-    """Check the partition is a stratification: disjoint cover (guaranteed by
-    construction), locally closed blocks, and the frontier condition.
+    """The stratification verdicts of a partition, as one dict: a disjoint
+    cover (guaranteed by construction) is a stratification iff its blocks are
+    locally closed and it meets the frontier condition.  The closed-union
+    condition is automatic for a finite index set.
 
-    The closed-union condition is automatic for a finite index set.  When the
-    partition is a stratification, the projection is additionally checked to
-    be continuous to the block poset under the closure order, whose Alexandroff
-    topology must then equal the quotient topology.
+    On a stratification the projection is continuous to the blocks under the
+    closure order, whose up-set topology is the quotient topology: the
+    frontier condition makes the quotient generators the closure-order rows,
+    and ``analyze`` accepted those rows as a preorder, so they are closed
+    already and both preorders are one.  Off a stratification both verdicts
+    are None.
     """
     rep = analyze(d)
     locally_closed = rep.blocks_locally_closed
     is_strat = all(locally_closed.values()) and rep.frontier_condition
-    continuous = same_topology = None
-    if is_strat:
-        star, tau_pi = rep.star_preorder, rep.tau_pi_preorder
-        # a star up-set has an open preimage iff it is a quotient up-set, so
-        # every one does iff each quotient row lies inside the star row
-        continuous = all(t & ~s == 0 for t, s in zip(tau_pi.up, star.up))
-        # up-set topologies on one carrier are equal iff their preorders are
-        same_topology = star == tau_pi
-    return StratificationReport(
-        blocks_locally_closed=locally_closed,
-        frontier_condition=rep.frontier_condition,
-        closed_union_condition="automatic (finite index set)",
-        is_stratification=is_strat,
-        pi_continuous_to_star=continuous,
-        star_topology_equals_quotient=same_topology,
-    )
-
-
-ProductVerification = namedtuple(
-    "ProductVerification",
-    "factor_reports product_pi_open quotient_matches_preorder_product checks")
+    return {
+        "blocks_locally_closed": locally_closed,
+        "frontier_condition": rep.frontier_condition,
+        "closed_union_condition": "automatic (finite index set)",
+        "is_stratification": is_strat,
+        "pi_continuous_to_star": is_strat or None,
+        "star_topology_equals_quotient": is_strat or None,
+    }
 
 
 def product_decomposition(ds):
-    """Blockwise product of open decompositions, with its verification report.
+    """Blockwise product of open decompositions, as (decomposition, projection
+    open, quotient matches).
 
     Every factor must have an open projection; the product then does too, and
     its quotient topology must coincide with the Alexandroff topology of the
@@ -256,10 +205,4 @@ def product_decomposition(ds):
     # both carriers list the block labels in row-major order, and up-set
     # topologies on one carrier are equal iff their preorders are
     matches = rep.tau_pi_preorder == product([r.tau_pi_preorder for r in factor_reports])
-    return out, ProductVerification(
-        factor_reports=factor_reports,
-        product_pi_open=rep.pi_open,
-        quotient_matches_preorder_product=matches,
-        checks=[("product projection open", rep.pi_open),
-                ("quotient equals product of factor quotient preorders", matches)],
-    )
+    return out, rep.pi_open, matches

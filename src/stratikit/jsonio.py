@@ -155,6 +155,22 @@ def dump_decomposition(d):
     }
 
 
+def dump_analysis(rep):
+    """The JSON form of an ``analyze`` report, its quotient topology first."""
+    return {
+        "quotient": dump_topology(topology.FiniteTopology.from_preorder(rep.tau_pi_preorder)),
+        "pi_open": rep.pi_open,
+        "pi_closed": rep.pi_closed,
+        "moore_class": rep.moore_class,
+        "star_preorder": dump_preorder(rep.star_preorder),
+        "tau_pi_preorder": dump_preorder(rep.tau_pi_preorder),
+        "tamaki_agrees": rep.tamaki_agrees,
+        "blocks_locally_closed": rep.blocks_locally_closed,
+        "frontier_condition": rep.frontier_condition,
+        "quotient_is_poset": rep.quotient_is_poset,
+    }
+
+
 def load_arrangement(doc, path=""):
     dim = expect(doc, "dim", int, path)
     forms = expect(doc, "forms", list, path)

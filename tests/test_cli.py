@@ -44,6 +44,13 @@ IDEM = {
     "identities": {"*": "1"},
     "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "e"]],
 }
+# u: * -> A between two one-morphism monoids
+ARROW = {
+    "objects": ["*", "A"],
+    "homs": {"*->*": ["1"], "A->A": ["a"], "*->A": ["u"]},
+    "identities": {"*": "1", "A": "a"},
+    "compose": [["1", "1", "1"], ["a", "a", "a"], ["a", "u", "u"], ["u", "1", "u"]],
+}
 YONEDA_DOC = {"category": IDEM, "anchor": "*", "functor": {
     "variance": "contravariant", "on_objects": {"*": ["0", "1"]},
     "on_morphisms": {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}}}}
@@ -455,13 +462,59 @@ class TestErrorHandling:
          {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"],
                                     "on_morphisms": {"1": {"0": "0", "1": "1"}}}},
          "functor misses morphism 'e'", "functor.on_morphisms"),
+        (["homset", "preorder"],
+         {"category": {**ARROW, "compose": [*ARROW["compose"], ["1", "u", "u"]]},
+          "source": "*", "target": "*"},
+         "pair ('1', 'u') is not composable", "category.compose[4]"),
+        (["homset", "preorder"],
+         {"category": {**ARROW, "compose": [*ARROW["compose"][:3], ["u", "1", "a"]]},
+          "source": "*", "target": "*"},
+         "composite 'a' of ('u', '1') lands in the wrong hom-set", "category.compose[3]"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "identities": {"*": "zz"}}, "source": "*", "target": "*"},
+         "identity 'zz' is not an endomorphism of '*'", "category.identities.*"),
+        (["homset", "preorder"],
+         {"category": {**IDEM, "compose": [*IDEM["compose"][:2], ["e", "1", "1"],
+                                           IDEM["compose"][3]]},
+          "source": "*", "target": "*"},
+         "right identity law fails at 'e'", "category.compose"),
+        (["homset", "stratify"],
+         {"category": {**IDEM, "compose": IDEM["compose"][:3]}, "source": "*", "target": "*"},
+         "composition table misses composable pair ('e', 'e')", "category.compose"),
+        (["homset", "preorder"],
+         {"category": {"objects": ["*"], "homs": {"*->*": ["1", "a", "b"]},
+                       "identities": {"*": "1"},
+                       "compose": [["1", "1", "1"], ["1", "a", "a"], ["1", "b", "b"],
+                                   ["a", "1", "a"], ["b", "1", "b"], ["a", "a", "a"],
+                                   ["a", "b", "a"], ["b", "a", "b"], ["b", "b", "a"]]},
+          "source": "*", "target": "*"},
+         "associativity fails at ('b', 'a', 'b')", "category.compose"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "on_morphisms": {
+             **YONEDA_DOC["functor"]["on_morphisms"], "e": {"0": "0"}}}},
+         "value map of 'e' is not total on its source set", "functor.on_morphisms.e"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "on_morphisms": {
+             **YONEDA_DOC["functor"]["on_morphisms"], "e": {"0": "0", "1": "2"}}}},
+         "value map of 'e' escapes its target set", "functor.on_morphisms.e"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "on_morphisms": {
+             **YONEDA_DOC["functor"]["on_morphisms"], "1": {"0": "1", "1": "0"}}}},
+         "functor does not preserve the identity of '*'", "functor.on_morphisms.1"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "on_morphisms": {
+             **YONEDA_DOC["functor"]["on_morphisms"], "e": {"0": "1", "1": "0"}}}},
+         "functor does not respect composition at ('e', 'e')", "functor.on_morphisms.e"),
     ], ids=["hom-key", "hom-value", "compose-row", "hom-key-object",
             "hom-key-object-as-spelled", "compose-morphism", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
             "preorder-side", "stratify-side", "functor-check-side",
             "duplicate-objects", "morphism-label-twice", "hom-pair-twice", "missing-identity",
             "duplicate-compose-entry", "functor-variance", "functor-misses-object",
-            "functor-duplicate-values", "functor-misses-morphism"])
+            "functor-duplicate-values", "functor-misses-morphism",
+            "pair-not-composable", "composite-in-wrong-hom-set", "identity-not-endomorphism",
+            "identity-law", "compose-misses-pair", "associativity", "value-map-not-total",
+            "value-map-escapes-target", "functor-identity", "functor-composition"])
     def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,
                                              message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
