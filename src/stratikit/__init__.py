@@ -21,7 +21,7 @@ _EXPORTS = {
     "arrangement": ("Arrangement", "Face", "closure_inclusion", "closure_rows",
                     "enumerate_faces", "face_poset", "sign_map"),
     "category": ("FiniteCategory", "SetFunctor", "hom_preorder", "hom_stratified",
-                 "st_functor_check", "yoneda_image", "yoneda_image_report",
+                 "st_functor_check", "yoneda_image_report",
                  "yoneda_natural_transformations"),
     "decomposition": ("Decomposition", "DecompositionReport", "analyze",
                       "product_decomposition", "quotient_topology",

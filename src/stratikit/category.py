@@ -52,7 +52,8 @@ class FiniteCategory:
         self.morphisms = tuple(order)
         if len(self.morphisms) > MAX_MORPHISMS:
             raise CapExceeded(
-                f"category has {len(self.morphisms)} morphisms, cap is {MAX_MORPHISMS}")
+                f"category has {len(self.morphisms)} morphisms, cap is {MAX_MORPHISMS}",
+                path="homs")
 
         for x in identities:
             if x not in obj_set:
@@ -215,7 +216,7 @@ def hom_stratified(cat, x, y, side):
 
     pre, witnesses = hom_preorder_details(cat, x, y, side)
     if not pre.carrier:
-        raise InputError(f"hom({x!r}, {y!r}) is empty; nothing to stratify")
+        raise InputError(f"hom({x!r}, {y!r}) is empty; nothing to stratify", path="source")
     space = FiniteTopology.from_preorder(pre)
     strata, projection = quotient_poset(pre)
     pss = PosetStratifiedSpace(space, strata, projection)
@@ -301,20 +302,16 @@ class SetFunctor:
                                  path=f"on_morphisms.{m}")
         self._check()
 
-    def source_object(self, m):
-        return self.cat.dom[m] if self.variance == "covariant" else self.cat.cod[m]
-
-    def target_object(self, m):
-        return self.cat.cod[m] if self.variance == "covariant" else self.cat.dom[m]
-
     def _check(self):
         cat = self.cat
         for m in cat.morphisms:
             if m not in self.on_morphisms:
                 raise InputError(f"functor misses morphism {m!r}", path="on_morphisms")
             fn = self.on_morphisms[m]
-            src = set(self.on_objects[self.source_object(m)])
-            tgt = set(self.on_objects[self.target_object(m)])
+            ends = (cat.dom[m], cat.cod[m])
+            if self.variance == "contravariant":
+                ends = ends[::-1]
+            src, tgt = (set(self.on_objects[x]) for x in ends)
             if set(fn) != src:
                 raise StructureError(f"value map of {m!r} is not total on its source set",
                                      path=f"on_morphisms.{m}")
@@ -339,9 +336,6 @@ class SetFunctor:
                     f"functor does not respect composition at ({g!r}, {f!r})",
                     path=f"on_morphisms.{h}")
 
-    def apply(self, m, value):
-        return self.on_morphisms[m][value]
-
     def __repr__(self):
         sizes = {x: len(v) for x, v in self.on_objects.items()}
         return f"SetFunctor({self.variance}, sizes={sizes})"
@@ -351,35 +345,27 @@ YonedaReport = namedtuple("YonedaReport", "transformation_count target_size")
 
 
 def yoneda_natural_transformations(cat, functor, anchor):
-    """Every natural transformation hom(-, anchor) -> F, one candidate per
-    element of F(anchor), with their count beside |F(anchor)|.
+    """Every natural transformation hom(-, anchor) -> F, one per element u of
+    F(anchor) in that order, with their count beside |F(anchor)|.
 
-    Naturality over g: w -> z says tau(h.g) = F(g)(tau(h)) for every
-    h: z -> anchor.  At h = id it reads tau(g) = F(g)(tau(id)), so a natural
-    tau is the family tau_u with u = tau(id): tau_u(id) = u and
-    tau_u(f) = F(f)(u) for every other f into the anchor.  Each tau_u, in the
-    order of F(anchor), is kept iff it satisfies every equation.  On a
-    functor, which ``SetFunctor`` checks on construction, every tau_u is kept
-    (the Yoneda lemma), so the count equals |F(anchor)|.
-
-    Each transformation is a dict object -> (dict morphism -> element).
-    """
+    Naturality at h = id forces tau(g) = F(g)(tau(id)), so tau is the family
+    tau_u(f) = F(f)(u) with u = tau(id), read off the value maps.  Each tau_u
+    is natural, with tau_u(id) = u, because ``SetFunctor`` has checked that F
+    preserves identities and composition (the Yoneda lemma; Mac Lane,
+    *Categories for the Working Mathematician*, III.2), so no naturality
+    equation is checked.  Each transformation is a dict object -> (dict
+    morphism -> element)."""
     if functor.variance != "contravariant":
-        raise InputError("the representable side here is contravariant; pass a contravariant functor")
+        raise InputError(
+            "the representable side here is contravariant; pass a contravariant functor",
+            path="functor.variance")
     cat.hom(anchor, anchor)
-    ident = cat.identity[anchor]
-    into = [f for x in cat.objects for f in cat.hom(x, anchor)]
-    equations = [(h, g, cat.compose(h, g)) for h in into
-                 for w in cat.objects for g in cat.hom(w, cat.dom[h])]
     target = functor.on_objects[anchor]
-    results = []
-    for u in target:
-        tau = {f: functor.apply(f, u) for f in into}
-        tau[ident] = u
-        if all(tau[hg] == functor.apply(g, tau[h]) for h, g, hg in equations):
-            results.append({x: {f: tau[f] for f in cat.hom(x, anchor)}
-                            for x in cat.objects})
-    return results, YonedaReport(transformation_count=len(results), target_size=len(target))
+    maps = functor.on_morphisms
+    families = [{x: {f: maps[f][u] for f in cat.hom(x, anchor)} for x in cat.objects}
+                for u in target]
+    return families, YonedaReport(transformation_count=len(families),
+                                  target_size=len(target))
 
 
 IMAGE_ORDER_NOTE = (
@@ -389,20 +375,12 @@ IMAGE_ORDER_NOTE = (
     "and is reported here as a discrepancy rather than asserted")
 
 
-def yoneda_image(cat, functor, anchor, x):
-    """image map on hom(x, anchor): f maps to { F(f)(a) : a in F(anchor) }."""
-    if functor.variance != "contravariant":
-        raise InputError("yoneda_image expects a contravariant functor")
-    target = functor.on_objects[anchor]
-    return {
-        f: frozenset(functor.apply(f, a) for a in target)
-        for f in cat.hom(x, anchor)
-    }
-
-
 def yoneda_image_report(cat, functor, anchor):
-    """The image map on every hom(x, anchor), as a dict from each object x.
-    On a functor the family is natural and the left preorder makes it
+    """The image map on every hom(x, anchor), as a dict from each object x:
+    f maps to {F(f)(u) : u in F(anchor)}, the values of the Yoneda families
+    at f.  On a functor the family is natural and the left preorder makes it
     inclusion-reversing (see ``IMAGE_ORDER_NOTE``), so neither is checked
     here."""
-    return {x: yoneda_image(cat, functor, anchor, x) for x in cat.objects}
+    families, _ = yoneda_natural_transformations(cat, functor, anchor)
+    return {x: {f: frozenset(tau[x][f] for tau in families) for f in cat.hom(x, anchor)}
+            for x in cat.objects}

@@ -13,16 +13,35 @@ from . import (arrangement, category, corpus, decomposition, dot, homology, json
 from .errors import CapExceeded, InputError, StratikitError, StructureError
 
 
+# Longest integer literal a document may hold: Python's default int-string
+# limit, fixed so that no answer depends on the interpreter's version.
+MAX_INT_DIGITS = 4300
+
+
+def _parse_int(literal):
+    digits = len(literal) - literal.startswith("-")
+    if digits > MAX_INT_DIGITS:
+        raise CapExceeded(f"integer literal has {digits} digits, cap is {MAX_INT_DIGITS}",
+                          path="$")
+    return int(literal)
+
+
 def _read_input(args):
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    """The document and its text; input that cannot be read, decoded or
+    parsed is refused at ``$``."""
     try:
-        doc = json.loads(text)
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.buffer.read().decode("utf-8")
+        doc = json.loads(text, parse_int=_parse_int)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}", path="$") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not JSON: {exc}", path="$") from exc
+    except RecursionError:
+        raise InputError("input is nested too deeply to decode", path="$") from None
     if not isinstance(doc, dict):
         raise InputError(f"expected object, got {type(doc).__name__}", path="")
     return doc, text

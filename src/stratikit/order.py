@@ -253,7 +253,7 @@ class Poset(Preorder):
                 j = lowest_bit(u & d & ~(1 << i))
                 raise StructureError(
                     f"relation not antisymmetric: {self.carrier[i]!r} and "
-                    f"{self.carrier[j]!r} are equivalent but distinct")
+                    f"{self.carrier[j]!r} are equivalent but distinct", path="pairs")
 
 
 def first_escape(images, source, target):

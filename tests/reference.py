@@ -5,11 +5,11 @@ transformation monoid read off images, kernels and ranks, the functor-check
 squares made through the quotient posets, the category law
 check made one ``compose`` call at a time, the chains of a poset found
 by testing every subset of its carrier, the natural transformations
-out of a representable functor found by trying every candidate family, the
-verdicts that hold by theorem on the Yoneda families, on their images and on
-a closure, the decomposition analysis made block by block and block pair by
-block pair, and linear systems written as rational rows, converted row by
-row."""
+out of a representable functor found by trying every candidate family and
+checked equation by equation, the verdicts that hold by theorem on the
+Yoneda families, on their images and on a closure, the decomposition
+analysis made block by block and block pair by block pair, and linear
+systems written as rational rows, converted row by row."""
 
 import itertools
 
@@ -209,7 +209,7 @@ def yoneda_by_enumeration(cat, functor, anchor):
         # contravariant naturality over g: w -> z, pulled back along g
         for g in cat.hom(w, z):
             for h in cat.hom(z, anchor):
-                if tau[w][cat.compose(h, g)] != functor.apply(g, tau[z][h]):
+                if tau[w][cat.compose(h, g)] != functor.on_morphisms[g][tau[z][h]]:
                     return False
         return True
 
@@ -232,6 +232,27 @@ def yoneda_by_enumeration(cat, functor, anchor):
                                  target_size=len(functor.on_objects[anchor]))
 
 
+def natural_by_equations(cat, functor, anchor, families):
+    """The families, the k-th paired with the k-th element u of F(anchor), that
+    take u at the anchor's identity and satisfy every naturality equation
+    tau(h.g) = F(g)(tau(h)), for h: z -> anchor and g: w -> z, checked one
+    by one.  On a functor every family of
+    ``category.yoneda_natural_transformations`` passes (the Yoneda lemma);
+    on value tables that break a functor law, only the natural
+    transformations pass."""
+    ident = cat.identity[anchor]
+    into = [f for x in cat.objects for f in cat.hom(x, anchor)]
+    equations = [(h, g, cat.compose(h, g)) for h in into
+                 for w in cat.objects for g in cat.hom(w, cat.dom[h])]
+    kept = []
+    for u, family in zip(functor.on_objects[anchor], families, strict=True):
+        tau = {f: v for component in family.values() for f, v in component.items()}
+        if tau[ident] == u and all(tau[hg] == functor.on_morphisms[g][tau[h]]
+                                   for h, g, hg in equations):
+            kept.append(family)
+    return kept
+
+
 def yoneda_bijection_holds(cat, functor, anchor, transformations):
     """Evaluation at the anchor's identity is a bijection from the
     transformations onto F(anchor): no value twice, and every element hit."""
@@ -246,7 +267,7 @@ def yoneda_inverse_holds(cat, functor, anchor, transformations):
     f -> F(f)(alpha)."""
     ident = cat.identity[anchor]
     by_value = {tau[anchor][ident]: tau for tau in transformations}
-    return all(by_value.get(alpha) == {x: {f: functor.apply(f, alpha)
+    return all(by_value.get(alpha) == {x: {f: functor.on_morphisms[f][alpha]
                                            for f in cat.hom(x, anchor)}
                                        for x in cat.objects}
                for alpha in functor.on_objects[anchor])
@@ -257,7 +278,7 @@ def images_natural(cat, functor, anchor, images):
     image of f: y -> anchor pulled back along each g: x -> y is the image of
     f.g."""
     return all(images[cat.dom[g]][cat.compose(f, g)]
-               == frozenset(functor.apply(g, v) for v in images[cat.cod[g]][f])
+               == frozenset(functor.on_morphisms[g][v] for v in images[cat.cod[g]][f])
                for g in cat.morphisms for f in cat.hom(cat.cod[g], anchor))
 
 

@@ -6,8 +6,7 @@ import pytest
 from stratikit import category
 from stratikit.category import (SIDES, FiniteCategory, SetFunctor,
                                 hom_preorder, hom_preorder_details,
-                                hom_stratified, st_functor_check, yoneda_image,
-                                yoneda_image_report,
+                                hom_stratified, st_functor_check, yoneda_image_report,
                                 yoneda_natural_transformations)
 from stratikit.errors import InputError, StructureError
 from stratikit.order import is_monotone, quotient_poset
@@ -21,9 +20,9 @@ from catalog import (all_categories, all_maps, category_arrow, category_c2,
                      representable_functor, seeded_monoids, yoneda_instances)
 from reference import (check_laws_by_compose, closure_by_opens, green_leq,
                        hom_preorder_by_search, images_natural, images_reverse_left_order,
-                       locally_closed_by_opens, square_through_quotients,
-                       squares_through_quotients, yoneda_bijection_holds,
-                       yoneda_by_enumeration, yoneda_inverse_holds)
+                       locally_closed_by_opens, natural_by_equations,
+                       square_through_quotients, squares_through_quotients,
+                       yoneda_bijection_holds, yoneda_by_enumeration, yoneda_inverse_holds)
 
 
 def nonempty_hom_pairs(cat):
@@ -536,21 +535,44 @@ class TestYoneda:
         ("e", {"0": "1", "1": "0"}, 0),
     ], ids=["F1-constant", "F1-swap", "Fe-swap"])
     def test_broken_functor_agrees_with_the_enumeration(self, morphism, table, count):
-        """A value table replaced after construction breaks a functor law, so
-        fewer transformations than |F(a)| are found and the evaluation at the
-        identity is no bijection.  With F(1) constant at 0 only u = 0
-        survives: tau_u(1) is u itself, not F(1)(u), or u = 1 would record
-        the family of u = 0 a second time."""
+        """A value table replaced after construction breaks a functor law.
+        The |F(a)| families read off the value maps are then not all natural,
+        and the equation pass of ``reference`` keeps exactly the
+        transformations the enumeration finds.  With F(1) constant at 0, both
+        families read 0 everywhere: natural, but the one of u = 1 does not
+        take 1 at the identity, so the evaluation there is no bijection."""
         cat = category_idempotent_monoid()
         fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
                          {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
         fun.on_morphisms[morphism] = table
-        transformations, rep = yoneda_natural_transformations(cat, fun, "*")
-        expected, expected_rep = yoneda_by_enumeration(cat, fun, "*")
-        assert len(transformations) == rep.transformation_count == count
-        assert transformations == expected and rep == expected_rep
-        assert rep.transformation_count < rep.target_size
-        assert not yoneda_bijection_holds(cat, fun, "*", transformations)
+        families, rep = yoneda_natural_transformations(cat, fun, "*")
+        assert len(families) == rep.transformation_count == rep.target_size == 2
+        kept = natural_by_equations(cat, fun, "*", families)
+        expected, _ = yoneda_by_enumeration(cat, fun, "*")
+        assert kept == expected and len(kept) == count
+        assert len(kept) < len(families)
+        assert not yoneda_bijection_holds(cat, fun, "*", kept)
+
+    def test_every_family_is_natural_by_equations(self):
+        """On a functor the equation pass keeps all |F(a)| families, in order,
+        up to T2^3's 64 families of 4096 equations each."""
+        cases = list(yoneda_instances())
+        cube = monoid(cube_of_all_maps2())
+        cases.append(("T2^3 self", cube, representable_functor(cube, "*"), "*"))
+        for name, cat, fun, anchor in cases:
+            families, _ = yoneda_natural_transformations(cat, fun, anchor)
+            assert natural_by_equations(cat, fun, anchor, families) == families, name
+
+    def test_equation_pass_drops_an_altered_family(self):
+        """One value off the identity breaks naturality, and one family
+        listed for the wrong u breaks the value at the identity."""
+        cat = category_idempotent_monoid()
+        fun = SetFunctor(cat, "contravariant", {"*": ["0", "1"]},
+                         {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
+        first, second = yoneda_natural_transformations(cat, fun, "*")[0]
+        altered = {"*": {**second["*"], "e": "1"}}
+        assert natural_by_equations(cat, fun, "*", [first, altered]) == [first]
+        assert natural_by_equations(cat, fun, "*", [second, first]) == []
 
     def test_agrees_with_the_enumeration_below_its_old_cap(self):
         """The catalog instances, every representable hom(-, b) at every
@@ -600,7 +622,7 @@ class TestYoneda:
 class TestYonedaImage:
     def test_identity_has_full_image(self):
         for name, cat, fun, anchor in yoneda_instances():
-            images = yoneda_image(cat, fun, anchor, anchor)
+            images = yoneda_image_report(cat, fun, anchor)[anchor]
             ident = cat.identity[anchor]
             assert images[ident] == frozenset(fun.on_objects[anchor]), name
 
@@ -609,14 +631,14 @@ class TestYonedaImage:
         fun = SetFunctor(cat, "contravariant",
                          {"*": ["0", "1"]},
                          {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
-        images = yoneda_image(cat, fun, "*", "*")
+        images = yoneda_image_report(cat, fun, "*")["*"]
         assert images["e"] == frozenset({"0"})
         assert images["1"] == frozenset({"0", "1"})
 
     def test_reports_hold_on_all_instances(self):
         for name, cat, fun, anchor in yoneda_instances():
             images = yoneda_image_report(cat, fun, anchor)
-            assert images == {x: yoneda_image(cat, fun, anchor, x) for x in cat.objects}
+            assert list(images) == list(cat.objects), name
             assert images_natural(cat, fun, anchor, images), name
             assert images_reverse_left_order(cat, anchor, images), name
 
@@ -641,6 +663,6 @@ class TestYonedaImage:
                          {"*": ["0", "1"]},
                          {"1": {"0": "0", "1": "1"}, "e": {"0": "0", "1": "0"}})
         pre = hom_preorder(cat, "*", "*", "L")
-        images = yoneda_image(cat, fun, "*", "*")
+        images = yoneda_image_report(cat, fun, "*")["*"]
         assert pre.leq("1", "e")
         assert images["e"] < images["1"]

@@ -18,10 +18,13 @@ from reference import closure_extensive_and_idempotent
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
+    """Exit code and stdout of ``main(argv)``, with ``stdin`` (text or bytes)
+    as standard input when given."""
     if stdin is not None:
         import io
         import sys
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode("utf-8")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
@@ -166,6 +169,42 @@ class TestErrorHandling:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"]["path"] == "$"
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"carrier": [' + b"7" * 5000 + b'], "pairs": []}',
+         "integer literal has 5000 digits, cap is 4300"),
+        (b'{"carrier": ["\xff"], "pairs": []}',
+         "cannot read input: 'utf-8' codec can't decode byte 0xff in position 14: "
+         "invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, "input is nested too deeply to decode"),
+    ], ids=["long-integer", "invalid-utf-8", "deep-nesting"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_unreadable_input_exits_2_at_the_root(self, tmp_path, capsys, monkeypatch,
+                                                  data, message, source):
+        argv = ["topology", "from-preorder"]
+        if source == "file":
+            path = tmp_path / "input.json"
+            path.write_bytes(data)
+            code, out = run_cli(capsys, [*argv, "--input", str(path)])
+        else:
+            code, out = run_cli(capsys, argv, stdin=data, monkeypatch=monkeypatch)
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": message, "path": "$"}
+
+    def test_longest_integer_literal_is_read(self, tmp_path, capsys):
+        path = write_input(tmp_path, {"carrier": [int("7" * 4300), -int("7" * 4300)],
+                                      "pairs": []})
+        code, out = run_cli(capsys, ["topology", "from-preorder", "--input", path])
+        assert code == 0
+        assert json.loads(out)["results"]["carrier"] == ["7" * 4300, "-" + "7" * 4300]
+
+    def test_missing_input_file_exits_2_at_the_root(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        code, out = run_cli(capsys, ["topology", "from-preorder", "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": f"cannot read input: [Errno 2] No such file or directory: {path!r}",
+            "path": "$"}
 
     def test_schema_error_names_path(self, tmp_path, capsys):
         path = write_input(tmp_path, {"dim": 1, "forms": [[0, "1/0"]]})
@@ -505,6 +544,17 @@ class TestErrorHandling:
          {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "on_morphisms": {
              **YONEDA_DOC["functor"]["on_morphisms"], "e": {"0": "1", "1": "0"}}}},
          "functor does not respect composition at ('e', 'e')", "functor.on_morphisms.e"),
+        (["homset", "yoneda"],
+         {**YONEDA_DOC, "functor": {**YONEDA_DOC["functor"], "variance": "covariant"}},
+         "the representable side here is contravariant; pass a contravariant functor",
+         "functor.variance"),
+        (["homset", "stratify"], {"category": ARROW, "source": "A", "target": "*"},
+         "hom('A', '*') is empty; nothing to stratify", "source"),
+        (["homset", "preorder"],
+         {"category": {"objects": ["*"], "homs": {"*->*": [f"m{i}" for i in range(65)]},
+                       "identities": {"*": "m0"}, "compose": []},
+          "source": "*", "target": "*"},
+         "category has 65 morphisms, cap is 64", "category.homs"),
     ], ids=["hom-key", "hom-value", "compose-row", "hom-key-object",
             "hom-key-object-as-spelled", "compose-morphism", "preorder-source",
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
@@ -514,7 +564,8 @@ class TestErrorHandling:
             "functor-duplicate-values", "functor-misses-morphism",
             "pair-not-composable", "composite-in-wrong-hom-set", "identity-not-endomorphism",
             "identity-law", "compose-misses-pair", "associativity", "value-map-not-total",
-            "value-map-escapes-target", "functor-identity", "functor-composition"])
+            "value-map-escapes-target", "functor-identity", "functor-composition",
+            "yoneda-covariant", "stratify-empty-hom", "category-cap"])
     def test_bad_homset_input_names_its_path(self, tmp_path, capsys, argv, doc,
                                              message, path):
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
@@ -908,6 +959,16 @@ class TestHomologyCommands:
         code, out = run_cli(capsys, ["homology", "betti", "--input", path])
         assert code == 2
         assert "antisymmetric" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("action", ["betti", "order-complex"])
+    def test_non_poset_input_names_pairs(self, tmp_path, capsys, action):
+        path = write_input(tmp_path, {
+            "carrier": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]]})
+        code, out = run_cli(capsys, ["homology", action, "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": "relation not antisymmetric: 'a' and 'b' are equivalent but distinct",
+            "path": "pairs"}
 
     def test_betti_max_dim_in_cap_pads_with_zeros(self, tmp_path, capsys):
         path = write_input(tmp_path, PSEUDO_PREORDER)

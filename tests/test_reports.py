@@ -92,11 +92,11 @@ JOBS = [
      "22691714c782992459b389be30890a3111903afaa97192493098e84625eac437"),
     (["decomp", "product"], {"factors": [STRATIFIED, CHAIN]}, 1,
      "e6f5a2e18ca045930460f33efa9918098064db17ee34c0efa0f0eebb8942d57b"),
-    # refused input: an InputError with a path, a StructureError without one
+    # refused input: an InputError at a form entry, a StructureError at ``pairs``
     (["arrangement", "faces"], {"dim": 1, "forms": [[0, "1/0"]]}, 2,
      "b6c2e4bfb45215eb75b5549e94784e953c8f26580d8ba341630fe28a0e3fe6fd"),
     (["homology", "betti"], {"carrier": ["p", "q"], "pairs": [["p", "q"], ["q", "p"]]},
-     2, "25fb93dc38024baffab3bed370be5988b5fc1eb1dc34885132f5646a9f2da98e"),
+     2, "ceee7b94406f08989f49059de9fe1ba137f83e59ba423e9debb2314c64358cc1"),
 ]
 
 
