@@ -23,7 +23,10 @@ def _parse_int(literal):
     if digits > MAX_INT_DIGITS:
         raise CapExceeded(f"integer literal has {digits} digits, cap is {MAX_INT_DIGITS}",
                           path="$")
-    return int(literal)
+    try:
+        return int(literal)
+    except ValueError as exc:  # a lower int-string limit set for the interpreter
+        raise CapExceeded(f"integer literal has {digits} digits: {exc}", path="$") from None
 
 
 def _read_input(args):
@@ -43,7 +46,7 @@ def _read_input(args):
     except RecursionError:
         raise InputError("input is nested too deeply to decode", path="$") from None
     if not isinstance(doc, dict):
-        raise InputError(f"expected object, got {type(doc).__name__}", path="")
+        raise InputError(f"expected object, got {type(doc).__name__}", path="$")
     return doc, text
 
 
@@ -161,33 +164,47 @@ def _decomp_product(doc, args):
 
 
 def _faces(doc):
-    """The arrangement and its faces, which every arrangement action reads first."""
+    """The arrangement and its faces with their witnesses."""
     arr = jsonio.load_arrangement(doc)
     return arr, arrangement.enumerate_faces(arr)
 
 
+def _euler(arr, labels):
+    """The Euler relation over the faces with these labels: the sum of
+    (-1)^dim F is (-1)^n, read off the forms that vanish on each face."""
+    total, expected = arrangement.euler_characteristic(arr, labels), (-1) ** arr.dim
+    return _check("euler relation over the faces", total == expected,
+                  f"sum {total}, expected {expected}")
+
+
 def _arrangement_faces(doc, args):
     arr, faces = _faces(doc)
+    # a label that no point realizes has no witness, printed as null
     checks = [_check("witness signs recompute exactly",
-                     all(arrangement.sign_map(arr, f.witness) == f.signs for f in faces))]
+                     all(f.witness is not None
+                         and arrangement.sign_map(arr, f.witness) == f.signs for f in faces)),
+              _euler(arr, [f.label for f in faces])]
     results = {
         "count": len(faces),
         "faces": [{
             "signs": f.label,
-            "witness": [jsonio.format_rational(c) for c in f.witness],
+            "witness": None if f.witness is None else [
+                jsonio.format_rational(c) for c in f.witness],
         } for f in faces],
     }
     return results, checks
 
 
 def _arrangement_poset(doc, args):
-    arr, faces = _faces(doc)
-    poset = _maybe_dual(args, arrangement.face_poset(arr, faces))
+    arr = jsonio.load_arrangement(doc)
+    poset = arrangement.face_poset(arr)
     checks = []
     if arr.is_central():
         origin = "0" * arr.k
         checks.append(_check("central arrangement has the all-zero face",
-                             any(f.label == origin for f in faces), origin))
+                             origin in poset.carrier, origin))
+    checks.append(_euler(arr, poset.carrier))
+    poset = _maybe_dual(args, poset)
     _write_dot(args, poset)
     return jsonio.dump_preorder(poset), checks
 

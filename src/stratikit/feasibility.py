@@ -1,8 +1,8 @@
 """Exact feasibility of mixed strict/weak rational linear systems.
 
-``solve`` takes every row as an integer vector; ``integer_row`` turns a
-rational row into the primitive integer one, a positive rescaling that
-describes the same half-space (or hyperplane).  Equalities are removed first
+``solve`` takes every row as an integer vector (``arrangement.integer_row``
+turns a rational row into the primitive integer one, a positive rescaling
+that describes the same half-space or hyperplane).  Equalities are removed first
 by pivoting; the remaining inequalities go through Fourier-Motzkin
 elimination, where a derived row is strict iff any parent row is strict.
 Both steps combine two rows with positive integer multipliers, so
@@ -14,7 +14,7 @@ variable becomes a Fraction.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import CapExceeded
@@ -33,14 +33,6 @@ def _primitive(row):
     """Divide an integer row by the gcd of its entries."""
     g = gcd(*row)
     return tuple(v // g for v in row) if g > 1 else row
-
-
-def integer_row(coeffs, const):
-    """The primitive integer row (c1, ..., cn, const) proportional, by a
-    positive factor, to the rational row (coeffs, const)."""
-    values = (*coeffs, const)
-    denom = lcm(*(v.denominator for v in values))
-    return _primitive(tuple(v.numerator * (denom // v.denominator) for v in values))
 
 
 def _tidy(rows):

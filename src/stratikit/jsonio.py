@@ -2,8 +2,9 @@
 
 Rationals travel as integers or "p/q" strings; they are emitted as the
 lowest-terms string form with the sign on the numerator.  ``fractions`` (and
-``decimal`` under it) is imported only where a rational is handled, so a
-document without rationals never loads it.
+``decimal`` under it) is imported only where a "p/q" string is read or a
+rational is written, so a document of integers that prints no rational
+never loads it.
 """
 
 from json.encoder import encode_basestring as _quote
@@ -13,12 +14,13 @@ from .errors import InputError, StratikitError
 
 
 def parse_rational(value, path=""):
-    from fractions import Fraction
+    """A JSON int as the int itself, a "p/q" string as a Fraction."""
     if isinstance(value, bool):
         raise InputError(f"expected rational, got boolean", path=path)
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
+        from fractions import Fraction
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

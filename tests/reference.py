@@ -8,15 +8,19 @@ by testing every subset of its carrier, the natural transformations
 out of a representable functor found by trying every candidate family and
 checked equation by equation, the verdicts that hold by theorem on the
 Yoneda families, on their images and on a closure, the decomposition
-analysis made block by block and block pair by block pair, and linear
-systems written as rational rows, converted row by row."""
+analysis made block by block and block pair by block pair, linear
+systems written as rational rows, converted row by row, and the faces of an
+arrangement found by walking its sign tree, solving each prefix that the
+point of its parent does not realize."""
 
 import itertools
 
+from stratikit.arrangement import (MAX_FORMS, Face, _scaled, _sign_at, integer_row,
+                                   sign_map)
 from stratikit.category import YonedaReport
 from stratikit.decomposition import DecompositionReport
-from stratikit.errors import StructureError
-from stratikit.feasibility import integer_row
+from stratikit.errors import CapExceeded, StructureError
+from stratikit.feasibility import solve
 from stratikit.order import Preorder, _closure, bitmask, quotient_poset, union_of_rows
 from stratikit.topology import FiniteTopology
 
@@ -345,3 +349,46 @@ def rational_system(nvars, equalities=(), inequalities=()):
     return (nvars, [integer_row(coeffs, const) for coeffs, const in equalities],
             [(integer_row(coeffs, const), strict)
              for coeffs, const, strict in inequalities])
+
+
+def sign_tree_faces(arr):
+    """All realizable sign vectors with rational witnesses, in lexicographic
+    order under - < 0 < +.  Infeasible prefixes prune the sign tree.
+
+    Each child of a prefix extends the parent's row lists by the row of the
+    next form: an equality for sign 0, a strict inequality on the row for +
+    or on its negation for -.  So it selects exactly the points with the
+    child's signs on those forms.  An interior child whose sign is the sign
+    of its form at the point realizing the parent is feasible, realized by
+    that same point, and is not solved.  Leaves are always solved, so each
+    witness is the solution of the face's full system."""
+    if arr.k > MAX_FORMS:
+        raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {MAX_FORMS}")
+    rows = arr.rows
+    negated = [tuple(-c for c in row) for row in rows]
+    last = arr.k - 1
+    faces = []
+
+    def extend(prefix, eqs, ineqs, point):
+        i = len(prefix)
+        at_point = None if point is None else _sign_at(rows[i], point)
+        children = ((eqs, [*ineqs, (negated[i], True)]),
+                    ([*eqs, rows[i]], ineqs),
+                    (eqs, [*ineqs, (rows[i], True)]))
+        for s, child in zip((-1, 0, 1), children):
+            candidate = prefix + (s,)
+            if i < last and s == at_point:
+                extend(candidate, *child, point)
+                continue
+            w = solve(arr.dim, *child)
+            if w is None:
+                continue
+            if i < last:
+                extend(candidate, *child, _scaled(w))
+                continue
+            if sign_map(arr, w) != candidate:
+                raise AssertionError(f"witness does not reproduce signs {candidate}")
+            faces.append(Face(candidate, w))
+
+    extend((), [], [], None)
+    return faces

@@ -7,13 +7,14 @@ import pytest
 
 from stratikit import arrangement, cli, feasibility
 from stratikit.arrangement import (Arrangement, Face, closure_inclusion, closure_rows,
-                                   enumerate_faces, face_poset, sign_map)
+                                   enumerate_faces, face_poset, face_signs, sign_map)
 from stratikit.errors import CapExceeded, InputError
 from stratikit.feasibility import solve
 from stratikit.order import (Preorder, bit_indices, is_order_isomorphism, product,
                              product_label)
 
-from reference import rational_system
+import reference
+from reference import rational_system, sign_tree_faces
 
 
 def feasible(system):
@@ -420,6 +421,102 @@ class TestIncrementalEnumeration:
             assert all(r == ratio * c for r, c in zip(row, (*form[1:], form[0])))
 
 
+def central_forms(rng, dim, k):
+    """k random forms through the origin."""
+    return [[0, *form[1:]] for form in random_forms(rng, dim, k)]
+
+
+def repeated_normal_forms(rng, dim, k):
+    """Random forms, one of them repeated, and copies of another's normal
+    scaled by -1 and 2, each with a new constant."""
+    forms = random_forms(rng, dim, max(k - 3, 1))
+    normal = forms[-1][1:]
+    forms.append(list(forms[0]))
+    for scale in (-1, 2):
+        forms.append([Fraction(rng.randint(-3, 3)), *(scale * c for c in normal)])
+    return forms
+
+
+LABEL_BUILDERS = {**BUILDERS, "central": central_forms, "repeated": repeated_normal_forms}
+
+
+class TestCocircuitLabelsDifferential:
+    """The cocircuit labels and the witnesses of their systems against the
+    reference sign tree, which solves every prefix it does not skip."""
+
+    @pytest.mark.parametrize("kind", sorted(LABEL_BUILDERS))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_labels_and_witnesses_match_the_sign_tree(self, dim, kind):
+        for seed in range(6):
+            rng = random.Random(f"labels/{kind}/{dim}/{seed}")
+            forms = LABEL_BUILDERS[kind](rng, dim, rng.randint(2, 7 if dim < 4 else 5))
+            arr = Arrangement(dim, forms)
+            expected = sign_tree_faces(arr)
+            assert face_signs(arr) == [f.signs for f in expected]
+            assert enumerate_faces(arr) == expected
+
+    def test_cap_on_faces_is_raised_while_the_closure_grows(self, monkeypatch):
+        arr = coordinate(4)  # 81 faces
+        monkeypatch.setattr(arrangement, "MAX_FACES", 80)
+        with pytest.raises(CapExceeded, match="more than 80 faces"):
+            face_signs(arr)
+        monkeypatch.setattr(arrangement, "MAX_FACES", 81)
+        assert len(face_signs(arr)) == 81
+
+    def test_a_flipped_cocircuit_fails_the_witness_check(self, monkeypatch, tmp_path, capsys):
+        """One sign of the first cocircuit that is + on v0 flipped: some
+        labels have no point, so their systems have no solution."""
+        cocircuits = arrangement.cocircuits
+
+        def one_sign_flipped(arr):
+            out = cocircuits(arr)
+            i = next(i for i, (pos, _) in enumerate(out) if pos >> arr.k & 1)
+            pos, neg = out[i]
+            lowest = (pos | neg) & -(pos | neg)
+            out[i] = (pos ^ lowest, neg ^ lowest)
+            return out
+
+        monkeypatch.setattr(arrangement, "cocircuits", one_sign_flipped)
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [1, 1, -1]]}))
+        assert cli.main(["arrangement", "faces", "--input", str(path)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        checks = {c["name"]: c["pass"] for c in doc["checks"]}
+        assert checks["witness signs recompute exactly"] is False
+        assert None in [f["witness"] for f in doc["results"]["faces"]]
+        # the oracle gives a face without a witness an empty row
+        assert cli.main(["arrangement", "check-ob", "--input", str(path)]) == 1
+        unrealized = [f["signs"] for f in doc["results"]["faces"] if f["witness"] is None]
+        disagreements = json.loads(capsys.readouterr().out)["results"]["disagreements"]
+        assert [[x, x] for x in unrealized] == [pair for pair in disagreements
+                                                if pair[0] == pair[1]]
+
+    def test_every_flipped_cocircuit_sign_that_moves_a_label_fails_a_check(
+            self, monkeypatch, tmp_path, capsys):
+        arr = Arrangement(2, [[0, 1, 0], [0, 0, 1], [1, 1, -1]])
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [1, 1, -1]]}))
+        cocircuits = arrangement.cocircuits
+        expected = face_signs(arr)
+        moved = 0
+        for index in range(len(cocircuits(arr))):
+            for bit in range(arr.k):
+                def flipped(arr, index=index, bit=bit):
+                    out = cocircuits(arr)
+                    pos, neg = out[index]
+                    if (pos | neg) >> bit & 1:
+                        out[index] = (pos ^ 1 << bit, neg ^ 1 << bit)
+                    return out
+
+                monkeypatch.setattr(arrangement, "cocircuits", flipped)
+                if face_signs(arr) == expected:
+                    continue
+                moved += 1
+                assert cli.main(["arrangement", "faces", "--input", str(path)]) == 1
+                capsys.readouterr()
+        assert moved
+
+
 def solved_prefixes(monkeypatch, forms):
     """Enumerate the faces of the arrangement of forms in the plane and
     return each solved prefix in call order with the solver's answer.
@@ -437,12 +534,15 @@ def solved_prefixes(monkeypatch, forms):
         calls.append((prefixes[(tuple(eqs), tuple(ineqs))], w))
         return w
 
-    monkeypatch.setattr(arrangement, "solve", counting_solve)
-    faces = enumerate_faces(Arrangement(2, forms))
+    monkeypatch.setattr(reference, "solve", counting_solve)
+    faces = sign_tree_faces(Arrangement(2, forms))
     return faces, calls
 
 
 class TestSolveSkip:
+    """The skips of the reference sign tree, the oracle of
+    TestCocircuitLabelsDifferential."""
+
     FORMS = [(0, 1, 0), (-1, 1, 1), (Fraction(1, 2), -1, 2), (2, 0, 1),
              (Fraction(-1, 3), 1, -1)]
     ARR = Arrangement(2, FORMS)
@@ -557,7 +657,6 @@ class TestWitnessOracle:
             raise AssertionError("the closure oracle solved a system")
 
         monkeypatch.setattr(feasibility, "solve", refuse)
-        monkeypatch.setattr(arrangement, "solve", refuse)
         assert closure_rows(arr, faces) == expected
         for i, a in enumerate(faces):
             for j, b in enumerate(faces):

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from stratikit import arrangement, category, decomposition, homology, topology
-from stratikit.arrangement import Face
 from stratikit.cli import main
 from stratikit.order import Poset, Preorder, bit_indices, bitmask
 
@@ -93,15 +92,11 @@ LEFT_ZERO = {"objects": ["*"], "homs": {"*->*": ["1", "a", "b"]}, "identities": 
 
 
 def swap_first_and_last_labels(monkeypatch):
-    enumerate_faces = arrangement.enumerate_faces
-
-    def swapped(arr):
-        faces = enumerate_faces(arr)
-        first, last = faces[0], faces[-1]
-        faces[0], faces[-1] = Face(last.signs, first.witness), Face(first.signs, last.witness)
-        return faces
-
-    monkeypatch.setattr(arrangement, "enumerate_faces", swapped)
+    """Every label reads the first and the last form in each other's place,
+    so some labels have no point and their systems no witness."""
+    face_signs = arrangement.face_signs
+    monkeypatch.setattr(arrangement, "face_signs",
+                        lambda arr: [(s[-1], *s[1:-1], s[0]) for s in face_signs(arr)])
 
 
 def discrete_quotient(monkeypatch):
@@ -131,9 +126,24 @@ def drop_the_last_face(monkeypatch):
 
 
 def drop_the_origin(monkeypatch):
-    enumerate_faces = arrangement.enumerate_faces
-    monkeypatch.setattr(arrangement, "enumerate_faces",
-                        lambda arr: [f for f in enumerate_faces(arr) if any(f.signs)])
+    face_signs = arrangement.face_signs
+    monkeypatch.setattr(arrangement, "face_signs",
+                        lambda arr: [s for s in face_signs(arr) if any(s)])
+
+
+def drop_the_first_label(monkeypatch):
+    face_signs = arrangement.face_signs
+    monkeypatch.setattr(arrangement, "face_signs", lambda arr: face_signs(arr)[1:])
+
+
+def repeat_the_first_label(monkeypatch):
+    face_signs = arrangement.face_signs
+
+    def repeated(arr):
+        signs = face_signs(arr)
+        return signs[:1] + signs
+
+    monkeypatch.setattr(arrangement, "face_signs", repeated)
 
 
 def reversed_product(monkeypatch):
@@ -200,6 +210,9 @@ def negate_in_analyze(field):
      "alexandroff topology round-trips"),
     (drop_the_origin, ["arrangement", "poset"], CENTRAL,
      "central arrangement has the all-zero face"),
+    (drop_the_first_label, ["arrangement", "poset"], LINES, "euler relation over the faces"),
+    (repeat_the_first_label, ["arrangement", "faces"], LINES,
+     "euler relation over the faces"),
     (reversed_product, ["decomp", "product"],
      {"factors": [STRATIFIED, {"space": SIERPINSKI, "blocks": [["a"], ["b"]]}]},
      "quotient equals product of factor quotient preorders"),
@@ -221,9 +234,9 @@ def negate_in_analyze(field):
     (negate_in_analyze("quotient_is_poset"), ["corpus", "oracle", "--cases", "20"], None,
      "poset quotient iff locally closed blocks (open cases)"),
 ], ids=["witness-signs", "quotient-continuity", "boundary", "alexandroff-round-trip",
-        "central-origin", "product-quotient", "product-projection", "stratify-projection",
-        "stratify-fibers", "stratify-closure-order", "corpus-case", "openness-criterion",
-        "poset-quotient"])
+        "central-origin", "euler-dropped-face", "euler-duplicated-face", "product-quotient",
+        "product-projection", "stratify-projection", "stratify-fibers",
+        "stratify-closure-order", "corpus-case", "openness-criterion", "poset-quotient"])
 def test_check_fails_under_its_mutation(tmp_path, capsys, monkeypatch,
                                         mutate, argv, doc, check):
     code, checks = run(tmp_path, capsys, argv, doc)

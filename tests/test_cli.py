@@ -177,7 +177,10 @@ class TestErrorHandling:
          "cannot read input: 'utf-8' codec can't decode byte 0xff in position 14: "
          "invalid start byte"),
         (b"[" * 100_000 + b"]" * 100_000, "input is nested too deeply to decode"),
-    ], ids=["long-integer", "invalid-utf-8", "deep-nesting"])
+        (b"[]", "expected object, got list"),
+        (b"3", "expected object, got int"),
+    ], ids=["long-integer", "invalid-utf-8", "deep-nesting", "list-document",
+            "number-document"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_unreadable_input_exits_2_at_the_root(self, tmp_path, capsys, monkeypatch,
                                                   data, message, source):
@@ -190,6 +193,21 @@ class TestErrorHandling:
             code, out = run_cli(capsys, argv, stdin=data, monkeypatch=monkeypatch)
         assert code == 2
         assert json.loads(out)["error"] == {"message": message, "path": "$"}
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter has no int-string limit")
+    def test_literal_over_a_lowered_int_string_limit_exits_2_at_the_root(self):
+        src = os.path.dirname(os.path.dirname(stratikit.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratikit.cli", "topology", "from-preorder"],
+            input='{"carrier": [' + "7" * 1000 + '], "pairs": []}', env=env,
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["path"] == "$"
+        assert error["message"].startswith("integer literal has 1000 digits: ")
 
     def test_longest_integer_literal_is_read(self, tmp_path, capsys):
         path = write_input(tmp_path, {"carrier": [int("7" * 4300), -int("7" * 4300)],
@@ -280,7 +298,7 @@ class TestErrorHandling:
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, [1, 2])])
         assert code == 2
         assert json.loads(out)["error"] == {"message": "expected object, got list",
-                                            "path": ""}
+                                            "path": "$"}
 
     @pytest.mark.parametrize("subset, message, path", [
         ("ab", "key 'subset' should be list, got str", "subset"),
@@ -746,6 +764,23 @@ class TestArrangementCommands:
         code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
         assert code == 2
         assert "cap" in json.loads(out)["error"]["message"]
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("action", ["faces", "poset"])
+    def test_r5_past_the_face_cap_exits_2(self, tmp_path, capsys, action):
+        """35,313 faces: the composition closure stops at the face cap."""
+        import random
+        import time
+        rng = random.Random(5)
+        forms = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(12)]
+        for form in forms:
+            form[1] = form[1] or 1
+        path = write_input(tmp_path, {"dim": 5, "forms": forms})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["arrangement", action, "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == (
+            "arrangement has more than 4096 faces, cap is 4096")
         assert time.perf_counter() - start < 10
 
     def test_rational_coefficients(self, tmp_path, capsys):
@@ -1329,6 +1364,16 @@ def test_order_complex_never_imports_fractions(tmp_path):
     code, ran, _, modules = executed_modules(["homology", "order-complex", "--input", path])
     assert code == 0
     assert "stratikit.homology" in ran
+    assert "fractions" not in modules
+
+
+def test_arrangement_poset_on_integer_forms_loads_neither_feasibility_nor_fractions(
+        tmp_path):
+    path = write_input(tmp_path, {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [1, 1, -1]]})
+    code, ran, _, modules = executed_modules(["arrangement", "poset", "--input", path])
+    assert code == 0
+    assert ran == ["stratikit", "stratikit.arrangement", "stratikit.cli",
+                   "stratikit.errors", "stratikit.jsonio", "stratikit.order"]
     assert "fractions" not in modules
 
 

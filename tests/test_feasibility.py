@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from stratikit import feasibility
+from stratikit.arrangement import integer_row
 from stratikit.errors import CapExceeded
-from stratikit.feasibility import integer_row, solve
+from stratikit.feasibility import solve
 
 from reference import rational_system
 

@@ -52,9 +52,9 @@ JOBS = [
     (["decomp", "product"], {"factors": [STRATIFIED, STRATIFIED]}, 0,
      "1498dcd7a64a16eb728b83215d0b497cbf3b55e91dad632ca35d8109fd33fef5"),
     (["arrangement", "faces"], LINES, 0,
-     "5ebdb1a20e7695d0e68fa5f8a11d9c248ee4d44d441d926d012da1b822766231"),
+     "621fb14383669d92d964edb55c75bc4e649c371f720288f71754a474aa6c6b6b"),
     (["arrangement", "poset"], LINES, 0,
-     "db4db8c13ef4854d087390196ef79d14815d59968bef57a25abd863a7e5becba"),
+     "f126ce250ec33563928a6a3d4dbe34ab4d86365738e4e210bf94602d601cbb8f"),
     (["arrangement", "check-ob"], LINES, 0,
      "cee80b645e61f29d32e047c74d75f854b1874f01cbfa9c02ecde58f3661bfdf3"),
     (["homset", "preorder"], HOM, 0,
@@ -79,14 +79,14 @@ JOBS = [
     (["topology", "to-preorder", "--dual"], SIERPINSKI, 0,
      "a55779819a42199a6f01f2d3aa05d76d5374c8d26b505538e0af8cbd52626eb4"),
     (["arrangement", "poset", "--dual"], LINES, 0,
-     "1a02277f337d5a195a6d2f4f0c063f47562b7f433f03e33857ca8c370f6164b0"),
+     "27ac612617a9c13df68b5b437cd7555d0c95896cafcea4ff55f5ad565a05d19c"),
     (["arrangement", "check-ob", "--dual"], LINES, 0,
      "cee80b645e61f29d32e047c74d75f854b1874f01cbfa9c02ecde58f3661bfdf3"),
     (["homset", "preorder", "--dual"], HOM, 0,
      "a1a31899d990ec1667de41a016907b77709118a77e76d0589054eea6c13c9674"),
     # a central arrangement, whose report has the all-zero face check
     (["arrangement", "poset"], CENTRAL, 0,
-     "454a11a178e4bcffa13abf82a3f5a1adcfce3ed2d649d61c6041291630e515f7"),
+     "e4e30fedc738f08c2b356183e213ee8846e97627e8a0ad4c53abeac7984af9a4"),
     # a failing check
     (["topology", "check"], {"carrier": ["a", "b"], "opens": [["a"], ["b"]]}, 1,
      "22691714c782992459b389be30890a3111903afaa97192493098e84625eac437"),
