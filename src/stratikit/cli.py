@@ -7,6 +7,7 @@ object names the offending schema path) or a usage error (reported on stderr).
 import json
 import sys
 import types
+from itertools import chain
 
 from . import (arrangement, category, corpus, decomposition, dot, homology, jsonio,
                order, randomcases, topology)
@@ -16,6 +17,13 @@ from .errors import CapExceeded, InputError, StratikitError, StructureError
 # Longest integer literal a document may hold: Python's default int-string
 # limit, fixed so that no answer depends on the interpreter's version.
 MAX_INT_DIGITS = 4300
+
+# Deepest nesting of arrays and objects a document may hold, the document
+# itself counting as one level: below the JSON decoder's recursion limit on
+# every supported Python, so that no answer depends on the version either.
+MAX_DEPTH = 512
+TOO_DEEP = f"input nesting depth exceeds cap {MAX_DEPTH}"
+NESTED = frozenset((dict, list))
 
 
 def _parse_int(literal):
@@ -27,6 +35,17 @@ def _parse_int(literal):
         return int(literal)
     except ValueError as exc:  # a lower int-string limit set for the interpreter
         raise CapExceeded(f"integer literal has {digits} digits: {exc}", path="$") from None
+
+
+def _check_depth(doc):
+    """Refuse a document nested deeper than ``MAX_DEPTH``, one level at a time."""
+    level, depth = ([doc] if type(doc) in NESTED else []), 1
+    while level:
+        if depth > MAX_DEPTH:
+            raise CapExceeded(TOO_DEEP, path="$")
+        values = chain.from_iterable(v.values() if type(v) is dict else v for v in level)
+        level = [v for v in values if type(v) in NESTED]
+        depth += 1
 
 
 def _read_input(args):
@@ -44,7 +63,8 @@ def _read_input(args):
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not JSON: {exc}", path="$") from exc
     except RecursionError:
-        raise InputError("input is nested too deeply to decode", path="$") from None
+        raise CapExceeded(TOO_DEEP, path="$") from None
+    _check_depth(doc)
     if not isinstance(doc, dict):
         raise InputError(f"expected object, got {type(doc).__name__}", path="$")
     return doc, text

@@ -1,9 +1,11 @@
 """Order complexes of finite posets and rational Betti numbers.
 
 A finite poset has the homology of its order complex (McCord 1966).  Ranks
-come from exact column reduction of sparse boundary columns over Q;
-``fractions`` is imported only when a rank is taken.
+over Q come from a fraction-free reduction of the sparse boundary columns in
+plain integers.
 """
+
+from math import gcd
 
 from .errors import CapExceeded, InputError, StructureError
 from .order import bit_indices
@@ -51,32 +53,34 @@ class SimplicialComplex:
 
 
 def order_complex(poset):
-    """All chains (totally ordered subsets) of a poset, as a complex."""
+    """All chains (totally ordered subsets) of a poset, as a complex.  A
+    depth-first search in index order files each chain under its dimension,
+    then extends it by every later element comparable with all of it, so each
+    dimension fills in lexicographic order.  The search keeps its own stack,
+    so a long chain is refused at the cap, not at the recursion limit."""
     if not poset.is_partial_order():
         raise StructureError("order complex requires a poset (antisymmetry failed)")
     comparable = [u | d for u, d in zip(poset.up, poset.down())]
     faces = []
     count = 0
-
-    def grow(chain, common):
-        """File ``chain`` under its dimension, then extend it by every later
-        element comparable with all of it, whose comparability masks
-        intersect to ``common``.  Depth first in index order, so each
-        dimension fills in lexicographic order."""
-        nonlocal count
+    everything = (1 << len(comparable)) - 1
+    # (chain, elements comparable with all of it, extensions not yet tried)
+    stack = [((), everything, everything)]
+    while stack:
+        chain, common, untried = stack.pop()
+        if not untried:
+            continue
+        j = (untried & -untried).bit_length() - 1
+        stack.append((chain, common, untried & (untried - 1)))  # after j's subtree
         count += 1
         if count > MAX_SIMPLICES:
             raise CapExceeded(f"chain count exceeds cap {MAX_SIMPLICES}")
+        chain += (j,)
         if len(chain) > len(faces):
             faces.append([])
         faces[len(chain) - 1].append(chain)
-        last = chain[-1]
-        later = common >> (last + 1) << (last + 1)  # drop the bits up to last
-        for j in bit_indices(later):
-            grow(chain + (j,), common & comparable[j])
-
-    for i, mask in enumerate(comparable):
-        grow((i,), mask)
+        common &= comparable[j]
+        stack.append((chain, common, common >> (j + 1) << (j + 1)))
     return SimplicialComplex(poset.carrier, faces)
 
 
@@ -92,26 +96,27 @@ def boundary_columns(complex_, dim):
 
 
 def column_rank(columns):
-    """Exact rank over Q: reduce each column by the earlier one owning its
-    lowest row until it owns a new lowest row or vanishes."""
-    from fractions import Fraction
-
+    """Exact rank over Q in integers: a column whose lowest row an earlier
+    column owns becomes p * column - c * owner, p and c their entries in that
+    row, divided by the gcd of its entries (Bareiss 1968).  Scaling by a
+    nonzero integer keeps the span, so the rank is unchanged."""
     owner = {}  # lowest row -> reduced column whose lowest row it is
     for column in columns:
-        column = dict(column)
         while column:
             low = max(column)
             pivot = owner.get(low)
             if pivot is None:
                 owner[low] = column
                 break
-            factor = Fraction(column[low], pivot[low])
+            p, c = pivot[low], column[low]
+            column = {row: p * value for row, value in column.items()}
             for row, value in pivot.items():
-                value = column.get(row, 0) - factor * value
-                if value:
-                    column[row] = value
-                else:
+                column[row] = column.get(row, 0) - c * value
+                if not column[row]:
                     del column[row]
+            g = gcd(*column.values())
+            if g > 1:
+                column = {row: value // g for row, value in column.items()}
     return len(owner)
 
 

@@ -7,10 +7,10 @@ import time
 import pytest
 
 import stratikit
-from stratikit import topology
+from stratikit import cli, topology
 from stratikit.category import hom_preorder_details
 from stratikit.cli import main
-from stratikit.jsonio import dump_preorder, load_category, load_preorder
+from stratikit.jsonio import canonical_dumps, dump_preorder, load_category, load_preorder
 from stratikit.order import quotient_poset
 
 from catalog import all_maps, cube_of_all_maps2, monoid_document, yoneda_document
@@ -176,7 +176,7 @@ class TestErrorHandling:
         (b'{"carrier": ["\xff"], "pairs": []}',
          "cannot read input: 'utf-8' codec can't decode byte 0xff in position 14: "
          "invalid start byte"),
-        (b"[" * 100_000 + b"]" * 100_000, "input is nested too deeply to decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "input nesting depth exceeds cap 512"),
         (b"[]", "expected object, got list"),
         (b"3", "expected object, got int"),
     ], ids=["long-integer", "invalid-utf-8", "deep-nesting", "list-document",
@@ -193,6 +193,33 @@ class TestErrorHandling:
             code, out = run_cli(capsys, argv, stdin=data, monkeypatch=monkeypatch)
         assert code == 2
         assert json.loads(out)["error"] == {"message": message, "path": "$"}
+
+    @pytest.mark.parametrize("kind", ["arrays", "objects"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_nesting_cap_is_the_same_on_every_python(self, tmp_path, capsys, monkeypatch,
+                                                     kind, source):
+        """A document MAX_DEPTH levels deep is read; one level more, or as deep
+        as one Python's decoder refuses (1200) and another's reads (3000), is
+        refused with the same stdout."""
+        outs = {}
+        for depth in (cli.MAX_DEPTH, cli.MAX_DEPTH + 1, 1200, 3000):
+            levels = depth - 1  # the document itself is the first level
+            note = ("[" * levels + "]" * levels if kind == "arrays"
+                    else '{"a": ' * (levels - 1) + "{}" + "}" * (levels - 1))
+            data = ('{"carrier": ["x"], "pairs": [], "note": ' + note + "}").encode()
+            argv = ["topology", "from-preorder"]
+            if source == "file":
+                path = tmp_path / f"depth-{depth}.json"
+                path.write_bytes(data)
+                outs[depth] = run_cli(capsys, [*argv, "--input", str(path)])
+            else:
+                outs[depth] = run_cli(capsys, argv, stdin=data, monkeypatch=monkeypatch)
+        code, out = outs.pop(cli.MAX_DEPTH)
+        assert code == 0
+        assert json.loads(out)["results"]["carrier"] == ["x"]
+        refused = {"error": {"message": "input nesting depth exceeds cap 512", "path": "$"}}
+        assert [code for code, _ in outs.values()] == [2, 2, 2]
+        assert {out for _, out in outs.values()} == {canonical_dumps(refused) + "\n"}
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="the interpreter has no int-string limit")
@@ -995,6 +1022,17 @@ class TestHomologyCommands:
         assert code == 2
         assert "antisymmetric" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("n", [1500, 4096])
+    @pytest.mark.parametrize("action", ["betti", "order-complex"])
+    def test_long_chain_exits_2_at_the_chain_cap(self, tmp_path, capsys, action, n):
+        carrier = [f"p{i}" for i in range(n)]
+        path = write_input(tmp_path, {"carrier": carrier,
+                                      "pairs": [list(p) for p in zip(carrier, carrier[1:])]})
+        code, out = run_cli(capsys, ["homology", action, "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"] == {"message": "chain count exceeds cap 5000",
+                                            "path": ""}
+
     @pytest.mark.parametrize("action", ["betti", "order-complex"])
     def test_non_poset_input_names_pairs(self, tmp_path, capsys, action):
         path = write_input(tmp_path, {
@@ -1359,9 +1397,10 @@ def test_corpus_oracle_does_not_execute_the_corpus():
     assert "stratikit.corpus" not in ran
 
 
-def test_order_complex_never_imports_fractions(tmp_path):
+@pytest.mark.parametrize("action", ["betti", "order-complex"])
+def test_homology_never_imports_fractions(tmp_path, action):
     path = write_input(tmp_path, PSEUDO_PREORDER)
-    code, ran, _, modules = executed_modules(["homology", "order-complex", "--input", path])
+    code, ran, _, modules = executed_modules(["homology", action, "--input", path])
     assert code == 0
     assert "stratikit.homology" in ran
     assert "fractions" not in modules

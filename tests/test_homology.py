@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,19 @@ class TestOrderComplex:
             assert k.faces == chains_by_search(poset)
             assert k.f_vector() == [len(f) for f in k.faces]
 
+    @pytest.mark.parametrize("n, accepted", [(12, True), (13, False), (1500, False)])
+    def test_long_chain_is_refused_at_the_cap_not_the_recursion_limit(self, n, accepted):
+        # an n-element chain has 2^n - 1 chains: 4095 at n = 12, 8191 at n = 13
+        labels = [f"p{i}" for i in range(n)]
+        poset = Preorder.from_pairs(labels, list(zip(labels, labels[1:]))).to_poset()
+        if accepted:
+            k = order_complex(poset)
+            assert k.f_vector() == [math.comb(n, d + 1) for d in range(n)]
+            assert k.faces[-1] == [tuple(range(n))]
+        else:
+            with pytest.raises(CapExceeded, match="chain count exceeds cap 5000"):
+                order_complex(poset)
+
     @pytest.mark.parametrize("bottoms, tops, accepted", [(2, 1666, True), (1, 2500, False)])
     def test_chain_cap_boundary(self, bottoms, tops, accepted):
         # K_{b,t}: b + t vertices and b * t edges, 5000 chains at (2, 1666)
@@ -151,6 +165,9 @@ class TestChainComplexInvariants:
 
     def test_rank_of_known_matrix(self):
         assert column_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+        # non-unit pivots; determinant 3, so rank 1 over GF(3) but 2 over Q
+        assert column_rank([{0: 2, 1: 1}, {0: 1, 1: 2}]) == 2
+        assert column_rank([{0: 3, 2: 2}, {0: 6, 2: 4}, {}, {1: 4}, {1: -2, 2: 1}]) == 3
 
     def test_boundary_of_an_edge(self, chain3):
         k = order_complex(chain3)
@@ -202,6 +219,38 @@ def dense_betti(complex_, modulus=None):
 
     return [len(by_dim.get(d, [])) - rank(d) - rank(d + 1)
             for d in range(complex_.dimension + 1)]
+
+
+def random_sparse_columns(rng, rows, count):
+    """Sparse integer columns over ``rows`` rows, entries in -4..4, among them
+    zero columns, repeats and multiples of earlier columns, so that the
+    reduction meets non-unit pivots and columns that vanish."""
+    columns = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            columns.append({})
+        elif columns and kind < 0.2:
+            columns.append(dict(rng.choice(columns)))
+        elif columns and kind < 0.3:
+            factor = rng.choice([-3, -2, 2, 3])
+            columns.append({r: factor * v for r, v in rng.choice(columns).items()})
+        else:
+            support = rng.sample(range(rows), rng.randint(1, min(rows, 4)))
+            columns.append({r: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for r in support})
+    return columns
+
+
+def test_column_rank_matches_dense_reference_on_random_integer_columns():
+    rng = random.Random(11)
+    for _ in range(400):
+        rows = rng.randint(1, 8)
+        columns = random_sparse_columns(rng, rows, rng.randint(0, 10))
+        before = [dict(c) for c in columns]
+        # each column as a dense row: a matrix and its transpose have one rank
+        dense = [[c.get(r, 0) for r in range(rows)] for c in columns]
+        assert column_rank(columns) == dense_rank(dense)
+        assert columns == before  # the boundaries a complex keeps stay as built
 
 
 def test_betti_matches_dense_reference_on_random_posets():

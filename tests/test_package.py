@@ -76,3 +76,31 @@ def test_unused_import_check_flags_an_unused_name():
                       "x: int = 0\n"):
         assert imported_but_unused(
             "from __future__ import annotations\n" + annotated) == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules a module imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_only_the_rational_layers_import_fractions():
+    """``arrangement`` reads and solves rationals, ``feasibility`` solves
+    them and ``jsonio`` reads and writes them; the rank of an integer
+    boundary needs none."""
+    package = Path(stratikit.__file__).parent
+    importers = [path.stem for path in sorted(package.glob("*.py"))
+                 if "fractions" in imported_modules(path.read_text(encoding="utf-8"))]
+    assert importers == ["arrangement", "feasibility", "jsonio"]
+
+
+def test_imported_modules_sees_nested_and_dotted_imports():
+    assert imported_modules(
+        "import os.path\nfrom .order import bitmask\ndef f():\n"
+        "    from fractions import Fraction\n    import json as j\n") == {
+            "os", "fractions", "json"}
