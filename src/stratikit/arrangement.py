@@ -8,9 +8,9 @@ system is solved on its own, so a label that no point realizes is left
 without a witness.  ``face_poset`` orders the faces' labels; the oracle
 evaluates the forms exactly at the witnesses and never reads a label, so the
 two agree only if every label is the sign vector of its witness and the poset
-is built right.  ``feasibility`` and ``fractions`` are imported only where a
-witness is solved or a rational is read, and ``order`` only where the face
-poset is built, so labels of integer forms load neither."""
+is built right.  ``feasibility`` is imported only where a witness is solved,
+``fractions`` only where a "p/q" is read and ``order`` only where the face
+poset is built."""
 
 import itertools
 import operator
@@ -90,8 +90,8 @@ class Arrangement:
 
 
 class Face(namedtuple("Face", "signs witness")):
-    """One face: its sign vector and an exact rational point realizing it
-    (None if the face's system has no solution)."""
+    """One face: its sign vector and an exact point realizing it, the (nums, d)
+    of ``feasibility.solve`` (None if the face's system has no solution)."""
 
     __slots__ = ()
 
@@ -100,29 +100,21 @@ class Face(namedtuple("Face", "signs witness")):
         return sign_label(self.signs)
 
 
-def _scaled(point):
-    """A rational point as (integer numerators, common denominator d > 0)."""
-    d = lcm(*(c.denominator for c in point))
-    return tuple(c.numerator * (d // c.denominator) for c in point), d
-
-
-def _sign_at(row, scaled):
-    """Sign of an integer row at a scaled point: d * (const + c . x), in
+def _sign_at(row, point):
+    """Sign of an integer row at a point (nums, d): d * (const + c . x), in
     integers.  map stops at the shorter sequence, so the const is left out."""
-    nums, d = scaled
+    nums, d = point
     v = row[-1] * d + sum(map(operator.mul, row, nums))
     return (v > 0) - (v < 0)
 
 
 def sign_map(arr, point):
-    """Sign of every form at an exact rational point."""
-    from fractions import Fraction
-    point = tuple(Fraction(c) for c in point)
-    if len(point) != arr.dim:
-        raise InputError(
-            f"point has {len(point)} coordinates, arrangement lives in dimension {arr.dim}")
-    scaled = _scaled(point)
-    return tuple(_sign_at(row, scaled) for row in arr.rows)
+    """Sign of every form at an exact point (nums, d), coordinates nums[i] / d
+    over d > 0, as a face's witness holds it."""
+    if len(point[0]) != arr.dim:
+        raise InputError(f"point has {len(point[0])} coordinates, "
+                         f"arrangement lives in dimension {arr.dim}")
+    return tuple(_sign_at(row, point) for row in arr.rows)
 
 
 def _eliminate(matrix):
@@ -257,7 +249,7 @@ def __getattr__(name):
 
 
 def enumerate_faces(arr):
-    """Every face with its rational witness, in the order of ``face_signs``.
+    """Every face with its witness (nums, d), in the order of ``face_signs``.
 
     Each witness is the solution of the face's full system, with its rows in
     form order: the form's row as an equality for sign 0, the row (+) or its

@@ -14,10 +14,6 @@ from . import (arrangement, category, corpus, decomposition, dot, homology, json
 from .errors import CapExceeded, InputError, StratikitError, StructureError
 
 
-# Longest integer literal a document may hold: Python's default int-string
-# limit, fixed so that no answer depends on the interpreter's version.
-MAX_INT_DIGITS = 4300
-
 # Deepest nesting of arrays and objects a document may hold, the document
 # itself counting as one level: below the JSON decoder's recursion limit on
 # every supported Python, so that no answer depends on the version either.
@@ -28,9 +24,9 @@ NESTED = frozenset((dict, list))
 
 def _parse_int(literal):
     digits = len(literal) - literal.startswith("-")
-    if digits > MAX_INT_DIGITS:
-        raise CapExceeded(f"integer literal has {digits} digits, cap is {MAX_INT_DIGITS}",
-                          path="$")
+    if digits > jsonio.MAX_INT_DIGITS:
+        raise CapExceeded(
+            f"integer literal has {digits} digits, cap is {jsonio.MAX_INT_DIGITS}", path="$")
     try:
         return int(literal)
     except ValueError as exc:  # a lower int-string limit set for the interpreter
@@ -208,8 +204,7 @@ def _arrangement_faces(doc, args):
         "count": len(faces),
         "faces": [{
             "signs": f.label,
-            "witness": None if f.witness is None else [
-                jsonio.format_rational(c) for c in f.witness],
+            "witness": None if f.witness is None else jsonio.format_point(f.witness),
         } for f in faces],
     }
     return results, checks

@@ -8,12 +8,10 @@ elimination, where a derived row is strict iff any parent row is strict.
 Both steps combine two rows with positive integer multipliers, so
 elimination never leaves the integers.  Witness points are rebuilt by exact
 back-substitution, taking interval midpoints (or bound +/- 1 on unbounded
-sides).  Bounds are computed and compared in integers over the common
-denominator of the point so far, and only the value chosen for each
-variable becomes a Fraction.
+sides), with the point kept as integer numerators over their least common
+denominator: equal points have equal representations.
 """
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -51,9 +49,10 @@ def _tidy(rows):
 
 
 def solve(n, equalities, inequalities):
-    """A rational witness in n variables satisfying every row, or None if
-    infeasible.  Each equality is an integer row, each inequality a pair
-    (row, strict).
+    """A rational witness in n variables satisfying every row, as (nums, d):
+    the point with coordinates nums[i] / d, d > 0 their least common
+    denominator; or None if infeasible.  Each equality is an integer row,
+    each inequality a pair (row, strict).
 
     Raises CapExceeded when one elimination step would derive more than
     MAX_FM_ROWS rows."""
@@ -113,23 +112,22 @@ def solve(n, equalities, inequalities):
             return None
 
     # Stage 3: back-substitute, innermost variable first.  The point so far
-    # is also kept as integer numerators nums over one denominator d > 0, so
-    # each bound is t / (c * d) with integers t and c > 0, and bounds compare
-    # by cross-multiplying; only the value chosen for a variable is a Fraction.
-    # Unassigned entries of nums are 0, so a full dot product with a row
-    # leaves out the variable being solved for.
-    x = [Fraction(0)] * n
+    # is integer numerators nums over their least common denominator d > 0,
+    # so each bound is t / (c * d) with integers t and c > 0, and bounds
+    # compare by cross-multiplying.  Unassigned entries of nums are 0, so a
+    # full dot product with a row leaves out the variable being solved for.
     nums, d = [0] * n, 1
 
-    def place(var, value):
+    def place(var, p, q):
+        """x_var = p / q, reduced (q > 0) and placed over the lcm of d and q."""
         nonlocal nums, d
-        x[var] = value
-        q = value.denominator
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        p, q = p // g, q // g
         if d % q:
             m = q // gcd(d, q)
             nums = [v * m for v in nums]
             d *= m
-        nums[var] = value.numerator * (d // q)
+        nums[var] = p * (d // q)
 
     for var, rows_here in reversed(levels):
         lo = hi = None  # (t, c, strict)
@@ -148,18 +146,17 @@ def solve(n, equalities, inequalities):
                         or (strict and t * hi[1] == hi[0] * c)):
                     hi = (t, c, strict)
         if lo is None and hi is None:
-            value = Fraction(0)
+            place(var, 0, 1)
         elif lo is None:
-            value = Fraction(hi[0] - hi[1] * d, hi[1] * d)
+            place(var, hi[0] - hi[1] * d, hi[1] * d)
         elif hi is None:
-            value = Fraction(lo[0] + lo[1] * d, lo[1] * d)
+            place(var, lo[0] + lo[1] * d, lo[1] * d)
         elif lo[0] * hi[1] < hi[0] * lo[1]:
-            value = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * d)
+            place(var, lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * d)
         else:
             # Elimination guarantees lo == hi with both bounds weak.
             assert lo[0] * hi[1] == hi[0] * lo[1] and not lo[2] and not hi[2]
-            value = Fraction(lo[0], lo[1] * d)
-        place(var, value)
+            place(var, lo[0], lo[1] * d)
     for var, eq in reversed(pivots):
-        place(var, Fraction(-(eq[n] * d + sum(map(mul, eq, nums))), eq[var] * d))
-    return tuple(x)
+        place(var, -(eq[n] * d + sum(map(mul, eq, nums))), eq[var] * d)
+    return tuple(nums), d

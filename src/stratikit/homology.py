@@ -53,16 +53,25 @@ class SimplicialComplex:
 
 
 def order_complex(poset):
-    """All chains (totally ordered subsets) of a poset, as a complex.  A
-    depth-first search in index order files each chain under its dimension,
-    then extends it by every later element comparable with all of it, so each
-    dimension fills in lexicographic order.  The search keeps its own stack,
-    so a long chain is refused at the cap, not at the recursion limit."""
+    """All chains (totally ordered subsets) of a poset, as a complex.  They
+    are counted first along a linear extension, a chain topped by j being j
+    alone or j over a chain topped below j, and a count past the cap is
+    refused before any chain is filed.  A depth-first search in index order
+    then files each chain under its dimension and extends it by every later
+    element comparable with all of it, so each dimension fills in
+    lexicographic order.  It keeps its own stack, so depth is no limit."""
     if not poset.is_partial_order():
         raise StructureError("order complex requires a poset (antisymmetry failed)")
-    comparable = [u | d for u, d in zip(poset.up, poset.down())]
-    faces = []
+    down = poset.down()
+    topped = [0] * len(down)  # chains by their top element
     count = 0
+    for j in sorted(range(len(down)), key=lambda j: down[j].bit_count()):
+        topped[j] = 1 + sum(topped[i] for i in bit_indices(down[j] & ~(1 << j)))
+        count += topped[j]
+        if count > MAX_SIMPLICES:
+            raise CapExceeded(f"chain count exceeds cap {MAX_SIMPLICES}")
+    comparable = [u | d for u, d in zip(poset.up, down)]
+    faces = []
     everything = (1 << len(comparable)) - 1
     # (chain, elements comparable with all of it, extensions not yet tried)
     stack = [((), everything, everything)]
@@ -72,9 +81,6 @@ def order_complex(poset):
             continue
         j = (untried & -untried).bit_length() - 1
         stack.append((chain, common, untried & (untried - 1)))  # after j's subtree
-        count += 1
-        if count > MAX_SIMPLICES:
-            raise CapExceeded(f"chain count exceeds cap {MAX_SIMPLICES}")
         chain += (j,)
         if len(chain) > len(faces):
             faces.append([])
@@ -99,9 +105,12 @@ def column_rank(columns):
     """Exact rank over Q in integers: a column whose lowest row an earlier
     column owns becomes p * column - c * owner, p and c their entries in that
     row, divided by the gcd of its entries (Bareiss 1968).  Scaling by a
-    nonzero integer keeps the span, so the rank is unchanged."""
+    nonzero integer keeps the span, so the rank is unchanged.  An explicit
+    zero entry is no entry."""
     owner = {}  # lowest row -> reduced column whose lowest row it is
     for column in columns:
+        if 0 in column.values():
+            column = {row: value for row, value in column.items() if value}
         while column:
             low = max(column)
             pivot = owner.get(low)

@@ -1,16 +1,20 @@
 """JSON ingestion and emission for every value type, with schema-path errors.
 
-Rationals travel as integers or "p/q" strings; they are emitted as the
-lowest-terms string form with the sign on the numerator.  ``fractions`` (and
-``decimal`` under it) is imported only where a "p/q" string is read or a
-rational is written, so a document of integers that prints no rational
-never loads it.
+Rationals travel as integers or "p/q" strings; a point is emitted with each
+coordinate in the lowest-terms string form, the sign on the numerator.
+``fractions`` (and ``decimal`` under it) is imported only where a "p/q"
+string is read, so a document of integers never loads it.
 """
 
 from json.encoder import encode_basestring as _quote
+from math import gcd
 
 from . import arrangement, category, decomposition, order, topology
-from .errors import InputError, StratikitError
+from .errors import CapExceeded, InputError, StratikitError
+
+# Longest integer a document may hold or a report print: Python's default
+# int-string limit, fixed so that no answer depends on the interpreter.
+MAX_INT_DIGITS = 4300
 
 
 def parse_rational(value, path=""):
@@ -29,9 +33,23 @@ def parse_rational(value, path=""):
                      path=path)
 
 
-def format_rational(q):
-    from fractions import Fraction
-    return str(Fraction(q))
+def format_point(point):
+    """Each coordinate nums[i] / d of a point (nums, d), d > 0, as the "p" or
+    "p/q" of ``str(Fraction)``.  One of more than 3.32 * MAX_INT_DIGITS bits
+    is refused at ``forms``: since log2(10) > 3.32, the rest print within
+    MAX_INT_DIGITS digits, decided alike on every Python."""
+    nums, d = point
+    out = []
+    for v in nums:
+        g = gcd(v, d)
+        p, q = v // g, d // g
+        bits = max(abs(p).bit_length(), q.bit_length())
+        if bits * 100 > MAX_INT_DIGITS * 332:
+            raise CapExceeded(
+                f"witness coordinate has {bits} bits, cap is "
+                f"{MAX_INT_DIGITS * 332 // 100} ({MAX_INT_DIGITS} digits)", path="forms")
+        out.append(str(p) if q == 1 else f"{p}/{q}")
+    return out
 
 
 def _join(path, key):

@@ -9,14 +9,16 @@ out of a representable functor found by trying every candidate family and
 checked equation by equation, the verdicts that hold by theorem on the
 Yoneda families, on their images and on a closure, the decomposition
 analysis made block by block and block pair by block pair, linear
-systems written as rational rows, converted row by row, and the faces of an
-arrangement found by walking its sign tree, solving each prefix that the
-point of its parent does not realize."""
+systems written as rational rows, converted row by row, witnesses converted
+to points of Fractions, the signs of an arrangement's forms evaluated in
+Fractions, and the faces of an arrangement found by walking its sign tree,
+solving each prefix that the point of its parent does not realize."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
-from stratikit.arrangement import (MAX_FORMS, Face, _scaled, _sign_at, integer_row,
-                                   sign_map)
+from stratikit.arrangement import MAX_FORMS, Face, integer_row
 from stratikit.category import YonedaReport
 from stratikit.decomposition import DecompositionReport
 from stratikit.errors import CapExceeded, StructureError
@@ -351,6 +353,33 @@ def rational_system(nvars, equalities=(), inequalities=()):
              for coeffs, const, strict in inequalities])
 
 
+def as_fractions(witness):
+    """A witness (nums, d) of ``feasibility.solve`` as its point of Fractions,
+    for the oracles that evaluate rows in rational arithmetic."""
+    nums, d = witness
+    return tuple(Fraction(v, d) for v in nums)
+
+
+def lowest_terms(witness):
+    """The invariant of a witness (nums, d): integer numerators over a
+    denominator d > 0 that is their least common one."""
+    nums, d = witness
+    return (type(d) is int and d > 0 and all(type(v) is int for v in nums)
+            and gcd(d, *nums) == 1)
+
+
+def rational_sign(row, point):
+    """Sign of an integer row (c, const) at a point of Fractions: const + c . x
+    evaluated in Fraction arithmetic."""
+    value = row[-1] + sum(Fraction(c) * x for c, x in zip(row, point))
+    return (value > 0) - (value < 0)
+
+
+def rational_signs(arr, point):
+    """Sign of every form of ``arr`` at a point of Fractions."""
+    return tuple(rational_sign(row, point) for row in arr.rows)
+
+
 def sign_tree_faces(arr):
     """All realizable sign vectors with rational witnesses, in lexicographic
     order under - < 0 < +.  Infeasible prefixes prune the sign tree.
@@ -371,7 +400,7 @@ def sign_tree_faces(arr):
 
     def extend(prefix, eqs, ineqs, point):
         i = len(prefix)
-        at_point = None if point is None else _sign_at(rows[i], point)
+        at_point = None if point is None else rational_sign(rows[i], point)
         children = ((eqs, [*ineqs, (negated[i], True)]),
                     ([*eqs, rows[i]], ineqs),
                     (eqs, [*ineqs, (rows[i], True)]))
@@ -384,9 +413,9 @@ def sign_tree_faces(arr):
             if w is None:
                 continue
             if i < last:
-                extend(candidate, *child, _scaled(w))
+                extend(candidate, *child, as_fractions(w))
                 continue
-            if sign_map(arr, w) != candidate:
+            if rational_signs(arr, as_fractions(w)) != candidate:
                 raise AssertionError(f"witness does not reproduce signs {candidate}")
             faces.append(Face(candidate, w))
 

@@ -251,6 +251,21 @@ class TestErrorHandling:
             "message": f"cannot read input: [Errno 2] No such file or directory: {path!r}",
             "path": "$"}
 
+    def test_witness_too_long_to_print_exits_2_at_the_forms(self, tmp_path, capsys):
+        """Two forms in R^1 with coefficients of about 2300 digits: the
+        midpoint of their roots has more bits than print within the digit
+        cap, so the report is refused at the coefficients instead of failing
+        in ``str``."""
+        path = write_input(tmp_path, {"dim": 1, "forms": [[3 ** 4800, 7 ** 2700],
+                                                          [-(5 ** 3280), 11 ** 2200]]})
+        code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": "witness coordinate has 15218 bits, cap is 14276 (4300 digits)",
+            "path": "forms"}
+        code, out = run_cli(capsys, ["arrangement", "check-ob", "--input", path])
+        assert code == 0  # the witnesses are compared, not printed
+
     def test_schema_error_names_path(self, tmp_path, capsys):
         path = write_input(tmp_path, {"dim": 1, "forms": [[0, "1/0"]]})
         code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
@@ -1414,6 +1429,20 @@ def test_arrangement_poset_on_integer_forms_loads_neither_feasibility_nor_fracti
     assert ran == ["stratikit", "stratikit.arrangement", "stratikit.cli",
                    "stratikit.errors", "stratikit.jsonio", "stratikit.order"]
     assert "fractions" not in modules
+
+
+@pytest.mark.parametrize("argv", [["arrangement", "faces"], ["arrangement", "check-ob"],
+                                  ["corpus", "run"]], ids=["faces", "check-ob", "corpus"])
+def test_witnesses_of_integer_forms_load_neither_fractions_nor_decimal(tmp_path, argv):
+    """Witnesses are solved, checked and printed in integers, so only a "p/q"
+    coefficient brings in ``fractions`` (and ``decimal`` under it)."""
+    if argv[0] == "arrangement":
+        path = write_input(tmp_path, {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [1, 1, -1]]})
+        argv = [*argv, "--input", path]
+    code, ran, _, modules = executed_modules(argv)
+    assert code == 0
+    assert "stratikit.feasibility" in ran
+    assert not {"fractions", "decimal"} & set(modules)
 
 
 @pytest.mark.parametrize("argv, doc", [

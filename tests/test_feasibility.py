@@ -10,7 +10,7 @@ from stratikit.arrangement import integer_row
 from stratikit.errors import CapExceeded
 from stratikit.feasibility import solve
 
-from reference import rational_system
+from reference import as_fractions, lowest_terms, rational_system
 
 
 def feasible(system):
@@ -42,29 +42,29 @@ class TestKnownSystems:
 
     def test_weak_pair_pins_zero(self):
         sys_ = rational_system(1, inequalities=[((1,), 0, False), ((-1,), 0, False)])
-        assert solve(*sys_) == (0,)
+        assert solve(*sys_) == ((0,), 1)
 
     def test_open_interval_midpoint(self):
         # 1 < x < 2
         sys_ = rational_system(1, inequalities=[((1,), -1, True), ((-1,), 2, True)])
-        assert solve(*sys_) == (F("3/2"),)
+        assert solve(*sys_) == ((3,), 2)
 
     def test_unbounded_above_steps_out(self):
         sys_ = rational_system(1, inequalities=[((1,), -5, True)])
-        assert solve(*sys_) == (6,)
+        assert solve(*sys_) == ((6,), 1)
 
     def test_unbounded_below(self):
         sys_ = rational_system(1, inequalities=[((-1,), -5, True)])
-        assert solve(*sys_) == (-6,)
+        assert solve(*sys_) == ((-6,), 1)
 
     def test_no_constraints_gives_origin(self):
-        assert solve(3, [], []) == (0, 0, 0)
+        assert solve(3, [], []) == ((0, 0, 0), 1)
 
     def test_equality_chain_back_substitutes(self):
         # x + y = 0, y + z = 0, z = 7  ->  (7, -7, 7)
         sys_ = rational_system(3, equalities=[
             ((1, 1, 0), 0), ((0, 1, 1), 0), ((0, 0, 1), -7)])
-        assert solve(*sys_) == (7, -7, 7)
+        assert solve(*sys_) == ((7, -7, 7), 1)
 
     def test_inconsistent_equalities(self):
         sys_ = rational_system(1, equalities=[((1,), 0), ((1,), -1)])
@@ -84,19 +84,21 @@ class TestKnownSystems:
         # x > 0, y > 0, x + y < 1
         ineqs = [((1, 0), 0, True), ((0, 1), 0, True), ((-1, -1), 1, True)]
         w = solve(*rational_system(2, inequalities=ineqs))
-        assert w is not None and satisfies_rows((), ineqs, w)
+        assert w is not None and satisfies_rows((), ineqs, as_fractions(w))
 
     def test_equalities_mixed_with_strict(self):
         # x = y, x > 3
         sys_ = rational_system(2, equalities=[((1, -1), 0)],
                                inequalities=[((1, 0), -3, True)])
         w = solve(*sys_)
-        assert w is not None and w[0] == w[1] and w[0] > 3
+        assert w is not None
+        x, y = as_fractions(w)
+        assert x == y and x > 3
 
     def test_rational_coefficients_stay_exact(self):
         # 2x/3 = 1/7
         sys_ = rational_system(1, equalities=[((F("2/3"),), F("-1/7"))])
-        assert solve(*sys_) == (F("3/14"),)
+        assert solve(*sys_) == ((3,), 14)
 
 
 def random_rows(rng, nvars, rows):
@@ -121,7 +123,7 @@ def test_witnesses_always_satisfy_their_system():
         w = solve(*rational_system(nvars, eqs, ineqs))
         if w is not None:
             found += 1
-            assert satisfies_rows(eqs, ineqs, w)
+            assert satisfies_rows(eqs, ineqs, as_fractions(w))
     assert found > 100  # the sampler must not degenerate into all-infeasible
 
 
@@ -185,7 +187,7 @@ def test_positive_row_scaling_keeps_the_exact_witness():
         assert got == expected
         if got is not None:
             found += 1
-            assert all(type(v) is Fraction for v in got)
+            assert lowest_terms(got)
         if nvars == 1:
             assert (got is not None) == onedim_sweep_feasible(scaled_eqs, scaled_ineqs)
     assert found > 100
@@ -199,7 +201,7 @@ def test_fm_row_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="4 rows"):
         solve(*sys_)
     monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 4)
-    assert solve(*sys_) == (Fraction(3, 2),)
+    assert solve(*sys_) == ((3,), 2)
 
 
 def canonical_witnesses(seed, count):
@@ -231,9 +233,11 @@ def test_witnesses_are_canonical():
     """A witness is fixed by the rule, not by the arithmetic that computes it:
     each free variable takes the midpoint of its interval, a bound +/- 1 on
     an unbounded side, or 0 on a free line.  The digest pins 3000 witnesses
-    computed with Fraction arithmetic throughout back-substitution."""
+    computed with Fraction arithmetic throughout back-substitution, each
+    coordinate printed as its Fraction."""
     witnesses = canonical_witnesses(27182, 3000)
     assert sum(w is not None for w in witnesses) > 1500
-    assert all(type(c) is Fraction for w in witnesses if w for c in w)
-    text = repr([None if w is None else [str(c) for c in w] for w in witnesses])
+    assert all(lowest_terms(w) for w in witnesses if w)
+    text = repr([None if w is None else [str(c) for c in as_fractions(w)]
+                 for w in witnesses])
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST

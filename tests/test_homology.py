@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,23 @@ class TestOrderComplex:
             with pytest.raises(CapExceeded, match="chain count exceeds cap 5000"):
                 order_complex(poset)
 
+    def test_long_chain_is_refused_before_any_chain_is_filed(self):
+        """A 4096-element chain has 2^4096 - 1 chains.  Counting them stops
+        past the cap after a dozen elements, so the refusal allocates a few
+        lists of carrier length, not the 5000 chains of up to 4096 entries
+        (about 8.4 million tuple slots) that filing them would hold."""
+        labels = [f"p{i}" for i in range(4096)]
+        poset = Preorder.from_pairs(labels, list(zip(labels, labels[1:]))).to_poset()
+        poset.down()  # built and kept with the poset, before the count
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="chain count exceeds cap 5000"):
+                order_complex(poset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("bottoms, tops, accepted", [(2, 1666, True), (1, 2500, False)])
     def test_chain_cap_boundary(self, bottoms, tops, accepted):
         # K_{b,t}: b + t vertices and b * t edges, 5000 chains at (2, 1666)
@@ -169,6 +187,11 @@ class TestChainComplexInvariants:
         assert column_rank([{0: 2, 1: 1}, {0: 1, 1: 2}]) == 2
         assert column_rank([{0: 3, 2: 2}, {0: 6, 2: 4}, {}, {1: 4}, {1: -2, 2: 1}]) == 3
 
+    def test_explicit_zero_is_no_pivot(self):
+        assert column_rank([{0: 0}]) == 0
+        assert column_rank([{0: 1, 3: 0}, {0: 2}]) == 1
+        assert column_rank([{0: 0, 1: 0}, {0: 0, 1: 5}, {1: 0, 0: 7}]) == 2
+
     def test_boundary_of_an_edge(self, chain3):
         k = order_complex(chain3)
         # each edge column has one -1 and one +1
@@ -222,9 +245,10 @@ def dense_betti(complex_, modulus=None):
 
 
 def random_sparse_columns(rng, rows, count):
-    """Sparse integer columns over ``rows`` rows, entries in -4..4, among them
-    zero columns, repeats and multiples of earlier columns, so that the
-    reduction meets non-unit pivots and columns that vanish."""
+    """Sparse integer columns over ``rows`` rows, entries in -4..4 with
+    explicit zeros among them, and zero columns, repeats and multiples of
+    earlier columns, so that the reduction meets non-unit pivots, zero
+    entries and columns that vanish."""
     columns = []
     for _ in range(count):
         kind = rng.random()
@@ -237,7 +261,7 @@ def random_sparse_columns(rng, rows, count):
             columns.append({r: factor * v for r, v in rng.choice(columns).items()})
         else:
             support = rng.sample(range(rows), rng.randint(1, min(rows, 4)))
-            columns.append({r: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for r in support})
+            columns.append({r: rng.randint(-4, 4) for r in support})
     return columns
 
 

@@ -7,7 +7,7 @@ import pytest
 from stratikit import jsonio
 from stratikit.cli import main
 from stratikit.corpus import CASE_NAMES, golden
-from stratikit.errors import InputError
+from stratikit.errors import CapExceeded, InputError
 
 from catalog import category_chain3, representable_functor
 
@@ -20,8 +20,30 @@ class TestRationals:
         assert jsonio.parse_rational("-2/6") == Fraction(-1, 3)
 
     def test_lowest_terms_output_with_sign_on_numerator(self):
-        assert jsonio.format_rational(Fraction(2, -6)) == "-1/3"
-        assert jsonio.format_rational(Fraction(4, 2)) == "2"
+        assert jsonio.format_point(((-2, 12, 0, 7), 6)) == ["-1/3", "2", "0", "7/6"]
+
+    def test_point_prints_as_str_of_fraction(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            d = rng.randint(1, 10 ** rng.randint(1, 25))
+            nums = [rng.randint(-10 ** 25, 10 ** 25) for _ in range(rng.randint(1, 4))]
+            assert jsonio.format_point((nums, d)) == [str(Fraction(v, d)) for v in nums]
+
+    def test_coordinate_past_the_bit_cap_is_refused_at_forms(self):
+        """Up to 3.32 bits a digit every accepted coordinate prints within
+        MAX_INT_DIGITS digits; one bit more is refused, in numerator or
+        denominator alike, after reducing to lowest terms."""
+        cap = jsonio.MAX_INT_DIGITS * 332 // 100
+        widest = (1 << cap) - 1
+        assert len(jsonio.format_point(((widest,), 1))[0]) <= jsonio.MAX_INT_DIGITS
+        assert jsonio.format_point(((-widest, 1), widest)) == ["-1", f"1/{widest}"]
+        assert jsonio.format_point(((2 * widest,), 2)) == [str(widest)]
+        for point in [((1 << cap,), 1), ((-1 << cap,), 1), ((1,), 1 << cap)]:
+            with pytest.raises(CapExceeded) as err:
+                jsonio.format_point(point)
+            assert err.value.path == "forms"
+            assert str(err.value) == (f"witness coordinate has {cap + 1} bits, "
+                                      f"cap is {cap} ({jsonio.MAX_INT_DIGITS} digits)")
 
     def test_bad_string_names_path(self):
         with pytest.raises(InputError) as err:
@@ -36,7 +58,7 @@ class TestRationals:
 def dump_arrangement(dim, forms):
     return {
         "dim": dim,
-        "forms": [[jsonio.format_rational(c) for c in f] for f in forms],
+        "forms": [[str(Fraction(c)) for c in f] for f in forms],
     }
 
 
