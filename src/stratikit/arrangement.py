@@ -21,6 +21,10 @@ from .errors import CapExceeded, InputError
 
 MAX_FORMS = 12
 
+# Longest entry, in bits, of a form's primitive integer row.  A witness runs
+# to about dim * (dim + 1) times as many, so 12 planes in R^3 stay in budget.
+MAX_ROW_BITS = 256
+
 # Most faces the composition closure may list: the carrier cap of the face
 # poset (order.MAX_CARRIER), so a face list the poset could not hold is
 # refused while it grows, after at most this many faces of work each.
@@ -77,6 +81,10 @@ class Arrangement:
                     path=f"forms[{i}]")
         self.dim = dim
         self.rows = tuple(integer_row(f[1:], f[0]) for f in forms)
+        for i, row in enumerate(self.rows):
+            if (bits := max(map(int.bit_length, row))) > MAX_ROW_BITS:
+                raise CapExceeded(f"form {i} has a {bits}-bit integer coefficient, "
+                                  f"cap is {MAX_ROW_BITS} bits", path=f"forms[{i}]")
 
     @property
     def k(self):
@@ -310,22 +318,18 @@ def face_poset(arr, faces=None):
 
 
 def closure_inclusion(arr, f, g):
-    """Oracle: is the face f contained in the closure of the face g?
-
-    Decided from the forms evaluated exactly at the two witnesses p in f and
-    q in g, never from the faces' labels.  The closure of g is the weak
-    relaxation of its signs, and p lies in it iff the segment (p, q] lies in g
-    (line-segment principle, Rockafellar, Convex Analysis, Thm 6.1).  So f is
-    in the closure of g iff every form is 0 at p or has the same sign at p as
-    at q."""
-    return all(s == 0 or s == t
-               for s, t in zip(sign_map(arr, f.witness), sign_map(arr, g.witness)))
+    """Oracle: is face f in the closure of face g?  Bit 1 of row 0 of
+    ``closure_rows(arr, [f, g])``, so False when either has no witness."""
+    return bool(closure_rows(arr, [f, g])[0] >> 1 & 1)
 
 
 def closure_rows(arr, faces):
     """The oracle on every pair: bit j of row i is set iff faces[i] lies in
-    the closure of faces[j].  A face without a witness is a point of no
-    closure and no closure holds a point of it, so its row is empty.
+    the closure of faces[j].  A face f with witness p lies in the closure of a
+    face g with witness q iff the segment (p, q] lies in g (line-segment
+    principle, Rockafellar, Convex Analysis, Thm 6.1), iff every form is 0 at
+    p or has its sign at q.  A face without a witness is in no closure and
+    has none, so its row is empty.
 
     Each witness is evaluated once.  Bit j of ``negative[i]`` (``positive[i]``)
     is set iff form i is negative (positive) at the witness of faces[j], so

@@ -350,7 +350,11 @@ def _homology_order_complex(doc, args):
 
 def _homology_betti(doc, args):
     complex_, euler = _complex(doc)
-    numbers = homology.betti(complex_, args.max_dim)
+    try:
+        numbers = homology.betti(complex_, args.max_dim)
+    except StratikitError as exc:  # betti refuses nothing but its max_dim
+        exc.path = "--max-dim"
+        raise
     checks = [_check("boundary of boundary vanishes",
                      homology.boundary_squares_to_zero(complex_)), euler]
     return {"f_vector": complex_.f_vector(), "betti": numbers}, checks

@@ -53,6 +53,15 @@ def transpose(rows, width):
     return [int("".join(column)[::-1], 2) for column in zip(*texts)]
 
 
+def _classes(rows):
+    """Indices grouped by equal rows, in order of first occurrence: in a
+    preorder x <= y <= x iff U_x = U_y, so these are its classes (Stong 1966)."""
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row, []).append(i)
+    return list(groups.values())
+
+
 def _closure(rows):
     """Reflexive-transitive closure of bitset rows by strongly connected
     component condensation (Purdom 1970), found by an iterative Tarjan search.
@@ -221,8 +230,8 @@ class Preorder:
             for j in bit_indices(row & ~(1 << i))
         ]
 
-    def is_partial_order(self):
-        return all(u & d == 1 << i for i, (u, d) in enumerate(zip(self.up, self.down())))
+    def is_partial_order(self):  # no two elements share an up-set
+        return len(set(self.up)) == len(self.up)
 
     def dual(self):
         """The opposite preorder (relation transposed)."""
@@ -248,12 +257,10 @@ class Poset(Preorder):
 
     def __init__(self, carrier, up):
         super().__init__(carrier, up)
-        for i, (u, d) in enumerate(zip(self.up, self.down())):
-            if u & d != 1 << i:
-                j = lowest_bit(u & d & ~(1 << i))
-                raise StructureError(
-                    f"relation not antisymmetric: {self.carrier[i]!r} and "
-                    f"{self.carrier[j]!r} are equivalent but distinct", path="pairs")
+        for i, j, *_ in (c for c in _classes(self.up) if len(c) > 1):
+            raise StructureError(
+                f"relation not antisymmetric: {self.carrier[i]!r} and "
+                f"{self.carrier[j]!r} are equivalent but distinct", path="pairs")
 
 
 def first_escape(images, source, target):
@@ -334,21 +341,13 @@ def quotient_poset(p):
     Class labels are "[m]" with m the lexicographically least member; classes
     are ordered by first occurrence in the source carrier.
     """
-    n = len(p.carrier)
-    down = p.down()
-    class_of = [-1] * n
-    members = []
-    for i in range(n):
-        if class_of[i] == -1:
-            cls = bit_indices(p.up[i] & down[i])
-            for j in cls:
-                class_of[j] = len(members)
-            members.append(cls)
+    members = _classes(p.up)
+    class_of = {j: c for c, cls in enumerate(members) for j in cls}
     labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in members]
     qup = [bitmask(class_of[j] for j in bit_indices(p.up[cls[0]])) for cls in members]
     # each class row is the image of its members' rows, so the projection
     # is monotone by construction
-    return Poset(labels, qup), {p.carrier[i]: labels[class_of[i]] for i in range(n)}
+    return Poset(labels, qup), {x: labels[class_of[i]] for i, x in enumerate(p.carrier)}
 
 
 def is_order_isomorphism(assignment, p, q):

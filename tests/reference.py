@@ -11,8 +11,10 @@ Yoneda families, on their images and on a closure, the decomposition
 analysis made block by block and block pair by block pair, linear
 systems written as rational rows, converted row by row, witnesses converted
 to points of Fractions, the signs of an arrangement's forms evaluated in
-Fractions, and the faces of an arrangement found by walking its sign tree,
-solving each prefix that the point of its parent does not realize."""
+Fractions, the faces of an arrangement found by walking its sign tree,
+solving each prefix that the point of its parent does not realize, and the
+classes of a preorder read off its up-set and down-set rows, with the
+antisymmetry refusal and the quotient poset built from them."""
 
 import itertools
 from fractions import Fraction
@@ -23,7 +25,8 @@ from stratikit.category import YonedaReport
 from stratikit.decomposition import DecompositionReport
 from stratikit.errors import CapExceeded, StructureError
 from stratikit.feasibility import solve
-from stratikit.order import Preorder, _closure, bitmask, quotient_poset, union_of_rows
+from stratikit.order import (Preorder, _closure, bit_indices, bitmask, lowest_bit,
+                             quotient_poset, transpose, union_of_rows)
 from stratikit.topology import FiniteTopology
 
 
@@ -421,3 +424,38 @@ def sign_tree_faces(arr):
 
     extend((), [], [], None)
     return faces
+
+
+def classes_by_up_and_down(up):
+    """The classes of the preorder with bitset rows ``up``, each as its
+    ascending indices, in order of first occurrence: the class of i is
+    up[i] & down[i], with the down-sets from ``order.transpose``."""
+    down = transpose(up, len(up))
+    classes, seen = [], 0
+    for i, (u, d) in enumerate(zip(up, down)):
+        if not seen >> i & 1:
+            classes.append(bit_indices(u & d))
+            seen |= u & d
+    return classes
+
+
+def antisymmetry_pair_by_up_and_down(up):
+    """The pair (i, j) that ``Poset`` names when it refuses the rows ``up``:
+    the first i whose up-set and down-set share more than i, and the lowest
+    j != i they share; None for a poset."""
+    for i, (u, d) in enumerate(zip(up, transpose(up, len(up)))):
+        if u & d != 1 << i:
+            return i, lowest_bit(u & d & ~(1 << i))
+    return None
+
+
+def quotient_by_up_and_down(p):
+    """``quotient_poset``'s class labels, class rows and projection, from
+    ``classes_by_up_and_down``: classes in order of first occurrence, each
+    named "[m]" for its least member m, and the row of a class the classes
+    of the up-set of its first member."""
+    classes = classes_by_up_and_down(p.up)
+    class_of = {j: c for c, cls in enumerate(classes) for j in cls}
+    labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in classes]
+    rows = [bitmask(class_of[j] for j in bit_indices(p.up[cls[0]])) for cls in classes]
+    return labels, rows, {x: labels[class_of[i]] for i, x in enumerate(p.carrier)}

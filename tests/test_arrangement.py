@@ -78,6 +78,24 @@ class TestArrangementType:
             Arrangement(2, [(0, 1)])
         assert err.value.path == "forms[0]"
 
+    def test_row_bit_cap_is_on_the_primitive_integer_row(self):
+        cap = arrangement.MAX_ROW_BITS
+        widest = 2 ** cap - 1
+        assert Arrangement(1, [(0, 1), (widest, -widest + 2)]).rows[1] == (-widest + 2, widest)
+        # a common factor leaves the row, so large entries can make a small row
+        assert Arrangement(1, [(2 ** 400, 2 ** 401)]).rows == ((2, 1),)
+        with pytest.raises(CapExceeded) as err:
+            Arrangement(1, [(0, 1), (1, widest + 2)])
+        assert err.value.path == "forms[1]"
+        assert str(err.value) == (f"form 1 has a {cap + 1}-bit integer coefficient, "
+                                  f"cap is {cap} bits")
+        # entries under the cap whose denominators scale the row past it
+        form = [Fraction(1, 3 ** 120), Fraction(1, 5 ** 90), Fraction(1, 7 ** 80)]
+        assert all(c.denominator.bit_length() < cap for c in form)
+        with pytest.raises(CapExceeded) as err:
+            Arrangement(2, [form])
+        assert err.value.path == "forms[0]"
+
 
 class TestFace:
     def test_value_semantics(self):
@@ -257,6 +275,13 @@ class TestClosureInclusion:
         arr = three_lines()
         for f in enumerate_faces(arr):
             assert closure_inclusion(arr, f, f)
+
+    def test_a_face_without_a_witness_is_in_no_closure_and_has_none(self):
+        arr = line_origin()
+        faces = {f.label: f for f in enumerate_faces(arr)}
+        bare = Face((1,), None)
+        for f, g in [(bare, faces["+"]), (faces["0"], bare), (bare, bare)]:
+            assert closure_inclusion(arr, f, g) is False
 
     def test_cut_point_not_in_closure_of_far_ray(self):
         arr = line_two_cuts()

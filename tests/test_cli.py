@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 import stratikit
-from stratikit import cli, topology
+from stratikit import arrangement, cli, feasibility, topology
 from stratikit.category import hom_preorder_details
 from stratikit.cli import main
 from stratikit.jsonio import canonical_dumps, dump_preorder, load_category, load_preorder
@@ -251,11 +252,13 @@ class TestErrorHandling:
             "message": f"cannot read input: [Errno 2] No such file or directory: {path!r}",
             "path": "$"}
 
-    def test_witness_too_long_to_print_exits_2_at_the_forms(self, tmp_path, capsys):
-        """Two forms in R^1 with coefficients of about 2300 digits: the
-        midpoint of their roots has more bits than print within the digit
-        cap, so the report is refused at the coefficients instead of failing
-        in ``str``."""
+    def test_witness_too_long_to_print_exits_2_at_the_forms(
+            self, tmp_path, capsys, monkeypatch):
+        """Two forms in R^1 with coefficients of about 2300 digits, past the
+        coefficient cap, here lifted: the midpoint of their roots has more
+        bits than print within the digit cap, so the report is refused at the
+        coefficients instead of failing in ``str``."""
+        monkeypatch.setattr(arrangement, "MAX_ROW_BITS", 10 ** 6)
         path = write_input(tmp_path, {"dim": 1, "forms": [[3 ** 4800, 7 ** 2700],
                                                           [-(5 ** 3280), 11 ** 2200]]})
         code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
@@ -265,6 +268,31 @@ class TestErrorHandling:
             "path": "forms"}
         code, out = run_cli(capsys, ["arrangement", "check-ob", "--input", path])
         assert code == 0  # the witnesses are compared, not printed
+
+    @pytest.mark.parametrize("action", ["faces", "poset", "check-ob"])
+    def test_coefficients_past_the_bit_cap_exit_2_at_their_form(
+            self, tmp_path, capsys, monkeypatch, action):
+        """Eight planes in R^3 with coefficients of about 400 digits are
+        refused at the first form, before any cocircuit or solve: before the
+        cap, ``faces`` solved every face and then refused a witness too long
+        to print."""
+        def refuse(*args):
+            raise AssertionError("computed past the refusal")
+
+        monkeypatch.setattr(arrangement, "cocircuits", refuse)
+        monkeypatch.setattr(feasibility, "solve", refuse)
+        rng = random.Random(1)
+        bound = 10 ** 400
+        forms = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(8)]
+        path = write_input(tmp_path, {"dim": 3, "forms": forms})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, ["arrangement", action, "--input", path])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        bits = max(abs(c).bit_length() for c in forms[0])
+        assert json.loads(out)["error"] == {
+            "message": f"form 0 has a {bits}-bit integer coefficient, cap is 256 bits",
+            "path": "forms[0]"}
 
     def test_schema_error_names_path(self, tmp_path, capsys):
         path = write_input(tmp_path, {"dim": 1, "forms": [[0, "1/0"]]})
@@ -1071,6 +1099,14 @@ class TestHomologyCommands:
                                      "--max-dim", "-3"])
         assert code == 2
         assert "max_dim" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("max_dim", ["-1", "5001"])
+    def test_betti_max_dim_refusals_name_the_option(self, tmp_path, capsys, max_dim):
+        path = write_input(tmp_path, PSEUDO_PREORDER)
+        code, out = run_cli(capsys, ["homology", "betti", "--input", path,
+                                     "--max-dim", max_dim])
+        assert code == 2
+        assert json.loads(out)["error"]["path"] == "--max-dim"
 
     def test_betti_max_dim_above_the_simplex_cap_exits_2(self, tmp_path, capsys):
         from stratikit.homology import MAX_SIMPLICES

@@ -6,7 +6,14 @@ item duplicated, a list shuffled, or a subtree grafted from another pool
 document.  The result goes through every action of the document's command
 group by ``cli.main``, in process.  Each run must end with exit 0 or 1 and a
 report, or with exit 2 and one error object; no exception may escape it, and
-no run may pass its time budget.
+no run may pass its time budget.  An ``InputError`` refusal must name a path
+that exists in the document, a key missing from an object in it, or an
+option given on the command line.
+
+Byte-level cases go through the same actions: an integer literal past the
+digit cap, invalid UTF-8, nesting past ``cli.MAX_DEPTH`` and a missing input
+file are refused at ``$``, and a form coefficient past
+``arrangement.MAX_ROW_BITS`` at its form.
 
 Seeds 0 to 2 run by default.  ``STRATIKIT_MUTATION_SEEDS=N`` runs seeds 0 to N - 1,
 for example ``STRATIKIT_MUTATION_SEEDS=20 python -m pytest tests/test_mutations.py``.
@@ -19,13 +26,16 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import traceback
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from stratikit import cli
+from stratikit import arrangement, cli
+from stratikit.errors import InputError, StratikitError
 
 JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 SEEDS = range(int(os.environ.get("STRATIKIT_MUTATION_SEEDS", "3")))
@@ -33,8 +43,8 @@ BUDGET_S = 5.0  # wall time one run may take
 
 # Atoms a mutation puts in place of another: every JSON kind, labels and
 # rationals that the loaders read, a "p/q" that divides by zero, and an
-# integer of about 2300 digits, under the literal cap but too long for a
-# witness built from it to print.
+# integer of about 2300 digits, under the literal cap but past the
+# coefficient cap.
 ATOMS = [None, True, False, 0, 1, -1, 2, 3, "", "x", "p0", "a", "*", "1/0", "-3/2",
          "R", "L", "LR", "contravariant", 7 ** 2700, [], {}]
 
@@ -131,21 +141,56 @@ def _alarm(signum, frame):
 
 
 def run(argv):
-    """Exit code and stdout of ``cli.main(argv)`` within the time budget."""
+    """Exit code and stdout of ``cli.main(argv)`` within the time budget, and
+    the error that the run refused, or None."""
     out = io.StringIO()
+    refused = []
+    run_action = cli._run
+
+    def recording(group, args):
+        try:
+            return run_action(group, args)
+        except StratikitError as exc:
+            refused.append(exc)
+            raise
+
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), mock.patch.object(cli, "_run", recording):
             code = cli.main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    return code, out.getvalue()
+    return code, out.getvalue(), refused[0] if refused else None
 
 
-def verdict(code, out):
-    """None if the run ended as the contract allows, else what went wrong."""
+def names_a_place(node, path):
+    """True iff the schema path (keys joined by ".", list indices as "[i]")
+    names a value under ``node``, or a key missing from an object there.
+    A key may itself hold "." or "[", so each key that fits is tried."""
+    if not path:
+        return True
+    index = re.match(r"\[(\d+)\]", path)
+    if index:
+        i = int(index[1])
+        return (isinstance(node, list) and i < len(node)
+                and names_a_place(node[i], path[index.end():]))
+    path = path.removeprefix(".")
+    if not isinstance(node, dict):
+        return False
+    for key in node:
+        rest = path[len(key):]
+        if path.startswith(key) and rest[:1] in ("", ".", "[") and names_a_place(node[key], rest):
+            return True
+    return re.search(r"[.\[]", path) is None and path not in node
+
+
+def verdict(code, out, exc=None, document=None, argv=()):
+    """None if the run ended as the contract allows, else what went wrong.
+    ``exc`` is the error behind an exit 2; an ``InputError`` must carry a
+    path that ``names_a_place`` in the input ``document``, ``$`` for the
+    document itself, or an option given in ``argv``."""
     try:
         doc = json.loads(out)
     except ValueError:
@@ -162,6 +207,11 @@ def verdict(code, out):
         if (not isinstance(error, dict) or sorted(error) != ["message", "path"]
                 or not all(isinstance(v, str) for v in error.values())):
             return "exit 2 without one error object"
+        path = error["path"]
+        if isinstance(exc, InputError) and not (
+                path == "$" or path.startswith("--") and path in argv
+                or path and names_a_place(document, path)):
+            return f"input refused at a path not in the document: {error}"
         return None
     return f"exit {code}"
 
@@ -183,13 +233,86 @@ def test_mutated_pool_documents_end_in_a_report_or_an_error_object(tmp_path, see
             path.write_text(json.dumps(mutated), encoding="utf-8")
             argv = [group, action, "--input", str(path), *options(rng, group, action)]
             try:
-                problem = verdict(*run(argv))
+                problem = verdict(*run(argv), mutated, argv)
             except (Exception, SystemExit):  # a traceback or a usage exit
                 problem = traceback.format_exc(limit=-3)
             if problem:
                 failures.append(f"{' '.join(argv[:2] + argv[4:])} on "
                                 f"{json.dumps(mutated)[:300]}: {problem}")
     assert failures == []
+
+
+SENTINEL = "\u2603 raw bytes \u2603"  # json.dumps writes it escaped, in ASCII
+
+
+def byte_cases(rng, group, doc):
+    """(case, bytes of the input file or None for no file, the path it is
+    refused at) for each byte-level case of one pool document.  A raw case
+    takes the place of one of the document's atoms, so a nested one lies at
+    least two levels deep."""
+    def in_place_of_an_atom(raw):
+        mutated = copy.deepcopy(doc)
+        parent, key = rng.choice([(p, k) for p, k in slots(mutated)[1:]
+                                  if not isinstance(p[k], (dict, list))])
+        parent[key] = SENTINEL
+        return json.dumps(mutated).encode().replace(json.dumps(SENTINEL).encode(), raw)
+
+    cases = [("long integer", in_place_of_an_atom(b"7" * 5000), "$"),
+             ("invalid UTF-8", in_place_of_an_atom(b'"\xff"'), "$"),
+             ("nesting past the depth cap",
+              in_place_of_an_atom(b"[" * cli.MAX_DEPTH + b"]" * cli.MAX_DEPTH), "$"),
+             ("missing file", None, "$")]
+    if group == "arrangement":
+        mutated = copy.deepcopy(doc)
+        i = rng.randrange(len(mutated["forms"]))
+        form = mutated["forms"][i]
+        # beside a nonzero entry, which no prime factor of 2^256 + 1 divides,
+        # so the primitive row keeps every bit
+        keep = next(j for j, c in enumerate(form) if j and c)
+        form[rng.choice([j for j in range(len(form)) if j != keep])] = (
+            2 ** arrangement.MAX_ROW_BITS + 1)
+        cases.append(("coefficient past the cap", json.dumps(mutated).encode(),
+                      f"forms[{i}]"))
+    return cases
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+@pytest.mark.parametrize("group", sorted(POOL))
+def test_byte_level_cases_are_refused_at_their_path(tmp_path, group):
+    rng = random.Random(f"bytes/{group}")
+    actions = [action for action, (_, declared) in cli.COMMANDS[group][1].items()
+               if "--input" in declared]
+    failures = []
+    seen = set()
+    for doc in POOL[group]:
+        for case, data, expected in byte_cases(rng, group, doc):
+            seen.add(case)
+            path = tmp_path / ("missing.json" if data is None else "input.json")
+            if data is not None:
+                path.write_bytes(data)
+            for action in actions:
+                argv = [group, action, "--input", str(path)]
+                try:
+                    code, out, exc = run(argv)
+                    problem = verdict(code, out, exc, doc, argv)
+                    if not problem and (code != 2 or json.loads(out)["error"]["path"] != expected):
+                        problem = f"exit {code}, not a refusal at {expected}: {out[:300]}"
+                except (Exception, SystemExit):
+                    problem = traceback.format_exc(limit=-3)
+                if problem:
+                    failures.append(f"{group} {action}, {case}: {problem}")
+    assert failures == []
+    assert len(seen) == (5 if group == "arrangement" else 4)
+
+
+def test_paths_name_values_and_missing_keys():
+    doc = {"forms": [[0, 1]], "category": {"homs": {"A->B.c": ["f"]}}}
+    for path in ["forms", "forms[0]", "forms[0][1]", "category.homs.A->B.c",
+                 "category.homs.A->B.c[0]", "category.identities", "category.homs.A", "dim"]:
+        assert names_a_place(doc, path), path
+    for path in ["forms[1]", "forms[0][2]", "forms[0].x", "category.homs.A.x",
+                 "category.homs.A->B.c[1]", "dim.x", "forms.x", "[0]"]:
+        assert not names_a_place(doc, path), path
 
 
 def test_mutations_change_documents_and_keep_them_json():

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratikit import order
 from stratikit.errors import InputError, StructureError
-from stratikit.order import (Poset, Preorder, bitmask, is_monotone, is_order_isomorphism,
-                             product, product_label, quotient_poset, transpose)
+from stratikit.order import (Poset, Preorder, bit_indices, bitmask, is_monotone,
+                             is_order_isomorphism, product, product_label, quotient_poset,
+                             transpose)
 from stratikit.randomcases import random_preorder
 
-from reference import monotone_by_leq
+from reference import (antisymmetry_pair_by_up_and_down, classes_by_up_and_down,
+                       monotone_by_leq, quotient_by_up_and_down)
 
 # Generators of the 9-element grid order on pairs over {N, O, P}; the list
 # includes redundant non-covering arrows out of the bottom, closure tidies them.
@@ -208,6 +211,67 @@ class TestPartialOrder:
         # a <= b <= a inside a three-point poset candidate, as raw rows
         with pytest.raises(StructureError, match="'a' and 'b' are equivalent"):
             Poset(["a", "b", "c"], [0b111, 0b111, 0b100])
+
+
+def shuffled(rng, carrier, up):
+    """The relation ``up`` on ``carrier`` with the carrier in a random order
+    under random distinct labels: (labels, rows)."""
+    n = len(carrier)
+    old_at = rng.sample(range(n), n)  # position k holds old element old_at[k]
+    position = {old: k for k, old in enumerate(old_at)}
+    labels = rng.sample([f"{c}{d}" for c in "abxyz" for d in range(10)], n)
+    return labels, [bitmask(position[j] for j in bit_indices(up[old])) for old in old_at]
+
+
+class TestClassesFromEqualRows:
+    """Classes read off equal up-set rows, against the up & down scan of the
+    reference, on seeded random preorders and their quotient posets."""
+
+    def relations(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            p = random_preorder(rng, max_size=9)
+            yield shuffled(rng, p.carrier, p.up)
+            labels, rows, _ = quotient_by_up_and_down(p)
+            yield shuffled(rng, labels, rows)
+
+    def test_against_the_up_and_down_scan(self):
+        kinds = set()
+        for carrier, up in self.relations():
+            p = Preorder(carrier, up)
+            pair = antisymmetry_pair_by_up_and_down(up)
+            kinds.add(pair is None)
+            assert p.is_partial_order() == (pair is None)
+            assert p.is_partial_order() == (len(classes_by_up_and_down(up)) == len(up))
+            if pair is None:
+                assert Poset(carrier, up).up == p.up
+            else:
+                i, j = pair
+                with pytest.raises(StructureError) as refused:
+                    Poset(carrier, up)
+                assert str(refused.value) == (
+                    f"relation not antisymmetric: {carrier[i]!r} and {carrier[j]!r} "
+                    "are equivalent but distinct")
+                assert refused.value.path == "pairs"
+            q, pi = quotient_poset(p)
+            assert (list(q.carrier), list(q.up), pi) == quotient_by_up_and_down(p)
+        assert kinds == {True, False}
+
+    def test_no_transpose_and_no_down_sets(self, monkeypatch):
+        def refuse(rows, width):
+            raise AssertionError("transposed")
+
+        monkeypatch.setattr(order, "transpose", refuse)
+        p = Preorder.from_pairs(["r", "q", "p"], [("q", "p"), ("p", "q"), ("q", "r")])
+        chain = Poset(["a", "b", "c"], [0b111, 0b110, 0b100])
+        assert chain.is_partial_order() and not p.is_partial_order()
+        with pytest.raises(StructureError, match="'q' and 'p' are equivalent"):
+            Poset(p.carrier, p.up)
+        q, pi = quotient_poset(p)
+        assert list(q.carrier) == ["[r]", "[p]"] and q.pairs() == [("[p]", "[r]")]
+        assert pi == {"r": "[r]", "q": "[p]", "p": "[p]"}
+        with pytest.raises(AssertionError, match="transposed"):
+            p.down()
 
 
 class TestProduct:
