@@ -344,6 +344,15 @@ class SetFunctor:
 YonedaReport = namedtuple("YonedaReport", "transformation_count target_size")
 
 
+def _representable_target(cat, functor, anchor):
+    """F(anchor), after refusing a covariant functor and then an unknown anchor."""
+    if functor.variance != "contravariant":
+        raise InputError("the representable side here is contravariant; pass a "
+                         "contravariant functor", path="functor.variance")
+    cat.hom(anchor, anchor)
+    return functor.on_objects[anchor]
+
+
 def yoneda_natural_transformations(cat, functor, anchor):
     """Every natural transformation hom(-, anchor) -> F, one per element u of
     F(anchor) in that order, with their count beside |F(anchor)|.
@@ -355,12 +364,7 @@ def yoneda_natural_transformations(cat, functor, anchor):
     *Categories for the Working Mathematician*, III.2), so no naturality
     equation is checked.  Each transformation is a dict object -> (dict
     morphism -> element)."""
-    if functor.variance != "contravariant":
-        raise InputError(
-            "the representable side here is contravariant; pass a contravariant functor",
-            path="functor.variance")
-    cat.hom(anchor, anchor)
-    target = functor.on_objects[anchor]
+    target = _representable_target(cat, functor, anchor)
     maps = functor.on_morphisms
     families = [{x: {f: maps[f][u] for f in cat.hom(x, anchor)} for x in cat.objects}
                 for u in target]
@@ -378,9 +382,9 @@ IMAGE_ORDER_NOTE = (
 def yoneda_image_report(cat, functor, anchor):
     """The image map on every hom(x, anchor), as a dict from each object x:
     f maps to {F(f)(u) : u in F(anchor)}, the values of the Yoneda families
-    at f.  On a functor the family is natural and the left preorder makes it
-    inclusion-reversing (see ``IMAGE_ORDER_NOTE``), so neither is checked
-    here."""
-    families, _ = yoneda_natural_transformations(cat, functor, anchor)
-    return {x: {f: frozenset(tau[x][f] for tau in families) for f in cat.hom(x, anchor)}
+    at f: the values of F(f), which is total on F(anchor).  On a functor the
+    family is natural and the left preorder makes it inclusion-reversing (see
+    ``IMAGE_ORDER_NOTE``), so neither is checked here."""
+    _representable_target(cat, functor, anchor)
+    return {x: {f: frozenset(functor.on_morphisms[f].values()) for f in cat.hom(x, anchor)}
             for x in cat.objects}

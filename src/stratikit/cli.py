@@ -399,9 +399,9 @@ def _corpus_oracle(doc, args):
     import random
     cases = args.cases
     if cases < 1:
-        raise InputError(f"cases {cases} is below 1")
+        raise InputError(f"cases {cases} is below 1", path="--cases")
     if cases > MAX_ORACLE_CASES:
-        raise CapExceeded(f"cases {cases} exceeds the cap {MAX_ORACLE_CASES}")
+        raise CapExceeded(f"cases {cases} exceeds the cap {MAX_ORACLE_CASES}", path="--cases")
     rng = random.Random(args.seed)
     tamaki_bad = []
     openlocal_bad = []

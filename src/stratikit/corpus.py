@@ -47,8 +47,7 @@ def run_ex2_replica():
     g = golden("ex2-replica")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = arrangement.enumerate_faces(arr)
-    space = topology.FiniteTopology.from_preorder(arrangement.face_poset(arr, faces))
+    space = topology.FiniteTopology.from_preorder(arrangement.face_poset(arr))
     blocks = [g["blocks"][k] for k in ("N", "O", "P")]
     dec = decomposition.Decomposition(space, blocks, ["N", "O", "P"])
     rep = decomposition.analyze(dec)
@@ -147,19 +146,18 @@ def run_ex6():
     return results, checks, g
 
 
-def _natural_bijection(faces):
+def _natural_bijection(labels):
     """Each face label to its ex1 product label, reading -, 0, + as N, O, P."""
     letter = {"-": "N", "0": "O", "+": "P"}
-    return {f.label: order.product_label(letter[ch] for ch in f.label) for f in faces}
+    return {x: order.product_label(letter[ch] for ch in x) for x in labels}
 
 
 def run_ex7():
     g = golden("ex7")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = arrangement.enumerate_faces(arr)
-    _check(checks, "face count", len(faces) == g["face_count"], len(faces))
-    poset = arrangement.face_poset(arr, faces)
+    poset = arrangement.face_poset(arr)
+    _check(checks, "face count", len(poset) == g["face_count"], len(poset))
     space = topology.FiniteTopology.from_preorder(poset)
     base = sorted(sorted(space.labels(row)) for row in topology.rows_of_opens(space))
     expected_base = sorted(sorted(b) for b in g["minimal_open_base"])
@@ -169,22 +167,21 @@ def run_ex7():
     ex1_poset = _poset_from_golden(golden("ex1")["poset"])
     grid = order.product([ex1_poset, ex1_poset])
     _check(checks, "face poset isomorphic to the product square",
-           order.is_order_isomorphism(_natural_bijection(faces), poset, grid))
-    return {"face_count": len(faces), "opens_count": len(space.opens)}, checks, g
+           order.is_order_isomorphism(_natural_bijection(poset.carrier), poset, grid))
+    return {"face_count": len(poset), "opens_count": len(space.opens)}, checks, g
 
 
 def run_coordinate_n3():
     g = golden("coordinate-n3")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = arrangement.enumerate_faces(arr)
-    _check(checks, "face count is 3^3", len(faces) == g["face_count"], len(faces))
-    poset = arrangement.face_poset(arr, faces)
+    poset = arrangement.face_poset(arr)
+    _check(checks, "face count is 3^3", len(poset) == g["face_count"], len(poset))
     ex1_poset = _poset_from_golden(golden("ex1")["poset"])
     cube = order.product([ex1_poset] * 3)
     _check(checks, "natural sign bijection is an order isomorphism",
-           order.is_order_isomorphism(_natural_bijection(faces), poset, cube))
-    return {"face_count": len(faces)}, checks, g
+           order.is_order_isomorphism(_natural_bijection(poset.carrier), poset, cube))
+    return {"face_count": len(poset)}, checks, g
 
 
 def run_arrangement_3lines():

@@ -99,9 +99,9 @@ def analyze(d):
     around block a closes {a} under the OR of ``meets_up`` over a's points,
     and a <= b in the closure order (block a lies in b's closure) iff b is in
     the AND; the frontier condition (a block meeting another's closure lies
-    inside it) says OR = AND.  Images commute with unions, so the projection
-    is open (closed) iff each ``meets_up[x]`` (``meets_down[x]``), which holds
-    x's block and lies in its quotient up-set (down-set), is it.
+    inside it) says OR = AND.  As AND <= ``meets_up[x]`` <= quotient row, the
+    projection is open iff AND = quotient row; closed iff each block's up-set
+    is a union of blocks, that is iff ``meets_down`` is constant on each block.
     """
     spec = d.space.specialization_preorder()
     up, down = spec.up, spec.down()
@@ -113,16 +113,14 @@ def analyze(d):
     generating = [functools.reduce(operator.or_, r) for r in rows]
     star_rows = [functools.reduce(operator.and_, r) for r in rows]
     tau_pi = Preorder(d.labels, _closure(generating))
-    tau_down = tau_pi.down()
-    pi_open = all(meets_up[x] == tau_pi.up[m] for m, p in enumerate(points) for x in p)
-    pi_closed = all(meets_down[x] == tau_down[m] for m, p in enumerate(points) for x in p)
     star = Preorder(d.labels, star_rows)
+    pi_open = star == tau_pi
     return DecompositionReport(
         pi_open=pi_open,
-        pi_closed=pi_closed,
+        pi_closed=all(len({meets_down[x] for x in p}) == 1 for p in points),
         star_preorder=star,
         tau_pi_preorder=tau_pi,
-        tamaki_agrees=(star == tau_pi),
+        tamaki_agrees=pi_open,
         blocks_locally_closed={  # a block is the meet of its up-set and down-set
             lab: a & c == b
             for lab, b, a, c in zip(d.labels, d.blocks, above, below)

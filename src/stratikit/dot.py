@@ -5,7 +5,7 @@ def _quote(label):
     return '"' + str(label).replace('"', '\\"') + '"'
 
 
-def preorder_dot(p, full_relation=False, name="order"):
+def preorder_dot(p, full_relation=False):
     """Graphviz digraph of a preorder.
 
     Posets are drawn by their covering relation unless ``full_relation`` asks
@@ -16,7 +16,7 @@ def preorder_dot(p, full_relation=False, name="order"):
         edges = p.pairs()
     else:
         edges = p.covering_pairs()
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph order {", "  rankdir=BT;"]
     for x in p.carrier:
         lines.append(f"  {_quote(x)};")
     for a, b in edges:

@@ -8,7 +8,8 @@ by testing every subset of its carrier, the natural transformations
 out of a representable functor found by trying every candidate family and
 checked equation by equation, the verdicts that hold by theorem on the
 Yoneda families, on their images and on a closure, the decomposition
-analysis made block by block and block pair by block pair, linear
+analysis made block by block and block pair by block pair, the projection's
+openness and closedness compared point by point with the quotient rows, linear
 systems written as rational rows, converted row by row, witnesses converted
 to points of Fractions, the signs of an arrangement's forms evaluated in
 Fractions, the faces of an arrangement found by walking its sign tree,
@@ -345,6 +346,23 @@ def analyze_by_blocks(d):
         frontier_condition=all(b & c in (0, b) for b in d.blocks for c in below),
         quotient_is_poset=tau_pi.is_partial_order(),
     )
+
+
+def open_closed_by_points(d):
+    """(projection open, projection closed) point by point: the blocks meeting
+    the up-set (down-set) of each point are the quotient up-set (down-set) of
+    its block.  Opens are unions of point up-sets, closed sets unions of
+    point down-sets, and images commute with unions, so these are the
+    definitions on the minimal opens and the point closures; the quotient
+    down-sets are the transposed quotient rows."""
+    spec = d.space.specialization_preorder()
+    up, down = spec.up, spec.down()
+    tau_pi = Preorder(d.labels, _closure([d.image_mask(union_of_rows(up, b))
+                                          for b in d.blocks]))
+    tau_down = tau_pi.down()
+    points = [(m, x) for m, b in enumerate(d.blocks) for x in bit_indices(b)]
+    return (all(d.image_mask(up[x]) == tau_pi.up[m] for m, x in points),
+            all(d.image_mask(down[x]) == tau_down[m] for m, x in points))
 
 
 def rational_system(nvars, equalities=(), inequalities=()):

@@ -626,6 +626,21 @@ class TestYonedaImage:
             ident = cat.identity[anchor]
             assert images[ident] == frozenset(fun.on_objects[anchor]), name
 
+    def test_images_are_the_values_of_the_families(self):
+        for name, cat, fun, anchor in yoneda_instances():
+            families, _ = yoneda_natural_transformations(cat, fun, anchor)
+            assert yoneda_image_report(cat, fun, anchor) == {
+                x: {f: frozenset(tau[x][f] for tau in families) for f in cat.hom(x, anchor)}
+                for x in cat.objects}, name
+
+    def test_variance_is_refused_before_the_anchor(self):
+        cat = category_c2()
+        tables = ({"*": ["0", "1"]}, {"1": {"0": "0", "1": "1"}, "g": {"0": "1", "1": "0"}})
+        with pytest.raises(InputError, match="contravariant functor"):
+            yoneda_image_report(cat, SetFunctor(cat, "covariant", *tables), "X")
+        with pytest.raises(InputError, match="unknown object 'X'"):
+            yoneda_image_report(cat, SetFunctor(cat, "contravariant", *tables), "X")
+
     def test_idempotent_image_is_the_retract(self):
         cat = category_idempotent_monoid()
         fun = SetFunctor(cat, "contravariant",

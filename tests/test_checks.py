@@ -121,8 +121,8 @@ def rows_read_as_the_carrier(monkeypatch):
 
 
 def drop_the_last_face(monkeypatch):
-    enumerate_faces = arrangement.enumerate_faces
-    monkeypatch.setattr(arrangement, "enumerate_faces", lambda arr: enumerate_faces(arr)[:-1])
+    face_signs = arrangement.face_signs
+    monkeypatch.setattr(arrangement, "face_signs", lambda arr: face_signs(arr)[:-1])
 
 
 def drop_the_origin(monkeypatch):

@@ -973,6 +973,16 @@ class TestHomsetCommands:
         assert doc["results"]["target_size"] == 2
         assert "discrepancy" in doc["results"]["order_direction_note"]
 
+    def test_yoneda_builds_the_families_once(self, tmp_path, capsys, monkeypatch):
+        from stratikit import category
+        calls = []
+        real = category.yoneda_natural_transformations
+        monkeypatch.setattr(category, "yoneda_natural_transformations",
+                            lambda *args: calls.append(args) or real(*args))
+        path = write_input(tmp_path, YONEDA_DOC)
+        assert run_cli(capsys, ["homset", "yoneda", "--input", path])[0] == 0
+        assert len(calls) == 1
+
     def yoneda_error(self, tmp_path, capsys, on_objects, on_morphisms):
         path = write_input(tmp_path, {
             "category": IDEM,
@@ -1181,7 +1191,7 @@ class TestCorpusCommands:
             self, capsys, drawn, cases, message):
         code, out = run_cli(capsys, ["corpus", "oracle", "--cases", str(cases)])
         assert code == 2
-        assert json.loads(out) == {"error": {"message": message, "path": ""}}
+        assert json.loads(out) == {"error": {"message": message, "path": "--cases"}}
         assert drawn == []
 
     @pytest.mark.parametrize("cases, code", [(1, 0), (3, 0), (4, 2)])

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from stratikit import decomposition, order
 from stratikit.arrangement import enumerate_faces, face_poset
 from stratikit.corpus import golden
-from stratikit.decomposition import (MOORE_CLASS, Decomposition, MOORE_CONTINUOUS, analyze,
+from stratikit.decomposition import (MOORE_CLASS, Decomposition, MOORE_CONTINUOUS,
+                                     MOORE_LOWER, analyze,
                                      direct_image_closeds, direct_image_opens,
                                      open_closed_by_opens, product_decomposition,
                                      quotient_topology, validate_stratification)
@@ -15,7 +17,7 @@ from stratikit.randomcases import random_decomposition, random_partition
 from stratikit.topology import FiniteTopology, product_topology
 
 from reference import (analyze_by_blocks, closure_by_opens, locally_closed_by_opens,
-                       random_topology)
+                       open_closed_by_points, random_topology)
 
 ORACLE_SEED = 20240601
 ORACLE_CASES = 200
@@ -110,6 +112,45 @@ class TestAnalyze:
         d = Decomposition(chain_space(chain3), [["0", "2"], ["1"]])
         star = analyze(d).star_preorder
         assert star.leq("[1]", "[0]") and not star.leq("[0]", "[1]")
+
+    def test_one_unsaturated_up_set_makes_the_projection_not_closed(self):
+        """a < b beside an isolated c, cut into {a} and {b, c}: the up-set
+        {b, c} of the second block is a union of blocks, but the up-set {a, b}
+        of the first meets {b, c} without holding it.  So the image {[b]} of
+        the closed point c is not closed, while the closure {a} of the first
+        block and the closure {a, b, c} of the second are unions of blocks."""
+        space = FiniteTopology.from_preorder(Preorder.from_pairs("abc", [("a", "b")]))
+        d = Decomposition(space, [["a"], ["b", "c"]])
+        rep = analyze(d)
+        assert (rep.pi_open, rep.pi_closed, rep.frontier_condition) == (True, False, True)
+        assert rep.moore_class == MOORE_LOWER
+        assert open_closed_by_opens(d) == open_closed_by_points(d) == (True, False)
+        assert validate_stratification(d)["is_stratification"]
+
+    def test_three_transposes_and_no_quotient_down_sets(self, monkeypatch):
+        """On a space whose down-sets nobody has read yet, ``analyze`` makes
+        three transposes (the down-sets, then one point table each) and never
+        asks a preorder other than the space's for its down-sets."""
+        counted = []
+        real = order.transpose
+
+        def counting(rows, width):
+            counted.append(width)
+            return real(rows, width)
+
+        monkeypatch.setattr(order, "transpose", counting)
+        monkeypatch.setattr(decomposition, "transpose", counting)
+        read_down = []
+        real_down = Preorder.down
+        monkeypatch.setattr(Preorder, "down",
+                            lambda self: read_down.append(self) or real_down(self))
+        labels = [f"x{i}" for i in range(12)]
+        space = FiniteTopology.from_preorder(Preorder.from_pairs(
+            labels, [(labels[i], labels[i + 1]) for i in range(0, 11, 2)]))
+        d = Decomposition(space, [labels[:5], labels[5:9], labels[9:]])
+        analyze(d)
+        assert counted == [12, 12, 12]
+        assert len(read_down) == 1 and read_down[0] is space.specialization_preorder()
 
 
 class TestStratification:
@@ -338,6 +379,7 @@ class TestRowsAgainstExplicitOpens:
         assert dump_analysis(rep)["quotient"]["opens"] == fields["quotient"].opens_as_labels()
         assert quotient_topology(d) == fields["quotient"]
         assert open_closed_by_opens(d) == (fields["pi_open"], fields["pi_closed"])
+        assert open_closed_by_points(d) == (fields["pi_open"], fields["pi_closed"])
         assert validate_stratification(d) == strat
         return rep
 
@@ -408,6 +450,7 @@ class TestRowsAgainstBlockPairs:
         for d in large_decompositions():
             rep = analyze(d)
             assert rep == analyze_by_blocks(d)
+            assert open_closed_by_points(d) == (rep.pi_open, rep.pi_closed)
             outcomes.add((rep.moore_class, rep.frontier_condition,
                           all(rep.blocks_locally_closed.values())))
         # the cases reach every class and both answers of each block condition
