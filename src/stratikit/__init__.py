@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 # drives both __all__ and __getattr__.
 _EXPORTS = {
     "arrangement": ("Arrangement", "Face", "closure_inclusion", "closure_rows",
-                    "enumerate_faces", "face_poset", "face_signs", "sign_map"),
+                    "enumerate_faces", "face_points", "face_poset", "face_signs",
+                    "sign_map"),
     "category": ("FiniteCategory", "SetFunctor", "hom_preorder", "hom_stratified",
                  "st_functor_check", "yoneda_image_report",
                  "yoneda_natural_transformations"),

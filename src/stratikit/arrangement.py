@@ -1,16 +1,15 @@
-"""Rational hyperplane arrangements: sign vectors, face labels from the
-cocircuits of the homogenized forms, witnesses, and the face poset with a
-closure-inclusion oracle read off the face witnesses.
+"""Rational hyperplane arrangements: sign vectors, face labels and points
+from the cocircuits of the homogenized forms, solved witnesses, and the face
+poset with a closure-inclusion oracle read off the face witnesses.
 
-The face labels are computed in integers and solve nothing.  Only the
-witnesses of ``enumerate_faces`` come from linear systems: each face's full
-system is solved on its own, so a label that no point realizes is left
-without a witness.  ``face_poset`` orders the faces' labels; the oracle
-evaluates the forms exactly at the witnesses and never reads a label, so the
-two agree only if every label is the sign vector of its witness and the poset
-is built right.  ``feasibility`` is imported only where a witness is solved,
-``fractions`` only where a "p/q" is read and ``order`` only where the face
-poset is built."""
+Labels and ``face_points`` are computed in integers and solve nothing; only
+``enumerate_faces``, whose witnesses ``arrangement faces`` prints, solves
+each face's full system.  Either leaves a label that no point realizes
+without a witness.  The oracle evaluates the forms at the witnesses and never
+reads a label, so it agrees with ``face_poset`` only if every label is the
+sign vector of its witness and the poset is built right.  ``feasibility``,
+``fractions`` and ``order`` are imported only where a witness is solved, a
+"p/q" is read and the face poset is built."""
 
 import itertools
 import operator
@@ -98,8 +97,8 @@ class Arrangement:
 
 
 class Face(namedtuple("Face", "signs witness")):
-    """One face: its sign vector and an exact point realizing it, the (nums, d)
-    of ``feasibility.solve`` (None if the face's system has no solution)."""
+    """One face: its sign vector and an exact point (nums, d) realizing it, or
+    None if no point was found, as for a label that no point realizes."""
 
     __slots__ = ()
 
@@ -174,24 +173,24 @@ def _normal(vectors, width):
 
 
 def cocircuits(arr):
-    """The cocircuits of the homogenized forms, as (pos, neg) bitset pairs:
-    bit i < k for form i, bit k for v0 = (0, ..., 0, 1), the side t > 0.
+    """A dict from each cocircuit (pos, neg) of the homogenized forms to its
+    vector y: bit i < k for form i, bit k for v0 = (0, ..., 0, 1), t > 0.
 
     The vectors are projected onto a set of columns independent on their
     span, so the configuration has full rank r there.  Each independent
     (r - 1)-subset spans a hyperplane whose normal y is the vector of signed
-    (r - 1)-minors (cofactors); the cocircuit is the sign of y . v on every
-    vector v, and its negation is one too (Björner, Las Vergnas, Sturmfels,
-    White and Ziegler, *Oriented Matroids*, 1993, section 3.7)."""
+    (r - 1)-minors (cofactors), lifted back with zeros; the cocircuit is the
+    sign of y . v on every vector v, and -y gives its negation (Björner, Las
+    Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1993, 3.7)."""
     vectors = [*arr.rows, (0,) * arr.dim + (1,)]
     _, columns, _ = _eliminate(vectors)
-    vectors = [tuple(v[c] for c in columns) for v in vectors]
-    r = len(columns)
-    found = set()
-    for subset in itertools.combinations(vectors, r - 1):
-        y = _normal(subset, r)
-        if y is None:
+    projected = [tuple(v[c] for c in columns) for v in vectors]
+    found = {}
+    for subset in itertools.combinations(projected, len(columns) - 1):
+        lift = dict(zip(columns, _normal(subset, len(columns)) or ()))
+        if not lift:
             continue  # a dependent subset spans no hyperplane
+        y = [lift.get(c, 0) for c in range(arr.dim + 1)]
         pos = neg = 0
         for i, v in enumerate(vectors):
             value = sum(map(operator.mul, y, v))
@@ -199,14 +198,13 @@ def cocircuits(arr):
                 pos |= 1 << i
             elif value < 0:
                 neg |= 1 << i
-        found.add((pos, neg))
-        found.add((neg, pos))
-    return sorted(found)
+        found[pos, neg] = y
+        found[neg, pos] = [-c for c in y]
+    return found
 
 
-def face_signs(arr):
-    """The sign vector of every face, in lexicographic order under
-    - < 0 < +, without solving anything.
+def _covectors(arr):
+    """The faces, each sign vector mapped to its (pos, neg), and the cocircuits.
 
     The covectors of the homogenized forms are the compositions of their
     cocircuits, and the faces are the covectors that are + on v0 (Björner et
@@ -222,9 +220,9 @@ def face_signs(arr):
     than MAX_FACES faces."""
     if arr.k > MAX_FORMS:
         raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {MAX_FORMS}")
-    k = arr.k
-    t = 1 << k
-    usable = [(pos, neg) for pos, neg in cocircuits(arr) if not neg & t]
+    t = 1 << arr.k
+    vectors = cocircuits(arr)
+    usable = [(pos, neg) for pos, neg in vectors if not neg & t]
     found = {c for c in usable if c[0] & t}
     pending = list(found)
     restrictions = {}  # zero set -> the distinct nonzero restrictions to it
@@ -242,8 +240,29 @@ def face_signs(arr):
                         f"arrangement has more than {MAX_FACES} faces, cap is {MAX_FACES}")
                 found.add(covector)
                 pending.append(covector)
-    return sorted(tuple((pos >> i & 1) - (neg >> i & 1) for i in range(k))
-                  for pos, neg in found)
+    return {tuple((pos >> i & 1) - (neg >> i & 1) for i in range(arr.k)): (pos, neg)
+            for pos, neg in found}, vectors
+
+
+def face_signs(arr):
+    """The sign vector of every face, sorted under - < 0 < +, solving nothing."""
+    return sorted(_covectors(arr)[0])
+
+
+def face_points(arr):
+    """Every face of ``face_signs``, in its order, with the witness (nums, d)
+    = (y[:n], y_t), where y sums the vectors of the cocircuits conformal to
+    the face.  They span its cone (Björner et al. 1993, sections 3.7 and 4.1),
+    so y has the face's signs and y_t > 0.  A sum without them, as for a
+    label that no point realizes, gives the witness None."""
+    faces, vectors = _covectors(arr)
+    out = []
+    for signs, (pos, neg) in sorted(faces.items()):
+        *nums, d = map(sum, zip(*(v for (p, n), v in vectors.items()
+                                  if not (p & ~pos or n & ~neg))))
+        realized = d > 0 and sign_map(arr, (nums, d)) == signs
+        out.append(Face(signs, (nums, d) if realized else None))
+    return out
 
 
 def __getattr__(name):

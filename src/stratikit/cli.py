@@ -122,11 +122,12 @@ def _topology_from_preorder(doc, args):
 def _topology_to_preorder(doc, args):
     space = jsonio.load_topology(doc)
     pre = _maybe_dual(args, space.specialization_preorder())
+    results = jsonio.dump_preorder(pre)  # past MAX_PAIRS, refused before the round trip
     again = topology.FiniteTopology.from_preorder(
         order.Preorder(space.carrier, topology.rows_of_opens(space)))
     checks = [_check("alexandroff topology round-trips", again == space)]
     _write_dot(args, pre)
-    return jsonio.dump_preorder(pre), checks
+    return results, checks
 
 
 def _topology_closure(doc, args):
@@ -149,11 +150,12 @@ def _decomp_quotient(doc, args):
 def _decomp_analyze(doc, args):
     dec = jsonio.load_decomposition(doc)
     rep = decomposition.analyze(dec)
+    results = jsonio.dump_analysis(rep)  # past MAX_PAIRS, refused before any open is read
     reference = decomposition.MOORE_CLASS[decomposition.open_closed_by_opens(dec)]
     checks = [_check("semicontinuity class consistent with map openness/closedness",
                      rep.moore_class == reference, rep.moore_class)]
     _write_dot(args, rep.star_preorder)
-    return jsonio.dump_analysis(rep), checks
+    return results, checks
 
 
 def _decomp_validate(doc, args):
@@ -179,12 +181,6 @@ def _decomp_product(doc, args):
 # -- arrangement ---------------------------------------------------------------
 
 
-def _faces(doc):
-    """The arrangement and its faces with their witnesses."""
-    arr = jsonio.load_arrangement(doc)
-    return arr, arrangement.enumerate_faces(arr)
-
-
 def _euler(arr, labels):
     """The Euler relation over the faces with these labels: the sum of
     (-1)^dim F is (-1)^n, read off the forms that vanish on each face."""
@@ -194,7 +190,8 @@ def _euler(arr, labels):
 
 
 def _arrangement_faces(doc, args):
-    arr, faces = _faces(doc)
+    arr = jsonio.load_arrangement(doc)
+    faces = arrangement.enumerate_faces(arr)
     # a label that no point realizes has no witness, printed as null
     checks = [_check("witness signs recompute exactly",
                      all(f.witness is not None
@@ -225,7 +222,8 @@ def _arrangement_poset(doc, args):
 
 
 def _arrangement_check_ob(doc, args):
-    arr, faces = _faces(doc)
+    arr = jsonio.load_arrangement(doc)
+    faces = arrangement.face_points(arr)
     poset = _maybe_dual(args, arrangement.face_poset(arr, faces))
     oracle = arrangement.closure_rows(arr, faces)
     if args.dual:

@@ -188,7 +188,7 @@ def run_arrangement_3lines():
     g = golden("arrangement-3lines")
     checks = []
     arr = jsonio.load_arrangement(g["arrangement"])
-    faces = arrangement.enumerate_faces(arr)
+    faces = arrangement.face_points(arr)
     _check(checks, "face count", len(faces) == g["face_count"], len(faces))
     by_zeros = {}
     for f in faces:

@@ -102,6 +102,9 @@ def analyze(d):
     inside it) says OR = AND.  As AND <= ``meets_up[x]`` <= quotient row, the
     projection is open iff AND = quotient row; closed iff each block's up-set
     is a union of blocks, that is iff ``meets_down`` is constant on each block.
+    The closure order is transitive, so OR = AND makes AND the quotient row,
+    and AND = quotient row >= OR >= AND: the projection is open iff the
+    frontier condition holds, iff the closure order is the quotient order.
     """
     spec = d.space.specialization_preorder()
     up, down = spec.up, spec.down()
@@ -111,9 +114,8 @@ def analyze(d):
     points = [bit_indices(b) for b in d.blocks]
     rows = [[meets_up[x] for x in p] for p in points]
     generating = [functools.reduce(operator.or_, r) for r in rows]
-    star_rows = [functools.reduce(operator.and_, r) for r in rows]
     tau_pi = Preorder(d.labels, _closure(generating))
-    star = Preorder(d.labels, star_rows)
+    star = Preorder(d.labels, [functools.reduce(operator.and_, r) for r in rows])
     pi_open = star == tau_pi
     return DecompositionReport(
         pi_open=pi_open,
@@ -125,27 +127,27 @@ def analyze(d):
             lab: a & c == b
             for lab, b, a, c in zip(d.labels, d.blocks, above, below)
         },
-        frontier_condition=(generating == star_rows),
+        frontier_condition=pi_open,
         quotient_is_poset=tau_pi.is_partial_order(),
     )
 
 
-def direct_image_opens(d):
-    """The family {projection(G) : G open}, as masks over the block labels."""
-    return sorted({d.image_mask(g) for g in d.space.opens})
-
-
-def direct_image_closeds(d):
-    return sorted({d.image_mask(d.space.full_mask & ~g) for g in d.space.opens})
-
-
 def open_closed_by_opens(d):
     """(projection open, projection closed) by the definitions over the explicit
-    opens: an image is open (closed) in the quotient iff its preimage is.  The
-    reference ``decomp analyze`` and ``corpus oracle`` check ``analyze`` with."""
+    opens: an image is open (closed) in the quotient iff its preimage, the
+    saturation of the open (closed) set, is.  The reference ``decomp analyze``
+    and ``corpus oracle`` check ``analyze`` with.
+
+    A saturation is the union of the blocks meeting the set; the blocks are
+    disjoint, so it is their sum."""
     space = d.space
-    return (all(space.is_open(d.preimage_mask(u)) for u in direct_image_opens(d)),
-            all(space.is_closed(d.preimage_mask(u)) for u in direct_image_closeds(d)))
+
+    def saturation(s):
+        return sum(b for b in d.blocks if b & s)
+
+    opens = space._family()  # unsorted: the saturations go into sets
+    return (all(map(space.is_open, {saturation(g) for g in opens})),
+            all(map(space.is_closed, {saturation(space.full_mask & ~g) for g in opens})))
 
 
 def validate_stratification(d):

@@ -16,6 +16,11 @@ from .errors import CapExceeded, InputError, StratikitError
 # int-string limit, fixed so that no answer depends on the interpreter.
 MAX_INT_DIGITS = 4300
 
+# Most related pairs a report may list.  The list grows as n^2 in the
+# carrier: the 2048-element chain (2,096,128 pairs) is listed, the
+# 4096-element one refused.
+MAX_PAIRS = 2 ** 21
+
 
 def parse_rational(value, path=""):
     """A JSON int as the int itself, a "p/q" string as a Fraction."""
@@ -137,6 +142,11 @@ def load_preorder(doc, path=""):
 
 
 def dump_preorder(p):
+    """The carrier and every non-reflexive related pair, counted off the rows
+    and refused above MAX_PAIRS before any is listed."""
+    pairs = sum(row.bit_count() for row in p.up) - len(p.up)
+    if pairs > MAX_PAIRS:
+        raise CapExceeded(f"preorder has {pairs} related pairs, cap is {MAX_PAIRS}")
     return {"carrier": list(p.carrier), "pairs": [list(x) for x in p.pairs()]}
 
 
@@ -176,14 +186,17 @@ def dump_decomposition(d):
 
 
 def dump_analysis(rep):
-    """The JSON form of an ``analyze`` report, its quotient topology first."""
+    """The JSON form of an ``analyze`` report, its quotient topology first.
+    Both preorders are dumped before the quotient's opens are listed, so a
+    report past MAX_PAIRS is refused early."""
+    star, tau_pi = dump_preorder(rep.star_preorder), dump_preorder(rep.tau_pi_preorder)
     return {
         "quotient": dump_topology(topology.FiniteTopology.from_preorder(rep.tau_pi_preorder)),
         "pi_open": rep.pi_open,
         "pi_closed": rep.pi_closed,
         "moore_class": rep.moore_class,
-        "star_preorder": dump_preorder(rep.star_preorder),
-        "tau_pi_preorder": dump_preorder(rep.tau_pi_preorder),
+        "star_preorder": star,
+        "tau_pi_preorder": tau_pi,
         "tamaki_agrees": rep.tamaki_agrees,
         "blocks_locally_closed": rep.blocks_locally_closed,
         "frontier_condition": rep.frontier_condition,

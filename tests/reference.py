@@ -9,11 +9,13 @@ out of a representable functor found by trying every candidate family and
 checked equation by equation, the verdicts that hold by theorem on the
 Yoneda families, on their images and on a closure, the decomposition
 analysis made block by block and block pair by block pair, the projection's
-openness and closedness compared point by point with the quotient rows, linear
+openness and closedness compared point by point with the quotient rows, the
+images of the opens and closed sets under the projection, linear
 systems written as rational rows, converted row by row, witnesses converted
 to points of Fractions, the signs of an arrangement's forms evaluated in
 Fractions, the faces of an arrangement found by walking its sign tree,
-solving each prefix that the point of its parent does not realize, and the
+solving each prefix that the point of its parent does not realize, the
+disagreements of ``arrangement check-ob`` at given face witnesses, and the
 classes of a preorder read off its up-set and down-set rows, with the
 antisymmetry refusal and the quotient poset built from them."""
 
@@ -21,7 +23,8 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from stratikit.arrangement import MAX_FORMS, Face, integer_row
+from stratikit.arrangement import (MAX_FORMS, Face, closure_rows, face_poset,
+                                   integer_row)
 from stratikit.category import YonedaReport
 from stratikit.decomposition import DecompositionReport
 from stratikit.errors import CapExceeded, StructureError
@@ -348,6 +351,16 @@ def analyze_by_blocks(d):
     )
 
 
+def direct_image_opens(d):
+    """The family {projection(G) : G open}, as masks over the block labels."""
+    return sorted({d.image_mask(g) for g in d.space.opens})
+
+
+def direct_image_closeds(d):
+    """The family {projection(F) : F closed}, as masks over the block labels."""
+    return sorted({d.image_mask(d.space.full_mask & ~g) for g in d.space.opens})
+
+
 def open_closed_by_points(d):
     """(projection open, projection closed) point by point: the blocks meeting
     the up-set (down-set) of each point are the quotient up-set (down-set) of
@@ -442,6 +455,17 @@ def sign_tree_faces(arr):
 
     extend((), [], [], None)
     return faces
+
+
+def check_ob_disagreements(arr, faces):
+    """The disagreements of ``arrangement check-ob`` had it read its points
+    from ``faces``: given ``enumerate_faces(arr)``, the check as it ran on
+    solved witnesses."""
+    poset = face_poset(arr, faces)
+    oracle = closure_rows(arr, faces)
+    return [[faces[i].label, faces[j].label]
+            for i, (row, expected) in enumerate(zip(poset.up, oracle))
+            for j in bit_indices(row ^ expected)]
 
 
 def classes_by_up_and_down(up):

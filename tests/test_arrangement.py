@@ -7,14 +7,16 @@ import pytest
 
 from stratikit import arrangement, cli, feasibility
 from stratikit.arrangement import (Arrangement, Face, closure_inclusion, closure_rows,
-                                   enumerate_faces, face_poset, face_signs, sign_map)
+                                   enumerate_faces, face_points, face_poset, face_signs,
+                                   sign_map)
 from stratikit.errors import CapExceeded, InputError
 from stratikit.feasibility import solve
 from stratikit.order import (Preorder, bit_indices, is_order_isomorphism, product,
                              product_label)
 
 import reference
-from reference import lowest_terms, rational_signs, rational_system, sign_tree_faces
+from reference import (as_fractions, lowest_terms, rational_signs, rational_system,
+                       sign_tree_faces)
 
 
 def feasible(system):
@@ -495,10 +497,9 @@ class TestCocircuitLabelsDifferential:
 
         def one_sign_flipped(arr):
             out = cocircuits(arr)
-            i = next(i for i, (pos, _) in enumerate(out) if pos >> arr.k & 1)
-            pos, neg = out[i]
+            pos, neg = next(c for c in out if c[0] >> arr.k & 1)
             lowest = (pos | neg) & -(pos | neg)
-            out[i] = (pos ^ lowest, neg ^ lowest)
+            out[pos ^ lowest, neg ^ lowest] = out.pop((pos, neg))
             return out
 
         monkeypatch.setattr(arrangement, "cocircuits", one_sign_flipped)
@@ -509,12 +510,15 @@ class TestCocircuitLabelsDifferential:
         checks = {c["name"]: c["pass"] for c in doc["checks"]}
         assert checks["witness signs recompute exactly"] is False
         assert None in [f["witness"] for f in doc["results"]["faces"]]
-        # the oracle gives a face without a witness an empty row
+        # no point realizes these labels, so their cocircuit sums have other
+        # signs, and the oracle gives a face without a witness an empty row;
+        # a sum that takes in the flipped cocircuit's vector can also miss a
+        # label that a point realizes
         assert cli.main(["arrangement", "check-ob", "--input", str(path)]) == 1
         unrealized = [f["signs"] for f in doc["results"]["faces"] if f["witness"] is None]
         disagreements = json.loads(capsys.readouterr().out)["results"]["disagreements"]
-        assert [[x, x] for x in unrealized] == [pair for pair in disagreements
-                                                if pair[0] == pair[1]]
+        assert unrealized
+        assert all([x, x] in disagreements for x in unrealized)
 
     def test_every_flipped_cocircuit_sign_that_moves_a_label_fails_a_check(
             self, monkeypatch, tmp_path, capsys):
@@ -527,11 +531,7 @@ class TestCocircuitLabelsDifferential:
         for index in range(len(cocircuits(arr))):
             for bit in range(arr.k):
                 def flipped(arr, index=index, bit=bit):
-                    out = cocircuits(arr)
-                    pos, neg = out[index]
-                    if (pos | neg) >> bit & 1:
-                        out[index] = (pos ^ 1 << bit, neg ^ 1 << bit)
-                    return out
+                    return flip_cocircuit(cocircuits(arr), index, bit)
 
                 monkeypatch.setattr(arrangement, "cocircuits", flipped)
                 if face_signs(arr) == expected:
@@ -539,6 +539,92 @@ class TestCocircuitLabelsDifferential:
                 moved += 1
                 assert cli.main(["arrangement", "faces", "--input", str(path)]) == 1
                 capsys.readouterr()
+        assert moved
+
+
+def flip_cocircuit(out, index, bit):
+    """The cocircuits ``out`` with the index-th one's sign at ``bit`` flipped
+    where it is nonzero, its vector kept."""
+    pos, neg = list(out)[index]
+    if (pos | neg) >> bit & 1:
+        out[pos ^ 1 << bit, neg ^ 1 << bit] = out.pop((pos, neg))
+    return out
+
+
+class TestFacePointsDifferential:
+    """The cocircuit points of ``face_points`` against the solved witnesses
+    of ``enumerate_faces`` as the oracle."""
+
+    @pytest.mark.parametrize("kind", sorted(LABEL_BUILDERS))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_points_realize_their_labels_and_give_the_solved_rows(self, dim, kind):
+        for seed in range(6):
+            rng = random.Random(f"points/{kind}/{dim}/{seed}")
+            forms = LABEL_BUILDERS[kind](rng, dim, rng.randint(2, 7 if dim < 4 else 5))
+            arr = Arrangement(dim, forms)
+            points = face_points(arr)
+            assert [f.signs for f in points] == face_signs(arr)
+            for f in points:
+                assert f.witness[1] > 0
+                assert rational_signs(arr, as_fractions(f.witness)) == f.signs
+            rows = closure_rows(arr, points)
+            assert rows == closure_rows(arr, enumerate_faces(arr))
+            assert rows == list(face_poset(arr).up)
+
+    def test_points_where_the_solver_refuses(self, tmp_path, capsys):
+        """Eight forms in R^5: Fourier-Motzkin refuses at its row cap, and
+        ``check-ob`` on the cocircuit points finds no disagreement."""
+        rng = random.Random("points/R5")
+        doc = {"dim": 5, "forms": [[rng.randint(-5, 5) for _ in range(6)] for _ in range(8)]}
+        arr = Arrangement(5, doc["forms"])
+        with pytest.raises(CapExceeded, match="would derive"):
+            enumerate_faces(arr)
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["arrangement", "check-ob", "--input", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["disagreements"] == []
+        assert results["pairs_checked"] == len(face_signs(arr)) ** 2
+
+
+# (dim, forms) of the cocircuit flip sweep
+FLIP_SWEEP = {
+    "three-lines": (2, [[0, 1, 0], [0, 0, 1], [1, 1, -1]]),
+    "two-parallel": (2, [[0, 1, 0], [1, 1, 0], [0, 0, 1]]),
+    "random-2-5": (2, random_forms(random.Random("sweep/2/5"), 2, 5)),
+    "random-3-4": (3, random_forms(random.Random("sweep/3/4"), 3, 4)),
+}
+
+
+class TestCocircuitFlipSweep:
+    """One sign of one cocircuit flipped, its vector kept, for every
+    cocircuit and form: ``check-ob`` on the cocircuit points against the same
+    check on solved witnesses (``reference.check_ob_disagreements``)."""
+
+    @pytest.mark.parametrize("case", sorted(FLIP_SWEEP))
+    def test_check_ob_catches_every_flip_the_solved_check_catches(
+            self, monkeypatch, tmp_path, capsys, case):
+        dim, forms = FLIP_SWEEP[case]
+        arr = Arrangement(dim, forms)
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"dim": dim, "forms": [[str(c) for c in f] for f in forms]}))
+        cocircuits = arrangement.cocircuits
+        expected = face_signs(arr)
+        moved = 0
+        for index in range(len(cocircuits(arr))):
+            for bit in range(arr.k):
+                monkeypatch.setattr(arrangement, "cocircuits", lambda arr, i=index, b=bit:
+                                    flip_cocircuit(cocircuits(arr), i, b))
+                if face_signs(arr) == expected:
+                    continue
+                moved += 1
+                code = cli.main(["arrangement", "check-ob", "--input", str(path)])
+                capsys.readouterr()
+                solved = enumerate_faces(arr)
+                # a label that no point realizes has no solved witness
+                if (None in [f.witness for f in solved]
+                        or reference.check_ob_disagreements(arr, solved)):
+                    assert code == 1
         assert moved
 
 
@@ -741,7 +827,7 @@ class TestCheckObCatchesWhatItGuards:
 
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     def test_a_face_labelled_off_its_witness_fails(self, monkeypatch, tmp_path, capsys, dual):
-        original = arrangement.enumerate_faces
+        original = arrangement.face_points
 
         def swapped_labels(arr):
             faces = original(arr)
@@ -749,7 +835,7 @@ class TestCheckObCatchesWhatItGuards:
             faces[0], faces[-1] = Face(last.signs, first.witness), Face(first.signs, last.witness)
             return faces
 
-        monkeypatch.setattr(arrangement, "enumerate_faces", swapped_labels)
+        monkeypatch.setattr(arrangement, "face_points", swapped_labels)
         code, results = self.run_check_ob(tmp_path, capsys, dual)
         faces = original(three_lines())
         labelled = swapped_labels(three_lines())

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import stratikit
-from stratikit import arrangement, cli, feasibility, topology
+from stratikit import arrangement, cli, decomposition, feasibility, jsonio, topology
 from stratikit.category import hom_preorder_details
 from stratikit.cli import main
 from stratikit.jsonio import canonical_dumps, dump_preorder, load_category, load_preorder
@@ -659,6 +659,37 @@ class TestErrorHandling:
         code, out = run_cli(capsys, [*argv, "--input", write_input(tmp_path, doc)])
         assert code == 2
         assert json.loads(out)["error"] == {"message": message, "path": path}
+
+
+class TestRelatedPairCap:
+    """A report past ``jsonio.MAX_PAIRS`` related pairs exits 2 before the
+    opens that its check reads are enumerated."""
+
+    CHAIN = [f"p{i}" for i in range(6)]  # 15 related pairs
+
+    @pytest.mark.parametrize("cap", [15, 14])
+    @pytest.mark.parametrize("action", ["decomp analyze", "topology to-preorder"])
+    def test_the_pairs_are_counted_before_any_open_is_read(
+            self, tmp_path, capsys, monkeypatch, action, cap):
+        def refuse(*args):
+            raise AssertionError("read the opens past the pair cap")
+
+        c = self.CHAIN
+        doc, target, name = {
+            "decomp analyze": ({"space": {"carrier": c, "preorder_pairs": list(zip(c, c[1:]))},
+                                "blocks": [[x] for x in c]},
+                               decomposition, "open_closed_by_opens"),
+            "topology to-preorder": ({"carrier": c, "opens": [c[i:] for i in range(7)]},
+                                     topology, "rows_of_opens")}[action]
+        monkeypatch.setattr(jsonio, "MAX_PAIRS", cap)
+        if cap < 15:
+            monkeypatch.setattr(target, name, refuse)
+        code, out = run_cli(capsys, [*action.split(), "--input", write_input(tmp_path, doc)])
+        if cap < 15:
+            assert code == 2
+            assert json.loads(out)["error"]["message"] == "preorder has 15 related pairs, cap is 14"
+        else:
+            assert code == 0
 
 
 class TestDecompCommands:
@@ -1480,15 +1511,34 @@ def test_arrangement_poset_on_integer_forms_loads_neither_feasibility_nor_fracti
 @pytest.mark.parametrize("argv", [["arrangement", "faces"], ["arrangement", "check-ob"],
                                   ["corpus", "run"]], ids=["faces", "check-ob", "corpus"])
 def test_witnesses_of_integer_forms_load_neither_fractions_nor_decimal(tmp_path, argv):
-    """Witnesses are solved, checked and printed in integers, so only a "p/q"
-    coefficient brings in ``fractions`` (and ``decimal`` under it)."""
+    """Witnesses are solved or read off the cocircuits, checked and printed
+    in integers, so only a "p/q" coefficient brings in ``fractions`` (and
+    ``decimal`` under it).  Only ``faces``, which prints its witnesses,
+    solves."""
     if argv[0] == "arrangement":
         path = write_input(tmp_path, {"dim": 2, "forms": [[0, 1, 0], [0, 0, 1], [1, 1, -1]]})
         argv = [*argv, "--input", path]
     code, ran, _, modules = executed_modules(argv)
     assert code == 0
-    assert "stratikit.feasibility" in ran
+    assert ("stratikit.feasibility" in ran) == (argv[1] == "faces")
     assert not {"fractions", "decimal"} & set(modules)
+
+
+@pytest.mark.parametrize("argv", [["arrangement", "check-ob"], ["corpus", "run"]],
+                         ids=["check-ob", "corpus"])
+def test_check_ob_and_corpus_pass_with_a_solver_that_raises(
+        tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("solved a system")
+
+    monkeypatch.setattr(feasibility, "solve", refuse)
+    if argv[0] == "arrangement":
+        argv = [*argv, "--input", write_input(
+            tmp_path, {"dim": 3, "forms": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                                           [1, 1, 1, 1], [-1, 2, -1, 1]]})]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -6,18 +6,18 @@ from stratikit import decomposition, order
 from stratikit.arrangement import enumerate_faces, face_poset
 from stratikit.corpus import golden
 from stratikit.decomposition import (MOORE_CLASS, Decomposition, MOORE_CONTINUOUS,
-                                     MOORE_LOWER, analyze,
-                                     direct_image_closeds, direct_image_opens,
-                                     open_closed_by_opens, product_decomposition,
-                                     quotient_topology, validate_stratification)
+                                     MOORE_LOWER, analyze, open_closed_by_opens,
+                                     product_decomposition, quotient_topology,
+                                     validate_stratification)
 from stratikit.errors import InputError, StructureError
 from stratikit.jsonio import dump_analysis, load_arrangement
 from stratikit.order import Preorder, bit_indices, bitmask, product, transpose
 from stratikit.randomcases import random_decomposition, random_partition
 from stratikit.topology import FiniteTopology, product_topology
 
-from reference import (analyze_by_blocks, closure_by_opens, locally_closed_by_opens,
-                       open_closed_by_points, random_topology)
+from reference import (analyze_by_blocks, closure_by_opens, direct_image_closeds,
+                       direct_image_opens, locally_closed_by_opens, open_closed_by_points,
+                       random_topology)
 
 ORACLE_SEED = 20240601
 ORACLE_CASES = 200
@@ -246,6 +246,14 @@ class TestOracleSuites:
             assert len(d.space.carrier) <= 12
             rep = analyze(d)
             assert (rep.pi_open, rep.pi_closed) == open_closed_by_opens(d)
+
+    def test_saturations_give_the_verdicts_of_the_direct_images(self):
+        """The preimage of the image of a set is its saturation."""
+        for d in self.cases():
+            space = d.space
+            assert open_closed_by_opens(d) == (
+                all(space.is_open(d.preimage_mask(u)) for u in direct_image_opens(d)),
+                all(space.is_closed(d.preimage_mask(u)) for u in direct_image_closeds(d)))
 
     def test_open_cases_poset_iff_locally_closed(self):
         hits = 0

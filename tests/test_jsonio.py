@@ -4,12 +4,38 @@ from fractions import Fraction
 
 import pytest
 
-from stratikit import jsonio
+from stratikit import jsonio, order
 from stratikit.cli import main
 from stratikit.corpus import CASE_NAMES, golden
 from stratikit.errors import CapExceeded, InputError
 
 from catalog import category_chain3, representable_functor
+
+
+class TestRelatedPairCap:
+    """``dump_preorder`` counts the related pairs off the rows and refuses
+    more than MAX_PAIRS before it lists any."""
+
+    @staticmethod
+    def chain(n):
+        return order.Preorder([f"p{i}" for i in range(n)],
+                              [(1 << n) - (1 << i) for i in range(n)])
+
+    def test_the_2048_chain_is_listed_and_the_4096_chain_refused(self):
+        assert 2048 * 2047 // 2 <= jsonio.MAX_PAIRS < 4096 * 4095 // 2
+
+    def test_a_preorder_at_the_cap_is_listed(self, monkeypatch):
+        monkeypatch.setattr(jsonio, "MAX_PAIRS", 10)
+        assert len(jsonio.dump_preorder(self.chain(5))["pairs"]) == 10
+
+    def test_one_pair_past_the_cap_is_refused_before_any_pair_is_listed(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("listed a pair")
+
+        monkeypatch.setattr(jsonio, "MAX_PAIRS", 9)
+        monkeypatch.setattr(order.Preorder, "pairs", refuse)
+        with pytest.raises(CapExceeded, match="preorder has 10 related pairs, cap is 9"):
+            jsonio.dump_preorder(self.chain(5))
 
 
 class TestRationals:
