@@ -145,7 +145,7 @@ def open_closed_by_opens(d):
     def saturation(s):
         return sum(b for b in d.blocks if b & s)
 
-    opens = space._family()  # unsorted: the saturations go into sets
+    opens = space.open_set  # unsorted: the saturations go into sets
     return (all(map(space.is_open, {saturation(g) for g in opens})),
             all(map(space.is_closed, {saturation(space.full_mask & ~g) for g in opens})))
 

@@ -40,11 +40,12 @@ def _canonical_key(n):
 
 def _unions(masks, limit):
     """All unions of the masks, the empty one included, or None as soon as
-    there are more than ``limit`` of them."""
+    there are more than ``limit`` of them.  A member that already holds a
+    mask gains nothing from it and is skipped."""
     unions = {0}
     for b in masks:
         if b not in unions:
-            unions |= {o | b for o in unions}
+            unions |= {o | b for o in unions if o & b != b}
             if len(unions) > limit:
                 return None
     return unions
@@ -146,8 +147,10 @@ class FiniteTopology:
 
     # -- the open family, read on demand ---------------------------------------
 
-    def _family(self):
-        """The set of opens: the up-sets of the rows, enumerated once."""
+    @property
+    def open_set(self):
+        """The opens as a set, in no order: the up-sets of the rows,
+        enumerated once and shared, so a caller must not change it."""
         if self._open_set is None:
             family = _unions(self._specialization.up, MAX_OPENS)
             if family is None:
@@ -159,14 +162,14 @@ class FiniteTopology:
     def opens(self):
         """The open sets in canonical order."""
         if self._opens is None:
-            self._opens = tuple(sorted(self._family(), key=_canonical_key(len(self.carrier))))
+            self._opens = tuple(sorted(self.open_set, key=_canonical_key(len(self.carrier))))
         return self._opens
 
     def is_open(self, mask):
-        return mask in self._family()
+        return mask in self.open_set
 
     def is_closed(self, mask):
-        return (self._full & ~mask) in self._family()
+        return (self._full & ~mask) in self.open_set
 
     def opens_as_labels(self):
         return [list(self._label_chain(o)) for o in self.opens]

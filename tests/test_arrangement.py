@@ -510,15 +510,19 @@ class TestCocircuitLabelsDifferential:
         checks = {c["name"]: c["pass"] for c in doc["checks"]}
         assert checks["witness signs recompute exactly"] is False
         assert None in [f["witness"] for f in doc["results"]["faces"]]
-        # no point realizes these labels, so their cocircuit sums have other
-        # signs, and the oracle gives a face without a witness an empty row;
-        # a sum that takes in the flipped cocircuit's vector can also miss a
-        # label that a point realizes
+        # the oracle gives exactly the faces whose cocircuit point is None an
+        # empty row; no point realizes the labels that FM leaves unsolved, so
+        # their sums are among them, and a sum that takes in the flipped
+        # cocircuit's vector can also miss a label that a point realizes
         assert cli.main(["arrangement", "check-ob", "--input", str(path)]) == 1
-        unrealized = [f["signs"] for f in doc["results"]["faces"] if f["witness"] is None]
         disagreements = json.loads(capsys.readouterr().out)["results"]["disagreements"]
+        arr = Arrangement(2, [[0, 1, 0], [0, 0, 1], [1, 1, -1]])
+        pointless = [[f.label, f.label] for f in arrangement.face_points(arr)
+                     if f.witness is None]
+        assert [[x, y] for x, y in disagreements if x == y] == pointless
+        unrealized = [f["signs"] for f in doc["results"]["faces"] if f["witness"] is None]
         assert unrealized
-        assert all([x, x] in disagreements for x in unrealized)
+        assert all([x, x] in pointless for x in unrealized)
 
     def test_every_flipped_cocircuit_sign_that_moves_a_label_fails_a_check(
             self, monkeypatch, tmp_path, capsys):

@@ -21,8 +21,11 @@ class TestRelatedPairCap:
         return order.Preorder([f"p{i}" for i in range(n)],
                               [(1 << n) - (1 << i) for i in range(n)])
 
-    def test_the_2048_chain_is_listed_and_the_4096_chain_refused(self):
-        assert 2048 * 2047 // 2 <= jsonio.MAX_PAIRS < 4096 * 4095 // 2
+    def test_the_2048_chain_is_listed_and_the_4096_chain_refused(self, monkeypatch):
+        monkeypatch.setattr(order.Preorder, "pairs", lambda self: [])
+        assert jsonio.dump_preorder(self.chain(2048))["pairs"] == []
+        with pytest.raises(CapExceeded, match="preorder has 8386560 related pairs"):
+            jsonio.dump_preorder(self.chain(4096))
 
     def test_a_preorder_at_the_cap_is_listed(self, monkeypatch):
         monkeypatch.setattr(jsonio, "MAX_PAIRS", 10)
