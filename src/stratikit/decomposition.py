@@ -44,14 +44,6 @@ class Decomposition:
         self.blocks = tuple(blocks)
         self.labels = labels
 
-    def image_mask(self, space_mask):
-        """Mask over the block labels of the blocks meeting the given subset."""
-        out = 0
-        for k, b in enumerate(self.blocks):
-            if b & space_mask:
-                out |= 1 << k
-        return out
-
     def preimage_mask(self, label_mask):
         return union_of_rows(self.blocks, label_mask)
 

@@ -46,11 +46,11 @@ def union_of_rows(rows, mask):
 
 def transpose(rows, width):
     """The ``width`` bitset rows of the transposed relation: bit i of row j iff
-    bit j of row i, for rows whose bits lie below ``width``."""
-    if not rows or not width:
-        return [0] * width
-    texts = [format(row, f"0{width}b")[::-1] for row in rows]  # character j is bit j
-    return [int("".join(column)[::-1], 2) for column in zip(*texts)]
+    bit j of row i, for rows whose bits lie below ``width``.  Written out as
+    one binary string, last row first, column j is the slice from bit j of the
+    last row in steps of ``width``, highest row first."""
+    text = "".join(format(row, f"0{width}b") for row in reversed(rows))
+    return [int(text[width - 1 - j::width] or "0", 2) for j in range(width)]
 
 
 def _classes(rows):

@@ -13,8 +13,8 @@ from .topology import FiniteTopology
 EDGE_PROBABILITY = 0.3
 
 
-def random_preorder(rng, size=None, max_size=6):
-    n = size if size is not None else rng.randint(1, max_size)
+def random_preorder(rng, max_size=6):
+    n = rng.randint(1, max_size)
     labels = [f"x{i}" for i in range(n)]
     pairs = [
         (labels[i], labels[j])

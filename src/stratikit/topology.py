@@ -91,15 +91,16 @@ class FiniteTopology:
         self._opens = None
 
     def _check_axioms(self):
-        """Decide the axioms in O(n * m) for n points and m opens, and return
-        the family's rows U_x.
+        """Decide the axioms in one pass over the opens and one over the unions
+        of their rows, and return the family's rows U_x; a refused family is
+        named by the pair on which its pass fails.
 
-        A family holding the empty set and the carrier is a topology iff it
-        holds the minimal open U_x (the AND of the opens containing x) of every
-        point x and has as many members as there are unions of the U_x: each
-        member is then the union of the U_x of its points, so the family is
-        exactly those unions.  Only a refused family is scanned pairwise, to
-        name its first escaping pair.
+        Each open, in canonical order, is ANDed into the row of each of its
+        points, starting from the carrier, so each row ends as U_x; an AND that
+        changes a row must be open.  The unions of the rows are then built one
+        row at a time, and each row's new unions must be open.  With no escape
+        every union of rows is open and every open is the union of the rows of
+        its points, so the family is exactly those unions: a topology.
         """
         family = self._open_set
         if 0 not in family:
@@ -107,23 +108,24 @@ class FiniteTopology:
         if self._full not in family:
             raise StructureError("carrier missing from the open family", path="opens")
         rows = [self._full] * len(self.carrier)
-        for o in family:
+        for o in self.opens:
+            outside = self._full ^ o
             for i in bit_indices(o):
-                rows[i] &= o
-        if family.issuperset(rows):
-            unions = _unions(rows, len(family))
-            if unions is not None and len(unions) == len(family):
-                return rows
-        raise StructureError(self._first_escape(), path="opens")
-
-    def _first_escape(self):
-        """Text naming the first pair of opens, in canonical order, whose union
-        or intersection is not open; a refused family always has one."""
-        for a, b in itertools.combinations(self.opens, 2):
-            if (a | b) not in self._open_set:
-                return f"union escape: {self.labels(a)} | {self.labels(b)} not open"
-            if (a & b) not in self._open_set:
-                return f"intersection escape: {self.labels(a)} & {self.labels(b)} not open"
+                if rows[i] & outside:
+                    if rows[i] & o not in family:
+                        raise StructureError(f"intersection escape: {self.labels(rows[i])} & "
+                                             f"{self.labels(o)} not open", path="opens")
+                    rows[i] &= o
+        unions = {0: None}  # a dict, so the union named is the first one built
+        for b in rows:
+            if b not in unions:
+                new = [o | b for o in unions if o & b != b]
+                if not family.issuperset(new):
+                    u = next(u for u in unions if u | b not in family)
+                    raise StructureError(f"union escape: {self.labels(u)} | {self.labels(b)} "
+                                         f"not open", path="opens")
+                unions.update(dict.fromkeys(new))
+        return rows
 
     @classmethod
     def from_open_sets(cls, carrier, families):

@@ -10,14 +10,15 @@ checked equation by equation, the verdicts that hold by theorem on the
 Yoneda families, on their images and on a closure, the decomposition
 analysis made block by block and block pair by block pair, the projection's
 openness and closedness compared point by point with the quotient rows, the
-images of the opens and closed sets under the projection, linear
+image of a subset and of the opens and closed sets under the projection, linear
 systems written as rational rows, converted row by row, witnesses converted
 to points of Fractions, the signs of an arrangement's forms evaluated in
 Fractions, the faces of an arrangement found by walking its sign tree,
 solving each prefix that the point of its parent does not realize, the
-disagreements of ``arrangement check-ob`` at given face witnesses, and the
-classes of a preorder read off its up-set and down-set rows, with the
-antisymmetry refusal and the quotient poset built from them."""
+disagreements of ``arrangement check-ob`` at given face witnesses, a
+transpose made set bit by set bit, and the classes of a preorder read off its
+up-set and down-set rows, with the antisymmetry refusal and the quotient poset
+built from them."""
 
 import itertools
 from fractions import Fraction
@@ -30,7 +31,7 @@ from stratikit.decomposition import DecompositionReport
 from stratikit.errors import CapExceeded, StructureError
 from stratikit.feasibility import solve
 from stratikit.order import (Preorder, _closure, bit_indices, bitmask, lowest_bit,
-                             quotient_poset, transpose, union_of_rows)
+                             quotient_poset, union_of_rows)
 from stratikit.topology import FiniteTopology
 
 
@@ -310,6 +311,11 @@ def closure_extensive_and_idempotent(t, subset, closure):
     return s & ~c == 0 and closure_by_opens(t, c) == c
 
 
+def image_mask(d, mask):
+    """Mask over the block labels of the blocks of ``d`` meeting the subset."""
+    return bitmask(k for k, b in enumerate(d.blocks) if b & mask)
+
+
 def analyze_by_blocks(d):
     """``decomposition.analyze`` from the rows of each block: images of point
     up-sets and down-sets one block mask at a time, and the closure-order
@@ -329,10 +335,10 @@ def analyze_by_blocks(d):
     below = [union_of_rows(down, b) for b in d.blocks]
     # the minimal open around block a closes {a} under a -> every block
     # meeting the up-set of a
-    tau_pi = Preorder(d.labels, _closure([d.image_mask(u) for u in above]))
+    tau_pi = Preorder(d.labels, _closure([image_mask(d, u) for u in above]))
     tau_down = tau_pi.down()
-    pi_open = all(union_of_rows(tau_pi.up, s) == s for s in map(d.image_mask, up))
-    pi_closed = all(union_of_rows(tau_down, s) == s for s in map(d.image_mask, down))
+    pi_open = all(union_of_rows(tau_pi.up, s) == s for s in [image_mask(d, u) for u in up])
+    pi_closed = all(union_of_rows(tau_down, s) == s for s in [image_mask(d, u) for u in down])
     star = Preorder(d.labels, [bitmask(m for m, c in enumerate(below) if b & ~c == 0)
                                for b in d.blocks])
     return DecompositionReport(
@@ -353,12 +359,12 @@ def analyze_by_blocks(d):
 
 def direct_image_opens(d):
     """The family {projection(G) : G open}, as masks over the block labels."""
-    return sorted({d.image_mask(g) for g in d.space.opens})
+    return sorted({image_mask(d, g) for g in d.space.opens})
 
 
 def direct_image_closeds(d):
     """The family {projection(F) : F closed}, as masks over the block labels."""
-    return sorted({d.image_mask(d.space.full_mask & ~g) for g in d.space.opens})
+    return sorted({image_mask(d, d.space.full_mask & ~g) for g in d.space.opens})
 
 
 def open_closed_by_points(d):
@@ -370,12 +376,12 @@ def open_closed_by_points(d):
     down-sets are the transposed quotient rows."""
     spec = d.space.specialization_preorder()
     up, down = spec.up, spec.down()
-    tau_pi = Preorder(d.labels, _closure([d.image_mask(union_of_rows(up, b))
+    tau_pi = Preorder(d.labels, _closure([image_mask(d, union_of_rows(up, b))
                                           for b in d.blocks]))
     tau_down = tau_pi.down()
     points = [(m, x) for m, b in enumerate(d.blocks) for x in bit_indices(b)]
-    return (all(d.image_mask(up[x]) == tau_pi.up[m] for m, x in points),
-            all(d.image_mask(down[x]) == tau_down[m] for m, x in points))
+    return (all(image_mask(d, up[x]) == tau_pi.up[m] for m, x in points),
+            all(image_mask(d, down[x]) == tau_down[m] for m, x in points))
 
 
 def rational_system(nvars, equalities=(), inequalities=()):
@@ -468,11 +474,21 @@ def check_ob_disagreements(arr, faces):
             for j in bit_indices(row ^ expected)]
 
 
+def transpose_by_bits(rows, width):
+    """``order.transpose`` set bit by set bit: bit i of row j iff bit j of
+    row i.  Column j is kept as one byte per row, "1" where it has a bit."""
+    columns = [bytearray(b"0" * len(rows)) for _ in range(width)]  # byte i is row i
+    for i, row in enumerate(rows):
+        for j in bit_indices(row):
+            columns[j][i] = ord("1")
+    return [int(column[::-1] or b"0", 2) for column in columns]
+
+
 def classes_by_up_and_down(up):
     """The classes of the preorder with bitset rows ``up``, each as its
     ascending indices, in order of first occurrence: the class of i is
-    up[i] & down[i], with the down-sets from ``order.transpose``."""
-    down = transpose(up, len(up))
+    up[i] & down[i], with the down-sets from ``transpose_by_bits``."""
+    down = transpose_by_bits(up, len(up))
     classes, seen = [], 0
     for i, (u, d) in enumerate(zip(up, down)):
         if not seen >> i & 1:
@@ -485,7 +501,7 @@ def antisymmetry_pair_by_up_and_down(up):
     """The pair (i, j) that ``Poset`` names when it refuses the rows ``up``:
     the first i whose up-set and down-set share more than i, and the lowest
     j != i they share; None for a poset."""
-    for i, (u, d) in enumerate(zip(up, transpose(up, len(up)))):
+    for i, (u, d) in enumerate(zip(up, transpose_by_bits(up, len(up)))):
         if u & d != 1 << i:
             return i, lowest_bit(u & d & ~(1 << i))
     return None

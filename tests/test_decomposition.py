@@ -16,8 +16,8 @@ from stratikit.randomcases import random_decomposition, random_partition
 from stratikit.topology import FiniteTopology, product_topology
 
 from reference import (analyze_by_blocks, closure_by_opens, direct_image_closeds,
-                       direct_image_opens, locally_closed_by_opens, open_closed_by_points,
-                       random_topology)
+                       direct_image_opens, image_mask, locally_closed_by_opens,
+                       open_closed_by_points, random_topology)
 
 ORACLE_SEED = 20240601
 ORACLE_CASES = 200
@@ -321,8 +321,8 @@ def reference_analysis(d):
     k = len(d.blocks)
     quotient = FiniteTopology(
         d.labels, [u for u in range(1 << k) if space.is_open(d.preimage_mask(u))])
-    pi_open = all(quotient.is_open(d.image_mask(g)) for g in space.opens)
-    pi_closed = all(quotient.is_closed(d.image_mask(space.full_mask & ~g))
+    pi_open = all(quotient.is_open(image_mask(d, g)) for g in space.opens)
+    pi_closed = all(quotient.is_closed(image_mask(d, space.full_mask & ~g))
                     for g in space.opens)
     closures = [closure_by_opens(space, b) for b in d.blocks]
     star = Preorder(d.labels, [bitmask(m for m in range(k) if b & ~closures[m] == 0)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from stratikit import order
 from stratikit.errors import InputError, StructureError
-from stratikit.order import (Poset, Preorder, bit_indices, bitmask, is_monotone,
-                             is_order_isomorphism, product, product_label, quotient_poset,
-                             transpose)
+from stratikit.order import (MAX_CARRIER, Poset, Preorder, bit_indices, bitmask,
+                             is_monotone, is_order_isomorphism, product, product_label,
+                             quotient_poset, transpose)
 from stratikit.randomcases import random_preorder
 
 from reference import (antisymmetry_pair_by_up_and_down, classes_by_up_and_down,
-                       monotone_by_leq, quotient_by_up_and_down)
+                       monotone_by_leq, quotient_by_up_and_down, transpose_by_bits)
 
 # Generators of the 9-element grid order on pairs over {N, O, P}; the list
 # includes redundant non-covering arrows out of the bottom, closure tidies them.
@@ -185,12 +185,25 @@ class TestTranspose:
     def test_against_bit_by_bit(self, count, width):
         rng = random.Random(100 * count + width)
         rows = [rng.getrandbits(width) for _ in range(count)]
-        expected = [bitmask(i for i, row in enumerate(rows) if row >> j & 1)
-                    for j in range(width)]
-        assert transpose(rows, width) == expected
+        assert transpose(rows, width) == transpose_by_bits(rows, width)
+
+    def test_widths_off_the_byte_boundary(self):
+        rng = random.Random(38)
+        for width in (w for w in range(1, 71) if w % 8):
+            for count in (0, 1, rng.randint(2, 90)):
+                rows = [rng.getrandbits(width) for _ in range(count)]
+                assert transpose(rows, width) == transpose_by_bits(rows, width)
 
     def test_no_rows_give_width_zero_rows(self):
         assert transpose([], 5) == [0] * 5
+
+    @pytest.mark.parametrize("shape", ["chain", "antichain"])
+    def test_at_the_carrier_cap(self, shape):
+        n = MAX_CARRIER
+        full = (1 << n) - 1
+        rows = ([full >> i << i for i in range(n)] if shape == "chain"
+                else [1 << i for i in range(n)])
+        assert transpose(rows, n) == transpose_by_bits(rows, n)
 
 
 class TestPartialOrder:

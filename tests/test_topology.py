@@ -53,6 +53,19 @@ def index_tuple_key(mask):
     return (len(idx), tuple(idx))
 
 
+def pair_escapes(carrier, family, pairs):
+    """The text of each of the pairs of opens whose union or intersection is
+    not in the family, a pair's union escape first."""
+    def names(mask):
+        return tuple(carrier[i] for i in bit_indices(mask))
+
+    for a, b in pairs:
+        if a | b not in family:
+            yield f"union escape: {names(a)} | {names(b)} not open"
+        if a & b not in family:
+            yield f"intersection escape: {names(a)} & {names(b)} not open"
+
+
 def pairwise_verdict(carrier, masks):
     """The topology axioms by their definition: the text of the first failure,
     testing every pair of opens in canonical order, or None."""
@@ -61,16 +74,18 @@ def pairwise_verdict(carrier, masks):
         return "empty set missing from the open family"
     if (1 << len(carrier)) - 1 not in family:
         return "carrier missing from the open family"
+    pairs = itertools.combinations(sorted(family, key=index_tuple_key), 2)
+    return next(pair_escapes(carrier, family, pairs), None)
 
-    def names(mask):
-        return tuple(carrier[i] for i in bit_indices(mask))
 
-    for a, b in itertools.combinations(sorted(family, key=index_tuple_key), 2):
-        if a | b not in family:
-            return f"union escape: {names(a)} | {names(b)} not open"
-        if a & b not in family:
-            return f"intersection escape: {names(a)} & {names(b)} not open"
-    return None
+def late_escape_family(n):
+    """Every subset of x0..x(n-2), the carrier X, X minus x0 and X minus x1.
+    Its one escaping pair, X minus x1 and X minus x0, whose intersection is not
+    open, is the third pair from the last of a pairwise scan in canonical
+    order."""
+    carrier = [f"x{i}" for i in range(n)]
+    full = (1 << n) - 1
+    return carrier, list(range(1 << n - 1)) + [full, full & ~1, full & ~2]
 
 
 def random_family(rng, n):
@@ -134,7 +149,7 @@ class TestValidate:
             FiniteTopology.from_open_sets(["a"], [["a"]])
 
     def test_union_escape_reports_pair(self):
-        with pytest.raises(StructureError, match="union escape"):
+        with pytest.raises(StructureError, match=r"^union escape: \('a',\) \| \('b',\) not open$"):
             FiniteTopology.from_open_sets(["a", "b", "c"],
                                           [[], ["a"], ["b"], ["a", "b", "c"]])
 
@@ -189,12 +204,25 @@ class TestValidate:
             else:
                 with pytest.raises(StructureError) as info:
                     FiniteTopology(carrier, masks)
-                assert str(info.value) == expected
+                if expected.endswith(" not open"):  # any escaping pair may be named
+                    pairs = itertools.permutations(masks, 2)
+                    assert str(info.value) in set(pair_escapes(carrier, set(masks), pairs))
+                else:
+                    assert str(info.value) == expected
         assert verdicts == {True, False}
 
+    def test_late_escape_is_named_by_the_intersection_pass(self):
+        carrier, masks = late_escape_family(10)
+        rest = ", ".join(repr(x) for x in carrier[2:])
+        assert pairwise_verdict(carrier, masks) == (
+            f"intersection escape: ('x0', {rest}) & ('x1', {rest}) not open")
+        with pytest.raises(StructureError) as info:
+            FiniteTopology(carrier, masks)
+        assert str(info.value) == pairwise_verdict(carrier, masks)
+
     def test_escape_named_when_every_minimal_open_is_present(self):
-        # {a}, {b} and {c} are all there but {a, b} is not: only the count of
-        # unions refuses this family
+        # {a}, {b} and {c} are all there but {a, b} is not: every row is open,
+        # so only the pass over the unions of the rows refuses this family
         carrier = ["a", "b", "c"]
         masks = [0, 0b001, 0b010, 0b100, 0b110, 0b101, 0b111]
         with pytest.raises(StructureError, match=r"^union escape: \('a',\) \| \('b',\) not open$"):
@@ -308,9 +336,10 @@ class TestSpecialization:
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_by_scan_match_the_minimal_opens(self, seed):
         rng = random.Random(seed)
-        small = [random_preorder(rng, rng.randint(1, 3)) for _ in range(2)]
+        small = [random_preorder(rng, max_size=3) for _ in range(2)]
         spaces = [
-            FiniteTopology.from_preorder(random_preorder(rng, rng.randint(0, 9))),
+            FiniteTopology.from_preorder(random_preorder(rng, max_size=9)),
+            FiniteTopology.from_preorder(antichain([])),
             product_topology(FiniteTopology.from_preorder(p) for p in small),
             random_topology(rng, max_size=6),  # opens given
         ]
@@ -470,8 +499,8 @@ class TestProductTopology:
     def test_random_factors(self):
         rng = random.Random(9)
         for _ in range(20):
-            p1 = random_preorder(rng, size=rng.randint(1, 3), max_size=3)
-            p2 = random_preorder(rng, size=rng.randint(1, 4), max_size=4)
+            p1 = random_preorder(rng, max_size=3)
+            p2 = random_preorder(rng, max_size=4)
             factors = [FiniteTopology.from_preorder(p1), FiniteTopology.from_preorder(p2)]
             assert product_topology(factors) == box_product(factors)
 
