@@ -219,7 +219,8 @@ def _covectors(arr):
     Raises CapExceeded above MAX_FORMS forms, or once the closure holds more
     than MAX_FACES faces."""
     if arr.k > MAX_FORMS:
-        raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {MAX_FORMS}")
+        raise CapExceeded(f"arrangement has {arr.k} forms, enumeration cap is {MAX_FORMS}",
+                          path="forms")
     t = 1 << arr.k
     vectors = cocircuits(arr)
     usable = [(pos, neg) for pos, neg in vectors if not neg & t]
@@ -237,7 +238,8 @@ def _covectors(arr):
             if covector not in found:
                 if len(found) == MAX_FACES:
                     raise CapExceeded(
-                        f"arrangement has more than {MAX_FACES} faces, cap is {MAX_FACES}")
+                        f"arrangement has more than {MAX_FACES} faces, cap is {MAX_FACES}",
+                        path="forms")
                 found.add(covector)
                 pending.append(covector)
     return {tuple((pos >> i & 1) - (neg >> i & 1) for i in range(arr.k)): (pos, neg)

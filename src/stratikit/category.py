@@ -16,11 +16,11 @@ SIDES = ("R", "L", "LR")
 
 
 class FiniteCategory:
-    """Objects, finite hom-sets, identities, and a total composition table.
+    """Objects, finite hom-sets, identities, and a total composition table,
+    kept as the post-composition rows g . -, each in morphism order.
 
     Morphism labels are globally unique.  Identity laws, associativity, and
-    the typing of every composite are checked exhaustively at construction.
-    """
+    the typing of every composite are checked exhaustively at construction."""
 
     def __init__(self, objects, homs, identities, compose):
         objects = tuple(str(x) for x in objects)
@@ -29,11 +29,10 @@ class FiniteCategory:
         self.objects = objects
         obj_set = set(objects)
 
-        for x, y in homs:
-            if x not in obj_set:
-                raise InputError(f"unknown object {x!r} in hom key")
-            if y not in obj_set:
-                raise InputError(f"unknown object {y!r} in hom key")
+        for key in homs:
+            for x in key:
+                if x not in obj_set:
+                    raise InputError(f"unknown object {x!r} in hom key")
         # global morphism order follows object-pair order, not hom-key order
         self.hom_table = {}
         self.dom = {}
@@ -68,7 +67,7 @@ class FiniteCategory:
                                      path=f"identities.{x}")
             self.identity[x] = i
 
-        self._compose = {}
+        self._after = {m: {} for m in self.morphisms}  # _after[g][f] = g . f
         for i, (g, f, h) in enumerate(compose):
             for m in (g, f, h):
                 if m not in self.dom:
@@ -77,14 +76,14 @@ class FiniteCategory:
             if self.cod[f] != self.dom[g]:
                 raise StructureError(f"pair ({g!r}, {f!r}) is not composable",
                                      path=f"compose[{i}]")
-            if (g, f) in self._compose:
+            if f in self._after[g]:
                 raise InputError(f"duplicate composition entry for ({g!r}, {f!r})",
                                  path=f"compose[{i}]")
             if self.dom[h] != self.dom[f] or self.cod[h] != self.cod[g]:
                 raise StructureError(
                     f"composite {h!r} of ({g!r}, {f!r}) lands in the wrong hom-set",
                     path=f"compose[{i}]")
-            self._compose[(g, f)] = h
+            self._after[g][f] = h
         try:
             self._check_laws()
         except StructureError as exc:  # the table as a whole breaks a law
@@ -92,61 +91,61 @@ class FiniteCategory:
             raise
 
     def _check_laws(self):
-        """Identity laws for each f, then associativity for each composable
-        (f, g, h), in morphism order.  Raises at the first law that fails or
-        the first composable pair the table misses."""
+        """For each f in morphism order: its row f . - is total, then the
+        identity laws hold at f.  Then associativity, which says that
+        post-composition is a covariant functor into sets.  Raises at the
+        first law that fails or the first composable pair the table misses."""
+        after = self._after
+        into = {y: [m for x in self.objects for m in self.hom_table[(x, y)]]
+                for y in self.objects}
         for f in self.morphisms:
-            x, y = self.dom[f], self.cod[f]
+            x, y, row = self.dom[f], self.cod[f], after[f]
+            if len(row) != len(into[x]):  # compose names the first pair missed
+                self.compose(f, next(e for e in into[x] if e not in row))
+            after[f] = {e: row[e] for e in into[x]}  # in morphism order
             if self.compose(self.identity[y], f) != f:
                 raise StructureError(f"left identity law fails at {f!r}")
             if self.compose(f, self.identity[x]) != f:
                 raise StructureError(f"right identity law fails at {f!r}")
-        after = {m: {} for m in self.morphisms}  # after[g][f] = g . f
-        for (g, f), gf in self._compose.items():
-            after[g][f] = gf
-        leaving = {x: [] for x in self.objects}
-        for m in self.morphisms:
-            leaving[self.dom[m]].append(m)
-        for f in self.morphisms:
-            for g in leaving[self.cod[f]]:
-                gf = after[g].get(f)
-                for h in leaving[self.cod[g]]:
-                    row = after[h]
-                    hg, left = row.get(g), row.get(gf)
-                    if left is None or hg is None or after[hg].get(f) != left:
-                        # compose raises at the first missing pair, in the
-                        # order h . (g . f) = (h . g) . f reads them
-                        self.compose(h, self.compose(g, f))
-                        self.compose(self.compose(h, g), f)
-                        raise StructureError(
-                            f"associativity fails at ({h!r}, {g!r}, {f!r})")
+        if failure := composition_failure(self, after):
+            h, g = failure
+            f = next(f for f, gf in after[g].items() if after[h][gf] != after[after[h][g]][f])
+            raise StructureError(f"associativity fails at ({h!r}, {g!r}, {f!r})")
 
     def hom(self, x, y):
-        if x not in self.identity:
-            raise InputError(f"unknown object {x!r}")
-        if y not in self.identity:
-            raise InputError(f"unknown object {y!r}")
+        for z in (x, y):
+            if z not in self.identity:
+                raise InputError(f"unknown object {z!r}")
         return self.hom_table[(x, y)]
 
     def compose(self, g, f):
         """g after f."""
         try:
-            return self._compose[(g, f)]
+            return self._after[g][f]
         except KeyError:
             raise StructureError(
                 f"composition table misses composable pair ({g!r}, {f!r})") from None
 
-    def composable_pairs(self):
-        return [
-            (g, f)
-            for g in self.morphisms
-            for f in self.morphisms
-            if self.dom[g] == self.cod[f]
-        ]
-
     def __repr__(self):
         return (f"FiniteCategory({len(self.objects)} objects, "
                 f"{len(self.morphisms)} morphisms)")
+
+
+def composition_failure(cat, maps, contravariant=False):
+    """The first composable pair (g, f), in morphism order, at which a family
+    of value maps indexed by the morphisms of ``cat`` fails to compose:
+    maps[g . f] differs, as a dict, from maps[g] after maps[f] (before it, if
+    contravariant).  None when every pair composes.
+
+    Each map must be total on the values the other maps send into it.  On
+    maps = cat._after, post-composition, this is associativity: h . - is a
+    functor into sets (Cayley's theorem for categories)."""
+    for g in cat.morphisms:
+        for f, gf in cat._after[g].items():
+            first, then = (maps[g], maps[f]) if contravariant else (maps[f], maps[g])
+            if dict(zip(first, map(then.__getitem__, first.values()))) != maps[gf]:
+                return g, f
+    return None
 
 
 def hom_preorder_details(cat, x, y, side):
@@ -257,19 +256,13 @@ def st_functor_check(cat, anchor, side):
         raise InputError("side must be 'R-covariant' or 'L-contravariant'")
     cat.hom(anchor, anchor)
     pre_side = "R" if side == "R-covariant" else "L"
-
-    pre = {}
-    for obj in cat.objects:
-        pair = (anchor, obj) if pre_side == "R" else (obj, anchor)
-        pre[obj] = hom_preorder(cat, *pair, pre_side)
-
+    pre = {obj: hom_preorder(cat, *((anchor, obj) if pre_side == "R" else (obj, anchor)),
+                             pre_side)
+           for obj in cat.objects}
     squares = {}
     for f in cat.morphisms:
-        src_obj, tgt_obj = cat.dom[f], cat.cod[f]
-        if pre_side == "L":
-            src_obj, tgt_obj = tgt_obj, src_obj
-        squares[f] = is_monotone(_translation(cat, anchor, side, f),
-                                 pre[src_obj], pre[tgt_obj])
+        ends = (cat.dom[f], cat.cod[f]) if pre_side == "R" else (cat.cod[f], cat.dom[f])
+        squares[f] = is_monotone(_translation(cat, anchor, side, f), pre[ends[0]], pre[ends[1]])
     return squares
 
 
@@ -323,18 +316,11 @@ class SetFunctor:
             if any(fn[v] != v for v in fn):
                 raise StructureError(f"functor does not preserve the identity of {x!r}",
                                      path=f"on_morphisms.{cat.identity[x]}")
-        for g, f in cat.composable_pairs():
-            h = cat.compose(g, f)
-            gf = self.on_morphisms[h]
-            fg, fF = self.on_morphisms[g], self.on_morphisms[f]
-            if self.variance == "covariant":
-                composed = {v: fg[fF[v]] for v in fF}
-            else:
-                composed = {v: fF[fg[v]] for v in fg}
-            if composed != gf:
-                raise StructureError(
-                    f"functor does not respect composition at ({g!r}, {f!r})",
-                    path=f"on_morphisms.{h}")
+        if failure := composition_failure(cat, self.on_morphisms,
+                                          self.variance == "contravariant"):
+            raise StructureError(
+                f"functor does not respect composition at {failure!r}",
+                path=f"on_morphisms.{cat.compose(*failure)}")
 
     def __repr__(self):
         sizes = {x: len(v) for x, v in self.on_objects.items()}

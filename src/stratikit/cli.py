@@ -191,7 +191,11 @@ def _euler(arr, labels):
 
 def _arrangement_faces(doc, args):
     arr = jsonio.load_arrangement(doc)
-    faces = arrangement.enumerate_faces(arr)
+    try:
+        faces = arrangement.enumerate_faces(arr)
+    except CapExceeded as exc:  # the face caps, or elimination's row cap on a face
+        exc.path = "forms"
+        raise
     # a label that no point realizes has no witness, printed as null
     checks = [_check("witness signs recompute exactly",
                      all(f.witness is not None

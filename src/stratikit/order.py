@@ -344,7 +344,13 @@ def quotient_poset(p):
     members = _classes(p.up)
     class_of = {j: c for c, cls in enumerate(members) for j in cls}
     labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in members]
-    qup = [bitmask(class_of[j] for j in bit_indices(p.up[cls[0]])) for cls in members]
+    # up-sets are unions of classes, so a class row holds class d iff its
+    # first member's row, as a binary string, holds d's first member
+    # ("".join also takes the str that a one-index itemgetter returns)
+    n = len(p.carrier)
+    firsts = [n - 1 - cls[0] for cls in reversed(members)]
+    at_firsts = operator.itemgetter(*firsts) if firsts else None
+    qup = [int("".join(at_firsts(format(p.up[cls[0]], f"0{n}b"))), 2) for cls in members]
     # each class row is the image of its members' rows, so the projection
     # is monotone by construction
     return Poset(labels, qup), {x: labels[class_of[i]] for i, x in enumerate(p.carrier)}

@@ -84,7 +84,6 @@ class FiniteTopology:
 
     def _start(self, carrier, family):
         self.carrier = carrier
-        self._index = {x: i for i, x in enumerate(carrier)}
         self._full = (1 << len(carrier)) - 1
         self._labels_by_byte = None
         self._open_set = family
@@ -179,11 +178,12 @@ class FiniteTopology:
     # -- subset plumbing -----------------------------------------------------
 
     def mask(self, labels):
+        index = self._specialization._index
         m = 0
         for x in labels:
-            if x not in self._index:
+            if x not in index:
                 raise InputError(f"subset member {x!r} not in carrier")
-            m |= 1 << self._index[x]
+            m |= 1 << index[x]
         return m
 
     def labels(self, mask):

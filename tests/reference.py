@@ -2,8 +2,9 @@
 a seeded generator of topologies given by their opens, the hom-set
 preorder found by searching every pair of morphisms, Green's orders on a
 transformation monoid read off images, kernels and ranks, the functor-check
-squares made through the quotient posets, the category law
-check made one ``compose`` call at a time, the chains of a poset found
+squares made through the quotient posets, the category law check made one
+``compose`` call at a time with whether a law failure it names holds, a set
+functor's composition check made pair by pair, the chains of a poset found
 by testing every subset of its carrier, the natural transformations
 out of a representable functor found by trying every candidate family and
 checked equation by equation, the verdicts that hold by theorem on the
@@ -18,8 +19,9 @@ solving each prefix that the point of its parent does not realize, the
 disagreements of ``arrangement check-ob`` at given face witnesses, a
 transpose made set bit by set bit, and the classes of a preorder read off its
 up-set and down-set rows, with the antisymmetry refusal and the quotient poset
-built from them."""
+built from them, its rows set bit by bit."""
 
+import ast
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -166,24 +168,72 @@ def squares_through_quotients(cat, anchor, side):
 
 
 def check_laws_by_compose(cat):
-    """``FiniteCategory._check_laws`` through ``compose``: identity laws for
-    each f, then h . (g . f) = (h . g) . f for each composable (f, g, h) in
-    morphism order.  Raises what the first failure raises."""
+    """``FiniteCategory._check_laws`` through ``compose``: for each f in
+    morphism order, f . e for every e into its domain, then the identity
+    laws at f; then h . (g . f) = (h . g) . f for each composable (h, g, f),
+    h outermost, in morphism order.  Raises what the first failure raises."""
     for f in cat.morphisms:
         x, y = cat.dom[f], cat.cod[f]
+        for e in cat.morphisms:
+            if cat.cod[e] == x:
+                cat.compose(f, e)
         if cat.compose(cat.identity[y], f) != f:
             raise StructureError(f"left identity law fails at {f!r}")
         if cat.compose(f, cat.identity[x]) != f:
             raise StructureError(f"right identity law fails at {f!r}")
-    for f in cat.morphisms:
+    for h in cat.morphisms:
         for g in cat.morphisms:
-            if cat.dom[g] != cat.cod[f]:
+            if cat.dom[h] != cat.cod[g]:
                 continue
-            for h in cat.morphisms:
-                if cat.dom[h] != cat.cod[g]:
+            for f in cat.morphisms:
+                if cat.dom[g] != cat.cod[f]:
                     continue
                 if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f):
                     raise StructureError(f"associativity fails at ({h!r}, {g!r}, {f!r})")
+
+
+def law_failure_holds(cat, message):
+    """Whether the failure a category law refusal names holds in ``cat``'s
+    table, read one ``compose`` call at a time."""
+    kind = next(k for k in ("composition table misses composable pair",
+                            "left identity law fails at", "right identity law fails at",
+                            "associativity fails at") if message.startswith(k + " "))
+    args = ast.literal_eval(message[len(kind) + 1:])
+    if kind == "composition table misses composable pair":
+        g, f = args
+        try:
+            cat.compose(g, f)
+        except StructureError:
+            return cat.dom[g] == cat.cod[f]
+        return False
+    if kind in ("left identity law fails at", "right identity law fails at"):
+        f = args
+        x, y = cat.dom[f], cat.cod[f]
+        side = (cat.identity[y], f) if kind.startswith("left") else (f, cat.identity[x])
+        return cat.compose(*side) != f
+    assert kind == "associativity fails at", message
+    h, g, f = args
+    return cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f)
+
+
+def functor_composition_by_pairs(cat, variance, maps):
+    """``SetFunctor``'s composition check as a loop over the composable pairs
+    (g, f), g outermost, in morphism order: the message and path of the first
+    pair at which maps[g . f] is not maps[g] after maps[f] (before it, if
+    contravariant), or None when every pair composes."""
+    for g in cat.morphisms:
+        for f in cat.morphisms:
+            if cat.dom[g] != cat.cod[f]:
+                continue
+            h = cat.compose(g, f)
+            if variance == "covariant":
+                composed = {v: maps[g][maps[f][v]] for v in maps[f]}
+            else:
+                composed = {v: maps[f][maps[g][v]] for v in maps[g]}
+            if composed != maps[h]:
+                return (f"functor does not respect composition at ({g!r}, {f!r})",
+                        f"on_morphisms.{h}")
+    return None
 
 
 def chains_by_search(poset):
@@ -513,7 +563,15 @@ def quotient_by_up_and_down(p):
     named "[m]" for its least member m, and the row of a class the classes
     of the up-set of its first member."""
     classes = classes_by_up_and_down(p.up)
-    class_of = {j: c for c, cls in enumerate(classes) for j in cls}
     labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in classes]
-    rows = [bitmask(class_of[j] for j in bit_indices(p.up[cls[0]])) for cls in classes]
-    return labels, rows, {x: labels[class_of[i]] for i, x in enumerate(p.carrier)}
+    label_of = {j: labels[c] for c, cls in enumerate(classes) for j in cls}
+    return (labels, class_rows_by_bits(p.up, classes),
+            {x: label_of[i] for i, x in enumerate(p.carrier)})
+
+
+def class_rows_by_bits(up, classes):
+    """The rows of the quotient of ``up`` by ``classes``, set bit by set bit:
+    the row of a class holds the class of each member of its first member's
+    up-set."""
+    class_of = {j: c for c, cls in enumerate(classes) for j in cls}
+    return [bitmask(class_of[j] for j in bit_indices(up[cls[0]])) for cls in classes]

@@ -18,9 +18,10 @@ from catalog import (all_categories, all_maps, category_arrow, category_c2,
                      category_transformation_monoid2, constant_functor,
                      cube_of_all_maps2, monoid, preimage_functor,
                      representable_functor, seeded_monoids, yoneda_instances)
-from reference import (check_laws_by_compose, closure_by_opens, green_leq,
+from reference import (check_laws_by_compose, closure_by_opens,
+                       functor_composition_by_pairs, green_leq,
                        hom_preorder_by_search, images_natural, images_reverse_left_order,
-                       locally_closed_by_opens, natural_by_equations,
+                       law_failure_holds, locally_closed_by_opens, natural_by_equations,
                        square_through_quotients, squares_through_quotients,
                        yoneda_bijection_holds, yoneda_by_enumeration, yoneda_inverse_holds)
 
@@ -52,26 +53,29 @@ class TestCategoryValidation:
     @pytest.mark.parametrize("seed", range(4))
     def test_first_failure_is_the_one_compose_finds(self, seed):
         """Drop a pair or redirect a composite within its hom-set, one to
-        six times, and compare with the check made through compose."""
+        six times, and compare with the check made through compose; the
+        failure named holds in the mutated table."""
         import random
         rng = random.Random(seed)
         cats = [*all_categories().values(), monoid(all_maps(2)), monoid(all_maps(3)),
                 *(monoid(maps) for maps in seeded_monoids(count=4, seed=seed))]
         failures = set()
         for cat in cats:
-            table = dict(cat._compose)
+            table = cat._after
+            pairs = sorted((g, f) for g, row in table.items() for f in row)
             for _ in range(25):
-                cat._compose = dict(table)
+                cat._after = {g: dict(row) for g, row in table.items()}
                 for _ in range(rng.randint(1, 6)):
-                    g, f = rng.choice(sorted(table))
+                    g, f = rng.choice(pairs)
                     if rng.random() < 0.5:
-                        cat._compose.pop((g, f), None)
+                        cat._after[g].pop(f, None)
                     else:
-                        cat._compose[(g, f)] = rng.choice(cat.hom(cat.dom[f], cat.cod[g]))
+                        cat._after[g][f] = rng.choice(cat.hom(cat.dom[f], cat.cod[g]))
                 found = first_law_failure(FiniteCategory._check_laws, cat)
                 assert found == first_law_failure(check_laws_by_compose, cat)
+                assert found is None or law_failure_holds(cat, found)
                 failures.add(found and found.split(" ")[0])
-            cat._compose = table
+            cat._after = table
         assert failures == {None, "left", "right", "associativity", "composition"}
 
     def test_shipped_categories_load(self):
@@ -308,7 +312,7 @@ def loop_structure_checks(cat, x, y, side):
         image = 0
         for i, m in enumerate(space.carrier):
             if u & (1 << i):
-                image |= 1 << strata_space._index[projection[m]]
+                image |= 1 << strata.index(projection[m])
         if not strata_space.is_open(image):
             projection_open = False
     fibers = {c: pss.fiber_mask(c) for c in strata.carrier}
@@ -460,6 +464,51 @@ class TestSetFunctor:
             SetFunctor(cat, "contravariant",
                        {"*": ["0", "1"]},
                        {"1": {"0": "0", "1": "1"}, "g": {"0": "0"}})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_composition_failure_is_the_one_the_pair_loop_finds(self, seed):
+        """Redirect one to three values of non-identity value maps within
+        their target sets, covariant and contravariant, and compare the
+        refusal with the loop over composable pairs."""
+        rng = random.Random(seed)
+        cases = [case for cat in all_categories().values() for case in hom_functors(cat)]
+        for maps in seeded_monoids(count=3, seed=seed):
+            pre = preimage_functor(maps)
+            points = [str(i) for i in range(len(maps[0]))]
+            cases.append((pre.cat, "contravariant", pre.on_objects, pre.on_morphisms))
+            cases.append((pre.cat, "covariant", {"*": points},
+                          {name: dict(zip(points, map(str, m)))
+                           for m, name in zip(maps, pre.cat.morphisms)}))
+        refused = {"covariant": 0, "contravariant": 0}
+        for cat, variance, on_objects, on_morphisms in cases:
+            identities = set(cat.identity.values())
+            moving = [m for m in cat.morphisms if m not in identities and on_morphisms[m]]
+            for _ in range(10 if moving else 0):
+                maps = {m: dict(fn) for m, fn in on_morphisms.items()}
+                for _ in range(rng.randint(1, 3)):
+                    m = rng.choice(moving)
+                    target = cat.cod[m] if variance == "covariant" else cat.dom[m]
+                    maps[m][rng.choice(list(maps[m]))] = rng.choice(on_objects[target])
+                try:
+                    SetFunctor(cat, variance, on_objects, maps)
+                    found = None
+                except StructureError as exc:
+                    found = (str(exc), exc.path)
+                assert found == functor_composition_by_pairs(cat, variance, maps)
+                refused[variance] += found is not None
+        assert all(refused.values())
+
+
+def hom_functors(cat):
+    """hom(a, -) and hom(-, a) for each object a, as (category, variance,
+    value sets, value maps)."""
+    for a in cat.objects:
+        yield (cat, "covariant", {x: list(cat.hom(a, x)) for x in cat.objects},
+               {m: {h: cat.compose(m, h) for h in cat.hom(a, cat.dom[m])}
+                for m in cat.morphisms})
+        yield (cat, "contravariant", {x: list(cat.hom(x, a)) for x in cat.objects},
+               {m: {h: cat.compose(h, m) for h in cat.hom(cat.cod[m], a)}
+                for m in cat.morphisms})
 
 
 def candidate_count(cat, fun, anchor):

@@ -853,19 +853,32 @@ class TestArrangementCommands:
         assert json.loads(out)["results"]["disagreements"] == []
 
     def test_faces_in_r5_past_the_fm_row_cap_exits_2(self, tmp_path, capsys):
-        """Without the cap, elimination on these regions does not finish."""
+        """Without the cap, elimination on these regions does not finish.
+        Eight forms: the twelve of the face-cap tests stop at that cap
+        before any face is solved."""
         import random
         import time
         rng = random.Random(5)
-        forms = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(12)]
+        forms = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(8)]
         for form in forms:
             form[1] = form[1] or 1
         path = write_input(tmp_path, {"dim": 5, "forms": forms})
         start = time.perf_counter()
         code, out = run_cli(capsys, ["arrangement", "faces", "--input", path])
         assert code == 2
-        assert "cap" in json.loads(out)["error"]["message"]
+        error = json.loads(out)["error"]
+        assert error["message"].startswith("eliminating x1 would derive ")
+        assert error["message"].endswith(" rows, cap is 262144")
+        assert error["path"] == "forms"
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("action", ["faces", "poset", "check-ob"])
+    def test_past_the_form_cap_exits_2_at_forms(self, tmp_path, capsys, action):
+        path = write_input(tmp_path, {"dim": 1, "forms": [[i, 1] for i in range(13)]})
+        code, out = run_cli(capsys, ["arrangement", action, "--input", path])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": "arrangement has 13 forms, enumeration cap is 12", "path": "forms"}
 
     @pytest.mark.parametrize("action", ["faces", "poset"])
     def test_r5_past_the_face_cap_exits_2(self, tmp_path, capsys, action):
@@ -880,8 +893,8 @@ class TestArrangementCommands:
         start = time.perf_counter()
         code, out = run_cli(capsys, ["arrangement", action, "--input", path])
         assert code == 2
-        assert json.loads(out)["error"]["message"] == (
-            "arrangement has more than 4096 faces, cap is 4096")
+        assert json.loads(out)["error"] == {
+            "message": "arrangement has more than 4096 faces, cap is 4096", "path": "forms"}
         assert time.perf_counter() - start < 10
 
     def test_rational_coefficients(self, tmp_path, capsys):

@@ -99,7 +99,8 @@ def dump_category(cat):
             for (x, y), ms in sorted(cat.hom_table.items()) if ms
         },
         "identities": dict(sorted(cat.identity.items())),
-        "compose": [[g, f, h] for (g, f), h in sorted(cat._compose.items())],
+        "compose": sorted([g, f, cat.compose(g, f)] for g in cat.morphisms
+                          for f in cat.morphisms if cat.dom[g] == cat.cod[f]),
     }
 
 

@@ -35,7 +35,7 @@ from unittest import mock
 import pytest
 
 from stratikit import arrangement, cli
-from stratikit.errors import InputError, StratikitError
+from stratikit.errors import CapExceeded, InputError, StratikitError
 
 JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 SEEDS = range(int(os.environ.get("STRATIKIT_MUTATION_SEEDS", "3")))
@@ -188,9 +188,10 @@ def names_a_place(node, path):
 
 def verdict(code, out, exc=None, document=None, argv=()):
     """None if the run ended as the contract allows, else what went wrong.
-    ``exc`` is the error behind an exit 2; an ``InputError`` must carry a
-    path that ``names_a_place`` in the input ``document``, ``$`` for the
-    document itself, or an option given in ``argv``."""
+    ``exc`` is the error behind an exit 2; an ``InputError``, and a
+    ``CapExceeded`` with a nonempty path, must carry a path that
+    ``names_a_place`` in the input ``document``, ``$`` for the document
+    itself, or an option given in ``argv``."""
     try:
         doc = json.loads(out)
     except ValueError:
@@ -208,7 +209,8 @@ def verdict(code, out, exc=None, document=None, argv=()):
                 or not all(isinstance(v, str) for v in error.values())):
             return "exit 2 without one error object"
         path = error["path"]
-        if isinstance(exc, InputError) and not (
+        located = isinstance(exc, InputError) or isinstance(exc, CapExceeded) and path
+        if located and not (
                 path == "$" or path.startswith("--") and path in argv
                 or path and names_a_place(document, path)):
             return f"input refused at a path not in the document: {error}"
@@ -313,6 +315,20 @@ def test_paths_name_values_and_missing_keys():
     for path in ["forms[1]", "forms[0][2]", "forms[0].x", "category.homs.A.x",
                  "category.homs.A->B.c[1]", "dim.x", "forms.x", "[0]"]:
         assert not names_a_place(doc, path), path
+
+
+def test_located_refusals_must_name_a_place():
+    doc = {"forms": [[0, 1]]}
+
+    def refused(exc):
+        out = json.dumps({"error": {"message": str(exc), "path": exc.path or ""}})
+        return verdict(2, out, exc, doc)
+
+    assert refused(CapExceeded("cap", path="forms")) is None
+    assert refused(CapExceeded("cap")) is None
+    assert refused(CapExceeded("cap", path="forms[1]")) is not None
+    assert refused(InputError("bad", path="forms[0]")) is None
+    assert refused(InputError("bad")) is not None
 
 
 def test_mutations_change_documents_and_keep_them_json():

@@ -12,8 +12,9 @@ from stratikit.order import (MAX_CARRIER, Poset, Preorder, bit_indices, bitmask,
                              quotient_poset, transpose)
 from stratikit.randomcases import random_preorder
 
-from reference import (antisymmetry_pair_by_up_and_down, classes_by_up_and_down,
-                       monotone_by_leq, quotient_by_up_and_down, transpose_by_bits)
+from reference import (antisymmetry_pair_by_up_and_down, class_rows_by_bits,
+                       classes_by_up_and_down, monotone_by_leq, quotient_by_up_and_down,
+                       transpose_by_bits)
 
 # Generators of the 9-element grid order on pairs over {N, O, P}; the list
 # includes redundant non-covering arrows out of the bottom, closure tidies them.
@@ -236,6 +237,15 @@ def shuffled(rng, carrier, up):
     return labels, [bitmask(position[j] for j in bit_indices(up[old])) for old in old_at]
 
 
+def blown_up(rng, p, copies):
+    """``p`` with each element replaced by 1 to ``copies`` equivalent copies,
+    the copies in a random order."""
+    owner = [i for i in range(len(p.carrier)) for _ in range(rng.randint(1, copies))]
+    rng.shuffle(owner)
+    up = [bitmask(k for k, j in enumerate(owner) if p.up[i] >> j & 1) for i in owner]
+    return Preorder([f"y{k}" for k in range(len(owner))], up)
+
+
 class TestClassesFromEqualRows:
     """Classes read off equal up-set rows, against the up & down scan of the
     reference, on seeded random preorders and their quotient posets."""
@@ -342,6 +352,26 @@ class TestQuotient:
         q, pi = quotient_poset(p)
         assert list(q.carrier) == ["[a]", "[c]"]
         assert q.pairs() == []
+
+    def test_rows_against_bit_by_bit(self):
+        """Class rows read at the classes' first members, against the rows
+        set bit by bit, on seeded preorders with each element blown up into
+        one to four equivalent copies in a random order."""
+        rng = random.Random(39)
+        nontrivial = 0
+        for _ in range(150):
+            p = blown_up(rng, random_preorder(rng, max_size=12), 4)
+            q, pi = quotient_poset(p)
+            assert (list(q.carrier), list(q.up), pi) == quotient_by_up_and_down(p)
+            nontrivial += len(q.carrier) < len(p.carrier)
+        assert nontrivial > 100
+
+    def test_rows_of_the_chain_at_the_carrier_cap(self):
+        n = MAX_CARRIER
+        full = (1 << n) - 1
+        p = Preorder([f"p{i}" for i in range(n)], [full >> i << i for i in range(n)])
+        q, pi = quotient_poset(p)
+        assert list(q.up) == class_rows_by_bits(p.up, [[i] for i in range(n)])
 
     def test_projection_reflects_order(self):
         rng = random.Random(11)
