@@ -173,6 +173,9 @@ def _decomp_product(doc, args):
         prod, pi_open, matches = decomposition.product_decomposition(decs)
     except StructureError as exc:  # a factor whose projection is not open
         return {}, [_check("factors lower semicontinuous", False, str(exc))]
+    except CapExceeded as exc:  # the product's carrier cap
+        exc.path = "factors"
+        raise
     checks = [_check("product projection open", pi_open),
               _check("quotient equals product of factor quotient preorders", matches)]
     return jsonio.dump_decomposition(prod), checks

@@ -178,7 +178,7 @@ class Preorder:
         if len(labels) > MAX_CARRIER:
             # refuse before the closure, not after
             raise CapExceeded(
-                f"carrier has {len(labels)} elements, cap is {MAX_CARRIER}")
+                f"carrier has {len(labels)} elements, cap is {MAX_CARRIER}", path="carrier")
         index = {x: i for i, x in enumerate(labels)}
         rows = [0] * len(labels)
         for a, b in pairs:
@@ -345,12 +345,10 @@ def quotient_poset(p):
     class_of = {j: c for c, cls in enumerate(members) for j in cls}
     labels = ["[%s]" % min(p.carrier[j] for j in cls) for cls in members]
     # up-sets are unions of classes, so a class row holds class d iff its
-    # first member's row, as a binary string, holds d's first member
-    # ("".join also takes the str that a one-index itemgetter returns)
-    n = len(p.carrier)
-    firsts = [n - 1 - cls[0] for cls in reversed(members)]
-    at_firsts = operator.itemgetter(*firsts) if firsts else None
-    qup = [int("".join(at_firsts(format(p.up[cls[0]], f"0{n}b"))), 2) for cls in members]
+    # first member's row holds d's first member: the first members' columns
+    # of the first members' rows
+    cols = transpose([p.up[cls[0]] for cls in members], len(p.carrier))
+    qup = transpose([cols[cls[0]] for cls in members], len(members))
     # each class row is the image of its members' rows, so the projection
     # is monotone by construction
     return Poset(labels, qup), {x: labels[class_of[i]] for i, x in enumerate(p.carrier)}

@@ -62,7 +62,8 @@ class FiniteTopology:
             raise InputError("duplicate labels in carrier", path="carrier")
         n = len(carrier)
         if n > MAX_CARRIER:
-            raise CapExceeded(f"carrier has {n} elements, cap is {MAX_CARRIER}")
+            raise CapExceeded(f"carrier has {n} elements, cap is {MAX_CARRIER}",
+                              path="carrier")
         full = (1 << n) - 1
         opens = list(map(int, opens))
         if opens and (min(opens) < 0 or max(opens) > full):
@@ -70,7 +71,8 @@ class FiniteTopology:
             raise InputError(f"open set {i} is not a bitset over {n} elements")
         family = set(opens)
         if len(family) > MAX_OPENS:
-            raise CapExceeded(f"open family has {len(family)} sets, cap is {MAX_OPENS}")
+            raise CapExceeded(f"open family has {len(family)} sets, cap is {MAX_OPENS}",
+                              path="opens")
         self._start(carrier, family)
         self._specialization = Preorder(carrier, self._check_axioms())
 

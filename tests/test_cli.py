@@ -62,6 +62,8 @@ YONEDA_DOC = {"category": IDEM, "anchor": "*", "functor": {
 
 # twenty incomparable points: 2^20 up-sets, past the open-count cap
 ANTICHAIN_20 = {"carrier": [f"x{i}" for i in range(20)], "preorder_pairs": []}
+PAST_CARRIER = [f"p{i}" for i in range(4097)]  # one element past order.MAX_CARRIER
+
 CHAIN_BAD_DECOMP = {
     "space": {"carrier": ["0", "1", "2"],
               "preorder_pairs": [["0", "1"], ["1", "2"]]},
@@ -411,6 +413,16 @@ class TestErrorHandling:
         (["decomp", "analyze"],
          {"space": {"carrier": ["a", "a"], "opens": [[], ["a"]]}, "blocks": [["a"]]},
          "duplicate labels in carrier", "space.carrier"),
+        (["topology", "from-preorder"], {"carrier": PAST_CARRIER, "pairs": []},
+         "carrier has 4097 elements, cap is 4096", "carrier"),
+        (["topology", "check"], {"carrier": PAST_CARRIER, "opens": [[]]},
+         "carrier has 4097 elements, cap is 4096", "carrier"),
+        (["decomp", "validate"],
+         {"space": {"carrier": PAST_CARRIER, "preorder_pairs": []}, "blocks": []},
+         "carrier has 4097 elements, cap is 4096", "space.carrier"),
+        (["decomp", "validate"],
+         {"space": {"carrier": PAST_CARRIER, "opens": []}, "blocks": []},
+         "carrier has 4097 elements, cap is 4096", "space.carrier"),
         (["decomp", "analyze"],
          {"space": {"carrier": ["a", "b"], "preorder_pairs": []},
           "blocks": [["a"], ["b"]], "labels": ["x", "x"]},
@@ -501,7 +513,8 @@ class TestErrorHandling:
             "stratify-target", "functor-check-anchor", "yoneda-anchor",
             "preorder-category", "yoneda-functor", "duplicate-carrier-opens",
             "duplicate-carrier-pairs", "nested-duplicate-carrier-pairs",
-            "nested-duplicate-carrier-opens", "duplicate-block-labels",
+            "nested-duplicate-carrier-opens", "carrier-cap-pairs", "carrier-cap-opens",
+            "nested-carrier-cap-pairs", "nested-carrier-cap-opens", "duplicate-block-labels",
             "block-label-count", "factor-label-count", "product-label-collision",
             "product-carrier-collision", "overlapping-blocks", "empty-block",
             "uncovered-carrier", "factor-overlapping-blocks", "factor-empty-block",
@@ -787,11 +800,11 @@ class TestDecompCommands:
         doc = json.loads(out)
         assert len(doc["results"]["blocks"]) == 9
 
-    @pytest.mark.parametrize("sizes, message", [
-        ((5, 4), f"refusing to enumerate more than {topology.MAX_OPENS} open sets"),
-        ((65, 65), "carrier has 4225 elements, cap is 4096"),
+    @pytest.mark.parametrize("sizes, message, where", [
+        ((5, 4), f"refusing to enumerate more than {topology.MAX_OPENS} open sets", ""),
+        ((65, 65), "carrier has 4225 elements, cap is 4096", "factors"),
     ])
-    def test_product_past_a_cap_exits_2(self, tmp_path, capsys, sizes, message):
+    def test_product_past_a_cap_exits_2(self, tmp_path, capsys, sizes, message, where):
         # open factors whose product is past the open-count or the carrier cap
         factors = []
         for n in sizes:
@@ -801,7 +814,7 @@ class TestDecompCommands:
         path = write_input(tmp_path, {"factors": factors})
         code, out = run_cli(capsys, ["decomp", "product", "--input", path])
         assert code == 2
-        assert json.loads(out)["error"]["message"] == message
+        assert json.loads(out)["error"] == {"message": message, "path": where}
 
     def test_star_preorder_dot_export(self, tmp_path, capsys):
         path = write_input(tmp_path, CHAIN_BAD_DECOMP)

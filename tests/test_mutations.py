@@ -6,9 +6,10 @@ item duplicated, a list shuffled, or a subtree grafted from another pool
 document.  The result goes through every action of the document's command
 group by ``cli.main``, in process.  Each run must end with exit 0 or 1 and a
 report, or with exit 2 and one error object; no exception may escape it, and
-no run may pass its time budget.  An ``InputError`` refusal must name a path
-that exists in the document, a key missing from an object in it, or an
-option given on the command line.
+no run may pass its time budget.  An ``InputError`` refusal, and a
+``CapExceeded`` with a path, must name a path that exists in the document, a
+key missing from an object in it that its message quotes, or an option given
+on the command line.
 
 Byte-level cases go through the same actions: an integer literal past the
 digit cap, invalid UTF-8, nesting past ``cli.MAX_DEPTH`` and a missing input
@@ -165,9 +166,10 @@ def run(argv):
     return code, out.getvalue(), refused[0] if refused else None
 
 
-def names_a_place(node, path):
+def names_a_place(node, path, message=""):
     """True iff the schema path (keys joined by ".", list indices as "[i]")
-    names a value under ``node``, or a key missing from an object there.
+    names a value under ``node``, or a key missing from an object there that
+    the refusal's ``message`` quotes, as ``missing key 'forms'`` does.
     A key may itself hold "." or "[", so each key that fits is tried."""
     if not path:
         return True
@@ -175,23 +177,24 @@ def names_a_place(node, path):
     if index:
         i = int(index[1])
         return (isinstance(node, list) and i < len(node)
-                and names_a_place(node[i], path[index.end():]))
+                and names_a_place(node[i], path[index.end():], message))
     path = path.removeprefix(".")
     if not isinstance(node, dict):
         return False
     for key in node:
         rest = path[len(key):]
-        if path.startswith(key) and rest[:1] in ("", ".", "[") and names_a_place(node[key], rest):
+        if (path.startswith(key) and rest[:1] in ("", ".", "[")
+                and names_a_place(node[key], rest, message)):
             return True
-    return re.search(r"[.\[]", path) is None and path not in node
+    return re.search(r"[.\[]", path) is None and path not in node and repr(path) in message
 
 
 def verdict(code, out, exc=None, document=None, argv=()):
     """None if the run ended as the contract allows, else what went wrong.
     ``exc`` is the error behind an exit 2; an ``InputError``, and a
     ``CapExceeded`` with a nonempty path, must carry a path that
-    ``names_a_place`` in the input ``document``, ``$`` for the document
-    itself, or an option given in ``argv``."""
+    ``names_a_place`` in the input ``document`` by its message, ``$`` for the
+    document itself, or an option given in ``argv``."""
     try:
         doc = json.loads(out)
     except ValueError:
@@ -212,7 +215,7 @@ def verdict(code, out, exc=None, document=None, argv=()):
         located = isinstance(exc, InputError) or isinstance(exc, CapExceeded) and path
         if located and not (
                 path == "$" or path.startswith("--") and path in argv
-                or path and names_a_place(document, path)):
+                or path and names_a_place(document, path, error["message"])):
             return f"input refused at a path not in the document: {error}"
         return None
     return f"exit {code}"
@@ -310,11 +313,17 @@ def test_byte_level_cases_are_refused_at_their_path(tmp_path, group):
 def test_paths_name_values_and_missing_keys():
     doc = {"forms": [[0, 1]], "category": {"homs": {"A->B.c": ["f"]}}}
     for path in ["forms", "forms[0]", "forms[0][1]", "category.homs.A->B.c",
-                 "category.homs.A->B.c[0]", "category.identities", "category.homs.A", "dim"]:
+                 "category.homs.A->B.c[0]"]:
         assert names_a_place(doc, path), path
+    # a missing key names a place only in a refusal that says it is missing
+    for path, key in [("category.identities", "identities"), ("category.homs.A", "A"),
+                      ("dim", "dim")]:
+        assert names_a_place(doc, path, f"missing key {key!r}"), path
+        assert not names_a_place(doc, path), path
+        assert not names_a_place(doc, path, "missing key 'forms'"), path
     for path in ["forms[1]", "forms[0][2]", "forms[0].x", "category.homs.A.x",
                  "category.homs.A->B.c[1]", "dim.x", "forms.x", "[0]"]:
-        assert not names_a_place(doc, path), path
+        assert not names_a_place(doc, path, "missing key 'x'"), path
 
 
 def test_located_refusals_must_name_a_place():
@@ -327,8 +336,11 @@ def test_located_refusals_must_name_a_place():
     assert refused(CapExceeded("cap", path="forms")) is None
     assert refused(CapExceeded("cap")) is None
     assert refused(CapExceeded("cap", path="forms[1]")) is not None
+    assert refused(CapExceeded("cap", path="faces")) is not None
     assert refused(InputError("bad", path="forms[0]")) is None
     assert refused(InputError("bad")) is not None
+    assert refused(InputError("missing key 'dim'", path="dim")) is None
+    assert refused(InputError("bad", path="dim")) is not None
 
 
 def test_mutations_change_documents_and_keep_them_json():

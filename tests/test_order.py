@@ -281,7 +281,7 @@ class TestClassesFromEqualRows:
         assert kinds == {True, False}
 
     def test_no_transpose_and_no_down_sets(self, monkeypatch):
-        def refuse(rows, width):
+        def refuse(*args):
             raise AssertionError("transposed")
 
         monkeypatch.setattr(order, "transpose", refuse)
@@ -290,6 +290,10 @@ class TestClassesFromEqualRows:
         assert chain.is_partial_order() and not p.is_partial_order()
         with pytest.raises(StructureError, match="'q' and 'p' are equivalent"):
             Poset(p.carrier, p.up)
+        # the class rows are two transposes of the first members' rows, with
+        # no down-set of the whole relation
+        monkeypatch.undo()
+        monkeypatch.setattr(Preorder, "down", refuse)
         q, pi = quotient_poset(p)
         assert list(q.carrier) == ["[r]", "[p]"] and q.pairs() == [("[p]", "[r]")]
         assert pi == {"r": "[r]", "q": "[p]", "p": "[p]"}
@@ -492,8 +496,9 @@ class TestEdgeCases:
     def test_carrier_cap(self):
         from stratikit.errors import CapExceeded
         labels = [f"v{i}" for i in range(4097)]
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="^carrier has 4097 elements, cap is 4096$") as info:
             Preorder.from_pairs(labels, [])
+        assert info.value.path == "carrier"
 
 
 class TestDot:

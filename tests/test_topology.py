@@ -164,8 +164,9 @@ class TestValidate:
     def test_carrier_cap(self):
         labels = [f"p{i}" for i in range(MAX_CARRIER + 1)]
         with pytest.raises(CapExceeded, match=f"^carrier has {MAX_CARRIER + 1} elements, "
-                                              f"cap is {MAX_CARRIER}$"):
+                                              f"cap is {MAX_CARRIER}$") as info:
             FiniteTopology(labels, [0, (1 << len(labels)) - 1])
+        assert info.value.path == "carrier"
         # below it a family is accepted at any carrier size
         t = FiniteTopology(labels[:64], [0, (1 << 64) - 1])
         assert t.opens == (0, (1 << 64) - 1)
@@ -175,8 +176,9 @@ class TestValidate:
         top = (1 << 17) - 1
         at_cap = list(range(1 << 16))  # the 16-point discrete family
         with pytest.raises(CapExceeded, match=f"^open family has {MAX_OPENS + 1} sets, "
-                                              f"cap is {MAX_OPENS}$"):
+                                              f"cap is {MAX_OPENS}$") as info:
             FiniteTopology(labels, at_cap + [top])
+        assert info.value.path == "opens"
         t = FiniteTopology(labels[:16], at_cap)
         assert len(t.opens) == MAX_OPENS
         assert t.specialization_preorder() == antichain(labels[:16])
