@@ -5,6 +5,7 @@ object names the offending schema path) or a usage error (reported on stderr).
 """
 
 import json
+import os
 import sys
 import types
 from itertools import chain
@@ -601,7 +602,7 @@ def _run(group, args):
         "results": results,
         "checks": checks,
     }
-    sys.stdout.write(jsonio.canonical_dumps(report) + "\n")
+    jsonio.write(report)
     return 0 if all(c["pass"] for c in checks) else 1
 
 
@@ -611,9 +612,18 @@ def main(argv=None):
         return _run(group, args)
     except StratikitError as exc:
         error = {"error": {"message": str(exc), "path": exc.path or ""}}
-        sys.stdout.write(jsonio.canonical_dumps(error) + "\n")
+        jsonio.write(error)
         return 2
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The process ends at the report's last byte: once the standard streams
+    # are flushed, nothing is left for interpreter teardown to do.  A flush
+    # that fails takes the interpreter's own exit, which reports it.
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # ValueError: a stream already closed
+        sys.exit(status)
+    os._exit(status)

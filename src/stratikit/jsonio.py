@@ -6,6 +6,8 @@ coordinate in the lowest-terms string form, the sign on the numerator.
 string is read, so a document of integers never loads it.
 """
 
+import sys
+from itertools import compress
 from json.encoder import encode_basestring as _quote
 from math import gcd
 
@@ -20,6 +22,9 @@ MAX_INT_DIGITS = 4300
 # carrier: the 2048-element chain (2,096,128 pairs) is listed, the
 # 4096-element one refused.
 MAX_PAIRS = 2 ** 21
+
+# Characters the writer gathers before each write to standard output.
+CHUNK = 1 << 20
 
 
 def parse_rational(value, path=""):
@@ -71,7 +76,7 @@ def expect(doc, key, kind, path):
     if key not in doc:
         raise InputError(f"missing key {key!r}", path=_join(path, key))
     value = doc[key]
-    if kind is not None and (not isinstance(value, kind)
+    if kind is not None and (not isinstance(value, _ARRAYS if kind is list else kind)
                              or kind is int and isinstance(value, bool)):
         raise InputError(
             f"key {key!r} should be {kind.__name__}, got {type(value).__name__}",
@@ -135,23 +140,57 @@ def load_subset(doc, carrier, path=""):
     return _members(expect(doc, "subset", list, path), set(carrier), "subset", at)
 
 
+def _carrier(doc, path):
+    """The labels under ``carrier``, refused past the carrier cap before any
+    label is read, there or elsewhere in the document."""
+    labels = expect(doc, "carrier", list, path)
+    if len(labels) > order.MAX_CARRIER:
+        raise CapExceeded(f"carrier has {len(labels)} elements, cap is {order.MAX_CARRIER}",
+                          path=_join(path, "carrier"))
+    return [str(x) for x in labels]
+
+
 def load_preorder(doc, path=""):
-    carrier = [str(x) for x in expect(doc, "carrier", list, path)]
+    carrier = _carrier(doc, path)
     return _within(path, order.Preorder.from_pairs, carrier,
                    _label_pairs(doc, "pairs", carrier, path))
 
 
+class Pairs:
+    """The non-reflexive related pairs of a preorder, in carrier order, as a
+    sequence of [a, b] label lists.  The writer renders it from the rows,
+    one row at a time, and no list of pairs is built."""
+
+    def __init__(self, preorder, count):
+        self.preorder, self.count = preorder, count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return map(list, self.preorder.pairs())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, _ARRAYS) else NotImplemented
+
+
+# What ``expect`` takes for a list: a dumped relation reads back as the
+# array that it prints.
+_ARRAYS = (list, Pairs)
+
+
 def dump_preorder(p):
     """The carrier and every non-reflexive related pair, counted off the rows
-    and refused above MAX_PAIRS before any is listed."""
+    and refused above MAX_PAIRS before any is listed; the pairs are listed
+    only as the writer renders them."""
     pairs = sum(row.bit_count() for row in p.up) - len(p.up)
     if pairs > MAX_PAIRS:
         raise CapExceeded(f"preorder has {pairs} related pairs, cap is {MAX_PAIRS}")
-    return {"carrier": list(p.carrier), "pairs": [list(x) for x in p.pairs()]}
+    return {"carrier": list(p.carrier), "pairs": Pairs(p, pairs)}
 
 
 def load_topology(doc, path=""):
-    carrier = [str(x) for x in expect(doc, "carrier", list, path)]
+    carrier = _carrier(doc, path)
     if "opens" in doc:
         return _within(path, topology.FiniteTopology.from_open_sets,
                        carrier, _label_lists(doc, "opens", carrier, path))
@@ -293,52 +332,92 @@ def _key(key):
     raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
 
 
-def _pieces(value, newline, out):
-    """Append the text of ``value`` to ``out``; ``newline`` is the line break
-    and indent of the value's own line."""
+# The characters "0" and "1" of ``bin`` as the bytes 0 and 1, false and true.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pair_rows(pairs, newline):
+    """The text of ``pairs``, one piece per row with a pair in it.  The pairs
+    of row i all start with x_i, quoted once into the row's pair prefix, and
+    the row's reversed binary digits select the labels of the rest."""
+    p = pairs.preorder
+    labels = list(map(_quote, p.carrier))
+    inner, item, close = newline + "  ", newline + "    ", newline + "  ]"
+    lead = "["
+    for i, row in enumerate(p.up):
+        others = row & ~(1 << i)
+        if others:
+            head = f"[{item}{labels[i]},{item}"
+            selected = bin(others)[:1:-1].encode().translate(_BITS)
+            yield f"{lead}{inner}{head}" + f"{close},{inner}{head}".join(
+                compress(labels, selected)) + close
+            lead = ","
+    yield "[]" if lead == "[" else newline + "]"
+
+
+def _pieces(value, newline):
+    """The text of ``value`` in pieces; ``newline`` is the line break and
+    indent of the value's own line."""
     if isinstance(value, str):
-        out.append(_quote(value))
+        yield _quote(value)
     elif value is True or value is False or value is None:
-        out.append(_LITERALS[value])
+        yield _LITERALS[value]
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        yield int.__repr__(value)
+    elif isinstance(value, Pairs):
+        yield from _pair_rows(value, newline)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            yield "[]"
             return
         inner = newline + "  "
         try:  # a list of strings is one piece
-            out.append(f"[{inner}{(',' + inner).join(map(_quote, value))}{newline}]")
+            yield f"[{inner}{(',' + inner).join(map(_quote, value))}{newline}]"
             return
         except TypeError:
             pass
         lead = "[" + inner
         for v in value:
-            out.append(lead)
+            yield lead
             lead = "," + inner
-            _pieces(v, inner, out)
-        out.append(newline + "]")
+            yield from _pieces(v, inner)
+        yield newline + "]"
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            yield "{}"
             return
         inner = newline + "  "
         lead = "{" + inner
         for k, v in value.items():
-            out.append(f"{lead}{_key(k)}: ")
+            yield f"{lead}{_key(k)}: "
             lead = "," + inner
-            _pieces(v, inner, out)
-        out.append(newline + "}")
+            yield from _pieces(v, inner)
+        yield newline + "}"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def write(doc):
+    """Write ``canonical_dumps(doc)`` and a line break to ``sys.stdout``
+    about every CHUNK characters, as it is rendered, so that no report is
+    ever held whole."""
+    out, size = [], 0
+    for piece in _pieces(doc, "\n"):
+        out.append(piece)
+        size += len(piece)
+        if size >= CHUNK:
+            sys.stdout.write("".join(out))
+            out, size = [], 0
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
 def canonical_dumps(doc):
     """Exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``, which runs
-    CPython's pure-Python encoder because the C one ignores ``indent``.  Here
-    the C string quoter writes every string, and a list of strings is one
-    piece.  Only dict, list, tuple, str, int, bool and None are accepted;
-    anything else, floats included, raises ``TypeError``."""
-    out = []
-    _pieces(doc, "\n", out)
-    return "".join(out)
+    CPython's pure-Python encoder because the C one ignores ``indent``: the
+    text that ``write`` streams, joined.  Here the C string quoter writes
+    every string, a list of strings is one piece, and the pairs of a dumped
+    preorder are rendered from its rows.  Only dict, list, tuple, ``Pairs``,
+    str, int, bool and None are accepted; anything else, floats included,
+    raises ``TypeError``."""
+    return "".join(_pieces(doc, "\n"))

@@ -13,10 +13,14 @@ Run it from any directory, with no options::
 
     python tests/caps.py
 
-It prints one line per rung (name, exit code, wall seconds), runs every rung
-even after a failure, and exits 1 if any rung failed.  Documents come from the
-generators of ``perfbench/jobs.py`` and ``tests/catalog.py``; each is built
-just before its rung runs and written to a temporary directory.
+It prints one line per rung (name, exit code, wall seconds, report bytes and
+the CLI's peak RSS), runs every rung even after a failure, and exits 1 if any
+rung failed.  Documents come from the generators of ``perfbench/jobs.py`` and
+``tests/catalog.py``; each is built just before its rung runs and written to a
+temporary directory.  The CLI is then started by a small launcher, which
+times it and reads its peak RSS from ``wait4``: a child that ``subprocess``
+starts by vfork counts its parent's high-water mark as its own, and the
+runner's includes the documents it built.
 """
 
 import importlib.util
@@ -26,8 +30,6 @@ import random
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -167,6 +169,7 @@ def redirected_t2_cubed():
 # -- the ladder ------------------------------------------------------------------
 
 FROM_PREORDER = ("topology", "from-preorder")
+CARRIER_CAP = "carrier has 4097 elements, cap is 4096"
 CHAIN_CAP = "chain count exceeds cap 5000"
 OPENS_CAP = "refusing to enumerate more than 65536 open sets"
 PAIRS_CAP = "preorder has 8386560 related pairs, cap is 2097152"
@@ -182,7 +185,10 @@ RUNGS = [
       for mode in ("file", "stdin")),
     Rung("unreadable missing-file", FROM_PREORDER, None, "missing", code=2, path="$"),
     Rung("topology from-preorder chain-4097", FROM_PREORDER, partial(chain_poset, 4097),
-         code=2, path="carrier", message="carrier has 4097 elements, cap is 4096"),
+         code=2, path="carrier", message=CARRIER_CAP),
+    # refused before any open is read
+    Rung("topology to-preorder chain-4097 opens", ("topology", "to-preorder"),
+         partial(chain_opens, 4097), code=2, path="carrier", message=CARRIER_CAP),
 
     # T2^3 at the 64-morphism category cap, and T4 past it.
     Rung("homset yoneda T2^3", ("homset", "yoneda"),
@@ -295,9 +301,34 @@ def _said(rung, out):
     return None
 
 
+# Started with -S, so that the launcher stays small; its child, the CLI,
+# starts as usual.  It writes "exit-code seconds max-RSS-in-kB" to a file.
+LAUNCHER = """\
+import os, signal, sys, time
+result, timeout, *argv = sys.argv[1:]
+start = time.perf_counter()
+pid = os.posix_spawn(argv[0], argv, os.environ)
+signal.signal(signal.SIGALRM, lambda *_: os.kill(pid, signal.SIGKILL))
+signal.setitimer(signal.ITIMER_REAL, float(timeout))
+_, status, usage = os.wait4(pid, 0)
+seconds = time.perf_counter() - start
+with open(result, "w") as fh:
+    fh.write(f"{os.waitstatus_to_exitcode(status)} {seconds} {usage.ru_maxrss}")
+"""
+
+
+class Outcome(NamedTuple):
+    code: int  # negative: killed by that signal
+    seconds: float  # wall time of the CLI process, from spawn to reap
+    report_bytes: int
+    peak_rss_mb: float
+    problem: str = None  # what went wrong, or None
+
+
 def run(rung, workdir, env):
-    """(exit code or None, wall seconds, what went wrong or None) of one rung."""
+    """The ``Outcome`` of one rung."""
     document, out, err = workdir / "input.json", workdir / "stdout", workdir / "stderr"
+    usage = workdir / "usage"
     document.unlink(missing_ok=True)
     if rung.mode != "missing":
         data = rung.make()
@@ -306,24 +337,25 @@ def run(rung, workdir, env):
     command = [sys.executable, "-W", "error", "-m", "stratikit.cli", *cli_args(rung, document)]
     with (open(document if rung.mode == "stdin" else os.devnull, "rb") as stdin,
           open(out, "wb") as stdout, open(err, "wb") as stderr):
-        start = time.perf_counter()
-        process = subprocess.Popen(command, stdin=stdin, stdout=stdout, stderr=stderr, env=env)
-        # a timer, not wait(timeout), which polls and so rounds the time to 50 ms
-        killer = threading.Timer(TIMEOUT_S, process.kill)
-        killer.start()
-        code = process.wait()
-        seconds = time.perf_counter() - start
-        killer.cancel()
-    if seconds >= TIMEOUT_S:
-        return None, seconds, f"no exit within {TIMEOUT_S} s"
-    if code != rung.code:
-        return code, seconds, f"exit {code}, expected {rung.code}"
+        subprocess.run([sys.executable, "-S", "-c", LAUNCHER, usage, str(TIMEOUT_S), *command],
+                       stdin=stdin, stdout=stdout, stderr=stderr, env=env, check=True)
+    code, seconds, kb = usage.read_text().split()
+    outcome = Outcome(int(code), float(seconds), out.stat().st_size, int(kb) / 1024)
+    return outcome._replace(problem=_problem(rung, outcome, out, err))
+
+
+def _problem(rung, outcome, out, err):
+    """What went wrong in a rung's run, or None."""
+    if outcome.seconds >= TIMEOUT_S:
+        return f"no exit within {TIMEOUT_S} s"
+    if outcome.code != rung.code:
+        return f"exit {outcome.code}, expected {rung.code}"
     if err.stat().st_size:
-        return code, seconds, f"stderr: {err.read_text(errors='replace')[:200]!r}"
+        return f"stderr: {err.read_text(errors='replace')[:200]!r}"
     try:
-        return code, seconds, _said(rung, out)
+        return _said(rung, out)
     except (ValueError, LookupError, TypeError) as exc:  # no report of the expected shape
-        return code, seconds, f"stdout does not hold the report: {exc!r:.200}"
+        return f"stdout does not hold the report: {exc!r:.200}"
 
 
 def main():
@@ -331,10 +363,11 @@ def main():
     failed = []
     with tempfile.TemporaryDirectory(prefix="stratikit-caps-") as workdir:
         for rung in RUNGS:
-            code, seconds, problem = run(rung, Path(workdir), env)
-            line = f"{rung.name:<44} exit {code}  {seconds:6.2f} s"
-            print(line + (f"  FAILED: {problem}" if problem else ""), flush=True)
-            if problem:
+            outcome = run(rung, Path(workdir), env)
+            line = (f"{rung.name:<44} exit {outcome.code:<3} {outcome.seconds:6.2f} s "
+                    f"{outcome.report_bytes:>11} B {outcome.peak_rss_mb:7.1f} MB")
+            print(line + (f"  FAILED: {outcome.problem}" if outcome.problem else ""), flush=True)
+            if outcome.problem:
                 failed.append(rung.name)
     print(f"{len(RUNGS) - len(failed)} of {len(RUNGS)} rungs passed"
           + (": failed " + ", ".join(failed) if failed else ""))

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,70 @@ class TestCanonicalDumps:
     def test_anything_else_raises_type_error(self, doc):
         with pytest.raises(TypeError):
             jsonio.canonical_dumps(doc)
+
+
+def random_preorder(rng, n):
+    """A preorder on n awkward labels, closed from a few random pairs."""
+    labels = [f"{rng.choice(ODD_TEXT)}{i}" for i in range(n)]
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randrange(2 * n + 1))]
+    return order.Preorder.from_pairs(labels, pairs)
+
+
+class TestPairsAndTheWriter:
+    """A dumped preorder's pairs are rendered from its rows, and the writer
+    streams the text of ``canonical_dumps`` to ``sys.stdout``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pairs_render_as_the_list_of_pairs(self, seed):
+        rng = random.Random(seed)
+        p = random_preorder(rng, rng.randrange(7))
+        listed = {"carrier": list(p.carrier), "pairs": [list(x) for x in p.pairs()]}
+        doc = {"results": jsonio.dump_preorder(p), "nested": [[jsonio.dump_preorder(p)]]}
+        assert jsonio.canonical_dumps(doc) == reference_dumps(
+            {"results": listed, "nested": [[listed]]})
+
+    def test_pairs_have_a_length_iterate_as_lists_and_compare_with_lists(self):
+        p = order.Preorder.from_pairs(["N", "O", "P"], [("O", "N"), ("O", "P")])
+        pairs = jsonio.dump_preorder(p)["pairs"]
+        assert len(pairs) == 2
+        assert list(pairs) == [["O", "N"], ["O", "P"]]
+        assert pairs == [["O", "N"], ["O", "P"]] == pairs
+        assert pairs == jsonio.dump_preorder(p)["pairs"]
+        assert pairs != [["O", "N"]] and pairs != (["O", "N"], ["O", "P"])
+
+    def test_write_streams_the_text_to_the_stdout_of_the_call(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        p = random_preorder(random.Random(1), 40)
+        doc = {"pairs": jsonio.dump_preorder(p), "more": [random_document(random.Random(2))]}
+        monkeypatch.setattr(jsonio, "CHUNK", 256)
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        jsonio.write(doc)
+        assert "".join(out.writes) == jsonio.canonical_dumps(doc) + "\n"
+        assert len(out.writes) > 2
+        assert all(len(text) >= 256 for text in out.writes[:-1])
+
+
+PAST_CARRIER = [f"p{i}" for i in range(order.MAX_CARRIER + 1)]
+
+
+@pytest.mark.parametrize("load, doc, path", [
+    (jsonio.load_preorder, {"carrier": PAST_CARRIER, "pairs": [["elsewhere", "p0"]]},
+     "carrier"),
+    (jsonio.load_topology, {"carrier": PAST_CARRIER, "opens": [["elsewhere"]]}, "carrier"),
+    (jsonio.load_topology, {"carrier": PAST_CARRIER, "preorder_pairs": [["elsewhere", "p0"]]},
+     "carrier"),
+    (jsonio.load_decomposition,
+     {"space": {"carrier": PAST_CARRIER, "opens": [["elsewhere"]]}, "blocks": [["p0"]]},
+     "space.carrier"),
+], ids=["preorder", "opens", "preorder-pairs", "decomposition"])
+def test_a_carrier_past_the_cap_is_refused_before_any_label_is_read(load, doc, path):
+    with pytest.raises(CapExceeded) as info:
+        load(doc)
+    assert (str(info.value), info.value.path) == ("carrier has 4097 elements, cap is 4096", path)
