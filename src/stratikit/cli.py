@@ -89,8 +89,11 @@ def _check(name, ok, detail=""):
 
 def _write_dot(args, preorder):
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot.preorder_dot(preorder, full_relation=args.full_relation))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot.preorder_dot(preorder, full_relation=args.full_relation))
+        except OSError as exc:
+            raise InputError(f"cannot write DOT file: {exc}", path="--dot") from None
 
 
 def _maybe_dual(args, preorder):

@@ -11,7 +11,7 @@ import operator
 from collections import namedtuple
 
 from .errors import InputError, StructureError
-from .order import (Preorder, _closure, bit_indices, product, product_labels,
+from .order import (Preorder, _closure, bit_indices, labels_of, product, product_labels,
                     product_mask, transpose, union_of_rows)
 from .topology import FiniteTopology, product_topology
 
@@ -33,8 +33,7 @@ class Decomposition:
             raise StructureError(f"blocks do not cover the carrier; missing {missing}",
                                  path="blocks")
         if labels is None:
-            labels = ["[%s]" % min(space.carrier[i] for i in bit_indices(b))
-                      for b in blocks]
+            labels = ["[%s]" % min(labels_of(space.carrier, b)) for b in blocks]
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(blocks):
             raise InputError("one label per block required", path="labels")

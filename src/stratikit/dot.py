@@ -2,7 +2,9 @@
 
 
 def _quote(label):
-    return '"' + str(label).replace('"', '\\"') + '"'
+    """A DOT quoted string: each backslash is doubled before each quote is
+    escaped, so that no label can end its string early."""
+    return '"' + str(label).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def preorder_dot(p, full_relation=False):

@@ -6,8 +6,8 @@ coordinate in the lowest-terms string form, the sign on the numerator.
 string is read, so a document of integers never loads it.
 """
 
+import re
 import sys
-from itertools import compress
 from json.encoder import encode_basestring as _quote
 from math import gcd
 
@@ -28,17 +28,30 @@ CHUNK = 1 << 20
 
 
 def parse_rational(value, path=""):
-    """A JSON int as the int itself, a "p/q" string as a Fraction."""
+    """A JSON int as the int itself, and a string "p" or "p/q" as a Fraction:
+    p is an optional "-" and ASCII digits, q ASCII digits and not zero.  A
+    part of more than MAX_INT_DIGITS digits is refused before it is read, so
+    that no answer depends on the interpreter."""
     if isinstance(value, bool):
         raise InputError(f"expected rational, got boolean", path=path)
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        match = re.fullmatch(r"(-?)([0-9]+)(?:/([0-9]+))?", value)
+        if match is None:
+            raise InputError(f"cannot parse rational {value!r}", path=path)
+        sign, numerator, denominator = match[1], match[2], match[3] or "1"
+        digits = max(len(numerator), len(denominator))
+        if digits > MAX_INT_DIGITS:
+            raise CapExceeded(f"rational part has {digits} digits, cap is {MAX_INT_DIGITS}",
+                              path=path)
         from fractions import Fraction
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return Fraction(int(sign + numerator), int(denominator))
+        except ZeroDivisionError:
             raise InputError(f"cannot parse rational {value!r}", path=path) from None
+        except ValueError as exc:  # a lower int-string limit set for the interpreter
+            raise CapExceeded(f"rational part has {digits} digits: {exc}", path=path) from None
     raise InputError(f"expected int or 'p/q' string, got {type(value).__name__}",
                      path=path)
 
@@ -332,14 +345,10 @@ def _key(key):
     raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
 
 
-# The characters "0" and "1" of ``bin`` as the bytes 0 and 1, false and true.
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _pair_rows(pairs, newline):
     """The text of ``pairs``, one piece per row with a pair in it.  The pairs
     of row i all start with x_i, quoted once into the row's pair prefix, and
-    the row's reversed binary digits select the labels of the rest."""
+    the rest are the quoted labels that ``order.labels_of`` reads off the row."""
     p = pairs.preorder
     labels = list(map(_quote, p.carrier))
     inner, item, close = newline + "  ", newline + "    ", newline + "  ]"
@@ -348,9 +357,8 @@ def _pair_rows(pairs, newline):
         others = row & ~(1 << i)
         if others:
             head = f"[{item}{labels[i]},{item}"
-            selected = bin(others)[:1:-1].encode().translate(_BITS)
             yield f"{lead}{inner}{head}" + f"{close},{inner}{head}".join(
-                compress(labels, selected)) + close
+                order.labels_of(labels, others)) + close
             lead = ","
     yield "[]" if lead == "[" else newline + "]"
 

@@ -26,6 +26,16 @@ def bit_indices(mask):
     return out
 
 
+# The characters "0" and "1" of ``bin`` as the bytes 0 and 1, false and true.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def labels_of(labels, mask):
+    """Iterator over ``labels[i]`` for the set bits i of a nonnegative int,
+    ascending: the mask's reversed binary digits select them."""
+    return itertools.compress(labels, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 def bitmask(indices):
     """The int with exactly the given bits set."""
     mask = 0
@@ -224,11 +234,8 @@ class Preorder:
 
     def pairs(self):
         """All non-reflexive related pairs, in carrier order."""
-        return [
-            (self.carrier[i], self.carrier[j])
-            for i, row in enumerate(self.up)
-            for j in bit_indices(row & ~(1 << i))
-        ]
+        return [(self.carrier[i], y) for i, row in enumerate(self.up)
+                for y in labels_of(self.carrier, row & ~(1 << i))]
 
     def is_partial_order(self):  # no two elements share an up-set
         return len(set(self.up)) == len(self.up)
@@ -245,7 +252,7 @@ class Preorder:
         pairs = []
         for i, row in enumerate(strict):
             covers = row & ~union_of_rows(strict, row)
-            pairs += [(self.carrier[i], self.carrier[j]) for j in bit_indices(covers)]
+            pairs += [(self.carrier[i], y) for y in labels_of(self.carrier, covers)]
         return pairs
 
     def to_poset(self):

@@ -8,34 +8,22 @@ family is kept in a canonical order (cardinality, then index-lexicographic)
 so that two topologies are equal exactly when their serialized forms are.
 """
 
-import itertools
-
 from .errors import CapExceeded, InputError, StructureError
-from .order import (MAX_CARRIER, Poset, Preorder, bit_indices, first_escape, product,
-                    union_of_rows)
+from .order import (MAX_CARRIER, Poset, Preorder, bit_indices, first_escape, labels_of,
+                    product, union_of_rows)
 
 MAX_OPENS = 1 << 16
 
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-
-def _canonical_key(n):
-    """Sort key of the canonical order on subsets of an n-point carrier.
-
-    Smaller sets come first.  Between two sets of one size, the one holding the
-    lowest differing bit comes first, which is the order of their ascending
-    index tuples.  Reversing the mask's bits, byte by byte over whole bytes,
-    makes that bit the highest differing one, so the set holding it has the
-    larger reversed mask and the key subtracts it.
-    """
-    nbytes = (n + 7) // 8
-    width = 8 * nbytes
-
-    def key(mask):
-        flipped = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
-        return (mask.bit_count() << width) - int.from_bytes(flipped, "big")
-
-    return key
+def _canonical_order(masks):
+    """The masks in the canonical order on subsets: smaller sets first, and
+    between two sets of one size, the one holding the lowest differing bit
+    first, which is the order of their ascending index tuples.  The reversed
+    binary digits start at bit 0, and within one size none is a prefix of
+    another, so a descending sort on them, made stable by size, is that order."""
+    masks = sorted(masks, key=lambda mask: bin(mask)[:1:-1], reverse=True)
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def _unions(masks, limit):
@@ -87,7 +75,6 @@ class FiniteTopology:
     def _start(self, carrier, family):
         self.carrier = carrier
         self._full = (1 << len(carrier)) - 1
-        self._labels_by_byte = None
         self._open_set = family
         self._opens = None
 
@@ -165,7 +152,7 @@ class FiniteTopology:
     def opens(self):
         """The open sets in canonical order."""
         if self._opens is None:
-            self._opens = tuple(sorted(self.open_set, key=_canonical_key(len(self.carrier))))
+            self._opens = tuple(_canonical_order(self.open_set))
         return self._opens
 
     def is_open(self, mask):
@@ -175,7 +162,7 @@ class FiniteTopology:
         return (self._full & ~mask) in self.open_set
 
     def opens_as_labels(self):
-        return [list(self._label_chain(o)) for o in self.opens]
+        return [list(labels_of(self.carrier, o)) for o in self.opens]
 
     # -- subset plumbing -----------------------------------------------------
 
@@ -189,20 +176,7 @@ class FiniteTopology:
         return m
 
     def labels(self, mask):
-        return tuple(self._label_chain(mask))
-
-    def _label_chain(self, mask):
-        """Iterator over the labels of the mask's set bits, in carrier order,
-        read byte by byte from a table built on first use."""
-        tables = self._labels_by_byte
-        if tables is None:
-            n = len(self.carrier)
-            tables = self._labels_by_byte = [
-                [tuple(self.carrier[base + j] for j in bit_indices(b))
-                 for b in range(1 << min(8, n - base))]
-                for base in range(0, n, 8)]
-        return itertools.chain.from_iterable(
-            map(list.__getitem__, tables, mask.to_bytes(len(tables), "little")))
+        return tuple(labels_of(self.carrier, mask))
 
     @property
     def full_mask(self):
@@ -279,7 +253,7 @@ class PosetStratifiedSpace:
         i = first_escape(stratum, space.specialization_preorder(), strata_poset)
         if i is not None:
             above = strata_poset.up[stratum[i]]
-            labels = tuple(strata_poset.carrier[k] for k in bit_indices(above))
+            labels = tuple(labels_of(strata_poset.carrier, above))
             raise StructureError(
                 f"stratification map not continuous: preimage of {labels} is not open")
         self.space = space

@@ -17,10 +17,10 @@ It prints one line per rung (name, exit code, wall seconds, report bytes and
 the CLI's peak RSS), runs every rung even after a failure, and exits 1 if any
 rung failed.  Documents come from the generators of ``perfbench/jobs.py`` and
 ``tests/catalog.py``; each is built just before its rung runs and written to a
-temporary directory.  The CLI is then started by a small launcher, which
-times it and reads its peak RSS from ``wait4``: a child that ``subprocess``
-starts by vfork counts its parent's high-water mark as its own, and the
-runner's includes the documents it built.
+temporary directory, where each CLI runs.  The CLI is started by a small
+launcher, which times it and reads its peak RSS from ``wait4``: a child that
+``subprocess`` starts by vfork counts its parent's high-water mark as its
+own, and the runner's includes the documents it built.
 """
 
 import importlib.util
@@ -186,6 +186,11 @@ RUNGS = [
     Rung("unreadable missing-file", FROM_PREORDER, None, "missing", code=2, path="$"),
     Rung("topology from-preorder chain-4097", FROM_PREORDER, partial(chain_poset, 4097),
          code=2, path="carrier", message=CARRIER_CAP),
+    # A DOT file that cannot be written is refused at its option; the CLI runs
+    # in the temporary directory, where the directory named is missing.
+    Rung("topology from-preorder --dot missing-dir",
+         (*FROM_PREORDER, "--dot", "missing-directory/order.dot"), partial(chain_poset, 3),
+         code=2, path="--dot", message="cannot write DOT file: "),
     # refused before any open is read
     Rung("topology to-preorder chain-4097 opens", ("topology", "to-preorder"),
          partial(chain_opens, 4097), code=2, path="carrier", message=CARRIER_CAP),
@@ -249,6 +254,14 @@ RUNGS = [
     *(Rung(f"arrangement {action} R3 k=8 400-digit", ("arrangement", action),
            partial(random_forms, 1, 3, 8, 10 ** 400), code=2, path="forms[0]")
       for action in ("faces", "poset", "check-ob")),
+    # Rational strings are read by one grammar on every Python, and a part past
+    # the literal cap is refused before it is read.
+    Rung("arrangement faces rational '1/ 2'", ("arrangement", "faces"),
+         lambda: {"dim": 1, "forms": [["1/ 2", 1]]}, code=2, path="forms[0][0]",
+         message="cannot parse rational '1/ 2'"),
+    Rung("arrangement faces rational 4301-digit part", ("arrangement", "faces"),
+         lambda: {"dim": 1, "forms": [["1" * 4301 + "/3", 1]]}, code=2, path="forms[0][0]",
+         message="rational part has 4301 digits, cap is 4300"),
     Rung("arrangement poset R3 k=12 central", ("arrangement", "poset"),
          partial(central, 3, 3, 12)),
     Rung("arrangement faces R4 k=9", ("arrangement", "faces"), partial(arrangement, 1, 4, 9),
@@ -338,7 +351,8 @@ def run(rung, workdir, env):
     with (open(document if rung.mode == "stdin" else os.devnull, "rb") as stdin,
           open(out, "wb") as stdout, open(err, "wb") as stderr):
         subprocess.run([sys.executable, "-S", "-c", LAUNCHER, usage, str(TIMEOUT_S), *command],
-                       stdin=stdin, stdout=stdout, stderr=stderr, env=env, check=True)
+                       stdin=stdin, stdout=stdout, stderr=stderr, env=env, cwd=workdir,
+                       check=True)
     code, seconds, kb = usage.read_text().split()
     outcome = Outcome(int(code), float(seconds), out.stat().st_size, int(kb) / 1024)
     return outcome._replace(problem=_problem(rung, outcome, out, err))

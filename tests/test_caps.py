@@ -2,6 +2,8 @@
 document or starting any process: a renamed action or option fails here, not
 only when the ladder runs."""
 
+import os
+
 import pytest
 
 import caps
@@ -14,6 +16,8 @@ def test_rung_command_line_parses(rung):
     assert (group, args.action) == rung.argv[:2]
     assert rung.mode in ("file", "stdin", "missing")
     assert (rung.make is None) == (rung.mode == "missing")
+    # a DOT file lands in the runner's temporary directory
+    assert not os.path.isabs(getattr(args, "dot", None) or "")
 
 
 def test_rung_names_are_unique():

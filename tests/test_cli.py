@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -823,6 +824,22 @@ class TestDecompCommands:
                                    "--dot", str(dot_path)])
         assert code == 0
         assert '"[1]" -> "[0]";' in dot_path.read_text()
+
+
+# A DOT quoted string, in which a backslash escapes the character after it.
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_dot_labels_read_back_from_their_quoted_strings(tmp_path, capsys):
+    labels = ["a\\", 'x"y\\']
+    path = write_input(tmp_path, {"carrier": labels, "pairs": [labels]})
+    dot_path = tmp_path / "order.dot"
+    code, _ = run_cli(capsys, ["topology", "from-preorder", "--input", path,
+                               "--dot", str(dot_path)])
+    assert code == 0
+    text = dot_path.read_text()
+    assert [re.sub(r"\\(.)", r"\1", s) for s in DOT_STRING.findall(text)] == labels + labels
+    assert '"' not in DOT_STRING.sub("", text)  # every quote is inside a string
 
 
 class TestArrangementCommands:

@@ -58,6 +58,19 @@ def test_the_process_leaves_the_dot_file_whole(tmp_path, unbuffered):
     assert path.read_text() == dot.preorder_dot(jsonio.load_preorder(LINE), full_relation=True)
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_unwritable_dot_path_is_refused_at_the_option(tmp_path, target):
+    source = tmp_path / "line.json"
+    source.write_text(json.dumps(LINE))
+    path = tmp_path / "missing" / "line.dot" if target == "missing-directory" else tmp_path
+    proc = run_cli(["topology", "from-preorder", "--input", str(source), "--dot", str(path)])
+    assert (proc.returncode, proc.stderr) == (2, b"")
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"] and sorted(doc["error"]) == ["message", "path"]
+    assert doc["error"]["path"] == "--dot"
+    assert doc["error"]["message"].startswith("cannot write DOT file: ")
+
+
 @pytest.mark.parametrize("job", [
     (["topology", "check"], {"carrier": ["a", "b"], "opens": [["a"], ["b"]]}, 1),
     (["homology", "betti"], {"carrier": ["p", "q"], "pairs": [["p", "q"], ["q", "p"]]}, 2),

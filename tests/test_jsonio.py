@@ -161,18 +161,34 @@ class TestRoundTrips:
         again = jsonio.load_arrangement(dump_arrangement(a.dim, forms))
         assert (again.dim, again.rows) == (a.dim, a.rows) == (2, ((2, 0, -1), (0, 1, 0)))
 
-    @pytest.mark.parametrize("forms, message, at", [
-        ([5], "each form must be a coefficient list", "forms[0]"),
-        ([[0, "1/0"]], "cannot parse rational '1/0'", "forms[0][1]"),
-        ([[0, 1, 2]], "form 0 has 3 coefficients, expected 2", "forms[0]"),
-        ([[1, 0]], "form 0 has no variable part and cuts out no hyperplane",
+    @pytest.mark.parametrize("forms, kind, message, at", [
+        ([5], InputError, "each form must be a coefficient list", "forms[0]"),
+        ([[0, "1/0"]], InputError, "cannot parse rational '1/0'", "forms[0][1]"),
+        ([[0, 1, 2]], InputError, "form 0 has 3 coefficients, expected 2", "forms[0]"),
+        ([[1, 0]], InputError, "form 0 has no variable part and cuts out no hyperplane",
          "forms[0]"),
-    ], ids=["not-a-list", "coefficient", "length", "no-variable-part"])
-    def test_arrangement_refusals_carry_the_document_path(self, forms, message, at):
+        # strings outside "-?digits" and "-?digits/digits", which Fraction
+        # reads on some Python versions or all of them
+        *(([[text, 1]], InputError, f"cannot parse rational {text!r}", "forms[0][0]")
+          for text in ("1/ 2", "1_0", "0.5", "1e3", "+1", " 1", "1/-2", "-/2", "\u0661", "")),
+        ([["1" * 4301 + "/3", 1]], CapExceeded, "rational part has 4301 digits, cap is 4300",
+         "forms[0][0]"),
+        ([["-1/" + "7" * 4301, 1]], CapExceeded, "rational part has 4301 digits, cap is 4300",
+         "forms[0][0]"),
+    ], ids=["not-a-list", "coefficient", "length", "no-variable-part",
+            *(f"grammar-{i}" for i in range(10)), "long-numerator", "long-denominator"])
+    def test_arrangement_refusals_carry_the_document_path(self, forms, kind, message, at):
         for path, expected in (("", at), ("arr", f"arr.{at}")):
-            with pytest.raises(InputError) as err:
+            with pytest.raises(kind) as err:
                 jsonio.load_arrangement({"dim": 1, "forms": forms}, path=path)
-            assert (str(err.value), err.value.path) == (message, expected)
+            assert (type(err.value), str(err.value), err.value.path) == (kind, message, expected)
+
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), ("-3", Fraction(-3)), ("-0", Fraction(0)), ("007/014", Fraction(1, 2)),
+        ("-6/4", Fraction(-3, 2)), ("9" * 4300 + "/" + "1" * 4300, Fraction(int("9" * 4300),
+                                                                      int("1" * 4300)))])
+    def test_rational_strings_of_the_grammar(self, text, value):
+        assert jsonio.parse_rational(text) == value
 
     def test_category_with_both_arrow_spellings(self):
         doc = {

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from stratikit import order
 from stratikit.errors import InputError, StructureError
 from stratikit.order import (MAX_CARRIER, Poset, Preorder, bit_indices, bitmask,
-                             is_monotone, is_order_isomorphism, product, product_label,
-                             quotient_poset, transpose)
+                             is_monotone, is_order_isomorphism, labels_of, product,
+                             product_label, quotient_poset, transpose)
 from stratikit.randomcases import random_preorder
 
 from reference import (antisymmetry_pair_by_up_and_down, class_rows_by_bits,
@@ -178,6 +178,19 @@ class TestDown:
             assert isinstance(down, tuple)
             assert down == tuple(transpose(p.up, len(p.up)))
             assert p.down() is down
+
+
+class TestLabelsOf:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 4096])
+    def test_against_bit_indices(self, n):
+        rng = random.Random(n)
+        labels = [f"p{i}" for i in range(n)]
+        top = 1 << (n - 1) if n else 0
+        masks = [0, top, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(50)),
+                 *(bitmask(rng.sample(range(n), rng.randint(0, min(n, 5)))) | top
+                   for _ in range(50))]
+        for mask in masks:
+            assert list(labels_of(labels, mask)) == [labels[i] for i in bit_indices(mask)]
 
 
 class TestTranspose:

@@ -10,7 +10,7 @@ from stratikit.errors import CapExceeded, InputError, StructureError
 from stratikit.order import MAX_CARRIER, Preorder, bit_indices, product_label, quotient_poset
 from stratikit.randomcases import random_preorder
 from stratikit.topology import (MAX_OPENS, FiniteTopology, PosetStratifiedSpace,
-                                _canonical_key, product_topology, rows_of_opens)
+                                _canonical_order, product_topology, rows_of_opens)
 
 from reference import (closure_by_opens, closure_extensive_and_idempotent,
                        locally_closed_by_opens, random_topology)
@@ -232,13 +232,13 @@ class TestValidate:
 
 
 class TestCanonicalOrder:
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20, 4096])
     def test_order_is_by_size_then_index_tuple(self, n):
         rng = random.Random(n)
         masks = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(200)}
-        for size in range(n + 1):  # many ties in size
+        for size in range(0, n + 1, max(1, n // 64)):  # many ties in size
             masks |= {sum(1 << i for i in rng.sample(range(n), size)) for _ in range(20)}
-        assert sorted(masks, key=_canonical_key(n)) == sorted(masks, key=index_tuple_key)
+        assert _canonical_order(masks) == sorted(masks, key=index_tuple_key)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 20])
     def test_labels_match_the_set_bits(self, n):
